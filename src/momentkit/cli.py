@@ -43,12 +43,6 @@ EXIT_INCONCLUSIVE = 4
 EXIT_SOLVE = 5
 EXIT_PULLBACK = 6
 
-#: A Riesz value whose magnitude is below this fraction of the
-#: no-cancellation scale ``sum_a |c_a| |s_a|`` is roundoff noise from exact
-#: cancellation (data supported where the polynomial vanishes) and is
-#: treated as zero.
-RIESZ_CANCEL_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # report rendering
@@ -134,61 +128,6 @@ def _measure_report(measure: AtomicMeasure) -> dict:
             for pt, w in measure.sorted_atoms()
         ],
     }
-
-
-def _coordinate_axis(f: Polynomial) -> int | None:
-    """The axis index when ``f`` is exactly one coordinate, else ``None``."""
-    if len(f.terms) != 1:
-        return None
-    (alpha, coeff), = f.terms.items()
-    if coeff != 1 or sum(alpha) != 1:
-        return None
-    return alpha.index(1)
-
-
-def _pushed_power_sequence(
-    s: MomentSequence, f: Polynomial, count: int
-) -> MomentSequence:
-    """1-D data ``t_n = L(f^n)`` for ``n = 0..count``.
-
-    For a plain coordinate this is the marginal and keeps any stored log
-    values (so entries beyond double range stay classifiable); otherwise the
-    powers are substituted exactly and evaluated through the functional.
-    """
-    axis = _coordinate_axis(f)
-    if axis is not None:
-        values = {(n,): s.marginal(axis, n) for n in range(count + 1)}
-        logs = {}
-        for n in range(count + 1):
-            idx = tuple(n if j == axis else 0 for j in range(s.dim))
-            if idx in s.log_values:
-                logs[(n,)] = s.log_values[idx]
-        return MomentSequence(1, count, values, logs)
-    values: dict[tuple[int, ...], Any] = {(0,): s.riesz(Polynomial.constant(s.dim, 1))}
-    power = Polynomial.constant(s.dim, 1)
-    for n in range(1, count + 1):
-        power = power * f
-        val = s.riesz(power)
-        cancel_scale = 0.0
-        for expo, coeff in power.terms.items():
-            try:
-                cancel_scale += abs(float(coeff)) * abs(float(s.value(expo)))
-            except OverflowError:
-                cancel_scale = math.inf
-                break
-        try:
-            fv = float(val)
-        except OverflowError:
-            fv = math.inf
-        if (
-            math.isfinite(cancel_scale)
-            and math.isfinite(fv)
-            and fv != 0.0
-            and abs(fv) <= RIESZ_CANCEL_TOL * cancel_scale
-        ):
-            val = 0.0
-        values[(n,)] = val
-    return MomentSequence(1, count, values)
 
 
 def _default_level(s: MomentSequence, generators: list[Polynomial]) -> int:
@@ -345,7 +284,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         count = min(args.count, s.max_degree // deg) if deg else args.count
         entry: dict = {"generator": f.to_string(), "count": count}
         try:
-            pushed = _pushed_power_sequence(s_norm, f, count)
+            pushed = reduction.pushed_power_sequence(s_norm, f, count)
             diag = conditions.stieltjes_terms(pushed, 0, count)
             entry.update(_diag_summary(diag))
             if diag.classification != conditions.DIVERGENCE_CONSISTENT:
@@ -450,13 +389,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _solve_sequence(
-    s: MomentSequence, args: argparse.Namespace
+    s: MomentSequence,
+    mode: str,
+    level: int | None,
+    rank_tol: float,
+    tol: float,
+    seed: int,
 ) -> tuple[AtomicMeasure, dict]:
-    mode = args.mode
     if mode == "auto":
         mode = "1d" if s.dim == 1 else "md"
     if mode == "1d":
-        result = univariate.solve_1d(s, args.rank_tol, args.tol)
+        result = univariate.solve_1d(s, rank_tol, tol)
         detail = {
             "mode": "1d",
             "rank": result.rank,
@@ -466,15 +409,10 @@ def _solve_sequence(
             "jacobi_offdiag": result.jacobi.offdiag,
         }
         return result.measure, detail
-    if args.level is not None:
-        measure = multivariate.extract_atoms(
-            s, args.level, args.rank_tol, args.tol, args.seed
-        )
-        level = args.level
+    if level is not None:
+        measure = multivariate.extract_atoms(s, level, rank_tol, tol, seed)
     else:
-        measure, level = multivariate.extract_atoms_auto(
-            s, args.rank_tol, args.tol, args.seed
-        )
+        measure, level = multivariate.extract_atoms_auto(s, rank_tol, tol, seed)
     return measure, {"mode": "md", "level": level, "rank": len(measure)}
 
 
@@ -491,7 +429,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            measure, detail = _solve_sequence(s, args)
+            measure, detail = _solve_sequence(
+                s, args.mode, args.level, args.rank_tol, args.tol, args.seed
+            )
     except MomentError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["exit"] = EXIT_SOLVE
@@ -642,18 +582,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if pushed.dim == 1:
-                result = univariate.solve_1d(pushed, args.rank_tol, args.tol)
-                nu, solve_detail = result.measure, {
-                    "mode": "1d",
-                    "rank": result.rank,
-                    "stieltjes_supported": result.stieltjes_supported,
-                }
-            else:
-                nu, level = multivariate.extract_atoms_auto(
-                    pushed, args.rank_tol, args.tol, args.seed
-                )
-                solve_detail = {"mode": "md", "level": level, "rank": len(nu)}
+            nu, solve_detail = _solve_sequence(
+                pushed, "auto", None, args.rank_tol, args.tol, args.seed
+            )
     except MomentError as exc:
         stage(
             "solve", ok=False, error_type=type(exc).__name__, error=str(exc)
@@ -678,14 +609,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         warnings=[str(w.message) for w in caught],
     )
 
-    worst = 0.0
-    for alpha in s.indices():
-        reproduced = math.fsum(
-            float(w) * math.prod(float(x) ** e for x, e in zip(pt, alpha))
-            for pt, w in mu.atoms
-        )
-        target = float(s.value(alpha))
-        worst = max(worst, abs(reproduced - target) / max(1.0, abs(target)))
+    worst = max([0.0, *matrices.reproduction_residuals(mu, s, s.max_degree)])
     verify_tol = max(args.tol, 1e-6)
     if worst > verify_tol:
         stage("verify", ok=False, worst_residual=worst, tolerance=verify_tol)

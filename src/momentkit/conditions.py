@@ -28,8 +28,6 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DegreeOverflow,
     HypothesisFailure,
@@ -37,8 +35,8 @@ from .errors import (
     NotPositive,
     TrivialFunctional,
 )
-from .matrices import DEFAULT_PSD_TOL, psd_check
-from .polynomials import MomentSequence
+from .matrices import DEFAULT_PSD_TOL, localizing_matrix, moment_matrix, psd_check
+from .polynomials import MomentSequence, Polynomial
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -262,31 +260,6 @@ def subsequence_terms(
     return _series_report(logs, [n * stride for n in range(1, count + 1)])
 
 
-def _finite_marginal_reach(s: MomentSequence, axis: int, upto: int) -> int:
-    """Largest order <= upto with all marginals 0..order finite as floats."""
-    reach = 0
-    for n in range(1, upto + 1):
-        v = s.marginal(axis, n)
-        try:
-            fv = float(v)
-        except OverflowError:
-            break
-        if not math.isfinite(fv):
-            break
-        reach = n
-    return reach
-
-
-def _marginal_hankel(s: MomentSequence, axis: int, level: int, shift: int):
-    m = np.empty((level + 1, level + 1), dtype=float)
-    for i in range(level + 1):
-        for j in range(i, level + 1):
-            v = float(s.marginal(axis, i + j + shift))
-            m[i, j] = v
-            m[j, i] = v
-    return m
-
-
 def check_subsequence_bounds(
     s: MomentSequence,
     axis: int = 0,
@@ -326,17 +299,19 @@ def check_subsequence_bounds(
             f"{s.max_degree}"
         )
 
-    reach = _finite_marginal_reach(s, axis, high)
+    marginal = s.marginal_sequence(axis, high)
+    reach = marginal.finite_degree()
     plain_level = reach // 2
     shift_level = (reach - 1) // 2
-    plain = psd_check(_marginal_hankel(s, axis, plain_level, 0), tol_rel)
+    plain = psd_check(moment_matrix(marginal, plain_level), tol_rel)
     if not plain.is_psd:
         raise HypothesisFailure(
             f"marginal moment matrix at level {plain_level} is not positive "
             f"semidefinite (min eigenvalue {plain.min_eigenvalue:g})"
         )
     if shift_level >= 0:
-        shifted = psd_check(_marginal_hankel(s, axis, shift_level, 1), tol_rel)
+        x = Polynomial.variable(1, 0)
+        shifted = psd_check(localizing_matrix(marginal, x, shift_level), tol_rel)
         if not shifted.is_psd:
             raise HypothesisFailure(
                 f"index-shifted marginal moment matrix at level {shift_level} "

@@ -11,15 +11,21 @@ set where ``f >= 0``) forces them to be positive semidefinite.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegreeOverflow, DimMismatch, EigenFailure, NotPsd
 from .polynomials import (
+    AtomicMeasure,
     MomentSequence,
     MultiIndex,
     Polynomial,
+    Scalar,
     add_indices,
     monomials_up_to,
 )
@@ -74,6 +80,48 @@ class HypothesesReport:
     passed: bool = False
 
 
+@functools.lru_cache(maxsize=64)
+def _monomials(dim: int, degree: int) -> tuple[MultiIndex, ...]:
+    return tuple(monomials_up_to(dim, degree))
+
+
+@functools.lru_cache(maxsize=32)
+def _sum_positions(dim: int, level: int) -> np.ndarray:
+    """Graded-lex position of ``basis[i] + basis[j]`` among the monomials of
+    degree <= ``2 * level``.
+
+    The sums hold every one of those monomials, so ``np.unique`` lists them
+    in lexicographic order, and the ``u``-th of them is ``lex[u]`` in the
+    graded-lex list.
+    """
+    basis = np.array(_monomials(dim, level))
+    lex = np.lexsort(np.array(_monomials(dim, 2 * level)).T[::-1])
+    sums = (basis[:, None, :] + basis[None, :, :]).reshape(-1, dim)
+    _, inverse = np.unique(sums, axis=0, return_inverse=True)
+    positions = lex[inverse].reshape(len(basis), len(basis))
+    positions.setflags(write=False)  # shared by every caller through the cache
+    return positions
+
+
+def assemble(values: np.ndarray, dim: int, level: int) -> np.ndarray:
+    """The matrix ``values[alpha + beta]`` over the level basis, for values
+    listed per monomial of degree <= ``2 * level`` in graded-lex order."""
+    return np.asarray(values, dtype=float)[_sum_positions(dim, level)]
+
+
+def moment_vector(s: MomentSequence, degree: int) -> np.ndarray:
+    """Every entry of ``s`` of degree <= ``degree`` as a float, in graded-lex
+    order.  Only these entries are converted, so an exact entry beyond
+    double range raises ``OverflowError`` only when it is asked for."""
+    if degree > s.max_degree:
+        raise DegreeOverflow(
+            f"need entries up to degree {degree}, data stops at {s.max_degree}"
+        )
+    return np.array(
+        [float(s.values[m]) for m in _monomials(s.dim, degree)], dtype=float
+    )
+
+
 def moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
     """Moment matrix of ``s`` truncated at ``level``.
 
@@ -96,15 +144,10 @@ def moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
             f"moment matrix at level {level} needs degree {2 * level} entries, "
             f"data stops at {s.max_degree}"
         )
-    basis = monomials_up_to(s.dim, level)
-    n = len(basis)
-    m = np.empty((n, n), dtype=float)
-    for i, a in enumerate(basis):
-        for j in range(i, n):
-            v = float(s.value(add_indices(a, basis[j])))
-            m[i, j] = v
-            m[j, i] = v
-    return SymmetricMatrixWithBasis(basis, m)
+    return SymmetricMatrixWithBasis(
+        list(_monomials(s.dim, level)),
+        assemble(moment_vector(s, 2 * level), s.dim, level),
+    )
 
 
 def localizing_matrix(
@@ -124,7 +167,9 @@ def localizing_matrix(
     Returns
     -------
     SymmetricMatrixWithBasis
-        Entry ``(alpha, beta)`` is ``sum_gamma f_gamma * s[alpha+beta+gamma]``.
+        Entry ``(alpha, beta)`` is ``sum_gamma f_gamma * s[alpha+beta+gamma]``,
+        each term rounded to a float and added in graded-lex order of
+        ``gamma``.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -132,8 +177,6 @@ def localizing_matrix(
         raise DimMismatch(
             f"constraint in {f.dim} variables against {s.dim}-dimensional moments"
         )
-    basis = monomials_up_to(s.dim, level)
-    n = len(basis)
     terms = f.sorted_terms()
     if terms and 2 * level + int(f.degree) > s.max_degree:
         raise DegreeOverflow(
@@ -141,16 +184,42 @@ def localizing_matrix(
             f"constraint needs degree {2 * level + int(f.degree)} entries, "
             f"data stops at {s.max_degree}"
         )
-    m = np.zeros((n, n), dtype=float)
-    for i, a in enumerate(basis):
-        for j in range(i, n):
-            ab = add_indices(a, basis[j])
-            total = 0.0
-            for gamma, coeff in terms:
-                total = total + coeff * s.value(add_indices(ab, gamma))
-            m[i, j] = total
-            m[j, i] = total
-    return SymmetricMatrixWithBasis(basis, m)
+    inner = _monomials(s.dim, 2 * level)
+    total = np.zeros(len(inner))
+    for gamma, coeff in terms:
+        shifted = [s.values[add_indices(m, gamma)] for m in inner]
+        total = total + np.array([float(coeff * v) for v in shifted])
+    return SymmetricMatrixWithBasis(
+        list(_monomials(s.dim, level)), assemble(total, s.dim, level)
+    )
+
+
+def monomial_values(
+    dim: int, points: Sequence[Sequence[Scalar]], degree: int
+) -> list[list[float]]:
+    """``prod_j x_j ** alpha_j`` in floats, one row per monomial ``alpha`` of
+    degree <= ``degree`` (graded-lex order) and one column per point."""
+    return [
+        [math.prod(float(x) ** e for x, e in zip(pt, alpha)) for pt in points]
+        for alpha in _monomials(dim, degree)
+    ]
+
+
+def reproduction_residuals(
+    measure: AtomicMeasure, s: MomentSequence, degree: int
+) -> list[float]:
+    """How well an atomic measure reproduces the data, moment by moment.
+
+    Returns ``|sum_i w_i x_i^alpha - s_alpha| / max(1, |s_alpha|)`` for every
+    ``|alpha| <= degree`` in graded-lex order, each sum taken with
+    :func:`math.fsum` over the atoms.
+    """
+    weights = [float(w) for _, w in measure.atoms]
+    rows = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
+    return [
+        abs(math.fsum(map(operator.mul, weights, row)) - t) / max(1.0, abs(t))
+        for row, t in zip(rows, moment_vector(s, degree).tolist())
+    ]
 
 
 def _as_array(matrix: SymmetricMatrixWithBasis | np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     CommutatorTooLarge,
     DegenerateSpectrum,
-    DegreeOverflow,
     IllConditionedWeights,
     NotFlat,
     RankCollapse,
@@ -31,16 +30,15 @@ from .errors import (
 from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    localizing_matrix,
     moment_matrix,
+    moment_vector,
+    monomial_values,
     numerical_rank,
+    reproduction_residuals,
     require_psd,
 )
-from .polynomials import (
-    AtomicMeasure,
-    MomentSequence,
-    add_indices,
-    monomials_up_to,
-)
+from .polynomials import AtomicMeasure, MomentSequence, Polynomial
 
 #: Minimum (relative) spectral gap for a random probe to count as separating.
 GAP_TOL = 1e-6
@@ -77,20 +75,6 @@ def flat_rank(
     return FlatRankResult(level, rank, previous)
 
 
-def _shift_matrix(s: MomentSequence, level: int, axis: int) -> np.ndarray:
-    """Matrix of ``s[alpha + beta + e_axis]`` over the level basis."""
-    basis = monomials_up_to(s.dim, level)
-    e = tuple(1 if j == axis else 0 for j in range(s.dim))
-    n = len(basis)
-    m = np.empty((n, n), dtype=float)
-    for i, a in enumerate(basis):
-        for j in range(i, n):
-            v = float(s.value(add_indices(add_indices(a, basis[j]), e)))
-            m[i, j] = v
-            m[j, i] = v
-    return m
-
-
 def multiplication_operators(
     s: MomentSequence,
     level: int,
@@ -117,11 +101,6 @@ def multiplication_operators(
     r = fr.rank
     if r == 0:
         return [], 0
-    if 2 * (level - 1) + 1 > s.max_degree:
-        raise DegreeOverflow(
-            f"coordinate shifts at level {level - 1} need degree "
-            f"{2 * (level - 1) + 1} entries, data stops at {s.max_degree}"
-        )
 
     base = moment_matrix(s, level - 1).entries
     eigenvalues, eigenvectors = np.linalg.eigh(base)
@@ -137,7 +116,8 @@ def multiplication_operators(
 
     operators: list[np.ndarray] = []
     for axis in range(s.dim):
-        op = w.T @ _shift_matrix(s, level - 1, axis) @ w
+        x = Polynomial.variable(s.dim, axis)
+        op = w.T @ localizing_matrix(s, x, level - 1).entries @ w
         operators.append((op + op.T) / 2.0)
 
     for i in range(len(operators)):
@@ -220,14 +200,8 @@ def extract_atoms(
         v = vectors[:, k]
         points.append(tuple(float(v @ op @ v) for op in operators))
 
-    basis = monomials_up_to(s.dim, level)
-    a = np.empty((len(basis), r), dtype=float)
-    rhs = np.empty(len(basis), dtype=float)
-    for i, alpha in enumerate(basis):
-        for k, pt in enumerate(points):
-            a[i, k] = math.prod(x**e for x, e in zip(pt, alpha))
-        rhs[i] = float(s.value(alpha))
-    weights, _, lstsq_rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+    a = np.array(monomial_values(s.dim, points, level), dtype=float)
+    weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
     if lstsq_rank < r:
         raise IllConditionedWeights(
             f"weight system has rank {lstsq_rank} < {r}; atoms are not "
@@ -240,14 +214,8 @@ def extract_atoms(
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
 
-    worst = 0.0
-    for alpha in monomials_up_to(s.dim, min(2 * level - 1, s.max_degree)):
-        reproduced = math.fsum(
-            w * math.prod(x**e for x, e in zip(pt, alpha))
-            for pt, w in measure.atoms
-        )
-        target = float(s.value(alpha))
-        worst = max(worst, abs(reproduced - target) / max(1.0, abs(target)))
+    degree = min(2 * level - 1, s.max_degree)
+    worst = max([0.0, *reproduction_residuals(measure, s, degree)])
     if worst > tol:
         raise ValidationFailure(
             f"extracted measure misses the input moments: worst relative "
@@ -272,9 +240,9 @@ def extract_atoms_auto(
     failures: list[str] = []
     for level in range(1, s.max_degree // 2 + 1):
         try:
-            if not flat_rank(s, level, rank_tol).is_flat:
-                continue
             return extract_atoms(s, level, rank_tol, tol, seed), level
+        except NotFlat:
+            continue
         except (
             CommutatorTooLarge,
             DegenerateSpectrum,

@@ -385,6 +385,18 @@ class MomentSequence:
     def log_marginal(self, axis: int, order: int) -> float:
         return self.log_value(self._axis_index(axis, order))
 
+    def marginal_sequence(self, axis: int, max_order: int) -> "MomentSequence":
+        """The 1-D data ``m_n = s[n * e_axis]`` for ``n = 0..max_order``,
+        keeping the stored log of every entry that has one."""
+        idx = [self._axis_index(axis, n) for n in range(max_order + 1)]
+        values = {(n,): self.value(i) for n, i in enumerate(idx)}
+        logs = {
+            (n,): self.log_values[i]
+            for n, i in enumerate(idx)
+            if i in self.log_values
+        }
+        return MomentSequence(1, max_order, values, logs)
+
     def _axis_index(self, axis: int, order: int) -> MultiIndex:
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")

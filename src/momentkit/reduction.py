@@ -49,6 +49,11 @@ NEWTON_TOL = 1e-10
 NEWTON_STEPS = 40
 #: Number of Newton starting points (spread over a box).
 NEWTON_STARTS = 50
+#: A Riesz value whose magnitude is below this fraction of the
+#: no-cancellation scale ``sum_a |c_a| |s_a|`` is roundoff noise from exact
+#: cancellation (data supported where the polynomial vanishes) and is
+#: treated as zero.
+RIESZ_CANCEL_TOL = 1e-12
 
 
 @dataclass
@@ -298,6 +303,48 @@ def pushforward_moments(
     images = _image_monomials(pres, image_degree)
     values = {alpha: s.riesz(image) for alpha, image in images.items()}
     return MomentSequence(pres.num_generators, image_degree, values)
+
+
+def pushed_power_sequence(
+    s: MomentSequence, f: Polynomial, count: int
+) -> MomentSequence:
+    """1-D data ``t_n = L(f^n)`` for ``n = 0..count``.
+
+    For a plain coordinate this is the marginal and keeps any stored log
+    values (so entries beyond double range stay classifiable); otherwise the
+    powers are substituted exactly and evaluated through the functional, and
+    a value that cancels to within :data:`RIESZ_CANCEL_TOL` becomes zero.
+    """
+    for axis in range(s.dim):
+        if f == Polynomial.variable(s.dim, axis):
+            return s.marginal_sequence(axis, count)
+    values: dict[MultiIndex, Scalar] = {
+        (0,): s.riesz(Polynomial.constant(s.dim, 1))
+    }
+    power = Polynomial.constant(s.dim, 1)
+    for n in range(1, count + 1):
+        power = power * f
+        val = s.riesz(power)
+        cancel_scale = 0.0
+        for expo, coeff in power.terms.items():
+            try:
+                cancel_scale += abs(float(coeff)) * abs(float(s.value(expo)))
+            except OverflowError:
+                cancel_scale = math.inf
+                break
+        try:
+            fv = float(val)
+        except OverflowError:
+            fv = math.inf
+        if (
+            math.isfinite(cancel_scale)
+            and math.isfinite(fv)
+            and fv != 0.0
+            and abs(fv) <= RIESZ_CANCEL_TOL * cancel_scale
+        ):
+            val = 0.0
+        values[(n,)] = val
+    return MomentSequence(1, count, values)
 
 
 def _newton_preimages(

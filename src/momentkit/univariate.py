@@ -38,7 +38,9 @@ from .errors import (
 from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    assemble,
     numerical_rank,
+    reproduction_residuals,
     require_psd,
 )
 from .polynomials import AtomicMeasure, MomentSequence
@@ -90,16 +92,12 @@ class Solve1DResult:
     residuals: list[float] = field(default_factory=list)
 
 
-def _scaled_hankel(
-    values: list[float], rows: int, cols: int, scale: float
-) -> np.ndarray:
-    """Hankel block ``values[i+j] / (values[0] * scale**(i+j))``."""
-    m = np.empty((rows, cols), dtype=float)
-    for i in range(rows):
-        for j in range(cols):
-            k = i + j
-            m[i, j] = values[k] / (values[0] * scale**k)
-    return m
+def _scaled_moments(values: list[float], scale: float, count: int) -> np.ndarray:
+    """``r_k = values[k] / (values[0] * scale**k)`` for ``k < count``: the
+    moments of the normalized variable divided by ``scale``."""
+    return np.array(
+        [values[k] / (values[0] * scale**k) for k in range(count)], dtype=float
+    )
 
 
 def _growth_scale(values: list[float]) -> float:
@@ -140,9 +138,7 @@ def _polish_rule(
         rows += 1
     if q == 0 or rows < 2 * q:
         return nodes, weights
-    rhs = np.array(
-        [values[k] / (values[0] * scale**k) for k in range(rows)], dtype=float
-    )
+    rhs = _scaled_moments(values, scale, rows)
     x = np.array([v / scale for v in nodes], dtype=float)
     w = np.array([v / values[0] for v in weights], dtype=float)
 
@@ -265,7 +261,10 @@ def solve_1d(
         )
 
     scale = _growth_scale(values)
-    hankel = _scaled_hankel(values, level + 1, level + 1, scale)
+    # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
+    # even at level 0.
+    scaled = _scaled_moments(values, scale, max(2 * level + 1, 2))
+    hankel = assemble(scaled, 1, level)
     require_psd(hankel, tol, label="moment matrix")
     rank = numerical_rank(hankel, rank_tol)
     if rank == 0:
@@ -278,7 +277,7 @@ def solve_1d(
 
     rows = None
     while q > 0:
-        block = _scaled_hankel(values, q, q + 1, scale)
+        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
         got = _partial_cholesky_rows(block, q)
         if isinstance(got, list):
             rows = got
@@ -319,11 +318,8 @@ def solve_1d(
     atoms = [((x,), w) for x, w in zip(nodes, weights) if w > 0.0]
     measure = AtomicMeasure(1, atoms)
 
-    residuals: list[float] = []
-    for k in range(min(2 * q, s.max_degree + 1)):
-        reproduced = math.fsum(w * x**k for (x,), w in measure.atoms)
-        residuals.append(abs(reproduced - values[k]) / max(1.0, abs(values[k])))
-    max_residual = max(residuals) if residuals else 0.0
+    residuals = reproduction_residuals(measure, s, min(2 * q - 1, s.max_degree))
+    max_residual = max(residuals)
     if max_residual > tol:
         raise ValidationFailure(
             f"recovered measure misses the input moments: worst relative "

@@ -489,6 +489,10 @@ def test_pipeline_subalgebra_pullback_fails_verification(tmp_path, capsys):
         capsys, "pipeline", moments, str(gens), out, "--allow-subalgebra"
     )
     assert code == EXIT_PULLBACK
+    # The 1-D image solve goes through the same dispatch as ``solve``.
+    solve = stage_named(report, "solve")
+    assert solve["mode"] == "1d"
+    assert {"max_residual", "jacobi_diag", "jacobi_offdiag"} <= solve.keys()
     verify = stage_named(report, "verify")
     assert verify["ok"] is False
     assert verify["worst_residual"] > verify["tolerance"]

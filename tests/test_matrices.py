@@ -21,7 +21,8 @@ from momentkit import (
     psd_check,
     AtomicMeasure,
 )
-from momentkit.matrices import require_psd
+from momentkit.matrices import reproduction_residuals, require_psd
+from momentkit.polynomials import add_indices, monomials_up_to
 from momentkit.errors import NotPsd
 
 
@@ -160,3 +161,116 @@ class TestCheckHypotheses:
         report = check_hypotheses(s, [], level=1)
         assert not report.passed
         assert not report.moment_verdict.is_psd
+
+
+# Per-entry reference definitions: every entry is looked up and converted on
+# its own, and the localizing terms are added one at a time in graded-lex
+# order of gamma.  The cached assembly must agree bit for bit.
+
+
+def _reference_moment_matrix(s: MomentSequence, level: int) -> np.ndarray:
+    basis = monomials_up_to(s.dim, level)
+    m = np.empty((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            m[i, j] = float(s.value(add_indices(a, b)))
+    return m
+
+
+def _reference_localizing_matrix(
+    s: MomentSequence, f: Polynomial, level: int
+) -> np.ndarray:
+    basis = monomials_up_to(s.dim, level)
+    m = np.empty((len(basis), len(basis)))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            total = 0.0
+            for gamma, coeff in f.sorted_terms():
+                total = total + coeff * s.value(add_indices(add_indices(a, b), gamma))
+            m[i, j] = total
+    return m
+
+
+def _reference_residuals(measure, s: MomentSequence, degree: int) -> list[float]:
+    out = []
+    for alpha in monomials_up_to(s.dim, degree):
+        reproduced = math.fsum(
+            float(w) * math.prod(float(x) ** e for x, e in zip(pt, alpha))
+            for pt, w in measure.atoms
+        )
+        target = float(s.value(alpha))
+        out.append(abs(reproduced - target) / max(1.0, abs(target)))
+    return out
+
+
+def _random_data(dim: int, degree: int, exact: bool, seed: int) -> MomentSequence:
+    rng = np.random.default_rng(seed)
+    values = {}
+    for alpha in monomials_up_to(dim, degree):
+        if exact:
+            values[alpha] = Fraction(
+                int(rng.integers(-99, 100)), int(rng.integers(1, 60))
+            )
+        else:
+            values[alpha] = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
+    return MomentSequence(dim, degree, values)
+
+
+def _constraints(dim: int) -> list[Polynomial]:
+    square = tuple(2 if j == 0 else 0 for j in range(dim))
+    last = tuple(1 if j == dim - 1 else 0 for j in range(dim))
+    rational = Polynomial(
+        dim, {(0,) * dim: Fraction(3, 7), square: Fraction(-5, 3), last: Fraction(1, 11)}
+    )
+    return [Polynomial.zero(dim), Polynomial.variable(dim, 0), rational]
+
+
+class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bit_identical_to_per_entry_definitions(self, dim, exact):
+        s = _random_data(dim, 8, exact, seed=10 * dim + exact)
+        for level in range(4):
+            assert np.array_equal(
+                moment_matrix(s, level).entries, _reference_moment_matrix(s, level)
+            )
+            for f in _constraints(dim):
+                assert np.array_equal(
+                    localizing_matrix(s, f, level).entries,
+                    _reference_localizing_matrix(s, f, level),
+                )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_residuals_bit_identical_to_reference(self, dim, exact):
+        rng = np.random.default_rng(dim)
+        mu = AtomicMeasure(
+            dim,
+            [
+                (tuple(float(v) for v in rng.uniform(0.5, 3.0, dim)), float(w))
+                for w in rng.uniform(0.2, 2.0, 4)
+            ],
+        )
+        s = _random_data(dim, 6, exact, seed=dim)
+        for degree in range(7):
+            assert reproduction_residuals(mu, s, degree) == _reference_residuals(
+                mu, s, degree
+            )
+        truth = moments_of_atomic(mu, 6, exact=exact)
+        assert max(reproduction_residuals(mu, truth, 6)) < 1e-14
+
+    def test_entry_beyond_double_range_raises_only_when_read(self):
+        values = {(k,): Fraction(k + 1) for k in range(6)}
+        values[(6,)] = 10**400
+        s = MomentSequence(1, 6, values)
+        np.testing.assert_array_equal(
+            moment_matrix(s, 2).entries, _reference_moment_matrix(s, 2)
+        )
+        with pytest.raises(OverflowError):
+            moment_matrix(s, 3)
+        x = Polynomial.variable(1, 0)
+        np.testing.assert_array_equal(
+            localizing_matrix(s, x, 2).entries, _reference_localizing_matrix(s, x, 2)
+        )
+        with pytest.raises(OverflowError):
+            localizing_matrix(s, x * x, 2)

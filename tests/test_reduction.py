@@ -15,6 +15,7 @@ from momentkit import (
     DimMismatch,
     InverseMap,
     MembershipViolation,
+    MomentSequence,
     NoPreimage,
     Polynomial,
     SemiAlgebraicPresentation,
@@ -26,6 +27,7 @@ from momentkit import (
     pull_back_atoms,
     pushforward_moments,
 )
+from momentkit.reduction import pushed_power_sequence
 
 
 def _curve(exponent: int) -> SemiAlgebraicPresentation:
@@ -259,3 +261,37 @@ class TestInverseMap:
     def test_shape_validated(self):
         with pytest.raises(DimMismatch):
             InverseMap(2, [Polynomial.variable(3, 0)])
+
+
+class TestPushedPowerSequence:
+    # f = x2 - x1^2 vanishes on the parabola x2 = x1^2.
+    PARABOLA = Polynomial(2, {(0, 1): 1, (2, 0): -1})
+
+    def test_coordinate_keeps_log_values(self):
+        values = {a: 1.0 for a in monomials_up_to(2, 4)}
+        values[(0, 4)] = math.inf
+        s = MomentSequence(2, 4, values, {(0, 4): 800.0, (2, 0): 0.0})
+        t = pushed_power_sequence(s, _x(1), 4)
+        assert t.dim == 1 and t.max_degree == 4
+        assert t.values == {(n,): s.marginal(1, n) for n in range(5)}
+        assert t.log_values == {(4,): 800.0}
+        assert t.log_value((4,)) == 800.0
+
+    def test_float_data_on_curve_cancels_to_zero(self):
+        mu = AtomicMeasure(
+            2, [((1.5, 2.25), 0.6), ((0.7, 0.49), 0.4), ((1.1, 1.21), 0.3)]
+        )
+        s = moments_of_atomic(mu, 8)
+        # Float roundoff leaves L(f^n) slightly off zero ...
+        assert any(s.riesz(self.PARABOLA**n) != 0.0 for n in range(1, 5))
+        t = pushed_power_sequence(s, self.PARABOLA, 4)
+        # ... and the cancellation rule zeroes it; the mass is untouched.
+        assert t.values[(0,)] == s.mass
+        assert [t.values[(n,)] for n in range(1, 5)] == [0.0] * 4
+
+    def test_off_curve_value_stays_nonzero(self):
+        # An atom of weight 0.25 at (1, 2) has f = 1, so L(f^n) = 0.25.
+        mu = AtomicMeasure(2, [((1.5, 2.25), 0.6), ((1.0, 2.0), 0.25)])
+        t = pushed_power_sequence(moments_of_atomic(mu, 8), self.PARABOLA, 4)
+        for n in range(1, 5):
+            assert t.values[(n,)] == pytest.approx(0.25, rel=1e-12)
