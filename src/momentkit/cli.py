@@ -18,6 +18,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,16 +189,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     args.generators_out, fixture.presentation.generators, "x"
                 )
                 report["generators_out"] = args.generators_out
-            if args.inverse_out:
-                fileformats.write_polynomials_file(
-                    args.inverse_out, fixture.inverse.components, "y"
-                )
-                report["inverse_out"] = args.inverse_out
         else:
             return _fail_input(f"unknown fixture kind {kind!r}", args.format)
     except (KeyError, ValueError, TypeError, MomentError) as exc:
         return _fail_input(f"bad fixture spec: {exc}", args.format)
-    fileformats.write_moment_file(args.out, s)
+    try:
+        fileformats.write_moment_file(args.out, s)
+    except MomentError as exc:
+        return _fail_input(str(exc), args.format)
     report["entries"] = len(s.values)
     _emit(report, args.format)
     return EXIT_OK
@@ -504,9 +503,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     degree = _image_degree(s, pres, args)
     try:
         pushed = reduction.pushforward_moments(s, pres, degree)
+        fileformats.write_moment_file(args.out, pushed)
     except (DegreeOverflow, MomentError) as exc:
         return _fail_input(str(exc), args.format)
-    fileformats.write_moment_file(args.out, pushed)
     report["pushforward"] = {
         "image_dim": pushed.dim,
         "image_degree": pushed.max_degree,
@@ -537,17 +536,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     try:
         s, pres = _read_reduction_inputs(args)
-        inverse = None
-        if args.inverse:
-            components = fileformats.read_polynomials_file(
-                args.inverse, pres.num_generators, "y"
-            )
-            inverse = reduction.InverseMap(pres.num_generators, components)
-            if inverse.dim != pres.dim:
-                raise FileFormatError(
-                    f"inverse map has {inverse.dim} components, expected "
-                    f"{pres.dim}"
-                )
     except (OSError, FileFormatError, MomentError) as exc:
         stage("inputs", ok=False, error=str(exc))
         return finish(EXIT_INPUT)
@@ -557,7 +545,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         dim=s.dim,
         degree=s.max_degree,
         generators=[f.to_string() for f in pres.generators],
-        inverse="explicit" if inverse else "newton",
     )
 
     gen, entry = _generation_stage(pres, args)
@@ -593,18 +580,31 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     solve_detail["warnings"] = [str(w.message) for w in caught]
     stage("solve", ok=True, atom_count=len(nu), **solve_detail)
 
+    # A generation certificate is the inverse of the evaluation map
+    # (w_i(f_1, ..., f_m) = x_i exactly), so only an uncertified run needs
+    # the Newton search.
+    if gen.generated:
+        inverse = reduction.InverseMap(pres.num_generators, gen.witnesses)
+        route = "witnesses"
+    else:
+        inverse, route = None, "newton"
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             mu = reduction.pull_back_atoms(nu, pres, inverse, args.tol)
     except MomentError as exc:
         stage(
-            "pullback", ok=False, error_type=type(exc).__name__, error=str(exc)
+            "pullback",
+            ok=False,
+            route=route,
+            error_type=type(exc).__name__,
+            error=str(exc),
         )
         return finish(EXIT_PULLBACK)
     stage(
         "pullback",
         ok=True,
+        route=route,
         atom_count=len(mu),
         warnings=[str(w.message) for w in caught],
     )
@@ -626,7 +626,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing keeps no state
+    in it)."""
     parser = argparse.ArgumentParser(
         prog="momentkit",
         description=(
@@ -648,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="fixture description (JSON)")
     p.add_argument("out", help="output moment file")
     p.add_argument("--generators-out", help="write constraint polynomials here")
-    p.add_argument("--inverse-out", help="write inverse map polynomials here")
     p.add_argument(
         "--exact",
         action="store_true",
@@ -716,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("generators", help="constraint polynomial file")
     p.add_argument("out", help="output measure file")
-    p.add_argument("--inverse", help="inverse map polynomial file (over y)")
     p.add_argument("--budget", type=int, help="generation-check degree budget")
     p.add_argument("--image-degree", type=int, help="pushed truncation degree")
     p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)

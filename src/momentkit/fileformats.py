@@ -51,13 +51,33 @@ MEASURE_HEADER_RE = re.compile(r"^atoms v1 dim=(\d+)\s*$")
 
 
 def format_moment_file(s: MomentSequence) -> str:
+    """Render moment data; an exact entry beyond double range becomes a
+    ``log:`` token.
+
+    Raises
+    ------
+    FileFormatError
+        If an entry beyond double range is negative (no log token can hold
+        it).
+    """
     lines = [f"momentfile v1 dim={s.dim} degree={s.max_degree}"]
     for alpha in s.indices():
         exps = " ".join(str(a) for a in alpha)
         if alpha in s.log_values:
             lines.append(f"{exps} log:{s.log_values[alpha]!r}")
-        else:
-            lines.append(f"{exps} {float(s.values[alpha])!r}")
+            continue
+        value = s.values[alpha]
+        try:
+            lines.append(f"{exps} {float(value)!r}")
+        except OverflowError:
+            if value < 0:
+                raise FileFormatError(
+                    f"moment {alpha} is negative and beyond double range; "
+                    f"a moment file cannot hold it"
+                ) from None
+            exact = Fraction(value)
+            log_value = math.log(exact.numerator) - math.log(exact.denominator)
+            lines.append(f"{exps} log:{log_value!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from momentkit import fileformats, fixtures
+from momentkit import fileformats, fixtures, reduction
 from momentkit.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -85,7 +85,7 @@ def test_generate_factorial_and_lognormal(tmp_path, capsys):
     assert s.log_value((4,)) == pytest.approx(8.0)
 
 
-def test_generate_power_curve_writes_generators_and_inverse(tmp_path, capsys):
+def test_generate_power_curve_writes_generators(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
         "pc.json",
@@ -98,7 +98,6 @@ def test_generate_power_curve_writes_generators_and_inverse(tmp_path, capsys):
     )
     out = str(tmp_path / "curve.mom")
     gens = str(tmp_path / "gens.txt")
-    inv = str(tmp_path / "inv.txt")
     code, report = run_json(
         capsys,
         "generate",
@@ -107,18 +106,54 @@ def test_generate_power_curve_writes_generators_and_inverse(tmp_path, capsys):
         "--exact",
         "--generators-out",
         gens,
-        "--inverse-out",
-        inv,
     )
     assert code == EXIT_OK
     assert report["exponent"] == 2
     assert report["generators_out"] == gens
-    assert report["inverse_out"] == inv
+    assert "inverse_out" not in report
 
     generators = fileformats.read_polynomials_file(gens, 2, "x")
     assert len(generators) == 2
-    inverse = fileformats.read_polynomials_file(inv, 2, "y")
-    assert len(inverse) == 2
+    # The written constraints carry their own inverse: the generation
+    # certificate.
+    gen = reduction.check_generates(
+        reduction.SemiAlgebraicPresentation(2, generators), 2
+    )
+    assert gen.witnesses == fixtures.power_curve_inverse(2).components
+
+
+def test_generate_power_curve_beyond_double_range_writes_log_tokens(
+    tmp_path, capsys
+):
+    # Degree-12 moments of the atom (1e14, 1e28) reach 1e336.
+    spec = write_spec(
+        tmp_path,
+        "far.json",
+        {
+            "fixture": "power-curve",
+            "degree": 12,
+            "exponent": 2,
+            "atoms": [[1.0, 1e14, 1e28]],
+        },
+    )
+    out = str(tmp_path / "far.mom")
+    code, report = run_json(capsys, "generate", spec, out, "--exact")
+    assert code == EXIT_OK
+    s = fileformats.read_moment_file(out)
+    assert s.log_value((0, 12)) == pytest.approx(12 * math.log(1e28), rel=1e-15)
+    assert s.value((0, 12)) == math.inf
+    assert (1, 0) not in s.log_values
+
+
+def test_generate_negative_entry_beyond_double_range_exits_2(tmp_path, capsys):
+    spec = write_spec(
+        tmp_path, "neg.json", atomic_spec(1, 11, [[1.0, -1e30]])
+    )
+    out = tmp_path / "neg.mom"
+    code, report = run_json(capsys, "generate", spec, str(out), "--exact")
+    assert code == EXIT_INPUT
+    assert "(11,)" in report["error"]
+    assert not out.exists()
 
 
 def test_generate_rejects_bad_specs(tmp_path, capsys):
@@ -339,28 +374,14 @@ def make_curve_inputs(tmp_path, capsys, atoms, exponent=2, degree=12):
     )
     moments = str(tmp_path / "curve.mom")
     gens = str(tmp_path / "curve-gens.txt")
-    inv = str(tmp_path / "curve-inv.txt")
-    code = main(
-        [
-            "generate",
-            spec,
-            moments,
-            "--exact",
-            "--generators-out",
-            gens,
-            "--inverse-out",
-            inv,
-        ]
-    )
+    code = main(["generate", spec, moments, "--exact", "--generators-out", gens])
     assert code == EXIT_OK
     capsys.readouterr()
-    return moments, gens, inv
+    return moments, gens
 
 
 def test_reduce_on_curve_data(tmp_path, capsys):
-    moments, gens, _ = make_curve_inputs(
-        tmp_path, capsys, [[1.0, 1.5, 2.25]]
-    )
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
     out = str(tmp_path / "pushed.mom")
     code, report = run_json(capsys, "reduce", moments, gens, out)
     assert code == EXIT_OK
@@ -413,14 +434,14 @@ def stage_named(report, name):
 
 
 def test_pipeline_recovers_curve_atoms_with_inverse(tmp_path, capsys):
+    # The inverse map is the generation certificate's witnesses.
     atoms = [[0.75, 1.5, 2.25], [0.25, 0.25, 0.0625]]
-    moments, gens, inv = make_curve_inputs(tmp_path, capsys, atoms)
+    moments, gens = make_curve_inputs(tmp_path, capsys, atoms)
     out = str(tmp_path / "recovered.msr")
-    code, report = run_json(
-        capsys, "pipeline", moments, gens, out, "--inverse", inv
-    )
+    code, report = run_json(capsys, "pipeline", moments, gens, out)
     assert code == EXIT_OK
     assert report["exit"] == EXIT_OK
+    assert stage_named(report, "pullback")["route"] == "witnesses"
     assert stage_named(report, "verify")["ok"] is True
     assert stage_named(report, "solve")["atom_count"] == 2
 
@@ -433,18 +454,59 @@ def test_pipeline_recovers_curve_atoms_with_inverse(tmp_path, capsys):
         assert float(pt[1]) == pytest.approx(ex2, abs=1e-8)
 
 
-def test_pipeline_newton_fallback_matches_inverse(tmp_path, capsys):
-    atoms = [[1.0, 1.5, 2.25]]
-    moments, gens, _ = make_curve_inputs(tmp_path, capsys, atoms)
-    out = str(tmp_path / "newton.msr")
-    code, report = run_json(capsys, "pipeline", moments, gens, out)
+def test_pipeline_certified_run_skips_newton(tmp_path, capsys, monkeypatch):
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton search on a certified pipeline run")
+
+    monkeypatch.setattr(reduction, "_newton_preimages", no_newton)
+    for exponent in (1, 2, 3):
+        work = tmp_path / f"k{exponent}"
+        work.mkdir()
+        atoms = [[1.0, 1.5, 1.5**exponent]]
+        moments, gens = make_curve_inputs(work, capsys, atoms, exponent)
+        out = str(work / "certified.msr")
+        code, report = run_json(capsys, "pipeline", moments, gens, out)
+        assert code == EXIT_OK
+        assert stage_named(report, "generation")["generated"] is True
+        assert stage_named(report, "pullback")["route"] == "witnesses"
+        assert "inverse" not in stage_named(report, "inputs")
+        mu = fileformats.read_measure_file(out)
+        assert len(mu) == 1
+        pt, w = mu.atoms[0]
+        assert float(w) == pytest.approx(1.0, abs=1e-8)
+        assert float(pt[0]) == pytest.approx(1.5, abs=1e-6)
+        assert float(pt[1]) == pytest.approx(1.5**exponent, abs=1e-6)
+
+
+def test_pipeline_subalgebra_run_pulls_back_by_newton(tmp_path, capsys):
+    # x1^2 and x1^3 do not generate x1, but x -> (x^2, x^3) is injective,
+    # so the Newton search finds the one preimage of the image atom.
+    spec = write_spec(tmp_path, "one.json", atomic_spec(1, 12, [[1.0, 1.5]]))
+    moments = str(tmp_path / "one.mom")
+    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    capsys.readouterr()
+    gens = tmp_path / "sq-cube.txt"
+    gens.write_text("x1^2\nx1^3\n")
+
+    out = str(tmp_path / "one.msr")
+    code, report = run_json(
+        capsys, "pipeline", moments, str(gens), out, "--allow-subalgebra"
+    )
     assert code == EXIT_OK
+    assert stage_named(report, "generation")["generated"] is False
+    assert stage_named(report, "pullback")["route"] == "newton"
     mu = fileformats.read_measure_file(out)
     assert len(mu) == 1
-    pt, w = mu.atoms[0]
-    assert float(w) == pytest.approx(1.0, abs=1e-8)
-    assert float(pt[0]) == pytest.approx(1.5, abs=1e-6)
-    assert float(pt[1]) == pytest.approx(2.25, abs=1e-6)
+    assert float(mu.atoms[0][0][0]) == pytest.approx(1.5, abs=1e-6)
+
+
+def test_pipeline_text_report_names_pullback_route(tmp_path, capsys):
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    code = main(["pipeline", moments, gens, str(tmp_path / "text.msr")])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("    stage: pullback")
+    assert "    route: witnesses" in lines[start:start + 4]
 
 
 def test_pipeline_membership_violation_exits_6(tmp_path, capsys):

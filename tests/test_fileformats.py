@@ -43,6 +43,27 @@ class TestMomentFiles:
         assert float(back.value((50,))) == math.inf
         assert back.finite_degree() == s.finite_degree()
 
+    def test_exact_entries_beyond_double_range(self):
+        # A positive entry beyond range becomes a log token computed from
+        # the exact rational; one in range stays a plain float even when its
+        # numerator and denominator are huge; a negative one cannot be held.
+        far = Fraction(10**400, 3)
+        near = Fraction(10**400 + 1, 10**399)
+        s = MomentSequence(1, 2, {(0,): Fraction(1), (1,): near, (2,): far})
+        text = format_moment_file(s)
+        assert "2 log:" in text and "1 log:" not in text
+        back = parse_moment_file(text)
+        assert back.log_value((2,)) == pytest.approx(
+            400 * math.log(10) - math.log(3), rel=1e-15
+        )
+        assert float(back.value((2,))) == math.inf
+        assert back.value((1,)) == float(near)
+        assert back.finite_degree() == 1
+
+        negative = MomentSequence(1, 1, {(0,): Fraction(1), (1,): -far})
+        with pytest.raises(FileFormatError, match=r"\(1,\)"):
+            format_moment_file(negative)
+
     def test_file_roundtrip(self, tmp_path):
         s = moments_of_atomic(AtomicMeasure(1, [((2.0,), 1.0)]), 3)
         path = tmp_path / "data.mom"

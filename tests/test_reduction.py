@@ -258,6 +258,23 @@ class TestInverseMap:
                 x = (x1, x1**k)
                 assert inv.evaluate(pres.values_at(x)) == pytest.approx(x)
 
+    def test_generation_witnesses_are_the_curve_inverse(self):
+        # The certificate is the inverse map, term for term; pulling back
+        # through either gives the same atoms to the last bit.  Exponent k
+        # needs budget k (y2^k is a witness term).
+        nu = AtomicMeasure(
+            2, [((0.0, 1.5), 0.25), ((0.75, 0.5), 0.5), ((2.0, 3.0), 0.25)]
+        )
+        for k in (1, 2, 3):
+            pres = _curve(k)
+            gen = check_generates(pres, budget=max(2, k))
+            inverse = power_curve_inverse(k)
+            assert gen.witnesses == inverse.components
+            via_witnesses = pull_back_atoms(
+                nu, pres, InverseMap(pres.num_generators, gen.witnesses)
+            )
+            assert via_witnesses.atoms == pull_back_atoms(nu, pres, inverse).atoms
+
     def test_shape_validated(self):
         with pytest.raises(DimMismatch):
             InverseMap(2, [Polynomial.variable(3, 0)])
