@@ -131,11 +131,12 @@ def _measure_report(measure: AtomicMeasure) -> dict:
     }
 
 
-def _default_level(s: MomentSequence, generators: list[Polynomial]) -> int:
-    max_deg = max(
-        (int(f.degree) for f in generators if not f.is_zero()), default=0
-    )
-    return (s.max_degree - max_deg) // 2
+def _series_entry(series: Any, *args: Any) -> dict:
+    """Summary of one growth series, or the negative moment that stops it."""
+    try:
+        return _diag_summary(series(*args))
+    except NegativeMoment as exc:
+        return {"classification": "negative-moment", "reason": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"(degree {finite_degree})",
             args.format,
         )
-    level = args.level if args.level is not None else _default_level(s_mat, generators)
+    level = args.level if args.level is not None else (finite_degree - max_deg) // 2
     try:
         hyp = matrices.check_hypotheses(s_mat, generators, level, args.tol)
     except (DegreeOverflow, MomentError) as exc:
@@ -330,34 +331,24 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             return _fail_input(f"axis {axis} out of range", args.format)
         entry: dict = {"axis": axis}
         count = min(args.count, s.max_degree)
-        try:
-            entry["stieltjes"] = _diag_summary(
-                conditions.stieltjes_terms(s_norm, axis, count)
-            )
-        except NegativeMoment as exc:
-            entry["stieltjes"] = {"classification": "negative-moment", "reason": str(exc)}
+        entry["stieltjes"] = _series_entry(
+            conditions.stieltjes_terms, s_norm, axis, count
+        )
         c_count = min(args.count, s.max_degree // 2)
         if c_count >= 1:
-            try:
-                entry["carleman"] = _diag_summary(
-                    conditions.carleman_terms(s_norm, axis, c_count)
-                )
-            except NegativeMoment as exc:
-                entry["carleman"] = {"classification": "negative-moment", "reason": str(exc)}
+            entry["carleman"] = _series_entry(
+                conditions.carleman_terms, s_norm, axis, c_count
+            )
         if args.stride > 1:
             sub_count = min(args.count, s.max_degree // args.stride)
             if sub_count >= 1:
-                try:
-                    entry["subsequence"] = _diag_summary(
-                        conditions.subsequence_terms(
-                            s_norm, axis, args.stride, sub_count
-                        )
-                    )
-                except NegativeMoment as exc:
-                    entry["subsequence"] = {
-                        "classification": "negative-moment",
-                        "reason": str(exc),
-                    }
+                entry["subsequence"] = _series_entry(
+                    conditions.subsequence_terms,
+                    s_norm,
+                    axis,
+                    args.stride,
+                    sub_count,
+                )
             bound_count = args.stride * max(
                 (s.max_degree // args.stride) - 1, 1
             )
@@ -581,17 +572,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     stage("solve", ok=True, atom_count=len(nu), **solve_detail)
 
     # A generation certificate is the inverse of the evaluation map
-    # (w_i(f_1, ..., f_m) = x_i exactly), so only an uncertified run needs
-    # the Newton search.
-    if gen.generated:
-        inverse = reduction.InverseMap(pres.num_generators, gen.witnesses)
-        route = "witnesses"
-    else:
-        inverse, route = None, "newton"
+    # (w_i(f_1, ..., f_m) = x_i exactly), so only an uncertified run, whose
+    # witnesses are None, needs the Newton search.
+    route = "witnesses" if gen.generated else "newton"
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            mu = reduction.pull_back_atoms(nu, pres, inverse, args.tol)
+            mu = reduction.pull_back_atoms(nu, pres, gen.witnesses, args.tol)
     except MomentError as exc:
         stage(
             "pullback",

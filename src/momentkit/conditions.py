@@ -183,13 +183,28 @@ def _classify(terms: list[float]) -> tuple[str, dict]:
     return INCONCLUSIVE, details
 
 
-def _series_report(log_moments: list[float], root_orders: list[int]) -> DiagnosticReport:
+def _series_report(
+    s: MomentSequence, axis: int, count: int, order: int, root: int
+) -> DiagnosticReport:
+    """Terms ``s[n*order e_axis]^(-1/(2*n*root))`` for ``n = 1..count`` with
+    a decay verdict, after the checks the three public series share."""
+    _require_normalized(s)
+    if order < 1:
+        raise ValueError(f"stride must be >= 1, got {order}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if order * count > s.max_degree:
+        raise DegreeOverflow(
+            f"need marginal moments up to order {order * count}, data stops "
+            f"at {s.max_degree}"
+        )
     terms: list[float] = []
     degenerate = False
-    for lm, order in zip(log_moments, root_orders):
+    for n in range(1, count + 1):
+        lm = s.log_marginal(axis, n * order)
         if lm == -math.inf:
             degenerate = True
-        terms.append(_term_from_log(lm, order))
+        terms.append(_term_from_log(lm, n * root))
     sums = _partial_sums(terms)
     if degenerate:
         classification = DIVERGENCE_CONSISTENT
@@ -206,16 +221,7 @@ def stieltjes_terms(s: MomentSequence, axis: int = 0, count: int = 60) -> Diagno
     A zero moment makes its term ``+inf`` and forces the classification
     ``divergence-consistent`` with the ``degenerate`` flag set.
     """
-    _require_normalized(s)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > s.max_degree:
-        raise DegreeOverflow(
-            f"need marginal moments up to order {count}, data stops at "
-            f"{s.max_degree}"
-        )
-    logs = [s.log_marginal(axis, n) for n in range(1, count + 1)]
-    return _series_report(logs, list(range(1, count + 1)))
+    return _series_report(s, axis, count, 1, 1)
 
 
 def carleman_terms(s: MomentSequence, axis: int = 0, count: int = 60) -> DiagnosticReport:
@@ -225,16 +231,7 @@ def carleman_terms(s: MomentSequence, axis: int = 0, count: int = 60) -> Diagnos
     :func:`stieltjes_terms`; on data supported in ``[0, inf)`` its divergence
     is the stronger requirement.
     """
-    _require_normalized(s)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if 2 * count > s.max_degree:
-        raise DegreeOverflow(
-            f"need marginal moments up to order {2 * count}, data stops at "
-            f"{s.max_degree}"
-        )
-    logs = [s.log_marginal(axis, 2 * n) for n in range(1, count + 1)]
-    return _series_report(logs, list(range(1, count + 1)))
+    return _series_report(s, axis, count, 2, 1)
 
 
 def subsequence_terms(
@@ -246,18 +243,7 @@ def subsequence_terms(
     a strided subseries forces divergence of the full series, which is what
     makes subsampled data usable.
     """
-    _require_normalized(s)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if stride * count > s.max_degree:
-        raise DegreeOverflow(
-            f"need marginal moments up to order {stride * count}, data stops "
-            f"at {s.max_degree}"
-        )
-    logs = [s.log_marginal(axis, n * stride) for n in range(1, count + 1)]
-    return _series_report(logs, [n * stride for n in range(1, count + 1)])
+    return _series_report(s, axis, count, stride, stride)
 
 
 def check_subsequence_bounds(

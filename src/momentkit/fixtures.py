@@ -15,11 +15,12 @@ Three families:
   Values overflow IEEE doubles past ``n = 37`` and are stored as ``inf``
   with authoritative log values alongside.
 
-The power-curve family bundles moments, constraints, and an explicit
+The power-curve family bundles moments, constraints, and the closed-form
 inverse for end-to-end reduction runs: constraints ``x2 - x1^k`` and ``x1``
 cut out the region on and above a power curve in the right half plane, and
-the evaluation map ``(x1, x2) -> (x2 - x1^k, x1)`` is inverted by
-``(y1, y2) -> (y2, y1 + y2^k)``.
+the evaluation map ``(x1, x2) -> (x2 - x1^k, x1)`` is inverted by the two
+polynomials ``(y1, y2) -> (y2, y1 + y2^k)``, the ground truth that tests
+compare the generation witnesses of ``check_generates`` against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .polynomials import (
     Scalar,
     monomials_up_to,
 )
-from .reduction import InverseMap, SemiAlgebraicPresentation
+from .reduction import SemiAlgebraicPresentation
 
 
 def moments_of_atomic(
@@ -109,11 +110,12 @@ def moments_lognormal(max_degree: int) -> MomentSequence:
 class PowerCurveFixture:
     """A reduction test problem: moments of an atomic measure supported on
     the region above a power curve, its constraint presentation, and the
-    explicit inverse of the evaluation map."""
+    closed-form inverse of the evaluation map (one polynomial per
+    coordinate)."""
 
     moments: MomentSequence
     presentation: SemiAlgebraicPresentation
-    inverse: InverseMap
+    inverse: list[Polynomial]
     measure: AtomicMeasure
     exponent: int
 
@@ -127,12 +129,13 @@ def power_curve_presentation(exponent: int) -> SemiAlgebraicPresentation:
     return SemiAlgebraicPresentation(2, [f1, f2])
 
 
-def power_curve_inverse(exponent: int) -> InverseMap:
-    """Exact inverse of ``(x1, x2) -> (x2 - x1^k, x1)``: the components
-    ``x1 = y2`` and ``x2 = y1 + y2^k``."""
-    g1 = Polynomial.variable(2, 1)
-    g2 = Polynomial(2, {(1, 0): 1, (0, exponent): 1})
-    return InverseMap(2, [g1, g2])
+def power_curve_inverse(exponent: int) -> list[Polynomial]:
+    """Exact inverse of ``(x1, x2) -> (x2 - x1^k, x1)``: the polynomials
+    ``x1 = y2`` and ``x2 = y1 + y2^k`` in the image variables."""
+    return [
+        Polynomial.variable(2, 1),
+        Polynomial(2, {(1, 0): 1, (0, exponent): 1}),
+    ]
 
 
 def power_curve_fixture(

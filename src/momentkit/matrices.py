@@ -234,28 +234,28 @@ def psd_check(
     """Decide positive semidefiniteness up to a relative tolerance.
 
     The verdict is ``min_eigenvalue >= -tol_rel * max(1, ||M||_inf)`` with
-    ``||.||_inf`` the maximum absolute row sum.  The matrix is rescaled by its
-    largest absolute entry before the eigenvalue computation (semidefiniteness
-    is invariant under positive scaling), which keeps the test reliable for
-    entries far outside the comfortable floating-point range.
+    ``||.||_inf`` the maximum absolute row sum of the symmetric part.  The
+    matrix is rescaled by its largest absolute entry before anything else
+    (semidefiniteness is invariant under positive scaling) and the verdict
+    is taken in scaled units, so entries and row sums beyond the double range
+    neither overflow the symmetrization nor turn the tolerance into ``inf``.
     """
     m = _as_array(matrix)
     if m.size == 0:
         return PsdVerdict(True, 0.0, tol_rel)
     if not np.all(np.isfinite(m)):
         raise EigenFailure("matrix has non-finite entries")
-    m = (m + m.T) / 2.0
-    norm_inf = float(np.max(np.sum(np.abs(m), axis=1)))
-    tolerance = tol_rel * max(1.0, norm_inf)
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
-        return PsdVerdict(True, 0.0, tolerance)
+        return PsdVerdict(True, 0.0, tol_rel)
+    m = m / scale
+    m = (m + m.T) / 2.0
+    tolerance = tol_rel * max(1.0 / scale, float(np.max(np.sum(np.abs(m), axis=1))))
     try:
-        eigenvalues = np.linalg.eigvalsh(m / scale)
+        min_eig = float(np.linalg.eigvalsh(m)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    min_eig = float(eigenvalues[0]) * scale
-    return PsdVerdict(min_eig >= -tolerance, min_eig, tolerance)
+    return PsdVerdict(min_eig >= -tolerance, min_eig * scale, tolerance * scale)
 
 
 def numerical_rank(

@@ -15,7 +15,7 @@ monomial-evaluation least-squares fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
 from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    SymmetricMatrixWithBasis,
     localizing_matrix,
     moment_matrix,
     moment_vector,
@@ -48,11 +49,14 @@ MAX_PROBES = 5
 
 @dataclass
 class FlatRankResult:
-    """Rank comparison between two consecutive truncation levels."""
+    """Rank comparison between two consecutive truncation levels, with the
+    moment matrices at ``level`` and ``level - 1`` that were ranked."""
 
     level: int
     rank: int
     previous_rank: int
+    matrix: SymmetricMatrixWithBasis = field(repr=False, compare=False)
+    previous_matrix: SymmetricMatrixWithBasis = field(repr=False, compare=False)
 
     @property
     def is_flat(self) -> bool:
@@ -70,9 +74,15 @@ def flat_rank(
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    rank = numerical_rank(moment_matrix(s, level), rank_tol)
-    previous = numerical_rank(moment_matrix(s, level - 1), rank_tol)
-    return FlatRankResult(level, rank, previous)
+    matrix = moment_matrix(s, level)
+    previous = moment_matrix(s, level - 1)
+    return FlatRankResult(
+        level,
+        numerical_rank(matrix, rank_tol),
+        numerical_rank(previous, rank_tol),
+        matrix,
+        previous,
+    )
 
 
 def multiplication_operators(
@@ -97,13 +107,12 @@ def multiplication_operators(
             f"rank grows from {fr.previous_rank} to {fr.rank} between levels "
             f"{level - 1} and {level}"
         )
-    require_psd(moment_matrix(s, level), tol, label=f"moment matrix (level {level})")
+    require_psd(fr.matrix, tol, label=f"moment matrix (level {level})")
     r = fr.rank
     if r == 0:
         return [], 0
 
-    base = moment_matrix(s, level - 1).entries
-    eigenvalues, eigenvectors = np.linalg.eigh(base)
+    eigenvalues, eigenvectors = np.linalg.eigh(fr.previous_matrix.entries)
     # top-r eigenpairs span the column space; whiten so the compression is a
     # congruence by an orthonormal-in-measure basis
     lam = eigenvalues[-r:]

@@ -12,7 +12,8 @@ positive orthant, pulling each atom back through the joint evaluation map
 the original data supported on the feasible set.  When the constraint
 polynomials generate the full polynomial algebra, the evaluation map is
 injective and the pull-back is unambiguous; :func:`check_generates` decides
-that property exactly within a degree budget.
+that property exactly within a degree budget, and its witnesses are the
+inverse map that :func:`pull_back_atoms` evaluates.
 """
 
 from __future__ import annotations
@@ -108,38 +109,11 @@ class SemiAlgebraicPresentation:
                 f"polynomial in {poly.dim} variables under a presentation "
                 f"with {self.num_generators} constraints"
             )
+        images = _image_monomials(self, 0 if poly.is_zero() else int(poly.degree))
         result = Polynomial.zero(self.dim)
         for alpha, coeff in poly.sorted_terms():
-            image = Polynomial.constant(self.dim, coeff)
-            for j, e in enumerate(alpha):
-                if e:
-                    image = image * self.generators[j] ** e
-            result = result + image
+            result = result + images[alpha] * coeff
         return result
-
-
-@dataclass
-class InverseMap:
-    """Explicit inverse of the joint evaluation map: ``d`` polynomials in the
-    ``m`` image variables with ``g(f_1(x), ..., f_m(x)) = x``."""
-
-    num_generators: int
-    components: list[Polynomial]
-
-    def __post_init__(self) -> None:
-        for g in self.components:
-            if g.dim != self.num_generators:
-                raise DimMismatch(
-                    f"inverse component in {g.dim} variables, expected "
-                    f"{self.num_generators}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def evaluate(self, point: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return tuple(g.evaluate(point) for g in self.components)
 
 
 @dataclass
@@ -318,12 +292,10 @@ def pushed_power_sequence(
     for axis in range(s.dim):
         if f == Polynomial.variable(s.dim, axis):
             return s.marginal_sequence(axis, count)
-    values: dict[MultiIndex, Scalar] = {
-        (0,): s.riesz(Polynomial.constant(s.dim, 1))
-    }
-    power = Polynomial.constant(s.dim, 1)
+    powers = _image_monomials(SemiAlgebraicPresentation(s.dim, [f]), count)
+    values: dict[MultiIndex, Scalar] = {(0,): s.riesz(powers[(0,)])}
     for n in range(1, count + 1):
-        power = power * f
+        power = powers[(n,)]
         val = s.riesz(power)
         cancel_scale = 0.0
         for expo, coeff in power.terms.items():
@@ -407,7 +379,7 @@ def _newton_preimages(
 def pull_back_atoms(
     nu: AtomicMeasure,
     pres: SemiAlgebraicPresentation,
-    inverse: InverseMap | None = None,
+    witnesses: Sequence[Polynomial] | None = None,
     tol: float = 1e-6,
 ) -> AtomicMeasure:
     """Pull an atomic measure on the image variables back to the feasible set.
@@ -418,9 +390,11 @@ def pull_back_atoms(
         Atoms in the ``m`` image variables (one coordinate per constraint).
     pres : SemiAlgebraicPresentation
         The constraints defining the evaluation map and the feasible set.
-    inverse : InverseMap, optional
-        Explicit inverse polynomials; when omitted, each preimage is found
-        by a multi-start Newton search on the evaluation map.
+    witnesses : sequence of Polynomial, optional
+        One polynomial per coordinate in the ``m`` image variables with
+        ``w_i(f_1, ..., f_m) = x_i`` (the inverse of the evaluation map, as
+        :func:`check_generates` certifies it); when omitted, each preimage is
+        found by a multi-start Newton search on the evaluation map.
     tol : float
         Residual tolerance for ``values_at(preimage) = atom`` and slack for
         the feasible-set membership test.
@@ -450,16 +424,16 @@ def pull_back_atoms(
             f"atoms in {nu.dim} image variables against {pres.num_generators} "
             f"constraints"
         )
-    if inverse is not None and (
-        inverse.num_generators != pres.num_generators
-        or inverse.dim != pres.dim
+    if witnesses is not None and (
+        len(witnesses) != pres.dim
+        or any(w.dim != pres.num_generators for w in witnesses)
     ):
-        raise DimMismatch("inverse map shape does not match the presentation")
+        raise DimMismatch("witness shape does not match the presentation")
 
     pulled: list[tuple[tuple[float, ...], Scalar]] = []
     for point, weight in nu.atoms:
-        if inverse is not None:
-            candidates = [tuple(float(v) for v in inverse.evaluate(point))]
+        if witnesses is not None:
+            candidates = [tuple(float(w.evaluate(point)) for w in witnesses)]
         else:
             candidates = _newton_preimages(pres, [float(v) for v in point], tol)
             if not candidates:

@@ -119,7 +119,7 @@ def test_generate_power_curve_writes_generators(tmp_path, capsys):
     gen = reduction.check_generates(
         reduction.SemiAlgebraicPresentation(2, generators), 2
     )
-    assert gen.witnesses == fixtures.power_curve_inverse(2).components
+    assert gen.witnesses == fixtures.power_curve_inverse(2)
 
 
 def test_generate_power_curve_beyond_double_range_writes_log_tokens(
@@ -223,6 +223,32 @@ def test_check_off_curve_atom_fails(tmp_path, capsys):
     bad = [v for v in report["localizing"] if not v["psd"]]
     # Polynomials render in graded-lex term order.
     assert bad and bad[0]["generator"] == "-x1^2 + x2"
+
+
+def test_check_point_mass_beyond_double_range_passes(tmp_path, capsys):
+    # Degree-12 moments of the atom (1e14, 1e28): the localizing matrix of
+    # x2 holds entries near 1e308 whose symmetrized sums would overflow.
+    spec = write_spec(
+        tmp_path,
+        "far.json",
+        {
+            "fixture": "power-curve",
+            "degree": 12,
+            "exponent": 2,
+            "atoms": [[1.0, 1e14, 1e28]],
+        },
+    )
+    moments = str(tmp_path / "far.mom")
+    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    capsys.readouterr()
+
+    code, report = run_json(capsys, "check", moments)
+    assert code == EXIT_OK
+    assert report["verdict"] == "pass"
+    for verdict in [report["moment_matrix"], *report["localizing"]]:
+        assert verdict["psd"] is True
+        assert math.isfinite(verdict["min_eigenvalue"])
+        assert math.isfinite(verdict["tolerance"])
 
 
 def test_check_malformed_inputs(tmp_path, capsys):

@@ -86,8 +86,8 @@ class TestPowerCurve:
 
     def test_inverse_polynomials(self):
         inv = power_curve_inverse(3)
-        assert inv.components[0].terms == {(0, 1): Fraction(1)}
-        assert inv.components[1].terms == {
+        assert inv[0].terms == {(0, 1): Fraction(1)}
+        assert inv[1].terms == {
             (1, 0): Fraction(1),
             (0, 3): Fraction(1),
         }

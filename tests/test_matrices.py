@@ -108,6 +108,17 @@ class TestPsdCheck:
         verdict = psd_check(1e300 * np.eye(2))
         assert verdict.is_psd
 
+    def test_entries_near_double_max(self):
+        # Scaling comes before symmetrizing, and the verdict is taken in
+        # scaled units: 1.5e308 + 1.5e308 and a row sum of 2e308 overflow.
+        verdict = psd_check(np.diag([1.5e308, 1.0]))
+        assert verdict.is_psd
+        assert verdict.min_eigenvalue == pytest.approx(1.0)
+        verdict = psd_check(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        assert not verdict.is_psd
+        assert verdict.min_eigenvalue == pytest.approx(-math.sqrt(2) * 1e308)
+        assert math.isfinite(verdict.tolerance_used)
+
     def test_tiny_negative_within_relative_tolerance(self):
         m = np.diag([1.0, -1e-12])
         assert psd_check(m).is_psd

@@ -13,7 +13,6 @@ from momentkit import (
     AtomicMeasure,
     DegreeOverflow,
     DimMismatch,
-    InverseMap,
     MembershipViolation,
     MomentSequence,
     NoPreimage,
@@ -256,7 +255,8 @@ class TestInverseMap:
             inv = power_curve_inverse(k)
             for x1 in (0.0, 0.5, 2.0):
                 x = (x1, x1**k)
-                assert inv.evaluate(pres.values_at(x)) == pytest.approx(x)
+                y = pres.values_at(x)
+                assert [g.evaluate(y) for g in inv] == pytest.approx(x)
 
     def test_generation_witnesses_are_the_curve_inverse(self):
         # The certificate is the inverse map, term for term; pulling back
@@ -269,15 +269,21 @@ class TestInverseMap:
             pres = _curve(k)
             gen = check_generates(pres, budget=max(2, k))
             inverse = power_curve_inverse(k)
-            assert gen.witnesses == inverse.components
-            via_witnesses = pull_back_atoms(
-                nu, pres, InverseMap(pres.num_generators, gen.witnesses)
-            )
+            assert gen.witnesses == inverse
+            via_witnesses = pull_back_atoms(nu, pres, gen.witnesses)
             assert via_witnesses.atoms == pull_back_atoms(nu, pres, inverse).atoms
 
     def test_shape_validated(self):
-        with pytest.raises(DimMismatch):
-            InverseMap(2, [Polynomial.variable(3, 0)])
+        # pull_back_atoms checks the witnesses' shape: one per coordinate,
+        # each in the image variables.
+        pres = _curve(2)
+        nu = AtomicMeasure(2, [((2.0, 1.0), 1.0)])
+        for witnesses in (
+            [Polynomial.variable(2, 1)],
+            [Polynomial.variable(3, 0), Polynomial.variable(3, 1)],
+        ):
+            with pytest.raises(DimMismatch):
+                pull_back_atoms(nu, pres, witnesses)
 
 
 class TestPushedPowerSequence:
