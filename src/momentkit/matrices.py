@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -85,6 +84,15 @@ def _monomials(dim: int, degree: int) -> tuple[MultiIndex, ...]:
     return tuple(monomials_up_to(dim, degree))
 
 
+@functools.lru_cache(maxsize=64)
+def _exponents(dim: int, degree: int) -> np.ndarray:
+    """The monomials of degree <= ``degree`` in graded-lex order as the rows
+    of an exponent matrix."""
+    exponents = np.array(_monomials(dim, degree))
+    exponents.setflags(write=False)  # shared by every caller through the cache
+    return exponents
+
+
 @functools.lru_cache(maxsize=32)
 def _sum_positions(dim: int, level: int) -> np.ndarray:
     """Graded-lex position of ``basis[i] + basis[j]`` among the monomials of
@@ -94,13 +102,20 @@ def _sum_positions(dim: int, level: int) -> np.ndarray:
     in lexicographic order, and the ``u``-th of them is ``lex[u]`` in the
     graded-lex list.
     """
-    basis = np.array(_monomials(dim, level))
-    lex = np.lexsort(np.array(_monomials(dim, 2 * level)).T[::-1])
+    basis = _exponents(dim, level)
+    lex = np.lexsort(_exponents(dim, 2 * level).T[::-1])
     sums = (basis[:, None, :] + basis[None, :, :]).reshape(-1, dim)
     _, inverse = np.unique(sums, axis=0, return_inverse=True)
     positions = lex[inverse].reshape(len(basis), len(basis))
     positions.setflags(write=False)  # shared by every caller through the cache
     return positions
+
+
+@functools.lru_cache(maxsize=256)
+def _shifted(dim: int, degree: int, gamma: MultiIndex) -> tuple[MultiIndex, ...]:
+    """``m + gamma`` for every monomial ``m`` of degree <= ``degree``, in
+    graded-lex order of ``m``."""
+    return tuple(add_indices(m, gamma) for m in _monomials(dim, degree))
 
 
 def assemble(values: np.ndarray, dim: int, level: int) -> np.ndarray:
@@ -184,11 +199,17 @@ def localizing_matrix(
             f"constraint needs degree {2 * level + int(f.degree)} entries, "
             f"data stops at {s.max_degree}"
         )
-    inner = _monomials(s.dim, 2 * level)
-    total = np.zeros(len(inner))
+    total = np.zeros(len(_monomials(s.dim, 2 * level)))
     for gamma, coeff in terms:
-        shifted = [s.values[add_indices(m, gamma)] for m in inner]
-        total = total + np.array([float(coeff * v) for v in shifted])
+        entries = [s.values[m] for m in _shifted(s.dim, 2 * level, gamma)]
+        if set(map(type, entries)) == {float}:
+            # Fraction * float rounds the coefficient first and multiplies
+            # in floats, so one array product gives the same bits.
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = float(coeff) * np.array(entries)
+        else:
+            term = np.array([float(coeff * v) for v in entries])
+        total = total + term
     return SymmetricMatrixWithBasis(
         list(_monomials(s.dim, level)), assemble(total, s.dim, level)
     )
@@ -196,13 +217,25 @@ def localizing_matrix(
 
 def monomial_values(
     dim: int, points: Sequence[Sequence[Scalar]], degree: int
-) -> list[list[float]]:
-    """``prod_j x_j ** alpha_j`` in floats, one row per monomial ``alpha`` of
-    degree <= ``degree`` (graded-lex order) and one column per point."""
-    return [
-        [math.prod(float(x) ** e for x, e in zip(pt, alpha)) for pt in points]
-        for alpha in _monomials(dim, degree)
-    ]
+) -> np.ndarray:
+    """``prod_j x_j ** alpha_j`` in floats, as an array with one row per
+    monomial ``alpha`` of degree <= ``degree`` (graded-lex order) and one
+    column per point.
+
+    Every power is Python's ``float ** int`` (``np.power`` rounds some of
+    them differently), so a power beyond double range raises
+    ``OverflowError``; the powers are multiplied over ``j = 0 .. dim - 1``
+    in order, as :func:`math.prod` does, and a product that overflows is
+    ``inf``.
+    """
+    coords = [[float(x) for x in pt] for pt in points]
+    exponents = _exponents(dim, degree)
+    values = np.ones((len(exponents), len(coords)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(dim):
+            powers = np.array([[c[j] ** e for c in coords] for e in range(degree + 1)])
+            values = values * powers[exponents[:, j]]
+    return values
 
 
 def reproduction_residuals(
@@ -214,12 +247,13 @@ def reproduction_residuals(
     ``|alpha| <= degree`` in graded-lex order, each sum taken with
     :func:`math.fsum` over the atoms.
     """
-    weights = [float(w) for _, w in measure.atoms]
-    rows = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
-    return [
-        abs(math.fsum(map(operator.mul, weights, row)) - t) / max(1.0, abs(t))
-        for row, t in zip(rows, moment_vector(s, degree).tolist())
-    ]
+    weights = np.array([float(w) for _, w in measure.atoms])
+    values = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
+    targets = moment_vector(s, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.array([math.fsum(row) for row in (values * weights).tolist()])
+        # fmax, like max(1.0, t), ignores a NaN target.
+        return (np.abs(sums - targets) / np.fmax(1.0, np.abs(targets))).tolist()
 
 
 def _as_array(matrix: SymmetricMatrixWithBasis | np.ndarray) -> np.ndarray:
@@ -238,7 +272,8 @@ def psd_check(
     matrix is rescaled by its largest absolute entry before anything else
     (semidefiniteness is invariant under positive scaling) and the verdict
     is taken in scaled units, so entries and row sums beyond the double range
-    neither overflow the symmetrization nor turn the tolerance into ``inf``.
+    neither overflow the symmetrization nor turn the tolerance into ``inf``,
+    and neither do entries that are all subnormal.
     """
     m = _as_array(matrix)
     if m.size == 0:
@@ -255,7 +290,10 @@ def psd_check(
         min_eig = float(np.linalg.eigvalsh(m)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    return PsdVerdict(min_eig >= -tolerance, min_eig * scale, tolerance * scale)
+    # 1 / scale overflows when every entry is subnormal; ||M||_inf < 1 then,
+    # and the tolerance in matrix units is tol_rel itself.
+    used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
+    return PsdVerdict(min_eig >= -tolerance, min_eig * scale, used)
 
 
 def numerical_rank(

@@ -209,7 +209,7 @@ def extract_atoms(
         v = vectors[:, k]
         points.append(tuple(float(v @ op @ v) for op in operators))
 
-    a = np.array(monomial_values(s.dim, points, level), dtype=float)
+    a = monomial_values(s.dim, points, level)
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
     if lstsq_rank < r:
         raise IllConditionedWeights(

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from momentkit import (
     EigenFailure,
@@ -21,7 +22,7 @@ from momentkit import (
     psd_check,
     AtomicMeasure,
 )
-from momentkit.matrices import reproduction_residuals, require_psd
+from momentkit.matrices import monomial_values, reproduction_residuals, require_psd
 from momentkit.polynomials import add_indices, monomials_up_to
 from momentkit.errors import NotPsd
 
@@ -119,6 +120,13 @@ class TestPsdCheck:
         assert verdict.min_eigenvalue == pytest.approx(-math.sqrt(2) * 1e308)
         assert math.isfinite(verdict.tolerance_used)
 
+    def test_subnormal_entries_keep_a_finite_tolerance(self):
+        # 1 / scale overflows here; the tolerance is tol_rel * max(1, 1e-310).
+        verdict = psd_check(np.diag([1e-310, -1e-311]))
+        assert verdict.is_psd
+        assert verdict.min_eigenvalue == -1e-311
+        assert verdict.tolerance_used == 1e-8
+
     def test_tiny_negative_within_relative_tolerance(self):
         m = np.diag([1.0, -1e-12])
         assert psd_check(m).is_psd
@@ -200,6 +208,13 @@ def _reference_localizing_matrix(
                 total = total + coeff * s.value(add_indices(add_indices(a, b), gamma))
             m[i, j] = total
     return m
+
+
+def _reference_monomial_values(dim: int, points, degree: int) -> list[list[float]]:
+    return [
+        [math.prod(float(x) ** e for x, e in zip(pt, alpha)) for pt in points]
+        for alpha in monomials_up_to(dim, degree)
+    ]
 
 
 def _reference_residuals(measure, s: MomentSequence, degree: int) -> list[float]:
@@ -285,3 +300,118 @@ class TestAssemblyMatchesReference:
         )
         with pytest.raises(OverflowError):
             localizing_matrix(s, x * x, 2)
+
+    def test_float_int_and_mixed_data_match_per_entry_products(self):
+        # Float entries take one array product per term; an int entry above
+        # 2**53 or a Fraction entry keeps the exact product of the term.
+        dim, level = 2, 2
+        f = Polynomial(
+            dim, {(0, 0): Fraction(3, 7), (1, 0): Fraction(-5, 3), (0, 2): Fraction(1, 11)}
+        )
+        monomials = monomials_up_to(dim, 2 * level + 2)
+        rng = np.random.default_rng(7)
+        floats = {a: float(rng.standard_normal()) for a in monomials}
+        ints = {a: 2**53 + int(rng.integers(1, 2**40)) for a in monomials}
+        mixed = {
+            a: Fraction(int(rng.integers(-99, 100)), 7) if k % 3 == 0 else floats[a]
+            for k, a in enumerate(monomials)
+        }
+        for values in (floats, ints, mixed):
+            s = MomentSequence(dim, 2 * level + 2, values)
+            assert np.array_equal(
+                localizing_matrix(s, f, level).entries,
+                _reference_localizing_matrix(s, f, level),
+            )
+        # Rounding the int entries first would move the result, so the test
+        # tells the exact path from the float one.
+        rounded = {a: float(v) for a, v in ints.items()}
+        assert not np.array_equal(
+            localizing_matrix(MomentSequence(dim, 2 * level + 2, ints), f, level).entries,
+            localizing_matrix(MomentSequence(dim, 2 * level + 2, rounded), f, level).entries,
+        )
+
+
+_COORDINATES = [Fraction(1, 3), -2.5, 0.0, 1.75, Fraction(-7, 5), 3.0, -1e-3]
+_WEIGHTS = [0.5, Fraction(2, 3), 1.25, 3.0, 0.1]
+
+
+def _points(dim: int) -> list[tuple]:
+    return [
+        tuple(_COORDINATES[(i + j) % len(_COORDINATES)] for j in range(dim))
+        for i in range(len(_WEIGHTS))
+    ]
+
+
+class TestEvaluationMatchesReference:
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_monomial_values_bit_identical(self, dim, degree):
+        values = monomial_values(dim, _points(dim), degree)
+        reference = _reference_monomial_values(dim, _points(dim), degree)
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == reference
+        assert np.array_equal(values, np.array(reference))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_residuals_bit_identical(self, dim, degree, exact):
+        mu = AtomicMeasure(dim, zip(_points(dim), _WEIGHTS))
+        s = _random_data(dim, degree, exact, seed=100 * dim + degree)
+        assert reproduction_residuals(mu, s, degree) == _reference_residuals(
+            mu, s, degree
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_empty_measure(self, dim):
+        assert monomial_values(dim, [], 3).shape == (len(monomials_up_to(dim, 3)), 0)
+        mu = AtomicMeasure(dim, [])
+        s = _random_data(dim, 3, False, seed=dim)
+        assert reproduction_residuals(mu, s, 3) == _reference_residuals(mu, s, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        degree=st.integers(0, 6),
+        atoms=st.lists(
+            st.tuples(
+                st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+                st.floats(1e-6, 1e6),
+            ),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_points_and_weights(self, dim, degree, atoms, seed):
+        try:
+            mu = AtomicMeasure(dim, [(pt[:dim], w) for pt, w in atoms])
+        except ValueError:  # coinciding atoms
+            assume(False)
+        points = [pt for pt, _ in mu.atoms]
+        assert monomial_values(dim, points, degree).tolist() == (
+            _reference_monomial_values(dim, points, degree)
+        )
+        s = _random_data(dim, degree, False, seed)
+        assert reproduction_residuals(mu, s, degree) == _reference_residuals(
+            mu, s, degree
+        )
+
+    def test_power_beyond_double_range_raises(self):
+        with pytest.raises(OverflowError):
+            _reference_monomial_values(1, [(1e200,)], 4)
+        with pytest.raises(OverflowError):
+            monomial_values(1, [(1e200,)], 4)
+
+    def test_overflowing_products_are_infinite_like_math_prod(self):
+        # No single power overflows, but inf * 0 and a weight times a value
+        # do; numpy must neither warn nor differ from the Python products.
+        points = [(math.inf, 0.0), (-math.inf, 2.0), (1e150, 1e-150)]
+        values = monomial_values(2, points, 2)
+        assert np.array_equal(
+            values, np.array(_reference_monomial_values(2, points, 2)), equal_nan=True
+        )
+        mu = AtomicMeasure(1, [((1e200,), 1e200)])
+        s = MomentSequence(1, 1, {(0,): 1.0, (1,): 1.0})
+        residuals = reproduction_residuals(mu, s, 1)
+        assert residuals == _reference_residuals(mu, s, 1)
+        assert residuals[1] == math.inf
