@@ -9,10 +9,10 @@ Subcommands::
     reduce    MOMENTS GENERATORS OUT.moments   push data into image variables
     pipeline  MOMENTS GENERATORS OUT.atoms     reduce, solve, pull back, verify
 
-Exit codes: 0 success/pass, 2 malformed input, 3 definitive failure
-(positivity or generation), 4 inconclusive growth diagnostics, 5 solver
-failure (no flat level / not positive semidefinite), 6 pull-back or final
-verification failure.
+Exit codes: 0 success/pass, 2 malformed input or unwritable output, 3
+definitive failure (positivity or generation), 4 inconclusive growth
+diagnostics, 5 solver failure (no flat level / not positive semidefinite), 6
+pull-back or final verification failure.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ def _emit(report: dict, fmt: str) -> None:
 def _fail_input(message: str, fmt: str) -> int:
     _emit({"error": message, "exit": EXIT_INPUT}, fmt)
     return EXIT_INPUT
+
+
+def _fail_report(report: dict, exc: Exception, code: int, fmt: str) -> int:
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    report["exit"] = code
+    _emit(report, fmt)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +189,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 exponent, measure, degree, exact=args.exact
             )
             s = fixture.moments
+            generators = fixture.presentation.generators
             report.update(
                 {"dim": 2, "exponent": exponent, "atom_count": len(measure)}
             )
-            if args.generators_out:
-                fileformats.write_polynomials_file(
-                    args.generators_out, fixture.presentation.generators, "x"
-                )
-                report["generators_out"] = args.generators_out
         else:
             return _fail_input(f"unknown fixture kind {kind!r}", args.format)
     except (KeyError, ValueError, TypeError, MomentError) as exc:
         return _fail_input(f"bad fixture spec: {exc}", args.format)
     try:
+        if kind == "power-curve" and args.generators_out:
+            fileformats.write_polynomials_file(args.generators_out, generators, "x")
+            report["generators_out"] = args.generators_out
         fileformats.write_moment_file(args.out, s)
-    except MomentError as exc:
+    except (OSError, MomentError) as exc:
         return _fail_input(str(exc), args.format)
     report["entries"] = len(s.values)
     _emit(report, args.format)
@@ -423,15 +429,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 s, args.mode, args.level, args.rank_tol, args.tol, args.seed
             )
     except MomentError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["exit"] = EXIT_SOLVE
-        _emit(report, args.format)
-        return EXIT_SOLVE
+        return _fail_report(report, exc, EXIT_SOLVE, args.format)
     report.update(detail)
     if caught:
         report["warnings"] = [str(w.message) for w in caught]
     report["measure"] = _measure_report(measure)
-    fileformats.write_measure_file(args.out, measure)
+    try:
+        fileformats.write_measure_file(args.out, measure)
+    except OSError as exc:
+        return _fail_report(report, exc, EXIT_INPUT, args.format)
     report["out"] = args.out
     _emit(report, args.format)
     return EXIT_OK
@@ -495,7 +501,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     try:
         pushed = reduction.pushforward_moments(s, pres, degree)
         fileformats.write_moment_file(args.out, pushed)
-    except (DegreeOverflow, MomentError) as exc:
+    except (DegreeOverflow, MomentError, OSError) as exc:
         return _fail_input(str(exc), args.format)
     report["pushforward"] = {
         "image_dim": pushed.dim,
@@ -603,7 +609,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return finish(EXIT_PULLBACK)
     stage("verify", ok=True, worst_residual=worst, tolerance=verify_tol)
 
-    fileformats.write_measure_file(args.out, mu)
+    try:
+        fileformats.write_measure_file(args.out, mu)
+    except OSError as exc:
+        stage("write", ok=False, error=str(exc))
+        return finish(EXIT_INPUT)
     report["measure"] = _measure_report(mu)
     report["out"] = args.out
     return finish(EXIT_OK)

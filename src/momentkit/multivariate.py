@@ -170,8 +170,9 @@ def extract_atoms(
     Returns
     -------
     AtomicMeasure
-        ``r`` atoms reproducing every moment of degree <= ``2*level - 1``
-        within ``tol`` relative (checked; :class:`ValidationFailure` if not).
+        ``r`` atoms reproducing every moment of degree <= ``2*level`` (the
+        range a flat pair certifies) within ``tol`` relative (checked;
+        :class:`ValidationFailure` if not).
     """
     operators, r = multiplication_operators(s, level, rank_tol, tol)
     if r == 0:
@@ -223,7 +224,8 @@ def extract_atoms(
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
 
-    degree = min(2 * level - 1, s.max_degree)
+    # A flat pair at ``level`` certifies the moments through degree 2*level.
+    degree = min(2 * level, s.max_degree)
     worst = max([0.0, *reproduction_residuals(measure, s, degree)])
     if worst > tol:
         raise ValidationFailure(

@@ -14,10 +14,7 @@ Two implementation details matter for robustness:
   singular trailing block;
 * the variable is rescaled by a power of the moment growth before factoring
   (and the result mapped back), which keeps the factorization
-  well-conditioned when moments span many orders of magnitude;
-* the rule from the eigen-decomposition is polished by a few Gauss-Newton
-  least-squares steps on the moment equations, recovering the digits the
-  factorization loses on closely spaced or ill-scaled data.
+  well-conditioned when moments span many orders of magnitude.
 """
 
 from __future__ import annotations
@@ -92,14 +89,6 @@ class Solve1DResult:
     residuals: list[float] = field(default_factory=list)
 
 
-def _scaled_moments(values: list[float], scale: float, count: int) -> np.ndarray:
-    """``r_k = values[k] / (values[0] * scale**k)`` for ``k < count``: the
-    moments of the normalized variable divided by ``scale``."""
-    return np.array(
-        [values[k] / (values[0] * scale**k) for k in range(count)], dtype=float
-    )
-
-
 def _growth_scale(values: list[float]) -> float:
     """A power-of-growth scale ``c`` making ``values[k] / c**k`` order one."""
     scale = 1.0
@@ -110,82 +99,15 @@ def _growth_scale(values: list[float]) -> float:
     return scale
 
 
-def _polish_rule(
-    values: list[float],
-    nodes: list[float],
-    weights: list[float],
-    scale: float,
-    steps: int = 4,
-) -> tuple[list[float], list[float]]:
-    """Gauss-Newton polish of a quadrature rule against every finite moment.
+def _partial_cholesky_rows(h: np.ndarray, rows: int) -> list[np.ndarray]:
+    """Leading rows, at most ``rows`` of them, of the upper Cholesky factor
+    of ``h``.
 
-    The factorization route delivers nodes and weights limited by the
-    conditioning of the Cholesky factor; a few least-squares Newton steps on
-    the (scaled) moment equations push both to near machine precision.
-
-    Every finite moment enters the fit (consistent extra rows average down
-    the noise) and steps are kept while the overall least-squares residual
-    improves and every weight stays positive.  A ``q``-point rule owes
-    exactness only on orders ``0 .. 2q-1``, so the polished rule is adopted
-    only if it reproduces that contracted range at least as well as the
-    input rule; for density-like data — where the higher rows are genuinely
-    unreachable and the fit would trade them against the contracted range —
-    this final gate returns the unpolished rule unchanged.
-    """
-    q = len(nodes)
-    rows = 0
-    while rows < len(values) and math.isfinite(values[rows]):
-        rows += 1
-    if q == 0 or rows < 2 * q:
-        return nodes, weights
-    rhs = _scaled_moments(values, scale, rows)
-    x = np.array([v / scale for v in nodes], dtype=float)
-    w = np.array([v / values[0] for v in weights], dtype=float)
-
-    def residual(xv: np.ndarray, wv: np.ndarray) -> np.ndarray:
-        powers = np.vstack([xv**k for k in range(rows)])
-        return powers @ wv - rhs
-
-    def contract_err(xv: np.ndarray, wv: np.ndarray) -> float:
-        return float(np.max(np.abs(residual(xv, wv)[: 2 * q])))
-
-    best_x, best_w = x.copy(), w.copy()
-    best_err = float(np.max(np.abs(residual(x, w))))
-    for _ in range(steps):
-        if best_err < 1e-15:
-            break
-        jac = np.empty((rows, 2 * q), dtype=float)
-        for k in range(rows):
-            jac[k, :q] = best_x**k
-            jac[k, q:] = (
-                k * best_w * best_x ** (k - 1) if k > 0 else np.zeros(q)
-            )
-        delta, _, _, _ = np.linalg.lstsq(
-            jac, -residual(best_x, best_w), rcond=None
-        )
-        cand_w = best_w + delta[:q]
-        cand_x = best_x + delta[q:]
-        if np.any(cand_w <= 0.0) or not np.all(np.isfinite(cand_x)):
-            break
-        err = float(np.max(np.abs(residual(cand_x, cand_w))))
-        if err >= best_err:
-            break
-        best_x, best_w, best_err = cand_x, cand_w, err
-
-    if contract_err(best_x, best_w) > contract_err(x, w):
-        return nodes, weights
-    return (
-        [scale * float(v) for v in best_x],
-        [values[0] * float(v) for v in best_w],
-    )
-
-
-def _partial_cholesky_rows(h: np.ndarray, rows: int) -> list[np.ndarray] | int:
-    """First ``rows`` rows of the upper Cholesky factor of ``h``.
-
-    Only the leading ``rows`` pivots are formed, so a matrix of exact rank
-    ``rows`` factors cleanly.  Returns the number of clean rows instead of
-    the row list if a pivot fails early.
+    Only the leading pivots are formed, so a matrix of exact rank ``rows``
+    factors cleanly.  Factoring stops before the first pivot that is not
+    positive and finite.  Row ``i`` reads only ``h[i, :]`` and the rows
+    before it, so the rows returned are exactly those of the factor of the
+    leading block of that size.
     """
     n = h.shape[1]
     r: list[np.ndarray] = []
@@ -193,7 +115,7 @@ def _partial_cholesky_rows(h: np.ndarray, rows: int) -> list[np.ndarray] | int:
         row = np.zeros(n, dtype=float)
         pivot = h[i, i] - sum(prev[i] * prev[i] for prev in r)
         if pivot <= 0.0 or not math.isfinite(pivot):
-            return i
+            break
         row[i] = math.sqrt(pivot)
         for j in range(i + 1, n):
             row[j] = (h[i, j] - sum(prev[i] * prev[j] for prev in r)) / row[i]
@@ -261,9 +183,13 @@ def solve_1d(
         )
 
     scale = _growth_scale(values)
+    # r_k = s_k / (s_0 c^k), the moments of the normalized variable over c.
     # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
     # even at level 0.
-    scaled = _scaled_moments(values, scale, max(2 * level + 1, 2))
+    scaled = np.array(
+        [values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))],
+        dtype=float,
+    )
     hankel = assemble(scaled, 1, level)
     require_psd(hankel, tol, label="moment matrix")
     rank = numerical_rank(hankel, rank_tol)
@@ -275,16 +201,12 @@ def solve_1d(
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
 
-    rows = None
-    while q > 0:
-        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
-        got = _partial_cholesky_rows(block, q)
-        if isinstance(got, list):
-            rows = got
-            break
-        q = got  # pivot failed at row `got`; retry with the smaller rank
-    if rows is None or q == 0:
+    block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
+    rows = _partial_cholesky_rows(block, q)
+    if not rows:
         raise RankCollapse("no positive pivot in the moment matrix factorization")
+    # A pivot that fails at row k leaves the rank-k rule.
+    q = len(rows)
 
     diag: list[float] = []
     offdiag: list[float] = []
@@ -300,7 +222,6 @@ def solve_1d(
     eigenvalues, eigenvectors = np.linalg.eigh(jacobi_scaled.to_dense())
     nodes = [scale * float(x) for x in eigenvalues]
     weights = [mass * float(eigenvectors[0, k]) ** 2 for k in range(q)]
-    nodes, weights = _polish_rule(values, nodes, weights, scale)
 
     supported = all(x >= -NODE_TOL for x in nodes)
     clamped: list[float] = []

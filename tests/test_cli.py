@@ -2,8 +2,9 @@
 
 Each test drives ``momentkit.cli.main`` directly with an argv list, reads the
 JSON report from stdout, and checks the exit code against the documented
-contract: 0 success/pass, 2 malformed input, 3 definitive failure, 4
-inconclusive, 5 solver failure, 6 pull-back or verification failure.
+contract: 0 success/pass, 2 malformed input or unwritable output, 3
+definitive failure, 4 inconclusive, 5 solver failure, 6 pull-back or
+verification failure.
 """
 
 import json
@@ -154,6 +155,36 @@ def test_generate_negative_entry_beyond_double_range_exits_2(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert "(11,)" in report["error"]
     assert not out.exists()
+
+
+def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "f.json", {"fixture": "factorial", "degree": 4})
+    code, report = run_json(
+        capsys, "generate", spec, str(tmp_path / "missing" / "x.mom")
+    )
+    assert code == EXIT_INPUT
+    assert "No such file" in report["error"]
+
+    spec = write_spec(
+        tmp_path,
+        "pc.json",
+        {
+            "fixture": "power-curve",
+            "degree": 4,
+            "exponent": 2,
+            "atoms": [[1.0, 1.5, 2.25]],
+        },
+    )
+    code, report = run_json(
+        capsys,
+        "generate",
+        spec,
+        str(tmp_path / "curve.mom"),
+        "--generators-out",
+        str(tmp_path / "missing" / "gens.txt"),
+    )
+    assert code == EXIT_INPUT
+    assert "No such file" in report["error"]
 
 
 def test_generate_rejects_bad_specs(tmp_path, capsys):
@@ -336,6 +367,16 @@ def test_solve_factorial_writes_quadrature(tmp_path, capsys):
         assert got == pytest.approx(math.factorial(k), rel=1e-9)
 
 
+def test_solve_into_missing_directory_exits_2(tmp_path, capsys):
+    moments = make_factorial_file(tmp_path, degree=4)
+    code, report = run_json(
+        capsys, "solve", moments, str(tmp_path / "missing" / "out.atoms")
+    )
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    assert report["error"]["type"] == "FileNotFoundError"
+
+
 def test_solve_multivariate_md_mode(tmp_path, capsys):
     atoms = [[0.5, 1.0, 2.0], [0.3, 3.0, 1.0], [0.2, 5.0, 4.0]]
     spec = write_spec(tmp_path, "md.json", atomic_spec(2, 4, atoms))
@@ -424,6 +465,15 @@ def test_reduce_on_curve_data(tmp_path, capsys):
     assert float(pushed.value((1, 0))) == 0.0
     # Second generator is x1, so t_(0,b) = sum w * x1^b.
     assert float(pushed.value((0, 2))) == pytest.approx(1.5**2)
+
+
+def test_reduce_into_missing_directory_exits_2(tmp_path, capsys):
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    code, report = run_json(
+        capsys, "reduce", moments, gens, str(tmp_path / "missing" / "p.mom")
+    )
+    assert code == EXIT_INPUT
+    assert "No such file" in report["error"]
 
 
 def test_reduce_non_generating_set_fails_without_override(tmp_path, capsys):
@@ -606,3 +656,17 @@ def test_pipeline_malformed_moments(tmp_path, capsys):
         capsys, "pipeline", str(bad), str(gens), str(tmp_path / "o.msr")
     )
     assert code == EXIT_INPUT
+
+
+def test_pipeline_into_missing_directory_exits_2(tmp_path, capsys):
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    code, report = run_json(
+        capsys, "pipeline", moments, gens, str(tmp_path / "missing" / "o.msr")
+    )
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    assert stage_named(report, "verify")["ok"] is True
+    write = stage_named(report, "write")
+    assert write["ok"] is False
+    assert "No such file" in write["error"]
+    assert "out" not in report

@@ -9,6 +9,7 @@ from momentkit import (
     AtomicMeasure,
     MomentSequence,
     NotFlat,
+    ValidationFailure,
     extract_atoms,
     extract_atoms_auto,
     flat_rank,
@@ -23,6 +24,31 @@ def _three_atoms() -> AtomicMeasure:
     return AtomicMeasure(
         2, [((1.0, 2.0), 0.5), ((3.0, 1.0), 0.3), ((5.0, 4.0), 0.2)]
     )
+
+
+def _ten_atoms_in_three_dims() -> AtomicMeasure:
+    """Ten scattered atoms in [0, 10]^3 whose float degree-6 data is flat at
+    level 3, where the extracted rule meets tol through degree 5 but misses
+    the x3^6 moment by 1.36e-8."""
+    points = [
+        (1.153625604360139, 9.872545220817955, 5.868663824877757),
+        (1.8571818348804847, 4.8370444131687, 8.756284898803703),
+        (6.993307708588739, 7.717615373158909, 9.043832193954238),
+        (4.930888455828802, 5.0730422409975615, 9.35730174672812),
+        (7.349082055880464, 3.5748025157609242, 3.6134516686840454),
+        (2.306481296462921, 5.039310244703805, 9.241387590153705),
+        (3.196343708828672, 2.5791507984496786, 1.997386890045445),
+        (3.7961321642618575, 7.585642425420089, 9.073632957217942),
+        (0.01200241078049058, 2.3986916299508376, 8.374585931057336),
+        (0.4257314146189095, 4.021498858135253, 6.112562037140736),
+    ]
+    weights = [
+        1.526404881296979, 0.22690827788656578, 1.1286493435503415,
+        1.1369059999678344, 0.873216259896118, 0.7057986149262785,
+        1.4004593477686258, 1.4273021071365732, 0.35252116127444744,
+        1.504034260951505,
+    ]
+    return AtomicMeasure(3, list(zip(points, weights)))
 
 
 class TestFlatRank:
@@ -140,6 +166,16 @@ class TestExtractAtoms:
         pos, wt = measure_errors(from_md, from_1d)
         assert pos <= 1e-9
         assert wt <= 1e-9
+
+    def test_flat_level_validated_through_degree_two_level(self):
+        # A flat pair at level L certifies the moments through degree 2L, so
+        # a rule that misses the degree-6 moment at level 3 is refused, not
+        # returned.
+        s = moments_of_atomic(_ten_atoms_in_three_dims(), 6)
+        with pytest.raises(ValidationFailure):
+            extract_atoms(s, 3)
+        with pytest.raises(NotFlat, match="level 3"):
+            extract_atoms_auto(s)
 
     def test_random_measures(self):
         rng = np.random.default_rng(5)

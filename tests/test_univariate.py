@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
@@ -20,6 +22,8 @@ from momentkit import (
     moments_of_atomic,
     solve_1d,
 )
+from momentkit import univariate
+from momentkit.univariate import _growth_scale, _partial_cholesky_rows
 from conftest import measure_errors, random_measure
 
 SQRT2 = math.sqrt(2.0)
@@ -158,3 +162,97 @@ class TestSolveEdgeCases:
         assert not res.stieltjes_supported
         atoms = res.measure.sorted_atoms()
         assert atoms[0][0][0] == pytest.approx(-1.0, abs=1e-10)
+
+
+def _reference_cholesky_rows(h, rows):
+    """The factorization before it stopped at a failed pivot: it returned
+    the index of that pivot instead of the rows."""
+    n = h.shape[1]
+    r = []
+    for i in range(rows):
+        row = np.zeros(n, dtype=float)
+        pivot = h[i, i] - sum(prev[i] * prev[i] for prev in r)
+        if pivot <= 0.0 or not math.isfinite(pivot):
+            return i
+        row[i] = math.sqrt(pivot)
+        for j in range(i + 1, n):
+            row[j] = (h[i, j] - sum(prev[i] * prev[j] for prev in r)) / row[i]
+        r.append(row)
+    return r
+
+
+def _reference_rank_rows(scaled, q):
+    """The refactor-and-retry loop: factor the q x (q+1) Hankel block and,
+    when a pivot fails at row k, factor the k x (k+1) block afresh."""
+    while q > 0:
+        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
+        got = _reference_cholesky_rows(block, q)
+        if isinstance(got, list):
+            return got
+        q = got
+    return []
+
+
+def _scaled_hankel_data(s):
+    """The scaled moments ``solve_1d`` factors."""
+    values = [float(s.value((k,))) for k in range(s.max_degree + 1)]
+    scale = _growth_scale(values)
+    return np.array(
+        [values[k] / (values[0] * scale**k) for k in range(len(values))]
+    )
+
+
+class TestPartialCholesky:
+    """One factorization that stops at the first failed pivot gives the
+    same rows, bit for bit, as refactoring the smaller block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nodes=st.lists(st.integers(0, 160), min_size=1, max_size=5, unique=True),
+        weights=st.lists(st.integers(1, 8), min_size=5, max_size=5),
+        extra=st.integers(1, 3),
+        exact=st.booleans(),
+    )
+    def test_matches_refactor_and_retry(self, nodes, weights, extra, exact):
+        # Dyadic nodes j/64 in [0.5, 3] with weights j/4, asked for more
+        # rows than the true rank.
+        mu = AtomicMeasure(
+            1,
+            [
+                ((Fraction(32 + j, 64),), Fraction(w, 4))
+                for j, w in zip(sorted(nodes), weights)
+            ],
+        )
+        q = len(nodes) + extra
+        scaled = _scaled_hankel_data(moments_of_atomic(mu, 2 * q, exact=exact))
+        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
+        rows = _partial_cholesky_rows(block, q)
+        expected = _reference_rank_rows(scaled, q)
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert np.array_equal(got[: len(want)], want)
+
+    def test_stops_at_the_first_failed_pivot(self):
+        # A point mass at one: every entry is 1, so the second pivot is 0.
+        h = np.ones((3, 4))
+        rows = _partial_cholesky_rows(h, 3)
+        assert len(rows) == 1
+        np.testing.assert_array_equal(rows[0], [1.0, 1.0, 1.0, 1.0])
+
+    def test_no_positive_pivot_gives_no_rows(self):
+        assert _partial_cholesky_rows(np.zeros((2, 3)), 2) == []
+
+    def test_solve_survives_an_overstated_rank(self, monkeypatch):
+        # With the rank overstated by two, the factorization stops at the
+        # failed pivot and the rule has the true three atoms.
+        real_rank = univariate.numerical_rank
+        monkeypatch.setattr(
+            univariate, "numerical_rank", lambda m, tol: real_rank(m, tol) + 2
+        )
+        mu = AtomicMeasure(1, [((0.5,), 1.0), ((1.0,), 0.5), ((2.0,), 0.25)])
+        for exact in (False, True):
+            res = solve_1d(moments_of_atomic(mu, 10, exact=exact))
+            assert res.rank == 3
+            pos, wt = measure_errors(mu, res.measure)
+            assert pos <= 1e-10
+            assert wt <= 1e-10
