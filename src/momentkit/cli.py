@@ -9,7 +9,8 @@ Subcommands::
     reduce    MOMENTS GENERATORS OUT.moments   push data into image variables
     pipeline  MOMENTS GENERATORS OUT.atoms     reduce, solve, pull back, verify
 
-Exit codes: 0 success/pass, 2 malformed input or unwritable output, 3
+Exit codes: 0 success/pass, 2 malformed input (an integer option below its
+bound, an image degree deeper than the data) or unwritable output, 3
 definitive failure (positivity or generation), 4 inconclusive growth
 diagnostics, 5 solver failure (no flat level / not positive semidefinite), 6
 pull-back or final verification failure.
@@ -24,7 +25,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import conditions, fileformats, fixtures, matrices, multivariate, reduction, univariate
 from .errors import (
@@ -553,8 +554,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         pushed = reduction.pushforward_moments(s, pres, degree)
     except MomentError as exc:
+        # An image degree too deep for the data is an input error, as in
+        # ``reduce``.
         stage("pushforward", ok=False, error=str(exc))
-        return finish(EXIT_INCONCLUSIVE)
+        return finish(
+            EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_INCONCLUSIVE
+        )
     stage(
         "pushforward",
         ok=True,
@@ -623,6 +628,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # parser
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= low``: a smaller value is a
+    usage error (exit 2), like a value that is not an integer at all."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing keeps no state
@@ -663,10 +682,12 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="constraint polynomials (default: the coordinates)",
     )
-    p.add_argument("--level", type=int, help="truncation level (default: largest feasible)")
+    p.add_argument(
+        "--level", type=_int_at_least(0), help="truncation level (default: largest feasible)"
+    )
     p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
     p.add_argument(
-        "--count", type=int, default=60, help="growth series length cap"
+        "--count", type=_int_at_least(1), default=60, help="growth series length cap"
     )
     add_common(p)
     p.set_defaults(func=cmd_check)
@@ -675,12 +696,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument(
         "--axis",
-        type=int,
+        type=_int_at_least(0),
         action="append",
         help="axis to diagnose (repeatable; default: all)",
     )
-    p.add_argument("--stride", type=int, default=1, help="subsample stride")
-    p.add_argument("--count", type=int, default=60)
+    p.add_argument("--stride", type=_int_at_least(1), default=1, help="subsample stride")
+    p.add_argument("--count", type=_int_at_least(1), default=60)
     add_common(p)
     p.set_defaults(func=cmd_diagnose)
 
@@ -688,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("out", help="output measure file")
     p.add_argument("--mode", choices=["auto", "1d", "md"], default="auto")
-    p.add_argument("--level", type=int, help="extraction level (md mode)")
+    p.add_argument("--level", type=_int_at_least(1), help="extraction level (md mode)")
     p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
     p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
     p.add_argument("--seed", type=int, default=0)
@@ -699,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("generators", help="constraint polynomial file")
     p.add_argument("out", help="output (pushed) moment file")
-    p.add_argument("--budget", type=int, help="generation-check degree budget")
-    p.add_argument("--image-degree", type=int, help="pushed truncation degree")
+    p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
+    p.add_argument("--image-degree", type=_int_at_least(0), help="pushed truncation degree")
     p.add_argument(
         "--allow-subalgebra",
         action="store_true",
@@ -715,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("generators", help="constraint polynomial file")
     p.add_argument("out", help="output measure file")
-    p.add_argument("--budget", type=int, help="generation-check degree budget")
-    p.add_argument("--image-degree", type=int, help="pushed truncation degree")
+    p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
+    p.add_argument("--image-degree", type=_int_at_least(0), help="pushed truncation degree")
     p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)

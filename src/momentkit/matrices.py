@@ -25,6 +25,7 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _monomial_table,
     add_indices,
     monomials_up_to,
 )
@@ -80,15 +81,10 @@ class HypothesesReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _monomials(dim: int, degree: int) -> tuple[MultiIndex, ...]:
-    return tuple(monomials_up_to(dim, degree))
-
-
-@functools.lru_cache(maxsize=64)
 def _exponents(dim: int, degree: int) -> np.ndarray:
     """The monomials of degree <= ``degree`` in graded-lex order as the rows
     of an exponent matrix."""
-    exponents = np.array(_monomials(dim, degree))
+    exponents = np.array(_monomial_table(dim, degree))
     exponents.setflags(write=False)  # shared by every caller through the cache
     return exponents
 
@@ -115,7 +111,7 @@ def _sum_positions(dim: int, level: int) -> np.ndarray:
 def _shifted(dim: int, degree: int, gamma: MultiIndex) -> tuple[MultiIndex, ...]:
     """``m + gamma`` for every monomial ``m`` of degree <= ``degree``, in
     graded-lex order of ``m``."""
-    return tuple(add_indices(m, gamma) for m in _monomials(dim, degree))
+    return tuple(add_indices(m, gamma) for m in _monomial_table(dim, degree))
 
 
 def assemble(values: np.ndarray, dim: int, level: int) -> np.ndarray:
@@ -133,7 +129,7 @@ def moment_vector(s: MomentSequence, degree: int) -> np.ndarray:
             f"need entries up to degree {degree}, data stops at {s.max_degree}"
         )
     return np.array(
-        [float(s.values[m]) for m in _monomials(s.dim, degree)], dtype=float
+        [float(s.values[m]) for m in _monomial_table(s.dim, degree)], dtype=float
     )
 
 
@@ -160,7 +156,7 @@ def moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
             f"data stops at {s.max_degree}"
         )
     return SymmetricMatrixWithBasis(
-        list(_monomials(s.dim, level)),
+        monomials_up_to(s.dim, level),
         assemble(moment_vector(s, 2 * level), s.dim, level),
     )
 
@@ -199,7 +195,7 @@ def localizing_matrix(
             f"constraint needs degree {2 * level + int(f.degree)} entries, "
             f"data stops at {s.max_degree}"
         )
-    total = np.zeros(len(_monomials(s.dim, 2 * level)))
+    total = np.zeros(len(_monomial_table(s.dim, 2 * level)))
     for gamma, coeff in terms:
         entries = [s.values[m] for m in _shifted(s.dim, 2 * level, gamma)]
         if set(map(type, entries)) == {float}:
@@ -211,7 +207,7 @@ def localizing_matrix(
             term = np.array([float(coeff * v) for v in entries])
         total = total + term
     return SymmetricMatrixWithBasis(
-        list(_monomials(s.dim, level)), assemble(total, s.dim, level)
+        monomials_up_to(s.dim, level), assemble(total, s.dim, level)
     )
 
 

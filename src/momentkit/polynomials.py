@@ -9,6 +9,7 @@ two variables the order reads ``1, x1, x2, x1^2, x1*x2, x2^2, ...``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -62,12 +63,24 @@ def monomials_of_degree(dim: int, degree: int) -> list[MultiIndex]:
     return list(_compositions(degree, dim))
 
 
-def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
-    """All multi-indices with total degree <= ``degree`` in graded-lex order."""
+@functools.lru_cache(maxsize=128)
+def _monomial_table(dim: int, degree: int) -> tuple[MultiIndex, ...]:
+    """The multi-indices of :func:`monomials_up_to`, enumerated once per
+    ``(dim, degree)`` and shared by every caller through the cache."""
     out: list[MultiIndex] = []
     for t in range(degree + 1):
         out.extend(monomials_of_degree(dim, t))
-    return out
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=128)
+def _monomial_set(dim: int, degree: int) -> frozenset[MultiIndex]:
+    return frozenset(_monomial_table(dim, degree))
+
+
+def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
+    """All multi-indices with total degree <= ``degree`` in graded-lex order."""
+    return list(_monomial_table(dim, degree))
 
 
 def add_indices(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
@@ -274,6 +287,36 @@ class Polynomial:
         return " ".join(pieces)
 
 
+def _checked_moments(
+    dim: int, max_degree: int, values: Mapping[Sequence[int], Scalar]
+) -> dict[MultiIndex, Scalar]:
+    """Moment data keyed by canonical multi-indices, or the error that says
+    why ``values`` is not one entry for every ``|alpha| <= max_degree``."""
+    store: dict[MultiIndex, Scalar] = {}
+    for alpha, v in values.items():
+        idx = tuple(int(a) for a in alpha)
+        if len(idx) != dim:
+            raise DimMismatch(
+                f"moment index {idx} has length {len(idx)}, expected {dim}"
+            )
+        if any(a < 0 for a in idx):
+            raise ValueError(f"negative exponent in moment index {idx}")
+        if sum(idx) > max_degree:
+            raise DegreeOverflow(
+                f"moment index {idx} exceeds truncation degree {max_degree}"
+            )
+        if idx in store:
+            raise ValueError(f"duplicate moment index {idx}")
+        store[idx] = v
+    for alpha in _monomial_table(dim, max_degree):
+        if alpha not in store:
+            raise ValueError(
+                f"incomplete moment data: index {alpha} is missing "
+                f"(every |alpha| <= {max_degree} must be present)"
+            )
+    return store
+
+
 class MomentSequence:
     """Truncated moment data: one value for every multi-index ``|alpha| <= D``.
 
@@ -307,28 +350,11 @@ class MomentSequence:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        store: dict[MultiIndex, Scalar] = {}
-        for alpha, v in values.items():
-            idx = tuple(int(a) for a in alpha)
-            if len(idx) != dim:
-                raise DimMismatch(
-                    f"moment index {idx} has length {len(idx)}, expected {dim}"
-                )
-            if any(a < 0 for a in idx):
-                raise ValueError(f"negative exponent in moment index {idx}")
-            if sum(idx) > max_degree:
-                raise DegreeOverflow(
-                    f"moment index {idx} exceeds truncation degree {max_degree}"
-                )
-            if idx in store:
-                raise ValueError(f"duplicate moment index {idx}")
-            store[idx] = v
-        for alpha in monomials_up_to(dim, max_degree):
-            if alpha not in store:
-                raise ValueError(
-                    f"incomplete moment data: index {alpha} is missing "
-                    f"(every |alpha| <= {max_degree} must be present)"
-                )
+        if values.keys() != _monomial_set(dim, max_degree):
+            values = _checked_moments(dim, max_degree, values)
+        # Keyed by the table's own tuples, so every index is a canonical
+        # ``int`` tuple and the store reads in graded-lex order.
+        store = {alpha: values[alpha] for alpha in _monomial_table(dim, max_degree)}
         logs: dict[MultiIndex, float] = {}
         for alpha, lv in (log_values or {}).items():
             idx = tuple(int(a) for a in alpha)

@@ -14,16 +14,23 @@ polynomials generate the full polynomial algebra, the evaluation map is
 injective and the pull-back is unambiguous; :func:`check_generates` decides
 that property exactly within a degree budget, and its witnesses are the
 inverse map that :func:`pull_back_atoms` evaluates.
+
+The images ``f^alpha`` and the generation certificate depend only on the
+presentation, not on the data.  Each is built once per process for every
+presentation (compared by its polynomials' contents) and degree budget, and
+read from a fixed-size cache after that.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +47,8 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _monomial_table,
     grlex_key,
-    monomials_up_to,
 )
 
 #: Convergence tolerance for the Newton preimage search.
@@ -125,20 +132,57 @@ class GenerationResult:
     witnesses: list[Polynomial] | None
 
 
-def _image_monomials(
-    pres: SemiAlgebraicPresentation, budget: int
-) -> dict[MultiIndex, Polynomial]:
-    """Images ``f^alpha`` for all ``|alpha| <= budget``, built incrementally."""
-    m = pres.num_generators
+#: A presentation's contents: its dimension and each generator's terms.
+_PresentationKey = tuple[int, tuple[tuple[tuple[MultiIndex, Fraction], ...], ...]]
+
+
+class _ImageAlgebra(NamedTuple):
+    """The images ``f^alpha`` of one presentation for all ``|alpha| <=
+    budget``, in graded-lex order of ``alpha``."""
+
+    #: Read-only ``alpha -> f^alpha``.
+    images: Mapping[MultiIndex, Polynomial]
+    #: ``(alpha, terms of f^alpha in graded-lex order)`` for every image.
+    sorted_terms: tuple[tuple[MultiIndex, tuple[tuple[MultiIndex, Fraction], ...]], ...]
+
+
+def _presentation_key(pres: SemiAlgebraicPresentation) -> _PresentationKey:
+    """A hashable copy of the generators' contents.
+
+    Two presentations share a key only when their polynomials are equal, so
+    a rebuilt or edited generator never reads another one's images.  Sorting
+    compares multi-indices only: they are distinct within one polynomial.
+    """
+    return (
+        pres.dim,
+        tuple(tuple(sorted(f.terms.items())) for f in pres.generators),
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _image_algebra(key: _PresentationKey, budget: int) -> _ImageAlgebra:
+    """Build the images incrementally, each from one of degree one less."""
+    dim, generator_terms = key
+    generators = [Polynomial(dim, dict(terms)) for terms in generator_terms]
     images: dict[MultiIndex, Polynomial] = {}
-    for alpha in monomials_up_to(m, budget):
+    for alpha in _monomial_table(len(generators), budget):
         if sum(alpha) == 0:
-            images[alpha] = Polynomial.constant(pres.dim, 1)
+            images[alpha] = Polynomial.constant(dim, 1)
             continue
         j = next(i for i, e in enumerate(alpha) if e)
         prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(alpha))
-        images[alpha] = images[prev] * pres.generators[j]
-    return images
+        images[alpha] = images[prev] * generators[j]
+    return _ImageAlgebra(
+        MappingProxyType(images),
+        tuple((alpha, tuple(image.sorted_terms())) for alpha, image in images.items()),
+    )
+
+
+def _image_monomials(
+    pres: SemiAlgebraicPresentation, budget: int
+) -> Mapping[MultiIndex, Polynomial]:
+    """Read-only images ``f^alpha`` for all ``|alpha| <= budget``."""
+    return _image_algebra(_presentation_key(pres), budget).images
 
 
 def _solve_exact(
@@ -231,23 +275,30 @@ def check_generates(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    images = _image_monomials(pres, budget)
-    order = sorted(images, key=grlex_key)
+    witnesses = _certificate(_presentation_key(pres), budget)
+    if witnesses is None:
+        return GenerationResult(False, budget, None)
+    return GenerationResult(True, budget, list(witnesses))
+
+
+@functools.lru_cache(maxsize=32)
+def _certificate(
+    key: _PresentationKey, budget: int
+) -> tuple[Polynomial, ...] | None:
+    """The witnesses of :func:`check_generates`, or ``None`` when the
+    admitted images do not span every coordinate."""
+    dim, generator_terms = key
+    images = _image_algebra(key, budget).images
+    order = list(images)  # graded-lex, as built
     columns = [dict(images[alpha].terms) for alpha in order]
-    targets = [
-        dict(Polynomial.variable(pres.dim, i).terms) for i in range(pres.dim)
-    ]
+    targets = [dict(Polynomial.variable(dim, i).terms) for i in range(dim)]
     solved = _solve_exact(columns, targets)
     if any(sol is None for sol in solved):
-        return GenerationResult(False, budget, None)
-    witnesses = [
-        Polynomial(
-            pres.num_generators,
-            {order[j]: c for j, c in sol.items()},
-        )
+        return None
+    return tuple(
+        Polynomial(len(generator_terms), {order[j]: c for j, c in sol.items()})
         for sol in solved  # type: ignore[union-attr]
-    ]
-    return GenerationResult(True, budget, witnesses)
+    )
 
 
 def pushforward_moments(
@@ -274,8 +325,14 @@ def pushforward_moments(
             f"pushing forward to degree {image_degree} needs original entries "
             f"up to degree {need}, data stops at {s.max_degree}"
         )
-    images = _image_monomials(pres, image_degree)
-    values = {alpha: s.riesz(image) for alpha, image in images.items()}
+    # Each sum is MomentSequence.riesz's, term for term, without its sort.
+    algebra = _image_algebra(_presentation_key(pres), image_degree)
+    values: dict[MultiIndex, Scalar] = {}
+    for alpha, terms in algebra.sorted_terms:
+        total: Scalar = 0
+        for beta, coeff in terms:
+            total = total + coeff * s.values[beta]
+        values[alpha] = total
     return MomentSequence(pres.num_generators, image_degree, values)
 
 

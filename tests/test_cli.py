@@ -20,6 +20,7 @@ from momentkit.cli import (
     EXIT_OK,
     EXIT_PULLBACK,
     EXIT_SOLVE,
+    build_parser,
     main,
 )
 from momentkit.polynomials import AtomicMeasure
@@ -670,3 +671,61 @@ def test_pipeline_into_missing_directory_exits_2(tmp_path, capsys):
     assert write["ok"] is False
     assert "No such file" in write["error"]
     assert "out" not in report
+
+
+def test_pipeline_too_deep_image_degree_exits_2_like_reduce(tmp_path, capsys):
+    # Degree-12 data over generators of degree 2 pushes to degree 6 at most.
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    code, report = run_json(
+        capsys, "reduce", moments, gens, str(tmp_path / "p.mom"),
+        "--image-degree", "9",
+    )
+    assert code == EXIT_INPUT
+    assert "degree 18" in report["error"]
+
+    code, report = run_json(
+        capsys, "pipeline", moments, gens, str(tmp_path / "o.msr"),
+        "--image-degree", "9",
+    )
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    push = stage_named(report, "pushforward")
+    assert push["ok"] is False
+    assert "degree 18" in push["error"]
+
+
+# ---------------------------------------------------------------------------
+# option ranges
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low",
+    [
+        (["check", "m.mom"], "--count", 1),
+        (["check", "m.mom"], "--level", 0),
+        (["diagnose", "m.mom"], "--count", 1),
+        (["diagnose", "m.mom"], "--stride", 1),
+        (["diagnose", "m.mom"], "--axis", 0),
+        (["solve", "m.mom", "o.msr"], "--level", 1),
+        (["reduce", "m.mom", "g.txt", "p.mom"], "--budget", 1),
+        (["reduce", "m.mom", "g.txt", "p.mom"], "--image-degree", 0),
+        (["pipeline", "m.mom", "g.txt", "o.msr"], "--budget", 1),
+        (["pipeline", "m.mom", "g.txt", "o.msr"], "--image-degree", 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_integer_flag_below_its_bound_is_a_usage_error(argv, flag, low, capsys):
+    parsed = build_parser().parse_args([*argv, flag, str(low)])
+    assert getattr(parsed, flag[2:].replace("-", "_")) in (low, [low])
+
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(low - 1)])
+    assert exc.value.code == EXIT_INPUT
+    assert f"{flag}: must be >= {low}, got {low - 1}" in capsys.readouterr().err
+
+
+def test_non_integer_flag_keeps_the_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "m.mom", "--count", "abc"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--count: invalid int value: 'abc'" in capsys.readouterr().err

@@ -38,6 +38,13 @@ class TestMonomialOrder:
     def test_single_degree_slice(self):
         assert monomials_of_degree(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
 
+    def test_up_to_returns_a_fresh_list(self):
+        first = monomials_up_to(2, 2)
+        first.append((9, 9))
+        second = monomials_up_to(2, 2)
+        assert second is not first
+        assert second == monomials_up_to(2, 2) and (9, 9) not in second
+
     def test_dim_three_count(self):
         # Number of monomials of degree <= 3 in 3 variables: C(6, 3) = 20.
         assert len(monomials_up_to(3, 3)) == 20
@@ -168,6 +175,15 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence(1, 2, values)
 
+    def test_store_is_canonical_and_graded_lex(self):
+        # Keys that equal int tuples (numpy ints, bools) are stored as the
+        # int tuples themselves, in graded-lex order whatever the input order.
+        values = {(np.int64(1), 0): 2.0, (0, True): 3.0, (0, 0): 1.0}
+        s = MomentSequence(2, 1, values)
+        assert list(s.values) == [(0, 0), (1, 0), (0, 1)]
+        assert all(type(a) is int for idx in s.values for a in idx)
+        assert s.values == {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0}
+
     def test_log_value_of_zero_is_minus_inf(self):
         s = MomentSequence(1, 1, {(0,): 1.0, (1,): 0.0})
         assert s.log_value((1,)) == -math.inf
@@ -225,3 +241,34 @@ class TestAtomicMeasure:
     def test_len_is_atom_count(self):
         m = AtomicMeasure(1, [((0.0,), 1.0), ((2.0,), 1.0)])
         assert len(m) == 2
+
+
+@pytest.mark.parametrize(
+    "dim, degree, values, logs, error, message",
+    [
+        (1, 2, {(0,): 1.0, (1,): 1.0}, None, ValueError,
+         "incomplete moment data: index (2,) is missing "
+         "(every |alpha| <= 2 must be present)"),
+        (1, 1, {(0,): 1.0, (1,): 1.0, ("1",): 2.0}, None, ValueError,
+         "duplicate moment index (1,)"),
+        (1, 1, {(0,): 1.0, (-1,): 1.0}, None, ValueError,
+         "negative exponent in moment index (-1,)"),
+        (1, 1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, None, DegreeOverflow,
+         "moment index (2,) exceeds truncation degree 1"),
+        (2, 0, {(0,): 1.0}, None, DimMismatch,
+         "moment index (0,) has length 1, expected 2"),
+        (1, 1, {(0,): 1.0, (1,): 1.0}, {(5,): 1.0}, ValueError,
+         "log value for unknown moment index (5,)"),
+        (1, 1, {(0,): math.inf, (1,): 1.0}, None, ValueError,
+         "mass s_0 must be finite"),
+    ],
+    ids=[
+        "missing", "duplicate", "negative", "overflow", "length",
+        "unknown-log", "infinite-mass",
+    ],
+)
+def test_moment_sequence_errors(dim, degree, values, logs, error, message):
+    with pytest.raises(error) as exc:
+        MomentSequence(dim, degree, values, logs)
+    assert type(exc.value) is error
+    assert str(exc.value) == message

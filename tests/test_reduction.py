@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AmbiguousPreimageWarning,
@@ -25,8 +26,9 @@ from momentkit import (
     power_curve_presentation,
     pull_back_atoms,
     pushforward_moments,
+    reduction,
 )
-from momentkit.reduction import pushed_power_sequence
+from momentkit.reduction import _image_monomials, pushed_power_sequence
 
 
 def _curve(exponent: int) -> SemiAlgebraicPresentation:
@@ -318,3 +320,104 @@ class TestPushedPowerSequence:
         t = pushed_power_sequence(moments_of_atomic(mu, 8), self.PARABOLA, 4)
         for n in range(1, 5):
             assert t.values[(n,)] == pytest.approx(0.25, rel=1e-12)
+
+
+def _reference_images(
+    pres: SemiAlgebraicPresentation, budget: int
+) -> dict[tuple[int, ...], Polynomial]:
+    """``f^alpha`` for ``|alpha| <= budget``, built afresh with no cache."""
+    images: dict[tuple[int, ...], Polynomial] = {}
+    for alpha in monomials_up_to(pres.num_generators, budget):
+        if sum(alpha) == 0:
+            images[alpha] = Polynomial.constant(pres.dim, 1)
+            continue
+        j = next(i for i, e in enumerate(alpha) if e)
+        prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(alpha))
+        images[alpha] = images[prev] * pres.generators[j]
+    return images
+
+
+@st.composite
+def _presentations(draw):
+    dim = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    generators = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(monomials_up_to(dim, 2)), coeff, max_size=4
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return SemiAlgebraicPresentation(
+        dim, [Polynomial(dim, terms) for terms in generators]
+    )
+
+
+class TestPresentationCache:
+    def test_images_are_read_only(self):
+        images = _image_monomials(_curve(2), 2)
+        with pytest.raises(TypeError):
+            images[(0, 0)] = Polynomial.constant(2, 2)  # type: ignore[index]
+        assert images[(0, 0)] == Polynomial.constant(2, 1)
+
+    def test_equal_contents_share_images_and_new_terms_do_not(self):
+        reduction._image_algebra.cache_clear()
+        first = _image_monomials(_curve(2), 2)
+        # A rebuilt presentation with the same polynomials reads the cache.
+        assert _image_monomials(_curve(2), 2) is first
+        # x2 - 2 x1^2 in place of x2 - x1^2: fresh images, and the right ones.
+        pres = _curve(2)
+        pres.generators[0] = Polynomial(2, {(0, 1): 1, (2, 0): -2})
+        rebuilt = _image_monomials(pres, 2)
+        assert rebuilt is not first
+        assert rebuilt[(1, 0)] == pres.generators[0]
+        assert rebuilt[(2, 0)] == pres.generators[0] ** 2
+        # Editing a generator's terms in place changes its key as well.
+        pres.generators[1].terms[(0, 1)] = Fraction(1)
+        assert _image_monomials(pres, 2)[(0, 1)] == _x(0) + _x(1)
+
+    def test_edited_witness_list_does_not_reach_the_next_call(self):
+        reduction._certificate.cache_clear()
+        first = check_generates(_curve(2), 2)
+        assert first.witnesses is not None
+        expected = list(first.witnesses)
+        first.witnesses.clear()
+        second = check_generates(_curve(2), 2)
+        assert second is not first
+        assert second.witnesses == expected
+        assert reduction._certificate.cache_info().hits == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pres=_presentations(),
+        budget=st.integers(0, 4),
+        exact=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cache_matches_a_fresh_build(self, pres, budget, exact, seed):
+        reduction._image_algebra.cache_clear()
+        reference = _reference_images(pres, budget)
+        cached = _image_monomials(pres, budget)
+        assert list(cached) == list(reference)
+        assert dict(cached) == reference
+        assert _image_monomials(pres, budget) is cached
+
+        rng = np.random.default_rng(seed)
+        degree = budget * pres.max_degree
+        values = {
+            alpha: (
+                Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 8)))
+                if exact
+                else float(rng.uniform(-10.0, 10.0))
+            )
+            for alpha in monomials_up_to(pres.dim, degree)
+        }
+        s = MomentSequence(pres.dim, degree, values)
+        pushed = pushforward_moments(s, pres, budget)
+        expected = {alpha: s.riesz(image) for alpha, image in reference.items()}
+        # repr tells -0.0 from 0.0 and a Fraction from an equal float.
+        assert {a: repr(v) for a, v in pushed.values.items()} == {
+            a: repr(v) for a, v in expected.items()
+        }
