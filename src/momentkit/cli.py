@@ -10,10 +10,10 @@ Subcommands::
     pipeline  MOMENTS GENERATORS OUT.atoms     reduce, solve, pull back, verify
 
 Exit codes: 0 success/pass, 2 malformed input (an integer option below its
-bound, an image degree deeper than the data) or unwritable output, 3
-definitive failure (positivity or generation), 4 inconclusive growth
-diagnostics, 5 solver failure (no flat level / not positive semidefinite), 6
-pull-back or final verification failure.
+bound, a level or an image degree deeper than the data) or unwritable
+output, 3 definitive failure (positivity or generation), 4 inconclusive
+growth diagnostics, 5 solver failure (no flat level / not positive
+semidefinite), 6 pull-back or final verification failure.
 """
 
 from __future__ import annotations
@@ -430,7 +430,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 s, args.mode, args.level, args.rank_tol, args.tol, args.seed
             )
     except MomentError as exc:
-        return _fail_report(report, exc, EXIT_SOLVE, args.format)
+        # A level deeper than the data is an input error, as in ``check``.
+        code = EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
+        return _fail_report(report, exc, code, args.format)
     report.update(detail)
     if caught:
         report["warnings"] = [str(w.message) for w in caught]

@@ -55,9 +55,33 @@ class SymmetricMatrixWithBasis:
             if asym > 1e-14 * max(1.0, scale):
                 raise ValueError(f"matrix is not symmetric (asymmetry {asym:g})")
 
+    @classmethod
+    def _assembled(
+        cls, basis: list[MultiIndex], entries: np.ndarray
+    ) -> "SymmetricMatrixWithBasis":
+        """Wrap a float matrix gathered through a symmetric index table
+        (``values[T]`` with ``T == T.T``), which is exactly symmetric, so the
+        symmetry scan of ``__post_init__`` is skipped."""
+        matrix = cls.__new__(cls)
+        matrix.basis = basis
+        matrix.entries = entries
+        return matrix
+
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    def _leading(self, size: int) -> "SymmetricMatrixWithBasis":
+        """The leading ``size x size`` block, as a contiguous copy.
+
+        Graded-lex bases are nested: the first ``N`` monomials of degree
+        ``<= level`` are the basis of degree ``<= level - 1``, so the leading
+        block of the moment matrix at ``level`` is the moment matrix at
+        ``level - 1``, bit for bit.
+        """
+        return SymmetricMatrixWithBasis._assembled(
+            self.basis[:size], np.ascontiguousarray(self.entries[:size, :size])
+        )
 
 
 @dataclass
@@ -155,7 +179,7 @@ def moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
             f"moment matrix at level {level} needs degree {2 * level} entries, "
             f"data stops at {s.max_degree}"
         )
-    return SymmetricMatrixWithBasis(
+    return SymmetricMatrixWithBasis._assembled(
         monomials_up_to(s.dim, level),
         assemble(moment_vector(s, 2 * level), s.dim, level),
     )
@@ -206,7 +230,7 @@ def localizing_matrix(
         else:
             term = np.array([float(coeff * v) for v in entries])
         total = total + term
-    return SymmetricMatrixWithBasis(
+    return SymmetricMatrixWithBasis._assembled(
         monomials_up_to(s.dim, level), assemble(total, s.dim, level)
     )
 

@@ -10,6 +10,12 @@ operators, one per coordinate, that commute for consistent data and are
 simultaneously diagonalized by the spectrum of a random linear combination.
 The joint eigenvalues are the atom coordinates; weights follow from a
 monomial-evaluation least-squares fit.
+
+The coordinate-shifted matrices are not assembled: the one for ``x_j`` at
+level ``n - 1`` is the block of the flat pair's level-``n`` moment matrix
+with rows ``alpha + e_j`` and columns ``beta``.  The level scan of
+:func:`extract_atoms_auto` assembles and ranks each level's moment matrix
+once and reuses it as the next level's previous matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
-    localizing_matrix,
+    _sum_positions,
     moment_matrix,
     moment_vector,
     monomial_values,
@@ -39,7 +45,7 @@ from .matrices import (
     reproduction_residuals,
     require_psd,
 )
-from .polynomials import AtomicMeasure, MomentSequence, Polynomial
+from .polynomials import AtomicMeasure, MomentSequence
 
 #: Minimum (relative) spectral gap for a random probe to count as separating.
 GAP_TOL = 1e-6
@@ -70,12 +76,13 @@ def flat_rank(
 
     ``is_flat`` (equal ranks) is the extraction precondition: it certifies
     that enlarging the basis from degree ``level - 1`` to ``level`` adds no
-    new directions, so the data is atomic with ``rank`` atoms.
+    new directions, so the data is atomic with ``rank`` atoms.  The matrix at
+    ``level - 1`` is the leading block of the one at ``level``.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     matrix = moment_matrix(s, level)
-    previous = moment_matrix(s, level - 1)
+    previous = matrix._leading(math.comb(s.dim + level - 1, s.dim))
     return FlatRankResult(
         level,
         numerical_rank(matrix, rank_tol),
@@ -101,7 +108,28 @@ def multiplication_operators(
     ``tol`` (relative to their norms) — the signature of data that is not
     consistently atomic at this level.
     """
-    fr = flat_rank(s, level, rank_tol)
+    return _operators(s, flat_rank(s, level, rank_tol), tol)
+
+
+def _shift_matrix(dim: int, fr: FlatRankResult, axis: int) -> np.ndarray:
+    """The localizing matrix of ``x_axis`` at level ``fr.level - 1``, read
+    out of the moment matrix at ``fr.level``.
+
+    Its entries ``s[alpha + e_axis + beta]`` sit in rows ``alpha + e_axis``
+    and columns ``beta``, where ``basis[1 + axis]`` is ``e_axis``.  Adding
+    0.0 turns a -0.0 entry into 0.0, as the localizing matrix's sum from
+    zero does, so the two agree bit for bit.
+    """
+    n = fr.previous_matrix.size
+    rows = _sum_positions(dim, fr.level)[:n, 1 + axis]
+    return 0.0 + fr.matrix.entries[rows][:, :n]
+
+
+def _operators(
+    s: MomentSequence, fr: FlatRankResult, tol: float
+) -> tuple[list[np.ndarray], int]:
+    """:func:`multiplication_operators` on a level's ranked moment matrices."""
+    level = fr.level
     if not fr.is_flat:
         raise NotFlat(
             f"rank grows from {fr.previous_rank} to {fr.rank} between levels "
@@ -125,8 +153,7 @@ def multiplication_operators(
 
     operators: list[np.ndarray] = []
     for axis in range(s.dim):
-        x = Polynomial.variable(s.dim, axis)
-        op = w.T @ localizing_matrix(s, x, level - 1).entries @ w
+        op = w.T @ _shift_matrix(s.dim, fr, axis) @ w
         operators.append((op + op.T) / 2.0)
 
     for i in range(len(operators)):
@@ -174,7 +201,15 @@ def extract_atoms(
         range a flat pair certifies) within ``tol`` relative (checked;
         :class:`ValidationFailure` if not).
     """
-    operators, r = multiplication_operators(s, level, rank_tol, tol)
+    return _extract(s, flat_rank(s, level, rank_tol), tol, seed)
+
+
+def _extract(
+    s: MomentSequence, fr: FlatRankResult, tol: float, seed: int
+) -> AtomicMeasure:
+    """:func:`extract_atoms` on a level's ranked moment matrices."""
+    level = fr.level
+    operators, r = _operators(s, fr, tol)
     if r == 0:
         worst = max(abs(float(v)) for v in s.values.values())
         if worst > tol:
@@ -249,9 +284,19 @@ def extract_atoms_auto(
     when no level admits a validated extraction.
     """
     failures: list[str] = []
+    fr: FlatRankResult | None = None
     for level in range(1, s.max_degree // 2 + 1):
+        if fr is None:
+            fr = flat_rank(s, level, rank_tol)
+        else:
+            # The previous level's matrix and rank are this level's
+            # previous ones.
+            matrix = moment_matrix(s, level)
+            fr = FlatRankResult(
+                level, numerical_rank(matrix, rank_tol), fr.rank, matrix, fr.matrix
+            )
         try:
-            return extract_atoms(s, level, rank_tol, tol, seed), level
+            return _extract(s, fr, tol, seed), level
         except NotFlat:
             continue
         except (

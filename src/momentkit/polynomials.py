@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import DegreeOverflow, DimMismatch, NegativeMoment
 
 __all__ = [
@@ -509,6 +511,37 @@ class MomentSequence:
         )
 
 
+#: Most coordinate gaps :func:`_first_coincident_pair` holds at once.
+_PAIR_BLOCK = 1 << 18
+
+
+def _first_coincident_pair(
+    points: Sequence[tuple[Scalar, ...]], tol: float
+) -> tuple[int, int] | None:
+    """The first pair ``(i, j)``, ``i < j``, in row-major order whose points
+    lie within ``tol`` of each other in the max norm, or ``None``.
+
+    The gap of a pair is Python's ``max`` over ``|float(a) - float(b)|``
+    coordinate by coordinate, which keeps a leading NaN (never within
+    ``tol``) and skips a later one.
+    """
+    count = len(points)
+    if count < 2:
+        return None
+    coords = np.array([[float(x) for x in pt] for pt in points], dtype=float)
+    step = max(1, _PAIR_BLOCK // coords.size)
+    for start in range(0, count - 1, step):
+        block = coords[start : start + step]
+        with np.errstate(invalid="ignore", over="ignore"):
+            gaps = np.abs(block[:, None, :] - coords[None, :, :])
+        far = (gaps > tol).any(axis=2) | np.isnan(gaps[:, :, 0])
+        far |= np.tri(len(block), count, start, dtype=bool)  # pairs with j <= i
+        if not far.all():
+            i, j = divmod(int(np.argmin(far)), count)
+            return start + i, j
+    return None
+
+
 class AtomicMeasure:
     """A finite nonnegative combination of point masses.
 
@@ -538,17 +571,13 @@ class AtomicMeasure:
             if not weight > 0:
                 raise ValueError(f"atom weight must be positive, got {weight}")
             cleaned.append((pt, weight))
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                gap = max(
-                    abs(float(a) - float(b))
-                    for a, b in zip(cleaned[i][0], cleaned[j][0])
-                ) if dim else 0.0
-                if gap <= tol_atom:
-                    raise ValueError(
-                        f"atoms {cleaned[i][0]} and {cleaned[j][0]} coincide "
-                        f"within {tol_atom}"
-                    )
+        pair = _first_coincident_pair([pt for pt, _ in cleaned], tol_atom)
+        if pair is not None:
+            i, j = pair
+            raise ValueError(
+                f"atoms {cleaned[i][0]} and {cleaned[j][0]} coincide "
+                f"within {tol_atom}"
+            )
         self.dim = dim
         self.atoms = cleaned
 

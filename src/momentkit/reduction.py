@@ -325,15 +325,20 @@ def pushforward_moments(
             f"pushing forward to degree {image_degree} needs original entries "
             f"up to degree {need}, data stops at {s.max_degree}"
         )
-    # Each sum is MomentSequence.riesz's, term for term, without its sort.
     algebra = _image_algebra(_presentation_key(pres), image_degree)
-    values: dict[MultiIndex, Scalar] = {}
-    for alpha, terms in algebra.sorted_terms:
-        total: Scalar = 0
-        for beta, coeff in terms:
-            total = total + coeff * s.values[beta]
-        values[alpha] = total
+    values = {alpha: _riesz_sorted(s, terms) for alpha, terms in algebra.sorted_terms}
     return MomentSequence(pres.num_generators, image_degree, values)
+
+
+def _riesz_sorted(
+    s: MomentSequence, terms: Sequence[tuple[MultiIndex, Fraction]]
+) -> Scalar:
+    """:meth:`MomentSequence.riesz` of a polynomial whose terms are given in
+    graded-lex order: the same sum, term for term, without the sort."""
+    total: Scalar = 0
+    for beta, coeff in terms:
+        total = total + coeff * s.values[beta]
+    return total
 
 
 def pushed_power_sequence(
@@ -349,11 +354,18 @@ def pushed_power_sequence(
     for axis in range(s.dim):
         if f == Polynomial.variable(s.dim, axis):
             return s.marginal_sequence(axis, count)
-    powers = _image_monomials(SemiAlgebraicPresentation(s.dim, [f]), count)
-    values: dict[MultiIndex, Scalar] = {(0,): s.riesz(powers[(0,)])}
-    for n in range(1, count + 1):
-        power = powers[(n,)]
-        val = s.riesz(power)
+    algebra = _image_algebra(
+        _presentation_key(SemiAlgebraicPresentation(s.dim, [f])), count
+    )
+    values: dict[MultiIndex, Scalar] = {}
+    for (n,), terms in algebra.sorted_terms:
+        power = algebra.images[(n,)]
+        if power.degree > s.max_degree:
+            raise DegreeOverflow(
+                f"polynomial degree {power.degree} exceeds truncation degree "
+                f"{s.max_degree}"
+            )
+        val = _riesz_sorted(s, terms)
         cancel_scale = 0.0
         for expo, coeff in power.terms.items():
             try:

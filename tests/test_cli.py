@@ -694,6 +694,24 @@ def test_pipeline_too_deep_image_degree_exits_2_like_reduce(tmp_path, capsys):
     assert "degree 18" in push["error"]
 
 
+def test_solve_level_deeper_than_data_exits_2_like_check(tmp_path, capsys):
+    # Degree-12 data holds moment matrices up to level 6.
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    code, report = run_json(capsys, "check", moments, "--level", "9")
+    assert code == EXIT_INPUT
+    assert "degree 18" in report["error"]
+
+    out = tmp_path / "o.atoms"
+    code, report = run_json(
+        capsys, "solve", moments, str(out), "--mode", "md", "--level", "9"
+    )
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    assert report["error"]["type"] == "DegreeOverflow"
+    assert "degree 18" in report["error"]["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # option ranges
 

@@ -415,3 +415,45 @@ class TestEvaluationMatchesReference:
         residuals = reproduction_residuals(mu, s, 1)
         assert residuals == _reference_residuals(mu, s, 1)
         assert residuals[1] == math.inf
+
+
+class TestAssembledMatricesSkipTheSymmetryScan:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_graded_lex_bases_are_nested(self, dim):
+        for level in range(1, 8):
+            wider = monomials_up_to(dim, level)
+            assert wider[: math.comb(dim + level - 1, dim)] == monomials_up_to(
+                dim, level - 1
+            )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_assembled_matrices_are_exactly_symmetric(self, dim, exact):
+        s = _random_data(dim, 8, exact, seed=20 * dim + exact)
+        for level in range(4):
+            m = moment_matrix(s, level)
+            assert np.array_equal(m.entries, m.entries.T)
+            for f in _constraints(dim):
+                entries = localizing_matrix(s, f, level).entries
+                assert np.array_equal(entries, entries.T)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_leading_block_is_the_lower_level_matrix(self, dim, exact):
+        s = _random_data(dim, 8, exact, seed=30 * dim + exact)
+        for level in range(1, 5):
+            block = moment_matrix(s, level)._leading(math.comb(dim + level - 1, dim))
+            lower = moment_matrix(s, level - 1)
+            assert block.basis == lower.basis
+            assert block.entries.tobytes() == lower.entries.tobytes()
+            assert np.array_equal(block.entries, block.entries.T)
+
+    def test_public_constructor_still_rejects_asymmetry(self):
+        from momentkit import SymmetricMatrixWithBasis
+
+        m = moment_matrix(_random_data(2, 4, False, seed=1), 2)
+        entries = m.entries.copy()
+        entries[0, 3] += 1e-6 * max(1.0, float(np.max(np.abs(entries))))
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrixWithBasis(m.basis, entries)
+        assert np.array_equal(SymmetricMatrixWithBasis(m.basis, m.entries).entries, m.entries)

@@ -2,21 +2,43 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
+    CommutatorTooLarge,
+    DegenerateSpectrum,
+    IllConditionedWeights,
     MomentSequence,
     NotFlat,
+    Polynomial,
+    RankCollapse,
     ValidationFailure,
     extract_atoms,
     extract_atoms_auto,
     flat_rank,
+    localizing_matrix,
+    matrices,
+    moment_matrix,
     moments_of_atomic,
     multiplication_operators,
+    multivariate,
+    numerical_rank,
     solve_1d,
 )
+from momentkit.matrices import (
+    monomial_values,
+    moment_vector,
+    reproduction_residuals,
+    require_psd,
+)
+from momentkit.multivariate import GAP_TOL, MAX_PROBES, FlatRankResult
 from conftest import measure_errors, random_measure
 
 
@@ -188,3 +210,278 @@ class TestExtractAtoms:
             pos, wt = measure_errors(mu, nu)
             assert pos <= 1e-7
             assert wt <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The level scan before it reused matrices, kept as the reference: each level
+# assembles and ranks both moment matrices of its pair, and the shifted
+# matrices are the localizing matrices of the coordinates.
+
+
+def _reference_flat_rank(s: MomentSequence, level: int) -> FlatRankResult:
+    matrix = moment_matrix(s, level)
+    previous = moment_matrix(s, level - 1)
+    return FlatRankResult(
+        level, numerical_rank(matrix), numerical_rank(previous), matrix, previous
+    )
+
+
+def _reference_operators(s: MomentSequence, level: int, tol: float = 1e-8):
+    fr = _reference_flat_rank(s, level)
+    if not fr.is_flat:
+        raise NotFlat(
+            f"rank grows from {fr.previous_rank} to {fr.rank} between levels "
+            f"{level - 1} and {level}"
+        )
+    require_psd(fr.matrix, tol, label=f"moment matrix (level {level})")
+    r = fr.rank
+    if r == 0:
+        return [], 0
+    eigenvalues, eigenvectors = np.linalg.eigh(fr.previous_matrix.entries)
+    lam = eigenvalues[-r:]
+    if float(lam[0]) <= 0.0:
+        raise RankCollapse(
+            f"rank-{r} compression hit a nonpositive eigenvalue {lam[0]:g}"
+        )
+    w = eigenvectors[:, -r:] / np.sqrt(lam)
+    operators = []
+    for axis in range(s.dim):
+        x = Polynomial.variable(s.dim, axis)
+        op = w.T @ localizing_matrix(s, x, level - 1).entries @ w
+        operators.append((op + op.T) / 2.0)
+    for i in range(len(operators)):
+        norm_i = float(np.max(np.sum(np.abs(operators[i]), axis=1)))
+        for j in range(i + 1, len(operators)):
+            norm_j = float(np.max(np.sum(np.abs(operators[j]), axis=1)))
+            comm = operators[i] @ operators[j] - operators[j] @ operators[i]
+            comm_norm = float(np.max(np.sum(np.abs(comm), axis=1)))
+            bound = tol * max(1.0, norm_i * norm_j)
+            if comm_norm > bound:
+                raise CommutatorTooLarge(
+                    f"coordinate operators {i} and {j} do not commute: "
+                    f"commutator norm {comm_norm:g} exceeds {bound:g}"
+                )
+    return operators, r
+
+
+def _reference_extract(s: MomentSequence, level: int, tol: float = 1e-8):
+    operators, r = _reference_operators(s, level, tol)
+    if r == 0:
+        worst = max(abs(float(v)) for v in s.values.values())
+        if worst > tol:
+            raise ValidationFailure(
+                f"rank 0 but moments reach {worst:g}; data is inconsistent"
+            )
+        return AtomicMeasure(s.dim, [])
+    rng = np.random.default_rng(0)
+    vectors = None
+    for _ in range(MAX_PROBES):
+        coeffs = rng.standard_normal(s.dim)
+        coeffs /= math.sqrt(float(coeffs @ coeffs))
+        probe = sum(c * op for c, op in zip(coeffs, operators))
+        probe = (probe + probe.T) / 2.0
+        eigenvalues, eigenvectors = np.linalg.eigh(probe)
+        if r == 1:
+            vectors = eigenvectors
+            break
+        spread = max(float(eigenvalues[-1] - eigenvalues[0]), 1.0)
+        if float(np.min(np.diff(eigenvalues))) > GAP_TOL * spread:
+            vectors = eigenvectors
+            break
+    if vectors is None:
+        raise DegenerateSpectrum(
+            f"no random probe separated the {r} operator eigenvalues in "
+            f"{MAX_PROBES} attempts"
+        )
+    points = [
+        tuple(float(vectors[:, k] @ op @ vectors[:, k]) for op in operators)
+        for k in range(r)
+    ]
+    a = monomial_values(s.dim, points, level)
+    weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
+    if lstsq_rank < r:
+        raise IllConditionedWeights(
+            f"weight system has rank {lstsq_rank} < {r}; atoms are not "
+            f"separated enough to assign weights"
+        )
+    if any(w <= 0.0 for w in weights):
+        raise IllConditionedWeights(
+            f"weight fit produced nonpositive weights: {list(weights)}"
+        )
+    measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
+    degree = min(2 * level, s.max_degree)
+    worst = max([0.0, *reproduction_residuals(measure, s, degree)])
+    if worst > tol:
+        raise ValidationFailure(
+            f"extracted measure misses the input moments: worst relative "
+            f"residual {worst:g} exceeds {tol:g}"
+        )
+    return measure
+
+
+def _reference_auto(s: MomentSequence):
+    failures = []
+    for level in range(1, s.max_degree // 2 + 1):
+        try:
+            return _reference_extract(s, level), level
+        except NotFlat:
+            continue
+        except (
+            CommutatorTooLarge,
+            DegenerateSpectrum,
+            IllConditionedWeights,
+            ValidationFailure,
+        ) as exc:
+            failures.append(f"level {level}: {exc}")
+    detail = f" ({'; '.join(failures)})" if failures else ""
+    raise NotFlat(
+        f"no truncation level up to {s.max_degree // 2} admits a validated "
+        f"atomic extraction{detail}"
+    )
+
+
+def _plain(result):
+    """A result with each measure replaced by its atoms."""
+    if isinstance(result, AtomicMeasure):
+        return result.atoms
+    if isinstance(result, tuple):
+        return tuple(_plain(x) for x in result)
+    return result
+
+
+def _outcome(fn, *args):
+    """``repr`` of a call's result, measures by their atoms, or its error's
+    type and message."""
+    try:
+        return repr(_plain(fn(*args)))
+    except Exception as exc:  # compared between the two scans
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _atomic_data(draw):
+    """Moments of 1..12 dyadic atoms in [0, 10]^d, d = 1..4, as floats or
+    Fractions, through 0..2 degrees beyond the first possible flat level."""
+    dim = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 12))
+    grid = st.integers(0, 80)
+    points = draw(
+        st.lists(
+            st.tuples(*[grid] * dim), min_size=count, max_size=count, unique=True
+        )
+    )
+    weights = draw(st.lists(st.integers(1, 16), min_size=count, max_size=count))
+    mu = AtomicMeasure(
+        dim,
+        [
+            (tuple(Fraction(x, 8) for x in pt), Fraction(w, 8))
+            for pt, w in zip(points, weights)
+        ],
+    )
+    level = 1
+    while math.comb(dim + level - 1, dim) < count:
+        level += 1
+    degree = 2 * level + draw(st.integers(0, 2))
+    return moments_of_atomic(mu, degree, exact=draw(st.booleans()))
+
+
+class TestScanMatchesTheTwoBuildReference:
+    @settings(max_examples=80, deadline=None)
+    @given(s=_atomic_data())
+    def test_answers_levels_and_operators_are_identical(self, s):
+        seen = []
+
+        def spy(s_, fr, tol):
+            result = real(s_, fr, tol)
+            seen.append((fr.level, result))
+            return result
+
+        real = multivariate._operators
+        with mock.patch.object(multivariate, "_operators", spy):
+            got = _outcome(extract_atoms_auto, s)
+        assert got == _outcome(_reference_auto, s)
+        # Every level the scan compressed, compressed the same matrices.
+        for level, (ops, r) in seen:
+            ref_ops, ref_r = _reference_operators(s, level)
+            assert r == ref_r
+            assert [op.tobytes() for op in ops] == [op.tobytes() for op in ref_ops]
+        # And each level on its own, the public entry points included.
+        for level in range(1, s.max_degree // 2 + 1):
+            fr, ref = flat_rank(s, level), _reference_flat_rank(s, level)
+            assert (fr.rank, fr.previous_rank) == (ref.rank, ref.previous_rank)
+            assert fr.matrix.entries.tobytes() == ref.matrix.entries.tobytes()
+            assert fr.previous_matrix.basis == ref.previous_matrix.basis
+            assert (
+                fr.previous_matrix.entries.tobytes()
+                == ref.previous_matrix.entries.tobytes()
+            )
+            assert _outcome(
+                lambda: [op.tobytes() for op in multiplication_operators(s, level)[0]]
+            ) == _outcome(lambda: [op.tobytes() for op in _reference_operators(s, level)[0]])
+            assert _outcome(extract_atoms, s, level) == _outcome(
+                _reference_extract, s, level
+            )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_shift_blocks_equal_localizing_matrices(self, dim):
+        # Atoms on x1 = 0 give zero moments wherever x1 appears; stored as
+        # -0.0, the localizing matrix's sum from zero reads them as 0.0, and
+        # so must the block of the moment matrix.
+        rng = np.random.default_rng(dim)
+        mu = AtomicMeasure(
+            dim,
+            [((0.0, *rng.uniform(1.0, 3.0, dim - 1)), w) for w in (0.5, 0.25)],
+        )
+        s = moments_of_atomic(mu, 6)
+        s = MomentSequence(
+            dim, 6, {a: (-0.0 if a[0] else v) for a, v in s.values.items()}
+        )
+        for level in range(1, 4):
+            fr = flat_rank(s, level)
+            for axis in range(dim):
+                x = Polynomial.variable(dim, axis)
+                assert (
+                    multivariate._shift_matrix(dim, fr, axis).tobytes()
+                    == localizing_matrix(s, x, level - 1).entries.tobytes()
+                )
+        assert np.signbit(flat_rank(s, 1).matrix.entries[0, 1])
+
+    @pytest.mark.parametrize(
+        "huge_degree, raising_level", [(3, 2), (4, 2), (5, 3), (6, 3), (7, None), (8, None)]
+    )
+    def test_entry_beyond_double_range_raises_at_the_level_that_reads_it(
+        self, huge_degree, raising_level
+    ):
+        # Six generic atoms in the plane: ranks 3, 6, 6 at levels 1, 2, 3,
+        # so the scan passes levels 1 and 2 and extracts at level 3, which
+        # reads the data through degree 6 only.
+        mu = AtomicMeasure(
+            2,
+            [
+                ((Fraction(1), Fraction(2)), Fraction(1, 2)),
+                ((Fraction(3), Fraction(1)), Fraction(1, 4)),
+                ((Fraction(5), Fraction(4)), Fraction(1, 8)),
+                ((Fraction(2), Fraction(5)), Fraction(3, 8)),
+                ((Fraction(4), Fraction(3)), Fraction(5, 8)),
+                ((Fraction(0), Fraction(1)), Fraction(3, 4)),
+            ],
+        )
+        values = dict(moments_of_atomic(mu, 8, exact=True).values)
+        values[(huge_degree, 0)] = Fraction(10**400, 3)
+        s = MomentSequence(2, 8, values)
+
+        def last_degree_read(fn):
+            with mock.patch.object(
+                matrices, "moment_vector", wraps=matrices.moment_vector
+            ) as reads:
+                outcome = _outcome(fn, s)
+            return outcome, reads.call_args.args[1]
+
+        got, got_degree = last_degree_read(extract_atoms_auto)
+        want, want_degree = last_degree_read(_reference_auto)
+        assert got == want
+        if raising_level is None:
+            assert got.endswith(", 3)")
+        else:
+            assert got.startswith("OverflowError")
+            assert got_degree == want_degree == 2 * raising_level

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
@@ -218,6 +220,21 @@ class TestMomentSequence:
         assert _point_mass_sequence() == _point_mass_sequence()
 
 
+#: Coordinates that collide, differ by less than the tolerance, or are
+#: NaN and infinite, which make NaN gaps.
+_COORDINATES = [0.0, -0.0, 1.0, 1.0 + 2**-45, 2.0, Fraction(1, 3), math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def _reference_coincidence(points, tol):
+    """The distinctness check as a loop over pairs, with Python's ``max``."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            gap = max(abs(float(a) - float(b)) for a, b in zip(points[i], points[j]))
+            if gap <= tol:
+                return f"atoms {points[i]} and {points[j]} coincide within {tol}"
+    return None
+
+
 class TestAtomicMeasure:
     def test_total_mass_and_sorting(self):
         m = AtomicMeasure(1, [((3.0,), 0.25), ((1.0,), 0.75)])
@@ -233,6 +250,56 @@ class TestAtomicMeasure:
     def test_coincident_atoms_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure(2, [((1.0, 2.0), 0.5), ((1.0, 2.0), 0.5)])
+
+    def test_first_coincident_pair_is_named(self):
+        # Pairs are scanned as (0, 1), (0, 2), ..., (1, 2), ...: atom 1 and
+        # its near-duplicate at position 3 are met before atom 2 and its
+        # duplicate at position 4.
+        points = [
+            (0.0, 0.0), (1.0, 2.0), (3.0, Fraction(1, 3)), (1.0, 2.0 + 2**-42),
+            (3.0, Fraction(1, 3)), (9.0, 9.0),
+        ]
+        message = re.escape(
+            "atoms (1.0, 2.0) and (1.0, 2.0000000000002274) coincide within 1e-12"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AtomicMeasure(2, [(p, 1.0) for p in points])
+        message = re.escape(
+            "atoms (3.0, Fraction(1, 3)) and (3.0, Fraction(1, 3)) coincide "
+            "within 1e-12"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AtomicMeasure(2, [(p, 1.0) for p in points[2:]])
+
+    def test_nan_gaps_keep_the_rule_of_python_max(self):
+        # The gap of a pair is max(|a_k - b_k|) taken by Python's max: a NaN
+        # in the first coordinate is kept, so the pair never coincides; a
+        # NaN in a later coordinate is skipped.
+        nan, inf = math.nan, math.inf
+        assert len(AtomicMeasure(2, [((nan, 1.0), 1.0), ((nan, 1.0), 1.0)])) == 2
+        assert len(AtomicMeasure(2, [((inf, 1.0), 1.0), ((inf, 1.0), 1.0)])) == 2
+        with pytest.raises(ValueError, match=r"^atoms \(1\.0, nan\) and \(1\.0, nan\)"):
+            AtomicMeasure(2, [((1.0, nan), 1.0), ((1.0, nan), 1.0)])
+        with pytest.raises(ValueError, match=r"^atoms \(1\.0, inf, 2\.0\) and"):
+            AtomicMeasure(3, [((1.0, inf, 2.0), 1.0), ((1.0, inf, 2.0), 1.0)])
+        assert len(AtomicMeasure(3, [((1.0, nan, 2.0), 1.0), ((1.0, 5.0, 2.5), 1.0)])) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        points=st.lists(
+            st.lists(st.sampled_from(_COORDINATES), min_size=4, max_size=4),
+            max_size=8,
+        ),
+    )
+    def test_distinctness_matches_the_pairwise_loop(self, dim, points):
+        points = [tuple(p[:dim]) for p in points]
+        try:
+            AtomicMeasure(dim, [(p, 1.0) for p in points])
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _reference_coincidence(points, 1e-12)
 
     def test_dim_checked(self):
         with pytest.raises(DimMismatch):

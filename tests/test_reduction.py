@@ -355,6 +355,76 @@ def _presentations(draw):
     )
 
 
+def _reference_pushed_powers(s: MomentSequence, f: Polynomial, count: int) -> dict:
+    """``pushed_power_sequence``'s values built by ``s.riesz(f**n)``, with
+    its cancellation rule, as before the sums read the cached sorted terms."""
+    values = {(0,): s.riesz(f**0)}
+    for n in range(1, count + 1):
+        power = f**n
+        val = s.riesz(power)
+        cancel_scale = 0.0
+        for expo, coeff in power.terms.items():
+            try:
+                cancel_scale += abs(float(coeff)) * abs(float(s.value(expo)))
+            except OverflowError:
+                cancel_scale = math.inf
+                break
+        try:
+            fv = float(val)
+        except OverflowError:
+            fv = math.inf
+        if (
+            math.isfinite(cancel_scale)
+            and math.isfinite(fv)
+            and fv != 0.0
+            and abs(fv) <= reduction.RIESZ_CANCEL_TOL * cancel_scale
+        ):
+            val = 0.0
+        values[(n,)] = val
+    return values
+
+
+class TestPushedPowersMatchRiesz:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pres=_presentations(),
+        count=st.integers(0, 5),
+        exact=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equal_to_riesz_of_each_power(self, pres, count, exact, seed):
+        f = pres.generators[0]
+        degree = max(count * pres.max_degree, 1)
+        rng = np.random.default_rng(seed)
+        values = {
+            alpha: (
+                Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 8)))
+                if exact
+                else float(rng.uniform(-10.0, 10.0))
+            )
+            for alpha in monomials_up_to(pres.dim, degree)
+        }
+        s = MomentSequence(pres.dim, degree, values)
+        pushed = pushed_power_sequence(s, f, count)
+        expected = _reference_pushed_powers(s, f, count)
+        # repr tells -0.0 from 0.0 and a Fraction from an equal float.
+        assert {a: repr(v) for a, v in pushed.values.items()} == {
+            a: repr(v) for a, v in expected.items()
+        }
+        for (n,), v in pushed.values.items():
+            if v != 0.0:
+                assert repr(v) == repr(s.riesz(f**n))
+
+    def test_power_beyond_the_data_raises_riesz_error(self):
+        f = Polynomial(2, {(0, 1): 1, (2, 0): -1})
+        s = moments_of_atomic(AtomicMeasure(2, [((1.0, 2.0), 1.0)]), 5)
+        with pytest.raises(DegreeOverflow) as riesz_error:
+            s.riesz(f**3)
+        with pytest.raises(DegreeOverflow) as pushed_error:
+            pushed_power_sequence(s, f, 3)
+        assert str(pushed_error.value) == str(riesz_error.value)
+
+
 class TestPresentationCache:
     def test_images_are_read_only(self):
         images = _image_monomials(_curve(2), 2)

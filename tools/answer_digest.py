@@ -1,0 +1,88 @@
+"""One SHA-256 digest per answer of a benchmark workload's pool.
+
+Run from the repository root::
+
+    PYTHONPATH=src python3 tools/answer_digest.py --workload solve-md --seed 70001
+
+The pool is built from ``--seed`` exactly as ``benchmarks/run.py`` builds it.
+Each problem's operation runs once, and one line per problem is printed:
+its index, its kind and the SHA-256 of ``repr(answer)``.  The last line
+digests all of them.  For ``reduce-curve`` the answer is every ``check`` and
+``pipeline`` exit code, its ``--format json`` report with the work directory
+masked, and the ``.atoms`` file the pipeline wrote.
+
+momentkit is imported from ``PYTHONPATH``, so running the tool twice with
+the sources of two checkouts and diffing the outputs shows whether a change
+moves any answer.  Nothing is written under ``benchmarks/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import run  # noqa: E402  (benchmarks/run.py; imports nothing of momentkit)
+
+
+def curve_answer(problem, workdir: Path) -> tuple:
+    """Exit codes, masked JSON reports and the measure file of one
+    reduce-curve problem."""
+    from momentkit import cli
+
+    d = problem.data
+    outputs = []
+    for command in (
+        ["check", d["moments"], d["generators"]],
+        ["pipeline", d["moments"], d["generators"], str(d["out"])],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--format", "json"])
+        text = (out.getvalue() + err.getvalue()).replace(str(workdir), "<work>")
+        outputs.append((code, text))
+    atoms = d["out"].read_text() if d["out"].exists() else None
+    d["out"].unlink(missing_ok=True)
+    return (*outputs, atoms)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=run.WORKLOADS_ORDER)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    run.pin_blas_threads()
+    import momentkit
+    from workloads import WORKLOADS, Context, child_env
+
+    print(f"# momentkit from {Path(momentkit.__file__).parent}", file=sys.stderr)
+    warnings.simplefilter("ignore")
+    wl = WORKLOADS[args.workload]
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        ctx = Context(ROOT, workdir, child_env(ROOT))
+        pool = run.build_pool(wl, args.seed, ctx, None)
+        for i, problem in enumerate(pool):
+            if wl.name == "reduce-curve":
+                answer = curve_answer(problem, workdir)
+            else:
+                answer = wl.op(problem, ctx)
+            digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+            total.update(digest.encode())
+            print(f"{i}\t{problem.kind}\t{digest}")
+    print(f"all\t{len(pool)}\t{total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
