@@ -18,8 +18,9 @@ the finite term lists and classifies their decay:
 The classification is a heuristic about the visible histogram of terms, not
 a theorem about the underlying measure; the thresholds below are part of
 this package's contract.  All term arithmetic runs on natural logarithms of
-the moments, so entries far beyond IEEE double range stay usable as long as
-their log values are supplied.
+the moments, so entries far outside IEEE double range stay usable: a float
+entry through its supplied log value, an exact one through the log of its
+numerator and denominator, whether it over- or underflows as a float.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     TrivialFunctional,
 )
 from .matrices import DEFAULT_PSD_TOL, localizing_matrix, moment_matrix, psd_check
-from .polynomials import MomentSequence, Polynomial
+from .polynomials import MomentSequence, Polynomial, _exp, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -114,26 +115,21 @@ def normalize(s: MomentSequence) -> MomentSequence:
             "zero (zero measure)"
         )
     values = {a: v / mass for a, v in s.values.items()}
-    log_mass = math.log(float(mass))
+    log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
     return MomentSequence(s.dim, s.max_degree, values, logs)
 
 
 def _require_normalized(s: MomentSequence) -> None:
-    if abs(float(s.mass) - 1.0) > 1e-9:
+    if abs(_to_float(s.mass) - 1.0) > 1e-9:
         raise NotNormalized(
             f"mass s_0 = {s.mass}; call normalize() before running diagnostics"
         )
 
 
 def _term_from_log(log_moment: float, root_order: int) -> float:
-    """``exp(-log_moment / (2 * root_order))`` with overflow-safe endpoints."""
-    if log_moment == -math.inf:
-        return math.inf
-    try:
-        return math.exp(-log_moment / (2.0 * root_order))
-    except OverflowError:
-        return math.inf
+    """``exp(-log_moment / (2 * root_order))``, ``inf`` on overflow."""
+    return _exp(-log_moment / (2.0 * root_order))
 
 
 def _partial_sums(terms: list[float]) -> list[float]:

@@ -7,9 +7,9 @@ Moment file::
 
 with one line per multi-index, covering every ``|alpha| <= D`` exactly once
 in graded-lex order.  ``<value>`` is either a decimal float or
-``log:<decimal>`` carrying the natural logarithm of an entry too large for
-doubles (the log is then authoritative and the stored value is its
-exponential, possibly ``inf``).
+``log:<decimal>`` carrying the natural logarithm of an entry that has a
+stored log or is exact and outside double range (the log is then
+authoritative and the stored value is its exponential, possibly ``inf``).
 
 Measure file::
 
@@ -37,6 +37,9 @@ from .polynomials import (
     AtomicMeasure,
     MomentSequence,
     Polynomial,
+    _exp,
+    _log,
+    _to_float,
     monomials_up_to,
 )
 
@@ -51,14 +54,13 @@ MEASURE_HEADER_RE = re.compile(r"^atoms v1 dim=(\d+)\s*$")
 
 
 def format_moment_file(s: MomentSequence) -> str:
-    """Render moment data; an exact entry beyond double range becomes a
-    ``log:`` token.
+    """Render moment data; an exact nonzero entry whose float is infinite
+    or ``0.0`` becomes a ``log:`` token.
 
     Raises
     ------
     FileFormatError
-        If an entry beyond double range is negative (no log token can hold
-        it).
+        If such an entry is negative (no log token can hold it).
     """
     lines = [f"momentfile v1 dim={s.dim} degree={s.max_degree}"]
     for alpha in s.indices():
@@ -67,17 +69,16 @@ def format_moment_file(s: MomentSequence) -> str:
             lines.append(f"{exps} log:{s.log_values[alpha]!r}")
             continue
         value = s.values[alpha]
-        try:
-            lines.append(f"{exps} {float(value)!r}")
-        except OverflowError:
-            if value < 0:
-                raise FileFormatError(
-                    f"moment {alpha} is negative and beyond double range; "
-                    f"a moment file cannot hold it"
-                ) from None
-            exact = Fraction(value)
-            log_value = math.log(exact.numerator) - math.log(exact.denominator)
-            lines.append(f"{exps} log:{log_value!r}")
+        fv = _to_float(value)
+        if not isinstance(value, (int, Fraction)) or not value or 0 < abs(fv) < math.inf:
+            lines.append(f"{exps} {fv!r}")
+        elif value < 0:
+            raise FileFormatError(
+                f"moment {alpha} is negative and outside double range; "
+                f"a moment file cannot hold it"
+            )
+        else:
+            lines.append(f"{exps} log:{_log(value)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -131,10 +132,7 @@ def parse_moment_file(text: str) -> MomentSequence:
                     f"line {lineno}: bad log value {raw!r}"
                 ) from exc
             logs[idx] = lv
-            try:
-                values[idx] = math.exp(lv)
-            except OverflowError:
-                values[idx] = math.inf
+            values[idx] = _exp(lv)
         else:
             try:
                 values[idx] = float(raw)

@@ -35,6 +35,7 @@ from .polynomials import (
     MomentSequence,
     Polynomial,
     Scalar,
+    _exp,
     monomials_up_to,
 )
 from .reduction import SemiAlgebraicPresentation
@@ -93,16 +94,8 @@ def moments_lognormal(max_degree: int) -> MomentSequence:
     values ``n^2 / 2`` (exact in doubles) are always present and are what
     the growth diagnostics consume.
     """
-    values: dict[tuple[int, ...], Scalar] = {}
-    logs: dict[tuple[int, ...], float] = {}
-    for n in range(max_degree + 1):
-        log_v = n * n / 2.0
-        try:
-            v = math.exp(log_v)
-        except OverflowError:
-            v = math.inf
-        values[(n,)] = v
-        logs[(n,)] = log_v
+    logs = {(n,): n * n / 2.0 for n in range(max_degree + 1)}
+    values = {alpha: _exp(lv) for alpha, lv in logs.items()}
     return MomentSequence(1, max_degree, values, logs)
 
 

@@ -45,7 +45,7 @@ from .matrices import (
     reproduction_residuals,
     require_psd,
 )
-from .polynomials import AtomicMeasure, MomentSequence
+from .polynomials import AtomicMeasure, MomentSequence, _to_float
 
 #: Minimum (relative) spectral gap for a random probe to count as separating.
 GAP_TOL = 1e-6
@@ -156,13 +156,12 @@ def _operators(
         op = w.T @ _shift_matrix(s.dim, fr, axis) @ w
         operators.append((op + op.T) / 2.0)
 
+    norms = [float(np.max(np.sum(np.abs(op), axis=1))) for op in operators]
     for i in range(len(operators)):
-        norm_i = float(np.max(np.sum(np.abs(operators[i]), axis=1)))
         for j in range(i + 1, len(operators)):
-            norm_j = float(np.max(np.sum(np.abs(operators[j]), axis=1)))
             comm = operators[i] @ operators[j] - operators[j] @ operators[i]
             comm_norm = float(np.max(np.sum(np.abs(comm), axis=1)))
-            bound = tol * max(1.0, norm_i * norm_j)
+            bound = tol * max(1.0, norms[i] * norms[j])
             if comm_norm > bound:
                 raise CommutatorTooLarge(
                     f"coordinate operators {i} and {j} do not commute: "
@@ -211,7 +210,7 @@ def _extract(
     level = fr.level
     operators, r = _operators(s, fr, tol)
     if r == 0:
-        worst = max(abs(float(v)) for v in s.values.values())
+        worst = max(abs(_to_float(v)) for v in s.values.values())
         if worst > tol:
             raise ValidationFailure(
                 f"rank 0 but moments reach {worst:g}; data is inconsistent"
@@ -224,7 +223,6 @@ def _extract(
         coeffs = rng.standard_normal(s.dim)
         coeffs /= math.sqrt(float(coeffs @ coeffs))
         probe = sum(c * op for c, op in zip(coeffs, operators))
-        probe = (probe + probe.T) / 2.0
         eigenvalues, eigenvectors = np.linalg.eigh(probe)
         if r == 1:
             vectors = eigenvectors

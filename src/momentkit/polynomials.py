@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -97,6 +98,35 @@ def _coerce_coeff(value: Scalar) -> Fraction:
     if isinstance(value, (int, float)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+def _to_float(value: Scalar) -> float:
+    """``float(value)``, or ``+-inf`` when an exact value's magnitude leaves
+    double range (one that underflows is ``0.0``, as ``float`` gives it)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+#: Rounded log of the largest double, and so of exact values just past it.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp(log_value: float) -> float:
+    """``exp(log_value)``, or ``inf`` from :data:`_LOG_MAX` on, where the exp
+    overflows or may stand for a value past double range."""
+    return math.inf if log_value >= _LOG_MAX else math.exp(log_value)
+
+
+def _log(value: Scalar) -> float:
+    """Natural log of a positive entry.  An exact entry whose float over- or
+    underflows is logged as ``log(numerator) - log(denominator)``."""
+    fv = _to_float(value)
+    if not isinstance(value, (int, Fraction)) or 0.0 < fv < math.inf:
+        return math.log(fv)
+    exact = Fraction(value)
+    return math.log(exact.numerator) - math.log(exact.denominator)
 
 
 class Polynomial:
@@ -393,7 +423,8 @@ class MomentSequence:
     def log_value(self, alpha: Sequence[int]) -> float:
         """Natural log of the entry; ``-inf`` for a zero entry.
 
-        Falls back to ``log(value)`` when no stored log exists; raises
+        Falls back to the log of the value when no stored log exists (an
+        exact value outside double range is logged exactly); raises
         :class:`NegativeMoment` if the entry is negative.
         """
         idx = tuple(alpha)
@@ -404,7 +435,7 @@ class MomentSequence:
             raise NegativeMoment(f"moment at {idx} is negative: {v}")
         if v == 0:
             return NEG_INF
-        return math.log(v)
+        return _log(v)
 
     def marginal(self, axis: int, order: int) -> Scalar:
         """The pure-power entry ``s[order * e_axis]``."""
@@ -443,15 +474,10 @@ class MomentSequence:
         IEEE doubles — are still usable through :meth:`log_value`, but no
         matrix can be built from them.
         """
-        for t in range(1, self.max_degree + 1):
-            for alpha in monomials_of_degree(self.dim, t):
-                v = self.values[alpha]
-                try:
-                    fv = float(v)
-                except OverflowError:
-                    return t - 1
-                if not math.isfinite(fv):
-                    return t - 1
+        # Degree 0 is skipped: a float mass is checked finite on construction.
+        for alpha in _monomial_table(self.dim, self.max_degree)[1:]:
+            if not math.isfinite(_to_float(self.values[alpha])):
+                return sum(alpha) - 1
         return self.max_degree
 
     # -- the associated linear functional ---------------------------------
@@ -473,10 +499,7 @@ class MomentSequence:
                 f"polynomial degree {poly.degree} exceeds truncation degree "
                 f"{self.max_degree}"
             )
-        total: Scalar = 0
-        for alpha, coeff in poly.sorted_terms():
-            total = total + coeff * self.values[alpha]
-        return total
+        return _riesz_sorted(self, poly.sorted_terms())
 
     def restrict(self, max_degree: int) -> "MomentSequence":
         """The same data truncated to a smaller degree."""
@@ -509,6 +532,17 @@ class MomentSequence:
             f"MomentSequence(dim={self.dim}, max_degree={self.max_degree}, "
             f"{len(self.values)} entries)"
         )
+
+
+def _riesz_sorted(
+    s: MomentSequence, terms: Sequence[tuple[MultiIndex, Fraction]]
+) -> Scalar:
+    """:meth:`MomentSequence.riesz` of a polynomial whose terms are given in
+    graded-lex order, without its checks or the sort."""
+    total: Scalar = 0
+    for alpha, coeff in terms:
+        total = total + coeff * s.values[alpha]
+    return total
 
 
 #: Most coordinate gaps :func:`_first_coincident_pair` holds at once.

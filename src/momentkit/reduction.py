@@ -48,6 +48,8 @@ from .polynomials import (
     Polynomial,
     Scalar,
     _monomial_table,
+    _riesz_sorted,
+    _to_float,
     grlex_key,
 )
 
@@ -330,17 +332,6 @@ def pushforward_moments(
     return MomentSequence(pres.num_generators, image_degree, values)
 
 
-def _riesz_sorted(
-    s: MomentSequence, terms: Sequence[tuple[MultiIndex, Fraction]]
-) -> Scalar:
-    """:meth:`MomentSequence.riesz` of a polynomial whose terms are given in
-    graded-lex order: the same sum, term for term, without the sort."""
-    total: Scalar = 0
-    for beta, coeff in terms:
-        total = total + coeff * s.values[beta]
-    return total
-
-
 def pushed_power_sequence(
     s: MomentSequence, f: Polynomial, count: int
 ) -> MomentSequence:
@@ -368,18 +359,10 @@ def pushed_power_sequence(
         val = _riesz_sorted(s, terms)
         cancel_scale = 0.0
         for expo, coeff in power.terms.items():
-            try:
-                cancel_scale += abs(float(coeff)) * abs(float(s.value(expo)))
-            except OverflowError:
-                cancel_scale = math.inf
-                break
-        try:
-            fv = float(val)
-        except OverflowError:
-            fv = math.inf
+            cancel_scale += abs(_to_float(coeff)) * abs(_to_float(s.value(expo)))
+        fv = _to_float(val)
         if (
             math.isfinite(cancel_scale)
-            and math.isfinite(fv)
             and fv != 0.0
             and abs(fv) <= RIESZ_CANCEL_TOL * cancel_scale
         ):

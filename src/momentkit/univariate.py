@@ -40,7 +40,7 @@ from .matrices import (
     reproduction_residuals,
     require_psd,
 )
-from .polynomials import AtomicMeasure, MomentSequence
+from .polynomials import AtomicMeasure, MomentSequence, _to_float
 
 #: Nodes no lower than this are treated as supported on ``[0, inf)``;
 #: negative nodes above it are clamped to zero (with a warning).
@@ -164,12 +164,7 @@ def solve_1d(
     if s.dim != 1:
         raise DimMismatch(f"solve_1d needs 1-dimensional data, got dim {s.dim}")
     level = s.max_degree // 2
-    values = []
-    for k in range(s.max_degree + 1):
-        try:
-            values.append(float(s.value((k,))))
-        except OverflowError:
-            values.append(math.inf)
+    values = [_to_float(s.value((k,))) for k in range(s.max_degree + 1)]
     mass = values[0]
     if mass <= 0.0:
         if all(v == 0.0 for v in values):

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from momentkit import fileformats, fixtures, reduction
+from momentkit import fileformats, fixtures, matrices, multivariate, reduction, univariate
 from momentkit.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -710,6 +710,68 @@ def test_solve_level_deeper_than_data_exits_2_like_check(tmp_path, capsys):
     assert report["error"]["type"] == "DegreeOverflow"
     assert "degree 18" in report["error"]["message"]
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# tolerance and seed options
+
+
+def spy_on(monkeypatch, module, name):
+    """Record the positional arguments of every call to ``module.name``,
+    which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+#: Values no default has, so each one seen in a call came from its flag.
+SOLVE_FLAGS = ["--rank-tol", "3e-11", "--tol", "2.5e-6", "--seed", "17"]
+
+
+def test_check_tol_reaches_the_hypothesis_check(tmp_path, capsys, monkeypatch):
+    calls = spy_on(monkeypatch, matrices, "check_hypotheses")
+    code, _ = run_json(capsys, "check", make_factorial_file(tmp_path), "--tol", "2.5e-6")
+    assert code == EXIT_OK
+    assert [c[3] for c in calls] == [2.5e-6]
+
+
+def test_solve_options_reach_the_solvers(tmp_path, capsys, monkeypatch):
+    md = spy_on(monkeypatch, multivariate, "extract_atoms_auto")
+    one_d = spy_on(monkeypatch, univariate, "solve_1d")
+    atoms = [[0.5, 1.0, 2.0], [0.3, 3.0, 1.0], [0.2, 5.0, 4.0]]
+    spec = write_spec(tmp_path, "md.json", atomic_spec(2, 4, atoms))
+    moments = str(tmp_path / "md.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+
+    code, _ = run_json(capsys, "solve", moments, str(tmp_path / "md.msr"), *SOLVE_FLAGS)
+    assert code == EXIT_OK
+    assert [c[1:] for c in md] == [(3e-11, 2.5e-6, 17)]
+
+    factorial = make_factorial_file(tmp_path, degree=8)
+    code, _ = run_json(capsys, "solve", factorial, str(tmp_path / "1d.msr"), *SOLVE_FLAGS)
+    assert code == EXIT_OK
+    assert [c[1:] for c in one_d] == [(3e-11, 2.5e-6)]
+
+
+def test_pipeline_options_reach_the_solver_and_pull_back(tmp_path, capsys, monkeypatch):
+    atoms = [[0.75, 1.5, 2.25], [0.25, 0.25, 0.0625]]
+    moments, gens = make_curve_inputs(tmp_path, capsys, atoms)
+    md = spy_on(monkeypatch, multivariate, "extract_atoms_auto")
+    pull = spy_on(monkeypatch, reduction, "pull_back_atoms")
+    code, report = run_json(
+        capsys, "pipeline", moments, gens, str(tmp_path / "r.msr"), *SOLVE_FLAGS
+    )
+    assert code == EXIT_OK
+    assert [c[1:] for c in md] == [(3e-11, 2.5e-6, 17)]
+    assert [c[3] for c in pull] == [2.5e-6]
+    assert stage_named(report, "verify")["tolerance"] == 2.5e-6
 
 
 # ---------------------------------------------------------------------------

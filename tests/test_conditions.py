@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     CONVERGENCE_CONSISTENT,
@@ -13,6 +15,7 @@ from momentkit import (
     AtomicMeasure,
     DegreeOverflow,
     HypothesisFailure,
+    MomentError,
     MomentSequence,
     NotNormalized,
     TrivialFunctional,
@@ -26,6 +29,7 @@ from momentkit import (
     subsequence_terms,
 )
 from momentkit.errors import NotPositive
+from momentkit.fileformats import format_moment_file, parse_moment_file
 
 
 class TestNormalize:
@@ -49,6 +53,23 @@ class TestNormalize:
         s = MomentSequence(1, 1, {(0,): 2.0, (1,): math.inf}, {(1,): 1000.0})
         n = normalize(s)
         assert n.log_value((1,)) == pytest.approx(1000.0 - math.log(2.0))
+
+    def test_exact_mass_beyond_double_range(self):
+        mass = Fraction(10**400, 3)
+        s = MomentSequence(
+            1, 2, {(0,): mass, (1,): 2 * mass, (2,): 5 * mass}, {(2,): 2000.0}
+        )
+        n = normalize(s)
+        assert n.values == {(0,): 1, (1,): 2, (2,): 5}
+        assert n.log_value((1,)) == math.log(2)
+        assert n.log_value((2,)) == pytest.approx(
+            2000.0 - (400 * math.log(10) - math.log(3)), rel=1e-15
+        )
+
+    def test_unnormalized_mass_beyond_double_range(self):
+        s = MomentSequence(1, 2, {(0,): 10**400, (1,): 10**400, (2,): 10**400})
+        with pytest.raises(NotNormalized):
+            stieltjes_terms(s, count=2)
 
 
 class TestStieltjesTerms:
@@ -210,3 +231,89 @@ class TestCheckSubsequenceBounds:
         s = moments_factorial(12)
         with pytest.raises(DegreeOverflow):
             check_subsequence_bounds(s, stride=4, count=12)
+
+
+class TestExactEntriesOutsideDoubleRange:
+    """Exact entries whose floats over- or underflow are read through their
+    exact logs, in memory and after a moment file round trip alike."""
+
+    def test_entries_above_range(self):
+        mu = AtomicMeasure(1, [((1e30,), 0.5), ((2.0,), 0.5)])
+        s = normalize(moments_of_atomic(mu, 12, exact=True))
+        rep = stieltjes_terms(s, count=12)
+        # s_12 = (1e30^12 + 2^12) / 2 is about 5e359.
+        log_s12 = math.log(int(1e30) ** 12 + 2**12) - math.log(2)
+        assert rep.terms[-1] == pytest.approx(math.exp(-log_s12 / 24), rel=1e-13)
+        assert rep.classification == DIVERGENCE_CONSISTENT
+        assert check_subsequence_bounds(s, stride=2, count=10).passed
+
+    def test_entries_below_range(self):
+        # s_n = 2^(-20 n): from s_54 on the float is 0.0, not the entry.
+        unit = AtomicMeasure(1, [((Fraction(1, 2**20),), Fraction(1))])
+        s = moments_of_atomic(unit, 60, exact=True)
+        rep = stieltjes_terms(normalize(s), count=60)
+        assert not rep.degenerate
+        assert rep.terms == pytest.approx([2.0**10] * 60, rel=1e-13)
+
+        text = format_moment_file(s)
+        assert "\n60 log:" in text
+        back = parse_moment_file(text)
+        assert back.log_value((60,)) == s.log_value((60,))
+        assert s.log_value((60,)) == pytest.approx(-1200 * math.log(2), rel=1e-15)
+        assert stieltjes_terms(normalize(back), count=60) == rep
+
+    def test_entry_at_the_top_of_double_range(self):
+        # 2^1024 is past double range, but its rounded log is that of the
+        # largest double: read back, it is still past range.
+        mu = AtomicMeasure(1, [((Fraction(2**32),), Fraction(1))])
+        s = moments_of_atomic(mu, 40, exact=True)
+        back = parse_moment_file(format_moment_file(s))
+        assert s.finite_degree() == back.finite_degree() == 31
+        assert back.value((32,)) == math.inf
+        assert check_subsequence_bounds(s, count=38) == check_subsequence_bounds(
+            back, count=38
+        )
+
+
+@st.composite
+def _dyadic_data(draw):
+    """Exact moments of 1..4 atoms ``2^e``, ``e`` in [-40, 40], with
+    ``Fraction`` weights summing to 1, through degree 4..40, so that entries
+    leave double range both ways."""
+    exponents = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(exponents), max_size=len(exponents)))
+    mu = AtomicMeasure(
+        1,
+        [
+            ((Fraction(2) ** e,), Fraction(w, sum(raw)))
+            for e, w in zip(exponents, raw)
+        ],
+        tol_atom=0.0,
+    )
+    return moments_of_atomic(mu, draw(st.integers(4, 40)), exact=True)
+
+
+def _outcome(fn, s, *args):
+    """The result of a diagnostic, or the type and message of its typed
+    error."""
+    try:
+        return fn(s, 0, *args)
+    except MomentError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_dyadic_data())
+def test_diagnostics_survive_a_moment_file_round_trip(s):
+    d = s.max_degree
+    back = parse_moment_file(format_moment_file(s))
+    calls = [
+        (stieltjes_terms, d),
+        (carleman_terms, d // 2),
+        (subsequence_terms, 2, d // 2),
+        (check_subsequence_bounds, 2, d - 2),
+    ]
+    for fn, *args in calls:
+        assert _outcome(fn, normalize(s), *args) == _outcome(
+            fn, normalize(back), *args
+        )

@@ -64,6 +64,28 @@ class TestMomentFiles:
         with pytest.raises(FileFormatError, match=r"\(1,\)"):
             format_moment_file(negative)
 
+    def test_exact_entries_below_double_range(self):
+        # A nonzero entry whose float is 0.0 becomes a log token, as one
+        # above range does; exact zero and float entries stay plain floats.
+        tiny = Fraction(1, 3 * 10**400)
+        s = MomentSequence(
+            1, 3, {(0,): Fraction(1), (1,): tiny, (2,): 0, (3,): 2.0**-1074}
+        )
+        text = format_moment_file(s)
+        assert text.splitlines()[1:] == [
+            "0 1.0",
+            f"1 log:{-math.log(3 * 10**400)!r}",
+            "2 0.0",
+            "3 5e-324",
+        ]
+        back = parse_moment_file(text)
+        assert back.log_value((1,)) == s.log_value((1,))
+        assert back.value((1,)) == 0.0
+
+        negative = MomentSequence(1, 1, {(0,): Fraction(1), (1,): -tiny})
+        with pytest.raises(FileFormatError, match=r"\(1,\)"):
+            format_moment_file(negative)
+
     def test_file_roundtrip(self, tmp_path):
         s = moments_of_atomic(AtomicMeasure(1, [((2.0,), 1.0)]), 3)
         path = tmp_path / "data.mom"

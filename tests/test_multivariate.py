@@ -180,6 +180,12 @@ class TestExtractAtoms:
         with pytest.raises(NotFlat):
             extract_atoms_auto(s)
 
+    def test_rank_zero_with_an_entry_beyond_double_range(self):
+        # The matrices see only zeros; the degree-3 entry reads as inf.
+        s = MomentSequence(1, 3, {(0,): 0, (1,): 0, (2,): 0, (3,): 10**400})
+        with pytest.raises(NotFlat, match="rank 0 but moments reach inf"):
+            extract_atoms_auto(s)
+
     def test_dim_one_agrees_with_recurrence_solver(self):
         mu = AtomicMeasure(1, [((2.0,), 1.25), ((5.0,), 0.75)])
         s = moments_of_atomic(mu, 4)

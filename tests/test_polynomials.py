@@ -208,6 +208,17 @@ class TestMomentSequence:
         s = MomentSequence(1, 6, values, {(5,): 900.0, (6,): 1100.0})
         assert s.finite_degree() == 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), degree=st.integers(0, 5))
+    def test_finite_degree_matches_the_nested_loop(self, data, dim, degree):
+        entry = st.sampled_from(_ENTRIES)
+        values = {
+            alpha: data.draw(entry) for alpha in monomials_up_to(dim, degree)
+        }
+        values[(0,) * dim] = data.draw(st.sampled_from([1.0, Fraction(10**400, 3)]))
+        s = MomentSequence(dim, degree, values)
+        assert s.finite_degree() == _reference_finite_degree(s)
+
     def test_restrict(self):
         s = _point_mass_sequence()
         r = s.restrict(2)
@@ -218,6 +229,27 @@ class TestMomentSequence:
 
     def test_equality(self):
         assert _point_mass_sequence() == _point_mass_sequence()
+
+
+#: Moment entries as floats (finite, infinite, NaN) and as exact numbers in
+#: and out of double range.
+_ENTRIES = [
+    2.5, -0.0, math.inf, -math.inf, math.nan, 3, Fraction(1, 3),
+    10**400, -(10**400), Fraction(10**400, 7), Fraction(1, 10**400),
+]
+
+
+def _reference_finite_degree(s: MomentSequence) -> int:
+    """:meth:`MomentSequence.finite_degree` as a loop over the degrees."""
+    for t in range(1, s.max_degree + 1):
+        for alpha in monomials_of_degree(s.dim, t):
+            try:
+                fv = float(s.values[alpha])
+            except OverflowError:
+                return t - 1
+            if not math.isfinite(fv):
+                return t - 1
+    return s.max_degree
 
 
 #: Coordinates that collide, differ by less than the tolerance, or are
