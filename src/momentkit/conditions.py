@@ -21,6 +21,10 @@ this package's contract.  All term arithmetic runs on natural logarithms of
 the moments, so entries far outside IEEE double range stay usable: a float
 entry through its supplied log value, an exact one through the log of its
 numerator and denominator, whether it over- or underflows as a float.
+
+The pure-power entries ``s[n e_j]`` are converted to floats and logged once
+per sequence and axis, on the first read, and kept on the sequence, which is
+immutable; every diagnostic run on one sequence reads that one conversion.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DegreeOverflow,
@@ -36,8 +43,8 @@ from .errors import (
     NotPositive,
     TrivialFunctional,
 )
-from .matrices import DEFAULT_PSD_TOL, localizing_matrix, moment_matrix, psd_check
-from .polynomials import MomentSequence, Polynomial, _exp, _log, _to_float
+from .matrices import DEFAULT_PSD_TOL, assemble, psd_check
+from .polynomials import MomentSequence, Scalar, _exp, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -114,10 +121,23 @@ def normalize(s: MomentSequence) -> MomentSequence:
             "mass s_0 = 0: a positive functional with zero mass is identically "
             "zero (zero measure)"
         )
-    values = {a: v / mass for a, v in s.values.items()}
+    values = {a: _divide(v, mass) for a, v in s.values.items()}
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
     return MomentSequence(s.dim, s.max_degree, values, logs)
+
+
+def _divide(value: Scalar, mass: Scalar) -> Scalar:
+    """``value / mass``.  Where that quotient raises, because a float meets
+    an exact number whose float over- or underflows, a non-finite float
+    stays as it is and any other entry becomes the correctly rounded float
+    of the exact quotient."""
+    try:
+        return value / mass
+    except (OverflowError, ZeroDivisionError):
+        if isinstance(value, float) and not math.isfinite(value):
+            return value
+        return _to_float(Fraction(value) / Fraction(mass))
 
 
 def _require_normalized(s: MomentSequence) -> None:
@@ -194,13 +214,9 @@ def _series_report(
             f"need marginal moments up to order {order * count}, data stops "
             f"at {s.max_degree}"
         )
-    terms: list[float] = []
-    degenerate = False
-    for n in range(1, count + 1):
-        lm = s.log_marginal(axis, n * order)
-        if lm == -math.inf:
-            degenerate = True
-        terms.append(_term_from_log(lm, n * root))
+    logs = s._marginal_logs(axis, range(order, order * count + 1, order))
+    terms = [_term_from_log(lm, n * root) for n, lm in enumerate(logs, 1)]
+    degenerate = -math.inf in logs
     sums = _partial_sums(terms)
     if degenerate:
         classification = DIVERGENCE_CONSISTENT
@@ -281,19 +297,25 @@ def check_subsequence_bounds(
             f"{s.max_degree}"
         )
 
-    marginal = s.marginal_sequence(axis, high)
-    reach = marginal.finite_degree()
+    floats = s._marginal_view(axis)[0]
+    # Matrices take the finite doubles m_0 .. m_reach.
+    reach = next(
+        (k - 1 for k in range(1, high + 1) if not math.isfinite(floats[k])), high
+    )
     plain_level = reach // 2
     shift_level = (reach - 1) // 2
-    plain = psd_check(moment_matrix(marginal, plain_level), tol_rel)
+    hankel = assemble(floats[: 2 * plain_level + 1], 1, plain_level)
+    plain = psd_check(hankel, tol_rel)
     if not plain.is_psd:
         raise HypothesisFailure(
             f"marginal moment matrix at level {plain_level} is not positive "
             f"semidefinite (min eigenvalue {plain.min_eigenvalue:g})"
         )
     if shift_level >= 0:
-        x = Polynomial.variable(1, 0)
-        shifted = psd_check(localizing_matrix(marginal, x, shift_level), tol_rel)
+        # ``0.0 +`` turns a -0.0 entry into 0.0, as the localizing matrix of
+        # ``x`` sums its terms onto zeros.
+        shift = 0.0 + np.array(floats[1 : 2 * shift_level + 2])
+        shifted = psd_check(assemble(shift, 1, shift_level), tol_rel)
         if not shifted.is_psd:
             raise HypothesisFailure(
                 f"index-shifted marginal moment matrix at level {shift_level} "
@@ -302,7 +324,8 @@ def check_subsequence_bounds(
             )
 
     # g_k = log(m_k) / k; roots are exp(g_k) and terms are exp(-g_k / 2).
-    g = {k: s.log_marginal(axis, k) / k for k in range(1, high + 1)}
+    logs = s._marginal_logs(axis, range(1, high + 1))
+    g = {k: lm / k for k, lm in enumerate(logs, 1)}
 
     def diff(a: float, b: float) -> float:
         # a - b with the convention that equal infinities cancel to zero.

@@ -6,10 +6,12 @@ Moment file::
     <a1> <a2> ... <ad> <value>
 
 with one line per multi-index, covering every ``|alpha| <= D`` exactly once
-in graded-lex order.  ``<value>`` is either a decimal float or
-``log:<decimal>`` carrying the natural logarithm of an entry that has a
-stored log or is exact and outside double range (the log is then
+in graded-lex order.  ``<value>`` is either a finite decimal float or
+``log:<decimal>`` carrying the finite natural logarithm of an entry that has
+a stored log or is exact and outside double range (the log is then
 authoritative and the stored value is its exponential, possibly ``inf``).
+A value that reads as ``nan`` or ``inf``, or a decimal that overflows a
+double, is refused: such an entry has to be written as a ``log:`` token.
 
 Measure file::
 
@@ -131,15 +133,25 @@ def parse_moment_file(text: str) -> MomentSequence:
                 raise FileFormatError(
                     f"line {lineno}: bad log value {raw!r}"
                 ) from exc
+            if not math.isfinite(lv):
+                raise FileFormatError(
+                    f"line {lineno}: log value {raw!r} is not finite"
+                )
             logs[idx] = lv
             values[idx] = _exp(lv)
         else:
             try:
-                values[idx] = float(raw)
+                value = float(raw)
             except ValueError as exc:
                 raise FileFormatError(
                     f"line {lineno}: bad value {raw!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise FileFormatError(
+                    f"line {lineno}: value {raw!r} is not a finite double; "
+                    f"write an entry outside double range as 'log:<natural log>'"
+                )
+            values[idx] = value
     try:
         return MomentSequence(dim, degree, values, logs)
     except Exception as exc:

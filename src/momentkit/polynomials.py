@@ -367,9 +367,12 @@ class MomentSequence:
         Natural logarithms for (some) entries.  When present for an index it
         is authoritative for log-domain computations, which is how entries
         too large for IEEE doubles stay usable.
+
+    The object is immutable: nothing changes ``values`` or ``log_values``
+    after construction, so what is derived from them may be kept.
     """
 
-    __slots__ = ("dim", "max_degree", "values", "log_values")
+    __slots__ = ("dim", "max_degree", "values", "log_values", "_marginals")
 
     def __init__(
         self,
@@ -401,6 +404,8 @@ class MomentSequence:
         self.max_degree = max_degree
         self.values = store
         self.log_values = logs
+        # axis -> (floats, logs) of its pure powers, made on the first read
+        self._marginals: dict | None = None
 
     # -- access ----------------------------------------------------------
 
@@ -442,7 +447,43 @@ class MomentSequence:
         return self.value(self._axis_index(axis, order))
 
     def log_marginal(self, axis: int, order: int) -> float:
-        return self.log_value(self._axis_index(axis, order))
+        """:meth:`log_value` of the pure-power entry ``s[order * e_axis]``."""
+        if not 0 <= order <= self.max_degree:
+            return self.log_value(self._axis_index(axis, order))  # raises
+        return self._marginal_logs(axis, range(order, order + 1))[0]
+
+    def _marginal_logs(self, axis: int, orders: range) -> list[float]:
+        """:meth:`log_marginal` of every order in ``orders``, from the
+        marginal view; the first negative entry read raises."""
+        logs = self._marginal_view(axis)[1]
+        picked = [logs[n] for n in orders]
+        if None in picked:
+            idx = self._axis_index(axis, orders[picked.index(None)])
+            raise NegativeMoment(f"moment at {idx} is negative: {self.values[idx]}")
+        return picked
+
+    def _marginal_view(self, axis: int) -> tuple[list[float], list[float | None]]:
+        """``_to_float`` and :meth:`log_value` of ``s[n * e_axis]`` for
+        ``n = 0..max_degree``, converted on the first read of ``axis`` and
+        kept.  A negative entry without a stored log has the log ``None``,
+        so that :class:`NegativeMoment` is raised only where it is read
+        (:meth:`_marginal_logs`)."""
+        if self._marginals is None:
+            self._marginals = {}
+        view = self._marginals.get(axis)
+        if view is None:
+            floats: list[float] = []
+            logs: list[float | None] = []
+            for n in range(self.max_degree + 1):
+                idx = self._axis_index(axis, n)
+                v = self.values[idx]
+                floats.append(_to_float(v))
+                lv = self.log_values.get(idx)
+                if lv is None:
+                    lv = None if v < 0 else NEG_INF if v == 0 else _log(v)
+                logs.append(lv)
+            view = self._marginals[axis] = (floats, logs)
+        return view
 
     def marginal_sequence(self, axis: int, max_order: int) -> "MomentSequence":
         """The 1-D data ``m_n = s[n * e_axis]`` for ``n = 0..max_order``,

@@ -339,6 +339,39 @@ def test_diagnose_reports_all_series(tmp_path, capsys):
     assert bounds["sum_lhs"] <= bounds["sum_rhs"] + 1e-9
 
 
+def point_mass_file(tmp_path, last):
+    """A point mass at 2 written to degree 8, with ``last`` as the value of
+    the degree-8 line."""
+    lines = [f"{n} {2.0**n!r}" for n in range(8)] + [f"8 {last}"]
+    path = tmp_path / "point.mom"
+    path.write_text("momentfile v1 dim=1 degree=8\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "check"])
+@pytest.mark.parametrize("last", ["inf", "nan", "1e400"])
+def test_non_finite_moment_value_exits_2(tmp_path, capsys, command, last):
+    # Read as data, ``inf`` made bounded support look convergence-consistent
+    # and ``nan`` gave a ``nan`` term.
+    code, report = run_json(capsys, command, point_mass_file(tmp_path, last))
+    assert code == EXIT_INPUT
+    assert report["error"].startswith("line 10: ")
+    assert "log:" in report["error"]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "check"])
+def test_point_mass_with_log_token_is_read(tmp_path, capsys, command):
+    # The same entry, 2^8, as a log token: bounded support reads divergent.
+    last = f"log:{8 * math.log(2)!r}"
+    code, report = run_json(capsys, command, point_mass_file(tmp_path, last))
+    assert code == EXIT_OK
+    if command == "diagnose":
+        series = report["axes"][0]["stieltjes"]
+    else:
+        series = report["growth"][0]
+    assert series["classification"] == "divergence-consistent"
+
+
 def test_diagnose_axis_out_of_range(tmp_path, capsys):
     moments = make_factorial_file(tmp_path, degree=8)
     code, report = run_json(capsys, "diagnose", moments, "--axis", "1")

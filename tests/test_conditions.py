@@ -28,8 +28,11 @@ from momentkit import (
     stieltjes_terms,
     subsequence_terms,
 )
-from momentkit.errors import NotPositive
+from momentkit import conditions
+from momentkit.errors import NegativeMoment, NotPositive
 from momentkit.fileformats import format_moment_file, parse_moment_file
+from momentkit.matrices import localizing_matrix, moment_matrix, psd_check
+from momentkit.polynomials import Polynomial, _exp, _log, _to_float
 
 
 class TestNormalize:
@@ -317,3 +320,317 @@ def test_diagnostics_survive_a_moment_file_round_trip(s):
         assert _outcome(fn, normalize(s), *args) == _outcome(
             fn, normalize(back), *args
         )
+
+
+class TestNormalizeBesideAnExactMass:
+    """A float entry beside an exact mass whose float over- or underflows."""
+
+    MASS = Fraction(10**400, 3)
+
+    def test_inf_marker_stays_and_its_log_shifts(self):
+        s = MomentSequence(
+            1, 2, {(0,): self.MASS, (1,): self.MASS, (2,): math.inf}, {(2,): 2000.0}
+        )
+        n = normalize(s)
+        assert n.values == {(0,): 1, (1,): 1, (2,): math.inf}
+        assert n.log_value((2,)) == 2000.0 - _log(self.MASS)
+
+    def test_finite_float_becomes_the_rounded_exact_quotient(self):
+        tiny = 1 / self.MASS
+        for mass, v in ((self.MASS, 5e300), (self.MASS, -2.5), (tiny, 5e-300)):
+            s = MomentSequence(1, 2, {(0,): mass, (1,): v, (2,): mass})
+            assert normalize(s).values[(1,)] == float(Fraction(v) / mass)
+
+    def test_quotients_that_do_not_raise_are_unchanged(self):
+        cases = [
+            (2.0, [0.1, -0.0, math.inf, 3e-320]),
+            (Fraction(3), [0.1, Fraction(1, 7), 2, 1e300]),
+            (Fraction(1, 3), [0.1, Fraction(1, 7), 10**400]),
+            (7, [0.1, 5, Fraction(2, 3)]),
+        ]
+        for mass, entries in cases:
+            values = {(0,): mass, **{(n + 1,): v for n, v in enumerate(entries)}}
+            got = normalize(MomentSequence(1, len(entries), values)).values
+            for alpha, v in values.items():
+                assert repr(got[alpha]) == repr(v / mass)
+
+
+class TestSignedMarginals:
+    """Negative odd moments (atoms on both sides of 0) are read only where a
+    diagnostic asks for them."""
+
+    @staticmethod
+    def signed():
+        mu = AtomicMeasure(1, [((-2.0,), 0.5), ((1.0,), 0.5)])
+        return normalize(moments_of_atomic(mu, 8))
+
+    def test_carleman_returns_where_stieltjes_raises(self):
+        s = self.signed()
+        with pytest.raises(NegativeMoment) as per_entry:
+            s.log_value((1,))
+        assert carleman_terms(s, count=4).terms == [
+            math.exp(-math.log(s.value((2 * n,))) / (2 * n)) for n in range(1, 5)
+        ]
+        with pytest.raises(NegativeMoment) as raised:
+            stieltjes_terms(s, count=8)
+        assert str(raised.value) == str(per_entry.value) == (
+            "moment at (1,) is negative: -0.5"
+        )
+        with pytest.raises(NegativeMoment, match=r"moment at \(3,\) is negative"):
+            subsequence_terms(s, stride=3, count=2)
+
+    def test_hypothesis_failure_comes_before_negative_moment(self):
+        with pytest.raises(HypothesisFailure):
+            check_subsequence_bounds(self.signed(), stride=2, count=4)
+
+    def test_stored_log_of_a_negative_entry_wins(self):
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): -1.0, (2,): 1.0}, {(1,): 0.0})
+        assert s.log_marginal(0, 1) == 0.0
+        assert stieltjes_terms(s, count=2).terms == [1.0, 1.0]
+
+    def test_log_marginal_argument_errors_are_unchanged(self):
+        s = self.signed()
+        for axis, order, error, message in [
+            (1, 2, ValueError, "axis 1 out of range for dimension 1"),
+            (1, -1, ValueError, "axis 1 out of range for dimension 1"),
+            (0, -1, ValueError, "order must be >= 0, got -1"),
+            (0, 9, DegreeOverflow, r"moment index \(9,\) exceeds truncation degree 8"),
+            (0, 3, NegativeMoment, r"moment at \(3,\) is negative: -3.5"),
+        ]:
+            with pytest.raises(error, match=message):
+                s.log_marginal(axis, order)
+
+
+# -- the per-entry reference ----------------------------------------------
+#
+# The four diagnostics as they read one entry at a time: every log through
+# ``log_value`` and the Hankels of ``check_subsequence_bounds`` from a
+# marginal ``MomentSequence``.
+
+
+def _reference_log_marginal(s, axis, order):
+    return s.log_value(s._axis_index(axis, order))
+
+
+def _reference_series(s, axis, count, order, root):
+    conditions._require_normalized(s)
+    if order < 1:
+        raise ValueError(f"stride must be >= 1, got {order}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if order * count > s.max_degree:
+        raise DegreeOverflow(
+            f"need marginal moments up to order {order * count}, data stops "
+            f"at {s.max_degree}"
+        )
+    terms = []
+    degenerate = False
+    for n in range(1, count + 1):
+        lm = _reference_log_marginal(s, axis, n * order)
+        if lm == -math.inf:
+            degenerate = True
+        terms.append(conditions._term_from_log(lm, n * root))
+    sums = conditions._partial_sums(terms)
+    if degenerate:
+        classification = DIVERGENCE_CONSISTENT
+        details = {"rule": "degenerate-zero-moment"}
+    else:
+        classification, details = conditions._classify(terms)
+    return conditions.DiagnosticReport(
+        terms, sums, classification, details, degenerate
+    )
+
+
+def _reference_bounds(s, axis, stride, count):
+    conditions._require_normalized(s)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if count < stride:
+        raise ValueError(f"count must be >= stride, got {count} < {stride}")
+    high = stride * (count // stride + 1)
+    if high > s.max_degree:
+        raise DegreeOverflow(
+            f"need marginal moments up to order {high}, data stops at "
+            f"{s.max_degree}"
+        )
+    marginal = s.marginal_sequence(axis, high)
+    reach = marginal.finite_degree()
+    plain_level = reach // 2
+    shift_level = (reach - 1) // 2
+    plain = psd_check(moment_matrix(marginal, plain_level))
+    if not plain.is_psd:
+        raise HypothesisFailure(
+            f"marginal moment matrix at level {plain_level} is not positive "
+            f"semidefinite (min eigenvalue {plain.min_eigenvalue:g})"
+        )
+    if shift_level >= 0:
+        x = Polynomial.variable(1, 0)
+        shifted = psd_check(localizing_matrix(marginal, x, shift_level))
+        if not shifted.is_psd:
+            raise HypothesisFailure(
+                f"index-shifted marginal moment matrix at level {shift_level} "
+                f"is not positive semidefinite (min eigenvalue "
+                f"{shifted.min_eigenvalue:g})"
+            )
+    g = {k: _reference_log_marginal(s, axis, k) / k for k in range(1, high + 1)}
+
+    def diff(a, b):
+        return 0.0 if a == b else a - b
+
+    monotone_margin = min(diff(g[k + 1], g[k]) for k in range(1, high))
+    termwise_margin = 0.0
+    for q in range(1, count // stride + 1):
+        base = q * stride
+        for r in range(1, stride):
+            idx = base + r
+            if idx > count:
+                break
+            termwise_margin = max(termwise_margin, diff(g[base], g[idx]) / 2.0)
+
+    def term(k):
+        return conditions._term_from_log(g[k] * k, k)
+
+    sum_lhs = math.fsum(term(n) for n in range(stride, count + 1))
+    sum_rhs = stride * math.fsum(
+        term(q * stride) for q in range(1, count // stride + 2)
+    )
+    if math.isinf(sum_lhs) and math.isinf(sum_rhs):
+        sum_ok = True
+    else:
+        sum_ok = sum_lhs <= sum_rhs * (1.0 + conditions.INEQUALITY_SLACK)
+    return conditions.SubsequenceBoundsReport(
+        stride=stride,
+        count=count,
+        hankel_level=plain_level,
+        monotone_ok=monotone_margin >= -conditions.INEQUALITY_SLACK,
+        monotone_margin=monotone_margin,
+        termwise_ok=termwise_margin <= conditions.INEQUALITY_SLACK,
+        termwise_margin=termwise_margin,
+        sum_ok=sum_ok,
+        sum_lhs=sum_lhs,
+        sum_rhs=sum_rhs,
+    )
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        MomentSequence(1, 6, {(k,): -0.0 if k % 2 else 1.0 for k in range(7)}),
+        moments_factorial(12),
+        moments_lognormal(44),
+        normalize(
+            moments_of_atomic(AtomicMeasure(1, [((Fraction(-1, 3),), 1)]), 9, exact=True)
+        ),
+    ],
+)
+def test_bound_hankels_are_the_marginal_matrices_bit_for_bit(s, monkeypatch):
+    checked = []
+
+    def spy(matrix, tol_rel):
+        checked.append(getattr(matrix, "entries", matrix).tobytes())
+        return psd_check(matrix, tol_rel)
+
+    monkeypatch.setattr(conditions, "psd_check", spy)
+    count = s.max_degree - 2
+    try:
+        check_subsequence_bounds(s, 0, 2, count)
+    except HypothesisFailure:
+        pass
+    marginal = s.marginal_sequence(0, 2 * (count // 2 + 1))
+    reach = marginal.finite_degree()
+    expected = [moment_matrix(marginal, reach // 2).entries.tobytes()]
+    if reach >= 1:
+        x = Polynomial.variable(1, 0)
+        expected.append(localizing_matrix(marginal, x, (reach - 1) // 2).entries.tobytes())
+    assert checked == expected[: len(checked)] and checked
+
+
+#: Atom coordinates: signed, zero, and far enough from 1 that high moments
+#: leave double range both ways.
+_COORDINATES = [
+    Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+    Fraction(-1), Fraction(-3, 2), Fraction(2) ** 40, Fraction(1, 2**40),
+]
+
+
+@st.composite
+def _edited_data(draw):
+    """Exact moments of 1..4 atoms in one or two dimensions, kept exact or
+    read as floats (an entry past double range then becomes ``inf`` with its
+    log stored, as a moment file holds it), with some pure powers of one axis
+    overwritten by zeros, negated, or replaced by ``log:`` entries."""
+    dim = draw(st.integers(1, 2))
+    degree = draw(st.integers(2, 30))
+    points = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(_COORDINATES)] * dim),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    mu = AtomicMeasure(
+        dim,
+        [(p, Fraction(w, sum(raw))) for p, w in zip(points, raw)],
+        tol_atom=0.0,
+    )
+    exact = moments_of_atomic(mu, degree, exact=True)
+    values, logs = dict(exact.values), {}
+    if not draw(st.booleans()):
+        for alpha, v in exact.values.items():
+            values[alpha] = _to_float(v)
+            if values[alpha] == math.inf:
+                logs[alpha] = _log(v)
+    axis = draw(st.integers(0, dim - 1))
+    kinds = st.sampled_from(["zero", "negative-zero", "negate", "log", "nan"])
+    for order, kind in draw(st.dictionaries(st.integers(1, degree), kinds)).items():
+        alpha = tuple(order if j == axis else 0 for j in range(dim))
+        logs.pop(alpha, None)
+        v = values[alpha]
+        if kind == "zero":
+            values[alpha] = 0.0 if isinstance(v, float) else Fraction(0)
+        elif kind == "negative-zero":
+            values[alpha] = -0.0
+        elif kind == "negate":
+            values[alpha] = -v
+        elif kind == "log":
+            logs[alpha] = draw(st.floats(-800.0, 3000.0))
+            values[alpha] = _exp(logs[alpha])
+        else:
+            values[alpha] = math.nan
+    return normalize(MomentSequence(dim, degree, values, logs))
+
+
+def _full_outcome(fn, *args):
+    """``repr`` of a report with every field, or the type and message of
+    the error raised."""
+    try:
+        return repr(fn(*args))
+    except (MomentError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_edited_data(), data=st.data())
+def test_diagnostics_equal_the_per_entry_reference(s, data):
+    d = s.max_degree
+    axis = data.draw(st.integers(0, s.dim))  # one past the last is an error
+    count = data.draw(st.integers(1, d))
+    stride = data.draw(st.integers(1, 3))
+    bound_count = data.draw(st.integers(stride, max(stride, d - stride)))
+    # The order of a solve-1d operation: the first call fills the view, the
+    # others read it.
+    half, strided = max(1, count // 2), max(1, count // stride)
+    calls = [
+        (stieltjes_terms, (count,), (count, 1, 1)),
+        (carleman_terms, (half,), (half, 2, 1)),
+        (subsequence_terms, (stride, strided), (strided, stride, stride)),
+    ]
+    for fn, args, ref_args in calls:
+        assert _full_outcome(fn, s, axis, *args) == _full_outcome(
+            _reference_series, s, axis, *ref_args
+        )
+    assert _full_outcome(
+        check_subsequence_bounds, s, axis, stride, bound_count
+    ) == _full_outcome(_reference_bounds, s, axis, stride, bound_count)

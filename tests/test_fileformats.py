@@ -125,6 +125,32 @@ class TestMomentFiles:
         assert float(s.value((1,))) == math.inf
 
 
+class TestNonFiniteMomentValues:
+    """A value or log that is not a finite double names its line; an entry
+    past double range has to be a ``log:`` token."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e400", "-1e400"])
+    def test_value_rejected(self, token):
+        text = f"momentfile v1 dim=1 degree=2\n0 1.0\n1 2.0\n2 {token}\n"
+        with pytest.raises(FileFormatError, match=r"^line 4: .*'log:"):
+            parse_moment_file(text)
+
+    @pytest.mark.parametrize("token", ["log:nan", "log:inf", "log:-inf", "log:1e400"])
+    def test_log_rejected(self, token):
+        text = f"momentfile v1 dim=1 degree=1\n0 1.0\n1 {token}\n"
+        with pytest.raises(FileFormatError, match=r"^line 3: log value .* is not finite"):
+            parse_moment_file(text)
+
+    def test_largest_finite_values_still_read(self):
+        text = (
+            "momentfile v1 dim=1 degree=2\n"
+            "0 1.0\n1 1.7976931348623157e308\n2 log:1e300\n"
+        )
+        s = parse_moment_file(text)
+        assert s.value((1,)) == 1.7976931348623157e308
+        assert s.value((2,)) == math.inf and s.log_value((2,)) == 1e300
+
+
 class TestMeasureFiles:
     def test_roundtrip(self):
         mu = AtomicMeasure(2, [((1.0, 2.0), 0.5), ((0.0, 4.0), 1.5)])

@@ -7,7 +7,11 @@ Run from the repository root::
 The pool is built from ``--seed`` exactly as ``benchmarks/run.py`` builds it.
 Each problem's operation runs once, and one line per problem is printed:
 its index, its kind and the SHA-256 of ``repr(answer)``.  The last line
-digests all of them.  For ``reduce-curve`` the answer is every ``check`` and
+digests all of them.  For ``solve-1d`` the answer is the operation's own
+answer followed by the full reports of its four growth diagnostics (terms,
+partial sums, fit details, margins and ``hankel_level``), called with the
+operation's arguments, where the operation keeps only the classifications
+and ``passed``.  For ``reduce-curve`` the answer is every ``check`` and
 ``pipeline`` exit code, its ``--format json`` report with the work directory
 masked, and the ``.atoms`` file the pipeline wrote.
 
@@ -55,6 +59,24 @@ def curve_answer(problem, workdir: Path) -> tuple:
     return (*outputs, atoms)
 
 
+def growth_reports(problem) -> tuple:
+    """The four diagnostics of one solve-1d problem, as its operation calls
+    them on the normalized data, with every field of their reports."""
+    from momentkit import conditions
+
+    d = problem.data
+    sn = conditions.normalize(d["s"])
+    degree, stride = sn.max_degree, d["stride"]
+    return (
+        conditions.stieltjes_terms(sn, 0, degree),
+        conditions.carleman_terms(sn, 0, degree // 2),
+        conditions.subsequence_terms(sn, 0, stride, degree // stride),
+        conditions.check_subsequence_bounds(
+            sn, 0, stride, stride * (degree // stride - 1)
+        ),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=run.WORKLOADS_ORDER)
@@ -75,6 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         for i, problem in enumerate(pool):
             if wl.name == "reduce-curve":
                 answer = curve_answer(problem, workdir)
+            elif wl.name == "solve-1d":
+                answer = (wl.op(problem, ctx), growth_reports(problem))
             else:
                 answer = wl.op(problem, ctx)
             digest = hashlib.sha256(repr(answer).encode()).hexdigest()
