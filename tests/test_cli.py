@@ -206,6 +206,19 @@ def test_generate_rejects_bad_specs(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_generate_atom_row_of_wrong_length_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, "short.json", atomic_spec(2, 2, [[1.0, 2.0]]))
+    out = tmp_path / "o.mom"
+    code, report = run_json(capsys, "generate", spec, str(out))
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "bad fixture spec: atom row [1.0, 2.0] must hold a weight "
+        "and 2 coordinates",
+        "exit": EXIT_INPUT,
+    }
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -318,6 +331,41 @@ def test_check_zero_mass_is_trivial_pass(tmp_path, capsys):
     assert "zero mass" in report["note"]
 
 
+def test_check_negative_mass_fails(tmp_path, capsys):
+    path = tmp_path / "neg.mom"
+    path.write_text("momentfile v1 dim=1 degree=2\n0 -1.0\n1 0.0\n2 1.0\n")
+    code, report = run_json(capsys, "check", str(path))
+    assert code == EXIT_FAIL
+    assert report == {
+        "moments": str(path),
+        "dim": 1,
+        "degree": 2,
+        "generators": ["x1"],
+        "verdict": "fail",
+        "reason": "mass s_0 = -1.0 is negative",
+    }
+
+
+def test_check_constraint_deeper_than_finite_prefix_exits_2(tmp_path, capsys):
+    # A point mass at e^300: s_3 = e^900 and s_4 = e^1200 are past double
+    # range, so matrices see degree 2 only, too shallow for x1^3.
+    path = tmp_path / "far.mom"
+    path.write_text(
+        "momentfile v1 dim=1 degree=4\n"
+        f"0 1.0\n1 {math.exp(300)!r}\n2 {math.exp(600)!r}\n"
+        "3 log:900.0\n4 log:1200.0\n"
+    )
+    gens = tmp_path / "cube.txt"
+    gens.write_text("x1^3\n")
+    code, report = run_json(capsys, "check", str(path), str(gens))
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "constraint degree 3 exceeds the finite part of the data "
+        "(degree 2)",
+        "exit": EXIT_INPUT,
+    }
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -378,6 +426,59 @@ def test_diagnose_axis_out_of_range(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "mass, reason",
+    [
+        ("0.0", "mass s_0 = 0: a positive functional with zero mass is "
+         "identically zero (zero measure)"),
+        ("-1.0", "mass s_0 = -1.0 is negative"),
+    ],
+)
+def test_diagnose_without_positive_mass_exits_2(tmp_path, capsys, mass, reason):
+    path = tmp_path / "mass.mom"
+    path.write_text(f"momentfile v1 dim=1 degree=2\n0 {mass}\n1 0.0\n2 1.0\n")
+    code, report = run_json(capsys, "diagnose", str(path))
+    assert code == EXIT_INPUT
+    assert report == {"error": f"cannot normalize: {reason}", "exit": EXIT_INPUT}
+
+
+def test_diagnose_negative_odd_moment_is_reported(tmp_path, capsys):
+    # A point mass at -2: the Stieltjes series stops at s_1 = -2, the even
+    # Carleman series still runs.
+    path = tmp_path / "minus.mom"
+    path.write_text(
+        "momentfile v1 dim=1 degree=4\n"
+        + "".join(f"{n} {(-2.0) ** n!r}\n" for n in range(5))
+    )
+    code, report = run_json(capsys, "diagnose", str(path))
+    assert code == EXIT_OK
+    entry = report["axes"][0]
+    assert entry["stieltjes"] == {
+        "classification": "negative-moment",
+        "reason": "moment at (1,) is negative: -2.0",
+    }
+    assert entry["carleman"]["count"] == 2
+
+
+def test_diagnose_subsequence_bounds_on_non_psd_hankel(tmp_path, capsys):
+    # s_2 = 0.5 < s_1^2: the marginal Hankel at level 2 is not PSD, while
+    # every entry is positive, so the growth series still run.
+    path = tmp_path / "notpsd.mom"
+    path.write_text(
+        "momentfile v1 dim=1 degree=4\n0 1.0\n1 1.0\n2 0.5\n3 1.0\n4 1.0\n"
+    )
+    code, report = run_json(capsys, "diagnose", str(path), "--stride", "2")
+    assert code == EXIT_OK
+    entry = report["axes"][0]
+    assert list(entry) == [
+        "axis", "stieltjes", "carleman", "subsequence", "subsequence_bounds"
+    ]
+    assert list(entry["subsequence_bounds"]) == ["error"]
+    assert entry["subsequence_bounds"]["error"].startswith(
+        "marginal moment matrix at level 2 is not positive semidefinite"
+    )
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -409,6 +510,36 @@ def test_solve_into_missing_directory_exits_2(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert report["exit"] == EXIT_INPUT
     assert report["error"]["type"] == "FileNotFoundError"
+
+
+def test_solve_missing_moment_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "solve", str(tmp_path / "none.mom"), str(out))
+    assert code == EXIT_INPUT
+    assert list(report) == ["error", "exit"]
+    assert report["exit"] == EXIT_INPUT
+    assert "No such file" in report["error"]
+    assert not out.exists()
+
+
+def test_solve_reports_a_clamped_node(tmp_path, capsys):
+    # Atoms at -1e-10 and 1: the node below zero is inside NODE_TOL, so it
+    # is clamped to 0 with a warning that the report carries.
+    path = tmp_path / "clamp.mom"
+    path.write_text(
+        "momentfile v1 dim=1 degree=4\n"
+        + "".join(f"{n} {0.5 * (-1e-10) ** n + 0.5!r}\n" for n in range(5))
+    )
+    code, report = run_json(capsys, "solve", str(path), str(tmp_path / "o.atoms"))
+    assert code == EXIT_OK
+    assert list(report) == [
+        "moments", "dim", "degree", "mode", "rank", "stieltjes_supported",
+        "max_residual", "jacobi_diag", "jacobi_offdiag", "warnings",
+        "measure", "out",
+    ]
+    (warning,) = report["warnings"]
+    assert warning.startswith("clamped 1 slightly negative node(s) to zero")
+    assert [a["point"] for a in report["measure"]["atoms"]] == [[0.0], [1.0]]
 
 
 def test_solve_multivariate_md_mode(tmp_path, capsys):
@@ -508,6 +639,25 @@ def test_reduce_into_missing_directory_exits_2(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "No such file" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "gens_text, message",
+    [(None, "No such file"), ("x1 x2\n", "line 1")],
+    ids=["missing", "malformed"],
+)
+def test_reduce_unreadable_generators_exits_2(tmp_path, capsys, gens_text, message):
+    moments, _ = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    gens = tmp_path / "bad-gens.txt"
+    if gens_text is not None:
+        gens.write_text(gens_text)
+    out = tmp_path / "p.mom"
+    code, report = run_json(capsys, "reduce", moments, str(gens), str(out))
+    assert code == EXIT_INPUT
+    assert list(report) == ["error", "exit"]
+    assert report["exit"] == EXIT_INPUT
+    assert message in report["error"]
+    assert not out.exists()
 
 
 def test_reduce_non_generating_set_fails_without_override(tmp_path, capsys):
@@ -704,6 +854,27 @@ def test_pipeline_into_missing_directory_exits_2(tmp_path, capsys):
     assert write["ok"] is False
     assert "No such file" in write["error"]
     assert "out" not in report
+
+
+def test_pipeline_solve_failure_exits_5(tmp_path, capsys):
+    # Three atoms on the parabola at degree 4 push to image degree 2, where
+    # no flat level exists.
+    atoms = [[0.4, 1.0, 1.0], [0.4, 2.0, 4.0], [0.2, 3.0, 9.0]]
+    moments, gens = make_curve_inputs(tmp_path, capsys, atoms, degree=4)
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "pipeline", moments, gens, str(out))
+    assert code == EXIT_SOLVE
+    assert list(report) == ["stages", "exit"]
+    assert report["exit"] == EXIT_SOLVE
+    assert [st["stage"] for st in report["stages"]] == [
+        "inputs", "generation", "pushforward", "solve"
+    ]
+    solve = report["stages"][-1]
+    assert list(solve) == ["stage", "ok", "error_type", "error"]
+    assert solve["ok"] is False
+    assert solve["error_type"] == "NotFlat"
+    assert solve["error"].startswith("no truncation level up to 1")
+    assert not out.exists()
 
 
 def test_pipeline_too_deep_image_degree_exits_2_like_reduce(tmp_path, capsys):
