@@ -325,6 +325,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         s = fileformats.read_moment_file(args.moments)
     except (OSError, FileFormatError) as exc:
         return _fail_input(str(exc), args.format)
+    if s.max_degree < 1:
+        return _fail_input(
+            "growth diagnostics need moments of degree 1 or more; the data "
+            "has degree 0",
+            args.format,
+        )
     try:
         s_norm = conditions.normalize(s)
     except (TrivialFunctional, NotPositive) as exc:

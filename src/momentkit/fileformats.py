@@ -62,7 +62,9 @@ def format_moment_file(s: MomentSequence) -> str:
     Raises
     ------
     FileFormatError
-        If such an entry is negative (no log token can hold it).
+        If such an entry is negative (no log token can hold it), or if a
+        float entry with no stored log is ``nan`` or infinite (the reader
+        refuses it).
     """
     lines = [f"momentfile v1 dim={s.dim} degree={s.max_degree}"]
     for alpha in s.indices():
@@ -73,6 +75,11 @@ def format_moment_file(s: MomentSequence) -> str:
         value = s.values[alpha]
         fv = _to_float(value)
         if not isinstance(value, (int, Fraction)) or not value or 0 < abs(fv) < math.inf:
+            if not math.isfinite(fv):
+                raise FileFormatError(
+                    f"moment {alpha} is {fv!r} and has no stored log; a "
+                    f"moment file cannot hold it"
+                )
             lines.append(f"{exps} {fv!r}")
         elif value < 0:
             raise FileFormatError(

@@ -23,7 +23,7 @@ from momentkit.cli import (
     build_parser,
     main,
 )
-from momentkit.polynomials import AtomicMeasure
+from momentkit.polynomials import AtomicMeasure, monomials_up_to
 
 
 def run_json(capsys, *argv):
@@ -155,6 +155,21 @@ def test_generate_negative_entry_beyond_double_range_exits_2(tmp_path, capsys):
     code, report = run_json(capsys, "generate", spec, str(out), "--exact")
     assert code == EXIT_INPUT
     assert "(11,)" in report["error"]
+    assert not out.exists()
+
+
+def test_generate_overflowing_float_entry_exits_2(tmp_path, capsys):
+    # Float moments of weight 1e300 at 1e5 overflow at degree 2; the reader
+    # would refuse the inf entry, so the writer refuses it.
+    spec = write_spec(tmp_path, "big.json", atomic_spec(1, 2, [[1e300, 1e5]]))
+    out = tmp_path / "big.mom"
+    code, report = run_json(capsys, "generate", spec, str(out))
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "moment (2,) is inf and has no stored log; a moment file "
+        "cannot hold it",
+        "exit": EXIT_INPUT,
+    }
     assert not out.exists()
 
 
@@ -426,6 +441,26 @@ def test_diagnose_axis_out_of_range(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diagnose_degree_0_data_exits_2(tmp_path, capsys, dim, fmt):
+    # No growth series has a term at degree 0; the report says so instead
+    # of a traceback.
+    path = tmp_path / "mass.mom"
+    path.write_text(f"momentfile v1 dim={dim} degree=0\n{'0 ' * dim}1.0\n")
+    code = main(["diagnose", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == EXIT_INPUT
+    message = (
+        "growth diagnostics need moments of degree 1 or more; the data has "
+        "degree 0"
+    )
+    if fmt == "json":
+        assert json.loads(out) == {"error": message, "exit": EXIT_INPUT}
+    else:
+        assert out == f"error: {message}\nexit: {EXIT_INPUT}\n"
+
+
 @pytest.mark.parametrize(
     "mass, reason",
     [
@@ -639,6 +674,32 @@ def test_reduce_into_missing_directory_exits_2(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "No such file" in report["error"]
+
+
+def test_reduce_overflowing_float_pushforward_exits_2(tmp_path, capsys):
+    # Float data whose degree-4 entries are 5e307: (x1 + x2)^4 pushes them
+    # past double range, and a file holding the inf entries would not read
+    # back.
+    lines = ["momentfile v1 dim=2 degree=4"]
+    for alpha in monomials_up_to(2, 4):
+        value = 5e307 if sum(alpha) == 4 else float(1 + sum(alpha))
+        lines.append(f"{alpha[0]} {alpha[1]} {value!r}")
+    moments = tmp_path / "big.mom"
+    moments.write_text("\n".join(lines) + "\n")
+    gens = tmp_path / "sum.txt"
+    gens.write_text("x1 + x2\nx1\n")
+    out = tmp_path / "pushed.mom"
+    code, report = run_json(
+        capsys, "reduce", str(moments), str(gens), str(out),
+        "--image-degree", "4", "--allow-subalgebra",
+    )
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "moment (4, 0) is inf and has no stored log; a moment file "
+        "cannot hold it",
+        "exit": EXIT_INPUT,
+    }
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1013,3 +1074,4 @@ def test_non_integer_flag_keeps_the_argparse_message(capsys):
         main(["check", "m.mom", "--count", "abc"])
     assert exc.value.code == EXIT_INPUT
     assert "--count: invalid int value: 'abc'" in capsys.readouterr().err
+

@@ -86,6 +86,21 @@ class TestMomentFiles:
         with pytest.raises(FileFormatError, match=r"\(1,\)"):
             format_moment_file(negative)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_without_log_refused(self, tmp_path, value):
+        # The reader refuses such a value, so the writer does not write it;
+        # a stored log still carries an infinite value (roundtrip above).
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): value})
+        with pytest.raises(
+            FileFormatError,
+            match=rf"^moment \(2,\) is {value!r} and has no stored log",
+        ):
+            format_moment_file(s)
+        path = tmp_path / "bad.mom"
+        with pytest.raises(FileFormatError):
+            write_moment_file(path, s)
+        assert not path.exists()
+
     def test_file_roundtrip(self, tmp_path):
         s = moments_of_atomic(AtomicMeasure(1, [((2.0,), 1.0)]), 3)
         path = tmp_path / "data.mom"
