@@ -14,6 +14,10 @@ bound, a level or an image degree deeper than the data) or unwritable
 output, 3 definitive failure (positivity or generation), 4 inconclusive
 growth diagnostics, 5 solver failure (no flat level / not positive
 semidefinite), 6 pull-back or final verification failure.
+
+Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
+exit code.  None of them prints; :func:`main` renders the report once, as
+text or JSON after ``--format``, and returns the code.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ EXIT_FAIL = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_SOLVE = 5
 EXIT_PULLBACK = 6
+
+#: What a command returns: its report and its exit code.
+Outcome = tuple[dict, int]
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +98,14 @@ def _emit(report: dict, fmt: str) -> None:
         print("\n".join(_text_lines(report)))
 
 
-def _fail_input(message: str, fmt: str) -> int:
-    _emit({"error": message, "exit": EXIT_INPUT}, fmt)
-    return EXIT_INPUT
+def _fail_input(message: str) -> Outcome:
+    return {"error": message, "exit": EXIT_INPUT}, EXIT_INPUT
 
 
-def _fail_report(report: dict, exc: Exception, code: int, fmt: str) -> int:
+def _fail_report(report: dict, exc: Exception, code: int) -> Outcome:
     report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     report["exit"] = code
-    _emit(report, fmt)
-    return code
+    return report, code
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +167,11 @@ def _measure_from_spec(entry: Any, dim: int) -> AtomicMeasure:
     return AtomicMeasure(dim, atoms)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> Outcome:
     try:
         spec = json.loads(Path(args.spec).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        return _fail_input(f"cannot read fixture spec: {exc}", args.format)
+        return _fail_input(f"cannot read fixture spec: {exc}")
     try:
         kind = spec["fixture"]
         degree = int(spec["degree"])
@@ -195,26 +200,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 {"dim": 2, "exponent": exponent, "atom_count": len(measure)}
             )
         else:
-            return _fail_input(f"unknown fixture kind {kind!r}", args.format)
+            return _fail_input(f"unknown fixture kind {kind!r}")
     except (KeyError, ValueError, TypeError, MomentError) as exc:
-        return _fail_input(f"bad fixture spec: {exc}", args.format)
+        return _fail_input(f"bad fixture spec: {exc}")
     try:
         if kind == "power-curve" and args.generators_out:
             fileformats.write_polynomials_file(args.generators_out, generators, "x")
             report["generators_out"] = args.generators_out
         fileformats.write_moment_file(args.out, s)
     except (OSError, MomentError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     report["entries"] = len(s.values)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Outcome:
     try:
         s = fileformats.read_moment_file(args.moments)
         if args.generators:
@@ -226,7 +230,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 Polynomial.variable(s.dim, j) for j in range(s.dim)
             ]
     except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
 
     report: dict = {
         "moments": args.moments,
@@ -243,21 +247,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             "zero mass: the data is the zero functional, represented by the "
             "zero measure"
         )
-        _emit(report, args.format)
-        return EXIT_OK
+        return report, EXIT_OK
     except NotPositive as exc:
         report["verdict"] = "fail"
         report["reason"] = str(exc)
-        _emit(report, args.format)
-        return EXIT_FAIL
+        return report, EXIT_FAIL
 
     max_deg = max(
         (int(f.degree) for f in generators if not f.is_zero()), default=0
     )
     if max_deg > s.max_degree:
         return _fail_input(
-            f"constraint degree {max_deg} exceeds data degree {s.max_degree}",
-            args.format,
+            f"constraint degree {max_deg} exceeds data degree {s.max_degree}"
         )
     # Matrices need finite doubles; entries beyond the finite prefix still
     # feed the log-domain growth diagnostics below.
@@ -268,14 +269,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     if max_deg > finite_degree:
         return _fail_input(
             f"constraint degree {max_deg} exceeds the finite part of the data "
-            f"(degree {finite_degree})",
-            args.format,
+            f"(degree {finite_degree})"
         )
     level = args.level if args.level is not None else (finite_degree - max_deg) // 2
     try:
         hyp = matrices.check_hypotheses(s_mat, generators, level, args.tol)
     except (DegreeOverflow, MomentError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     report["level"] = level
     report["moment_matrix"] = _verdict_of(hyp.moment_verdict)
     report["localizing"] = [
@@ -305,43 +305,39 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if failed:
         report["verdict"] = "fail"
-        _emit(report, args.format)
-        return EXIT_FAIL
+        return report, EXIT_FAIL
     if inconclusive:
         report["verdict"] = "inconclusive"
-        _emit(report, args.format)
-        return EXIT_INCONCLUSIVE
+        return report, EXIT_INCONCLUSIVE
     report["verdict"] = "pass"
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> Outcome:
     try:
         s = fileformats.read_moment_file(args.moments)
     except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     if s.max_degree < 1:
         return _fail_input(
             "growth diagnostics need moments of degree 1 or more; the data "
-            "has degree 0",
-            args.format,
+            "has degree 0"
         )
     try:
         s_norm = conditions.normalize(s)
     except (TrivialFunctional, NotPositive) as exc:
-        return _fail_input(f"cannot normalize: {exc}", args.format)
+        return _fail_input(f"cannot normalize: {exc}")
 
     axes = args.axis if args.axis else list(range(s.dim))
     report: dict = {"moments": args.moments, "dim": s.dim, "degree": s.max_degree}
     per_axis = []
     for axis in axes:
         if not 0 <= axis < s.dim:
-            return _fail_input(f"axis {axis} out of range", args.format)
+            return _fail_input(f"axis {axis} out of range")
         entry: dict = {"axis": axis}
         count = min(args.count, s.max_degree)
         entry["stieltjes"] = _series_entry(
@@ -383,8 +379,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 entry["subsequence_bounds"] = {"error": str(exc)}
         per_axis.append(entry)
     report["axes"] = per_axis
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +414,11 @@ def _solve_sequence(
     return measure, {"mode": "md", "level": level, "rank": len(measure)}
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> Outcome:
     try:
         s = fileformats.read_moment_file(args.moments)
     except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     report: dict = {"moments": args.moments, "dim": s.dim, "degree": s.max_degree}
     finite_degree = s.finite_degree()
     if finite_degree < s.max_degree:
@@ -438,7 +433,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except MomentError as exc:
         # A level deeper than the data is an input error, as in ``check``.
         code = EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
-        return _fail_report(report, exc, code, args.format)
+        return _fail_report(report, exc, code)
     report.update(detail)
     if caught:
         report["warnings"] = [str(w.message) for w in caught]
@@ -446,10 +441,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         fileformats.write_measure_file(args.out, measure)
     except OSError as exc:
-        return _fail_report(report, exc, EXIT_INPUT, args.format)
+        return _fail_report(report, exc, EXIT_INPUT)
     report["out"] = args.out
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +485,11 @@ def _image_degree(
     return s.max_degree // max(1, pres.max_degree)
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> Outcome:
     try:
         s, pres = _read_reduction_inputs(args)
     except (OSError, FileFormatError, MomentError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     report: dict = {
         "moments": args.moments,
         "generators": [f.to_string() for f in pres.generators],
@@ -504,41 +498,37 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     report["generation"] = entry
     if not gen.generated and not args.allow_subalgebra:
         report["exit"] = EXIT_FAIL
-        _emit(report, args.format)
-        return EXIT_FAIL
+        return report, EXIT_FAIL
     degree = _image_degree(s, pres, args)
     try:
         pushed = reduction.pushforward_moments(s, pres, degree)
         fileformats.write_moment_file(args.out, pushed)
     except (DegreeOverflow, MomentError, OSError) as exc:
-        return _fail_input(str(exc), args.format)
+        return _fail_input(str(exc))
     report["pushforward"] = {
         "image_dim": pushed.dim,
         "image_degree": pushed.max_degree,
         "entries": len(pushed.values),
         "out": args.out,
     }
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> Outcome:
     report: dict = {"stages": []}
-    fmt = args.format
 
     def stage(name: str, **data: Any) -> dict:
         entry = {"stage": name, **data}
         report["stages"].append(entry)
         return entry
 
-    def finish(code: int) -> int:
+    def finish(code: int) -> Outcome:
         report["exit"] = code
-        _emit(report, fmt)
-        return code
+        return report, code
 
     try:
         s, pres = _read_reduction_inputs(args)
@@ -758,7 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    report, code = args.func(args)
+    _emit(report, args.format)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ answer followed by the full reports of its four growth diagnostics (terms,
 partial sums, fit details, margins and ``hankel_level``), called with the
 operation's arguments, where the operation keeps only the classifications
 and ``passed``.  For ``reduce-curve`` the answer is every ``check`` and
-``pipeline`` exit code, its ``--format json`` report with the work directory
-masked, and the ``.atoms`` file the pipeline wrote.
+``pipeline`` exit code, its ``--format json`` and ``--format text`` reports
+with the work directory masked, and the ``.atoms`` file the pipeline wrote,
+so both report renderers are compared byte for byte.
 
 momentkit is imported from ``PYTHONPATH``, so running the tool twice with
 the sources of two checkouts and diffing the outputs shows whether a change
@@ -39,7 +40,7 @@ import run  # noqa: E402  (benchmarks/run.py; imports nothing of momentkit)
 
 
 def curve_answer(problem, workdir: Path) -> tuple:
-    """Exit codes, masked JSON reports and the measure file of one
+    """Exit codes, masked JSON and text reports and the measure file of one
     reduce-curve problem."""
     from momentkit import cli
 
@@ -49,11 +50,12 @@ def curve_answer(problem, workdir: Path) -> tuple:
         ["check", d["moments"], d["generators"]],
         ["pipeline", d["moments"], d["generators"], str(d["out"])],
     ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([*command, "--format", "json"])
-        text = (out.getvalue() + err.getvalue()).replace(str(workdir), "<work>")
-        outputs.append((code, text))
+        for fmt in ("json", "text"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*command, "--format", fmt])
+            text = (out.getvalue() + err.getvalue()).replace(str(workdir), "<work>")
+            outputs.append((code, text))
     atoms = d["out"].read_text() if d["out"].exists() else None
     d["out"].unlink(missing_ok=True)
     return (*outputs, atoms)
