@@ -63,10 +63,6 @@ class CommutatorTooLarge(MomentError):
     """Compressed multiplication operators fail to commute within tolerance."""
 
 
-class DegenerateSpectrum(MomentError):
-    """Repeated random probes failed to separate the operator spectrum."""
-
-
 class IllConditionedWeights(MomentError):
     """The weight-recovery least-squares problem is rank deficient or yields
     nonpositive weights."""

@@ -6,10 +6,15 @@ the one at level ``n - 1`` (a *flat* pair), the data at that level is the
 moment data of an ``r``-atom measure, and the atoms can be read off
 spectrally: compress the coordinate-shifted moment matrices onto the top
 eigenspace of the level-``(n-1)`` matrix, giving ``r x r`` symmetric
-operators, one per coordinate, that commute for consistent data and are
-simultaneously diagonalized by the spectrum of a random linear combination.
-The joint eigenvalues are the atom coordinates; weights follow from a
-monomial-evaluation least-squares fit.
+operators, one per coordinate, that commute for consistent data.  Their
+joint spectrum is the atoms, so the eigenvectors of one seeded random linear
+combination diagonalize them all whenever the combination separates the
+atoms, which a random direction does with probability one.  The joint
+eigenvalues are the atom coordinates; weights follow from a
+monomial-evaluation least-squares fit.  A draw that does not separate the
+atoms is not retried: coinciding points make the weight fit rank deficient
+(:class:`IllConditionedWeights`), and any other wrong points fail the moment
+check (:class:`ValidationFailure`).
 
 The coordinate-shifted matrices are not assembled: the one for ``x_j`` at
 level ``n - 1`` is the block of the flat pair's level-``n`` moment matrix
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import (
     CommutatorTooLarge,
-    DegenerateSpectrum,
+    DegreeOverflow,
     IllConditionedWeights,
     NotFlat,
     RankCollapse,
@@ -46,12 +51,6 @@ from .matrices import (
     require_psd,
 )
 from .polynomials import AtomicMeasure, MomentSequence, _to_float
-
-#: Minimum (relative) spectral gap for a random probe to count as separating.
-GAP_TOL = 1e-6
-#: How many random probes to try before giving up on a separating spectrum.
-MAX_PROBES = 5
-
 
 @dataclass
 class FlatRankResult:
@@ -189,9 +188,11 @@ def extract_atoms(
         Rank threshold and the shared tolerance for positivity, commutator,
         and validation checks.
     seed : int
-        Seed for the random separating linear combination; the result is
-        deterministic given a seed, and any separating draw yields the same
-        measure up to ``tol``-level noise.
+        Seed for the one random linear combination of the operators whose
+        eigenvectors diagonalize them; the result is deterministic given a
+        seed, and any draw that separates the atoms yields the same measure
+        up to ``tol``-level noise.  A draw that does not raises
+        :class:`IllConditionedWeights` or :class:`ValidationFailure`.
 
     Returns
     -------
@@ -217,31 +218,12 @@ def _extract(
             )
         return AtomicMeasure(s.dim, [])
 
-    rng = np.random.default_rng(seed)
-    vectors = None
-    for _ in range(MAX_PROBES):
-        coeffs = rng.standard_normal(s.dim)
-        coeffs /= math.sqrt(float(coeffs @ coeffs))
-        probe = sum(c * op for c, op in zip(coeffs, operators))
-        eigenvalues, eigenvectors = np.linalg.eigh(probe)
-        if r == 1:
-            vectors = eigenvectors
-            break
-        spread = max(float(eigenvalues[-1] - eigenvalues[0]), 1.0)
-        gaps = np.diff(eigenvalues)
-        if float(np.min(gaps)) > GAP_TOL * spread:
-            vectors = eigenvectors
-            break
-    if vectors is None:
-        raise DegenerateSpectrum(
-            f"no random probe separated the {r} operator eigenvalues in "
-            f"{MAX_PROBES} attempts"
-        )
-
-    points = []
-    for k in range(r):
-        v = vectors[:, k]
-        points.append(tuple(float(v @ op @ v) for op in operators))
+    # One seeded probe: a draw that does not separate the atoms is refused
+    # below by the weight fit or the moment check.
+    coeffs = np.random.default_rng(seed).standard_normal(s.dim)
+    coeffs /= math.sqrt(float(coeffs @ coeffs))
+    _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
+    points = [tuple(float(v @ op @ v) for op in operators) for v in vectors.T]
 
     a = monomial_values(s.dim, points, level)
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
@@ -278,9 +260,16 @@ def extract_atoms_auto(
 
     Tries ``level = 1 .. max_degree // 2`` in order, skipping levels that
     are not flat or where extraction fails its internal checks, and returns
-    ``(measure, level)`` for the first success.  Raises :class:`NotFlat`
-    when no level admits a validated extraction.
+    ``(measure, level)`` for the first success.  Raises
+    :class:`DegreeOverflow` when the data stops below degree 2, where there
+    is no level to scan, and :class:`NotFlat` when no level admits a
+    validated extraction.
     """
+    if s.max_degree < 2:
+        raise DegreeOverflow(
+            f"flat extraction needs moments of degree 2 or more; the data "
+            f"has degree {s.max_degree}"
+        )
     failures: list[str] = []
     fr: FlatRankResult | None = None
     for level in range(1, s.max_degree // 2 + 1):
@@ -297,12 +286,7 @@ def extract_atoms_auto(
             return _extract(s, fr, tol, seed), level
         except NotFlat:
             continue
-        except (
-            CommutatorTooLarge,
-            DegenerateSpectrum,
-            IllConditionedWeights,
-            ValidationFailure,
-        ) as exc:
+        except (CommutatorTooLarge, IllConditionedWeights, ValidationFailure) as exc:
             failures.append(f"level {level}: {exc}")
     detail = f" ({'; '.join(failures)})" if failures else ""
     raise NotFlat(

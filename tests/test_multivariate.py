@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from momentkit import (
     AtomicMeasure,
     CommutatorTooLarge,
-    DegenerateSpectrum,
+    DegreeOverflow,
     IllConditionedWeights,
+    MomentError,
     MomentSequence,
     NotFlat,
     Polynomial,
@@ -38,7 +40,7 @@ from momentkit.matrices import (
     reproduction_residuals,
     require_psd,
 )
-from momentkit.multivariate import GAP_TOL, MAX_PROBES, FlatRankResult
+from momentkit.multivariate import FlatRankResult
 from conftest import measure_errors, random_measure
 
 
@@ -186,6 +188,22 @@ class TestExtractAtoms:
         with pytest.raises(NotFlat, match="rank 0 but moments reach inf"):
             extract_atoms_auto(s)
 
+    def test_auto_returns_the_empty_measure_for_zero_data(self):
+        s = MomentSequence(2, 4, {a: 0.0 for a in _all_indices(2, 4)})
+        nu, level = extract_atoms_auto(s)
+        assert nu.atoms == []
+        assert nu.dim == 2
+        assert level == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_auto_refuses_data_below_degree_two(self, dim, degree):
+        # No level to scan: an input too short, not a scan that found
+        # nothing flat.
+        s = moments_of_atomic(AtomicMeasure(dim, [((1.0,) * dim, 1.0)]), degree)
+        with pytest.raises(DegreeOverflow, match=f"has degree {degree}"):
+            extract_atoms_auto(s)
+
     def test_dim_one_agrees_with_recurrence_solver(self):
         mu = AtomicMeasure(1, [((2.0,), 1.25), ((5.0,), 0.75)])
         s = moments_of_atomic(mu, 4)
@@ -279,26 +297,11 @@ def _reference_extract(s: MomentSequence, level: int, tol: float = 1e-8):
                 f"rank 0 but moments reach {worst:g}; data is inconsistent"
             )
         return AtomicMeasure(s.dim, [])
-    rng = np.random.default_rng(0)
-    vectors = None
-    for _ in range(MAX_PROBES):
-        coeffs = rng.standard_normal(s.dim)
-        coeffs /= math.sqrt(float(coeffs @ coeffs))
-        probe = sum(c * op for c, op in zip(coeffs, operators))
-        probe = (probe + probe.T) / 2.0
-        eigenvalues, eigenvectors = np.linalg.eigh(probe)
-        if r == 1:
-            vectors = eigenvectors
-            break
-        spread = max(float(eigenvalues[-1] - eigenvalues[0]), 1.0)
-        if float(np.min(np.diff(eigenvalues))) > GAP_TOL * spread:
-            vectors = eigenvectors
-            break
-    if vectors is None:
-        raise DegenerateSpectrum(
-            f"no random probe separated the {r} operator eigenvalues in "
-            f"{MAX_PROBES} attempts"
-        )
+    coeffs = np.random.default_rng(0).standard_normal(s.dim)
+    coeffs /= math.sqrt(float(coeffs @ coeffs))
+    probe = sum(c * op for c, op in zip(coeffs, operators))
+    probe = (probe + probe.T) / 2.0
+    _, vectors = np.linalg.eigh(probe)
     points = [
         tuple(float(vectors[:, k] @ op @ vectors[:, k]) for op in operators)
         for k in range(r)
@@ -334,7 +337,6 @@ def _reference_auto(s: MomentSequence):
             continue
         except (
             CommutatorTooLarge,
-            DegenerateSpectrum,
             IllConditionedWeights,
             ValidationFailure,
         ) as exc:
@@ -365,11 +367,12 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _atomic_data(draw):
-    """Moments of 1..12 dyadic atoms in [0, 10]^d, d = 1..4, as floats or
-    Fractions, through 0..2 degrees beyond the first possible flat level."""
-    dim = draw(st.integers(1, 4))
-    count = draw(st.integers(1, 12))
+def _atomic_data(draw, min_dim=1, max_count=12):
+    """Moments of 1..``max_count`` dyadic atoms in [0, 10]^d,
+    d = ``min_dim``..4, as floats or Fractions, through 0..2 degrees beyond
+    the first possible flat level."""
+    dim = draw(st.integers(min_dim, 4))
+    count = draw(st.integers(1, max_count))
     grid = st.integers(0, 80)
     points = draw(
         st.lists(
@@ -491,3 +494,50 @@ class TestScanMatchesTheTwoBuildReference:
         else:
             assert got.startswith("OverflowError")
             assert got_degree == want_degree == 2 * raising_level
+
+
+class _FixedDirection:
+    """Stands in for ``default_rng``: every normal draw is all ones, so the
+    probe direction is (1, ..., 1) before normalization."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, size):
+        return np.ones(size)
+
+
+class TestOneProbe:
+    # Both atoms of each pair lie on one line x1 + x2 = c, so the probe
+    # along (1, 1) has a double eigenvalue and its eigenvectors need not be
+    # the atoms'.  The points they give either coincide, and the weight fit
+    # has rank 1 (seen for the first pair), or are wrong and miss the
+    # moments (seen for the second).
+    @pytest.mark.parametrize(
+        "points", [[(1.0, 0.0), (0.0, 1.0)], [(1.0, 3.0), (3.0, 1.0)]]
+    )
+    def test_a_direction_that_does_not_separate_is_refused(self, points):
+        s = moments_of_atomic(AtomicMeasure(2, [(p, 0.5) for p in points]), 4)
+        with mock.patch.object(multivariate.np.random, "default_rng", _FixedDirection):
+            with pytest.raises(MomentError) as refused:
+                extract_atoms(s, 2)
+            assert isinstance(refused.value, (IllConditionedWeights, ValidationFailure))
+            with pytest.raises(NotFlat, match=re.escape(f"level 2: {refused.value}")):
+                extract_atoms_auto(s)
+        # The seeded direction separates them.
+        nu, level = extract_atoms_auto(s)
+        assert level == 2
+        pos, wt = measure_errors(AtomicMeasure(2, [(p, 0.5) for p in points]), nu)
+        assert pos <= 1e-9
+        assert wt <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=_atomic_data(min_dim=2, max_count=8))
+    def test_auto_reproduces_the_data_or_refuses(self, s):
+        try:
+            nu, level = extract_atoms_auto(s)
+        except NotFlat:
+            return
+        degree = min(2 * level, s.max_degree)
+        assert max([0.0, *reproduction_residuals(nu, s, degree)]) <= 1e-8
+        assert all(w > 0.0 for _, w in nu.atoms)
