@@ -10,10 +10,12 @@ Subcommands::
     pipeline  MOMENTS GENERATORS OUT.atoms     reduce, solve, pull back, verify
 
 Exit codes: 0 success/pass, 2 malformed input (an integer option below its
-bound, a level or an image degree deeper than the data) or unwritable
-output, 3 definitive failure (positivity or generation), 4 inconclusive
-growth diagnostics, 5 solver failure (no flat level / not positive
-semidefinite), 6 pull-back or final verification failure.
+bound, a level or an image degree deeper than the data, ``solve --mode 1d``
+with ``--level``, data too short to solve, a fixture spec whose moments
+overflow) or unwritable output, 3 definitive failure (positivity or
+generation), 4 inconclusive growth diagnostics, 5 solver failure (no flat
+level / not positive semidefinite), 6 pull-back or final verification
+failure.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
 exit code.  None of them prints; :func:`main` renders the report once, as
@@ -201,7 +203,7 @@ def cmd_generate(args: argparse.Namespace) -> Outcome:
             )
         else:
             return _fail_input(f"unknown fixture kind {kind!r}")
-    except (KeyError, ValueError, TypeError, MomentError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, MomentError) as exc:
         return _fail_input(f"bad fixture spec: {exc}")
     try:
         if kind == "power-curve" and args.generators_out:
@@ -395,7 +397,8 @@ def _solve_sequence(
     seed: int,
 ) -> tuple[AtomicMeasure, dict]:
     if mode == "auto":
-        mode = "1d" if s.dim == 1 else "md"
+        # A level is a flat-extraction level, so giving one selects it.
+        mode = "1d" if s.dim == 1 and level is None else "md"
     if mode == "1d":
         result = univariate.solve_1d(s, rank_tol, tol)
         detail = {
@@ -415,6 +418,10 @@ def _solve_sequence(
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
+    if args.mode == "1d" and args.level is not None:
+        return _fail_input(
+            "--level selects a flat-extraction level; --mode 1d takes none"
+        )
     try:
         s = fileformats.read_moment_file(args.moments)
     except (OSError, FileFormatError) as exc:
@@ -573,10 +580,11 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
                 pushed, "auto", None, args.rank_tol, args.tol, args.seed
             )
     except MomentError as exc:
+        # Pushed data too short to solve is an input error, as in ``solve``.
         stage(
             "solve", ok=False, error_type=type(exc).__name__, error=str(exc)
         )
-        return finish(EXIT_SOLVE)
+        return finish(EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE)
     solve_detail["warnings"] = [str(w.message) for w in caught]
     stage("solve", ok=True, atom_count=len(nu), **solve_detail)
 
@@ -707,7 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("out", help="output measure file")
     p.add_argument("--mode", choices=["auto", "1d", "md"], default="auto")
-    p.add_argument("--level", type=_int_at_least(1), help="extraction level (md mode)")
+    p.add_argument(
+        "--level", type=_int_at_least(1), help="flat extraction level (selects md mode)"
+    )
     p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
     p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
     p.add_argument("--seed", type=int, default=0)

@@ -173,6 +173,25 @@ def test_generate_overflowing_float_entry_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Python's float power raises on 1e200 ** 2 instead of giving inf.
+        atomic_spec(1, 2, [[1.0, 1e200]]),
+        {"fixture": "power-curve", "exponent": 2, "degree": 2, "atoms": [[1.0, 1.0, 1e200]]},
+    ],
+)
+def test_generate_float_power_overflow_is_a_bad_spec(tmp_path, capsys, spec):
+    out = tmp_path / "big.mom"
+    code, report = run_json(capsys, "generate", write_spec(tmp_path, "big.json", spec), str(out))
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "bad fixture spec: (34, 'Numerical result out of range')",
+        "exit": EXIT_INPUT,
+    }
+    assert not out.exists()
+
+
 def test_generate_into_missing_directory_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "f.json", {"fixture": "factorial", "degree": 4})
     code, report = run_json(
@@ -613,6 +632,66 @@ def test_solve_non_flat_data_is_solver_failure(tmp_path, capsys):
     assert not (tmp_path / "no.msr").exists()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_solve_data_below_degree_two_exits_2_in_every_dim(tmp_path, capsys, dim, degree):
+    # As solve_1d refuses 1-D data of degree 0: no level to extract at.
+    path = tmp_path / "short.mom"
+    fileformats.write_moment_file(
+        path, fixtures.moments_of_atomic(AtomicMeasure(dim, [((1.0,) * dim, 1.0)]), degree)
+    )
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "solve", str(path), str(out))
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    assert report["error"] == {
+        "type": "DegreeOverflow",
+        "message": "flat extraction needs moments of degree 2 or more; the "
+        f"data has degree {degree}",
+    }
+    assert not out.exists()
+
+
+def one_d_atomic_file(tmp_path, capsys):
+    """Degree-6 float moments of three atoms on the line."""
+    spec = write_spec(
+        tmp_path, "one.json", atomic_spec(1, 6, [[0.5, 1.0], [0.25, 2.0], [0.25, 4.0]])
+    )
+    moments = str(tmp_path / "one.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+    return moments
+
+
+def test_solve_level_selects_flat_extraction_on_1d_data(tmp_path, capsys):
+    moments = one_d_atomic_file(tmp_path, capsys)
+    code, report = run_json(capsys, "solve", moments, str(tmp_path / "o.atoms"), "--level", "3")
+    assert code == EXIT_OK
+    assert (report["mode"], report["level"], report["rank"]) == ("md", 3, 3)
+    points = [x for a in report["measure"]["atoms"] for x in a["point"]]
+    assert points == pytest.approx([1.0, 2.0, 4.0], abs=1e-8)
+
+    # A level deeper than the data is an input error, as under --mode md.
+    out = tmp_path / "deep.atoms"
+    code, report = run_json(capsys, "solve", moments, str(out), "--level", "9")
+    assert code == EXIT_INPUT
+    assert report["error"]["type"] == "DegreeOverflow"
+    assert "degree 18" in report["error"]["message"]
+    assert not out.exists()
+
+
+def test_solve_mode_1d_with_level_exits_2(tmp_path, capsys):
+    moments = one_d_atomic_file(tmp_path, capsys)
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "solve", moments, str(out), "--mode", "1d", "--level", "2")
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "--level selects a flat-extraction level; --mode 1d takes none",
+        "exit": EXIT_INPUT,
+    }
+    assert not out.exists()
+
+
 def test_solve_lognormal_restricts_to_finite_prefix(tmp_path, capsys):
     path = tmp_path / "logn.mom"
     fileformats.write_moment_file(path, fixtures.moments_lognormal(40))
@@ -957,6 +1036,23 @@ def test_pipeline_too_deep_image_degree_exits_2_like_reduce(tmp_path, capsys):
     push = stage_named(report, "pushforward")
     assert push["ok"] is False
     assert "degree 18" in push["error"]
+
+
+@pytest.mark.parametrize("image_degree", ["0", "1"])
+def test_pipeline_image_degree_too_short_to_solve_exits_2_like_solve(
+    tmp_path, capsys, image_degree
+):
+    moments, gens = make_curve_inputs(tmp_path, capsys, [[1.0, 1.5, 2.25]])
+    out = tmp_path / "o.atoms"
+    code, report = run_json(
+        capsys, "pipeline", moments, gens, str(out), "--image-degree", image_degree
+    )
+    assert code == EXIT_INPUT
+    assert report["exit"] == EXIT_INPUT
+    solve = stage_named(report, "solve")
+    assert solve["ok"] is False
+    assert solve["error_type"] == "DegreeOverflow"
+    assert not out.exists()
 
 
 def test_solve_level_deeper_than_data_exits_2_like_check(tmp_path, capsys):
