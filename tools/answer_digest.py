@@ -11,7 +11,12 @@ digests all of them.  For ``solve-1d`` the answer is the operation's own
 answer followed by the full reports of its four growth diagnostics (terms,
 partial sums, fit details, margins and ``hankel_level``), called with the
 operation's arguments, where the operation keeps only the classifications
-and ``passed``.  For ``reduce-curve`` the answer is every ``check`` and
+and ``passed``.  For ``solve-md`` the answer is the operation's two calls
+with everything they return: the full ``check_hypotheses`` report (every
+verdict's eigenvalue and tolerance) and the ``extract_atoms_auto`` outcome
+with the error's message, which for a refusal lists each level's failure,
+where the operation keeps only ``passed`` and the error's type.  For
+``reduce-curve`` the answer is every ``check`` and
 ``pipeline`` exit code, its ``--format json`` and ``--format text`` reports
 with the work directory masked, and the ``.atoms`` file the pipeline wrote,
 so both report renderers are compared byte for byte.
@@ -79,6 +84,22 @@ def growth_reports(problem) -> tuple:
     )
 
 
+def md_details(problem) -> tuple:
+    """The hypothesis report and the extraction outcome of one solve-md
+    problem, called as its operation calls them, with every verdict and the
+    full error message."""
+    from momentkit import MomentError, matrices, multivariate
+
+    d = problem.data
+    hyp = matrices.check_hypotheses(d["s"], d["generators"], d["level"])
+    try:
+        measure, level = multivariate.extract_atoms_auto(d["s"])
+        outcome = (measure.atoms, level)
+    except MomentError as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return hyp, outcome
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=run.WORKLOADS_ORDER)
@@ -102,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             elif wl.name == "solve-1d":
                 answer = (wl.op(problem, ctx), growth_reports(problem))
             else:
-                answer = wl.op(problem, ctx)
+                answer = md_details(problem)
             digest = hashlib.sha256(repr(answer).encode()).hexdigest()
             total.update(digest.encode())
             print(f"{i}\t{problem.kind}\t{digest}")
