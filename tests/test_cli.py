@@ -23,6 +23,7 @@ from momentkit.cli import (
     build_parser,
     main,
 )
+from momentkit.errors import FileFormatError
 from momentkit.polynomials import AtomicMeasure, monomials_up_to
 
 
@@ -452,6 +453,37 @@ def test_point_mass_with_log_token_is_read(tmp_path, capsys, command):
     else:
         series = report["growth"][0]
     assert series["classification"] == "divergence-consistent"
+
+
+def file_failure_case(tmp_path, case):
+    """``(argv, message)`` for a command whose input file is missing or
+    malformed; ``message`` is the reader's own error text."""
+    moments = make_factorial_file(tmp_path, degree=4)
+    if case == "check-missing-generators":
+        bad = tmp_path / "none.txt"
+        argv = ["check", moments, str(bad)]
+    else:
+        bad = tmp_path / "bad.mom"
+        if case == "diagnose-malformed":
+            bad.write_text("momentfile v1 dim=1 degree=2\n0 1.0\n")
+        argv = ["diagnose", str(bad)]
+    # A missing file fails the same way in every reader.
+    with pytest.raises((OSError, FileFormatError)) as exc:
+        fileformats.read_moment_file(bad)
+    return argv, str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "case", ["diagnose-missing", "diagnose-malformed", "check-missing-generators"]
+)
+def test_unreadable_input_file_exits_2_with_a_bare_report(tmp_path, capsys, case):
+    argv, message = file_failure_case(tmp_path, case)
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert report == {"error": message, "exit": EXIT_INPUT}
+
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().out == f"error: {message}\nexit: {EXIT_INPUT}\n"
 
 
 def test_diagnose_axis_out_of_range(tmp_path, capsys):
