@@ -19,7 +19,10 @@ failure.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
 exit code.  None of them prints; :func:`main` renders the report once, as
-text or JSON after ``--format``, and returns the code.
+text or JSON after ``--format``, and returns the code.  A file a command
+cannot read or write, or finds malformed, reaches :func:`main` as an
+``OSError`` or :class:`FileFormatError`, which it reports as
+``{"error", "exit"}`` with exit 2.
 """
 
 from __future__ import annotations
@@ -205,13 +208,10 @@ def cmd_generate(args: argparse.Namespace) -> Outcome:
             return _fail_input(f"unknown fixture kind {kind!r}")
     except (KeyError, ValueError, TypeError, OverflowError, MomentError) as exc:
         return _fail_input(f"bad fixture spec: {exc}")
-    try:
-        if kind == "power-curve" and args.generators_out:
-            fileformats.write_polynomials_file(args.generators_out, generators, "x")
-            report["generators_out"] = args.generators_out
-        fileformats.write_moment_file(args.out, s)
-    except (OSError, MomentError) as exc:
-        return _fail_input(str(exc))
+    if kind == "power-curve" and args.generators_out:
+        fileformats.write_polynomials_file(args.generators_out, generators, "x")
+        report["generators_out"] = args.generators_out
+    fileformats.write_moment_file(args.out, s)
     report["entries"] = len(s.values)
     return report, EXIT_OK
 
@@ -221,18 +221,11 @@ def cmd_generate(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_check(args: argparse.Namespace) -> Outcome:
-    try:
-        s = fileformats.read_moment_file(args.moments)
-        if args.generators:
-            generators = fileformats.read_polynomials_file(
-                args.generators, s.dim, "x"
-            )
-        else:
-            generators = [
-                Polynomial.variable(s.dim, j) for j in range(s.dim)
-            ]
-    except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc))
+    s = fileformats.read_moment_file(args.moments)
+    if args.generators:
+        generators = fileformats.read_polynomials_file(args.generators, s.dim, "x")
+    else:
+        generators = [Polynomial.variable(s.dim, j) for j in range(s.dim)]
 
     report: dict = {
         "moments": args.moments,
@@ -276,7 +269,7 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
     level = args.level if args.level is not None else (finite_degree - max_deg) // 2
     try:
         hyp = matrices.check_hypotheses(s_mat, generators, level, args.tol)
-    except (DegreeOverflow, MomentError) as exc:
+    except MomentError as exc:
         return _fail_input(str(exc))
     report["level"] = level
     report["moment_matrix"] = _verdict_of(hyp.moment_verdict)
@@ -320,10 +313,7 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> Outcome:
-    try:
-        s = fileformats.read_moment_file(args.moments)
-    except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc))
+    s = fileformats.read_moment_file(args.moments)
     if s.max_degree < 1:
         return _fail_input(
             "growth diagnostics need moments of degree 1 or more; the data "
@@ -422,10 +412,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
         return _fail_input(
             "--level selects a flat-extraction level; --mode 1d takes none"
         )
-    try:
-        s = fileformats.read_moment_file(args.moments)
-    except (OSError, FileFormatError) as exc:
-        return _fail_input(str(exc))
+    s = fileformats.read_moment_file(args.moments)
     report: dict = {"moments": args.moments, "dim": s.dim, "degree": s.max_degree}
     finite_degree = s.finite_degree()
     if finite_degree < s.max_degree:
@@ -493,10 +480,7 @@ def _image_degree(
 
 
 def cmd_reduce(args: argparse.Namespace) -> Outcome:
-    try:
-        s, pres = _read_reduction_inputs(args)
-    except (OSError, FileFormatError, MomentError) as exc:
-        return _fail_input(str(exc))
+    s, pres = _read_reduction_inputs(args)
     report: dict = {
         "moments": args.moments,
         "generators": [f.to_string() for f in pres.generators],
@@ -509,9 +493,9 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
     degree = _image_degree(s, pres, args)
     try:
         pushed = reduction.pushforward_moments(s, pres, degree)
-        fileformats.write_moment_file(args.out, pushed)
-    except (DegreeOverflow, MomentError, OSError) as exc:
+    except MomentError as exc:
         return _fail_input(str(exc))
+    fileformats.write_moment_file(args.out, pushed)
     report["pushforward"] = {
         "image_dim": pushed.dim,
         "image_degree": pushed.max_degree,
@@ -669,6 +653,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="report format (default: text)",
         )
 
+    def add_solver_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
+        p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
+        p.add_argument("--seed", type=int, default=0)
+
+    def add_reduction_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
+        p.add_argument("--image-degree", type=_int_at_least(0), help="pushed truncation degree")
+        p.add_argument(
+            "--allow-subalgebra",
+            action="store_true",
+            help="continue even when the constraints do not generate everything",
+        )
+
     p = sub.add_parser("generate", help="write fixture moment data")
     p.add_argument("spec", help="fixture description (JSON)")
     p.add_argument("out", help="output moment file")
@@ -718,9 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--level", type=_int_at_least(1), help="flat extraction level (selects md mode)"
     )
-    p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
-    p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    add_solver_options(p)
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -728,13 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("generators", help="constraint polynomial file")
     p.add_argument("out", help="output (pushed) moment file")
-    p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
-    p.add_argument("--image-degree", type=_int_at_least(0), help="pushed truncation degree")
-    p.add_argument(
-        "--allow-subalgebra",
-        action="store_true",
-        help="continue even when the constraints do not generate everything",
-    )
+    add_reduction_options(p)
     add_common(p)
     p.set_defaults(func=cmd_reduce)
 
@@ -744,12 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moment file")
     p.add_argument("generators", help="constraint polynomial file")
     p.add_argument("out", help="output measure file")
-    p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
-    p.add_argument("--image-degree", type=_int_at_least(0), help="pushed truncation degree")
-    p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-subalgebra", action="store_true")
+    add_reduction_options(p)
+    add_solver_options(p)
     add_common(p)
     p.set_defaults(func=cmd_pipeline)
 
@@ -758,7 +744,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    report, code = args.func(args)
+    # A file that cannot be read or written, or is malformed, exits 2 with a
+    # bare error report whichever command meets it, so that rule is applied
+    # here once; commands catch such errors only to report more than that.
+    try:
+        report, code = args.func(args)
+    except (OSError, FileFormatError) as exc:
+        report, code = _fail_input(str(exc))
     _emit(report, args.format)
     return code
 
