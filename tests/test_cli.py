@@ -735,6 +735,29 @@ def test_solve_lognormal_restricts_to_finite_prefix(tmp_path, capsys):
     assert code in (EXIT_OK, EXIT_SOLVE)
 
 
+@pytest.mark.parametrize(
+    "flags, error_type",
+    [(["--mode", "md"], "NotFlat"), (["--level", "15"], "ValidationFailure")],
+    ids=["scan", "level"],
+)
+def test_solve_points_beyond_double_range_are_a_solver_failure(
+    tmp_path, capsys, flags, error_type
+):
+    # Flat extraction of degree-37 lognormal data finds points whose powers
+    # leave double range; that is a refusal, not a traceback.
+    spec = write_spec(tmp_path, "ln.json", {"fixture": "lognormal", "degree": 37})
+    moments = str(tmp_path / "ln.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "solve", moments, str(out), *flags)
+    assert code == EXIT_SOLVE
+    assert report["exit"] == EXIT_SOLVE
+    assert report["error"]["type"] == error_type
+    assert "beyond double range" in report["error"]["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

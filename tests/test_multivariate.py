@@ -28,6 +28,7 @@ from momentkit import (
     localizing_matrix,
     matrices,
     moment_matrix,
+    moments_lognormal,
     moments_of_atomic,
     multiplication_operators,
     multivariate,
@@ -186,6 +187,16 @@ class TestExtractAtoms:
         # The matrices see only zeros; the degree-3 entry reads as inf.
         s = MomentSequence(1, 3, {(0,): 0, (1,): 0, (2,): 0, (3,): 10**400})
         with pytest.raises(NotFlat, match="rank 0 but moments reach inf"):
+            extract_atoms_auto(s)
+
+    def test_point_with_powers_beyond_double_range_fails_validation(self):
+        # Lognormal data: the points extracted at the deep levels have powers
+        # past double range within the degrees the weight fit and the moment
+        # check read, so the validation refuses them.
+        s = moments_lognormal(37)
+        with pytest.raises(ValidationFailure, match="beyond double range by degree 30"):
+            extract_atoms(s, 15)
+        with pytest.raises(NotFlat, match="level 18: an extracted point has a power"):
             extract_atoms_auto(s)
 
     def test_auto_returns_the_empty_measure_for_zero_data(self):
