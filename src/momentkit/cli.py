@@ -632,6 +632,22 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _finite_float(low: float, high: float | None = None) -> Callable[[str], float]:
+    """An argparse ``type`` for finite floats ``>= low`` and, given ``high``,
+    ``< high``: any other value, ``nan`` and ``inf`` among them, is a usage
+    error (exit 2), like a value that is not a number at all."""
+    bound = f">= {low:g}" if high is None else f"in [{low:g}, {high:g})"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= low and (high is None or value < high)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing keeps no state
@@ -654,8 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_solver_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rank-tol", type=float, default=matrices.DEFAULT_RANK_TOL)
-        p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
+        p.add_argument(
+            "--rank-tol", type=_finite_float(0.0, 1.0), default=matrices.DEFAULT_RANK_TOL
+        )
+        p.add_argument("--tol", type=_finite_float(0.0), default=matrices.DEFAULT_PSD_TOL)
         p.add_argument("--seed", type=int, default=0)
 
     def add_reduction_options(p: argparse.ArgumentParser) -> None:
@@ -689,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--level", type=_int_at_least(0), help="truncation level (default: largest feasible)"
     )
-    p.add_argument("--tol", type=float, default=matrices.DEFAULT_PSD_TOL)
+    p.add_argument("--tol", type=_finite_float(0.0), default=matrices.DEFAULT_PSD_TOL)
     p.add_argument(
         "--count", type=_int_at_least(1), default=60, help="growth series length cap"
     )

@@ -1220,9 +1220,38 @@ def test_integer_flag_below_its_bound_is_a_usage_error(argv, flag, low, capsys):
     assert f"{flag}: must be >= {low}, got {low - 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, bound, bad",
+    [
+        (["check", "m.mom"], "--tol", ">= 0", ["-1", "nan", "inf"]),
+        (["solve", "m.mom", "o.msr"], "--tol", ">= 0", ["-1", "nan", "inf"]),
+        (["pipeline", "m.mom", "g.txt", "o.msr"], "--tol", ">= 0", ["-1e-9", "nan"]),
+        (["solve", "m.mom", "o.msr"], "--rank-tol", "in [0, 1)", ["-1", "1", "2", "nan"]),
+        (["pipeline", "m.mom", "g.txt", "o.msr"], "--rank-tol", "in [0, 1)", ["1", "-inf"]),
+    ],
+    ids=["check-tol", "solve-tol", "pipeline-tol", "solve-rank-tol", "pipeline-rank-tol"],
+)
+def test_tolerance_flag_out_of_range_is_a_usage_error(argv, flag, bound, bad, capsys):
+    # A negative or nan --tol failed PSD data and an inf one passed every
+    # matrix; --rank-tol 1 or more counted no singular value at all.
+    parsed = build_parser().parse_args([*argv, flag, "0"])
+    assert getattr(parsed, flag[2:].replace("-", "_")) == 0.0
+
+    for value in bad:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        assert exc.value.code == EXIT_INPUT
+        assert f"{flag}: must be a finite number {bound}, got {value}" in capsys.readouterr().err
+
+
 def test_non_integer_flag_keeps_the_argparse_message(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "m.mom", "--count", "abc"])
     assert exc.value.code == EXIT_INPUT
     assert "--count: invalid int value: 'abc'" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "m.mom", "--tol", "abc"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--tol: invalid float value: 'abc'" in capsys.readouterr().err
 
