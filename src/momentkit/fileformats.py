@@ -57,22 +57,29 @@ MEASURE_HEADER_RE = re.compile(r"^atoms v1 dim=(\d+)\s*$")
 
 def format_moment_file(s: MomentSequence) -> str:
     """Render moment data; an exact nonzero entry whose float is infinite
-    or ``0.0`` becomes a ``log:`` token.
+    or ``0.0`` becomes a ``log:`` token, as does any stored log except the
+    ``-inf`` of a zero entry, which is written as the entry's value.
 
     Raises
     ------
     FileFormatError
-        If such an entry is negative (no log token can hold it), or if a
-        float entry with no stored log is ``nan`` or infinite (the reader
-        refuses it).
+        If such an exact entry is negative (no log token can hold it), if a
+        float entry with no stored log is ``nan`` or infinite, or if any
+        other stored log is not finite (the reader refuses all of these).
     """
     lines = [f"momentfile v1 dim={s.dim} degree={s.max_degree}"]
     for alpha in s.indices():
         exps = " ".join(str(a) for a in alpha)
-        if alpha in s.log_values:
-            lines.append(f"{exps} log:{s.log_values[alpha]!r}")
-            continue
         value = s.values[alpha]
+        lv = s.log_values.get(alpha)
+        if lv is not None and (value or lv != -math.inf):
+            if not math.isfinite(lv):
+                raise FileFormatError(
+                    f"moment {alpha} has the stored log {lv!r}; a moment file "
+                    f"cannot hold it"
+                )
+            lines.append(f"{exps} log:{lv!r}")
+            continue
         fv = _to_float(value)
         if not isinstance(value, (int, Fraction)) or not value or 0 < abs(fv) < math.inf:
             if not math.isfinite(fv):

@@ -101,6 +101,30 @@ class TestMomentFiles:
             write_moment_file(path, s)
         assert not path.exists()
 
+    def test_zero_entry_with_a_minus_inf_log_is_written_as_its_value(self):
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 0.0}, {(2,): -math.inf})
+        text = format_moment_file(s)
+        assert text.splitlines()[-1] == "2 0.0"
+        back = parse_moment_file(text)
+        assert back.values == s.values
+        assert back.log_value((2,)) == -math.inf
+
+    @pytest.mark.parametrize(
+        "value, log", [(0.0, math.nan), (0.0, math.inf), (1.0, -math.inf), (math.inf, math.inf)]
+    )
+    def test_non_finite_stored_log_refused(self, tmp_path, value, log):
+        # The reader refuses every non-finite log token, so only a zero
+        # entry's -inf log, written as the value 0.0, gets through.
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): value}, {(2,): log})
+        with pytest.raises(
+            FileFormatError, match=rf"^moment \(2,\) has the stored log {log!r}"
+        ):
+            format_moment_file(s)
+        path = tmp_path / "bad.mom"
+        with pytest.raises(FileFormatError):
+            write_moment_file(path, s)
+        assert not path.exists()
+
     def test_file_roundtrip(self, tmp_path):
         s = moments_of_atomic(AtomicMeasure(1, [((2.0,), 1.0)]), 3)
         path = tmp_path / "data.mom"
