@@ -10,12 +10,12 @@ Subcommands::
     pipeline  MOMENTS GENERATORS OUT.atoms     reduce, solve, pull back, verify
 
 Exit codes: 0 success/pass, 2 malformed input (an integer option below its
-bound, a level or an image degree deeper than the data, ``solve --mode 1d``
-with ``--level``, data too short to solve, a fixture spec whose moments
-overflow) or unwritable output, 3 definitive failure (positivity or
-generation), 4 inconclusive growth diagnostics, 5 solver failure (no flat
-level / not positive semidefinite), 6 pull-back or final verification
-failure.
+bound, a tolerance out of range, a level or an image degree deeper than the
+data, ``solve --mode 1d`` with ``--level``, data too short to solve, a
+fixture spec whose moments overflow) or unwritable output, 3 definitive
+failure (positivity or generation), 4 inconclusive growth diagnostics, 5
+solver failure (no flat level / not positive semidefinite), 6 pull-back or
+final verification failure.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
 exit code.  None of them prints; :func:`main` renders the report once, as

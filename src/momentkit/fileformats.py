@@ -9,7 +9,8 @@ with one line per multi-index, covering every ``|alpha| <= D`` exactly once
 in graded-lex order.  ``<value>`` is either a finite decimal float or
 ``log:<decimal>`` carrying the finite natural logarithm of an entry that has
 a stored log or is exact and outside double range (the log is then
-authoritative and the stored value is its exponential, possibly ``inf``).
+authoritative and the stored value is its exponential, possibly ``inf``); a
+zero entry is written as its value even when its ``-inf`` log is stored.
 A value that reads as ``nan`` or ``inf``, or a decimal that overflows a
 double, is refused: such an entry has to be written as a ``log:`` token.
 
