@@ -228,26 +228,28 @@ def _extract(
     # A flat pair at ``level`` certifies the moments through degree 2*level.
     degree = min(2 * level, s.max_degree)
     try:
-        a = monomial_values(s.dim, points, level)
-        weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
-        if lstsq_rank < r:
-            raise IllConditionedWeights(
-                f"weight system has rank {lstsq_rank} < {r}; atoms are not "
-                f"separated enough to assign weights"
-            )
-        if any(w <= 0.0 for w in weights):
-            raise IllConditionedWeights(
-                f"weight fit produced nonpositive weights: {list(weights)}"
-            )
-        measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
-        worst = max([0.0, *reproduction_residuals(measure, s, degree)])
+        # The largest power the weight fit and the moment check take.
+        max(abs(x) for pt in points for x in pt) ** degree
     except OverflowError as exc:
-        # Such a point cannot reproduce the data, whose entries are finite
-        # through the degree a flat pair needs.
         raise ValidationFailure(
             f"an extracted point has a power beyond double range by degree "
             f"{degree}; it cannot reproduce the input moments"
         ) from exc
+
+    a = monomial_values(s.dim, points, level)
+    weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
+    if lstsq_rank < r:
+        raise IllConditionedWeights(
+            f"weight system has rank {lstsq_rank} < {r}; atoms are not "
+            f"separated enough to assign weights"
+        )
+    if any(w <= 0.0 for w in weights):
+        raise IllConditionedWeights(
+            f"weight fit produced nonpositive weights: {list(weights)}"
+        )
+
+    measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
+    worst = max([0.0, *reproduction_residuals(measure, s, degree)])
     if worst > tol:
         raise ValidationFailure(
             f"extracted measure misses the input moments: worst relative "
