@@ -8,10 +8,12 @@ The pool is built from ``--seed`` exactly as ``benchmarks/run.py`` builds it.
 Each problem's operation runs once, and one line per problem is printed:
 its index, its kind and the SHA-256 of ``repr(answer)``.  The last line
 digests all of them.  For ``solve-1d`` the answer is the operation's own
-answer followed by the full reports of its four growth diagnostics (terms,
-partial sums, fit details, margins and ``hankel_level``), called with the
-operation's arguments, where the operation keeps only the classifications
-and ``passed``.  For ``solve-md`` the answer is the operation's two calls
+answer, the full ``solve_1d`` outcome (the error's type and message, or the
+result's rank, residuals, worst residual, Jacobi matrix and support flag)
+where the operation keeps only the atoms or the error's type, and the full
+reports of its four growth diagnostics (terms, partial sums, fit details,
+margins and ``hankel_level``), called with the operation's arguments, where
+the operation keeps only the classifications and ``passed``.  For ``solve-md`` the answer is the operation's two calls
 with everything they return: the full ``check_hypotheses`` report (every
 verdict's eigenvalue and tolerance) and the ``extract_atoms_auto`` outcome
 with the error's message, which for a refusal lists each level's failure,
@@ -84,6 +86,19 @@ def growth_reports(problem) -> tuple:
     )
 
 
+def solve_1d_outcome(problem):
+    """The full ``solve_1d`` outcome of one solve-1d problem, called as its
+    operation calls it: the error's type and message, or every field of the
+    result but the measure, which the operation's answer already holds."""
+    from momentkit import MomentError, univariate
+
+    try:
+        r = univariate.solve_1d(problem.data["solve"])
+    except MomentError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (r.rank, r.residuals, r.max_residual, r.jacobi, r.stieltjes_supported)
+
+
 def md_details(problem) -> tuple:
     """The hypothesis report and the extraction outcome of one solve-md
     problem, called as its operation calls them, with every verdict and the
@@ -121,7 +136,11 @@ def main(argv: list[str] | None = None) -> int:
             if wl.name == "reduce-curve":
                 answer = curve_answer(problem, workdir)
             elif wl.name == "solve-1d":
-                answer = (wl.op(problem, ctx), growth_reports(problem))
+                answer = (
+                    wl.op(problem, ctx),
+                    solve_1d_outcome(problem),
+                    growth_reports(problem),
+                )
             else:
                 answer = md_details(problem)
             digest = hashlib.sha256(repr(answer).encode()).hexdigest()
