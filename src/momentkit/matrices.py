@@ -18,7 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeOverflow, DimMismatch, EigenFailure, NotPsd
+from .errors import (
+    DegreeOverflow,
+    DimMismatch,
+    EigenFailure,
+    NotPsd,
+    ValidationFailure,
+)
 from .polynomials import (
     AtomicMeasure,
     MomentSequence,
@@ -380,3 +386,44 @@ def require_psd(
             f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}"
         )
     return verdict
+
+
+def _require_finite_powers(points: Sequence[Sequence[Scalar]], degree: int) -> None:
+    """Raise :class:`ValidationFailure` when a coordinate or one of its
+    powers through ``degree`` leaves double range, where
+    :func:`monomial_values` would raise ``OverflowError``.
+
+    ``max|x| ** degree`` in floats bounds every monomial of degree <=
+    ``degree`` at every point, so it is the one power to take.
+    """
+    try:
+        max((abs(float(x)) for pt in points for x in pt), default=0.0) ** degree
+    except OverflowError as exc:
+        raise ValidationFailure(
+            f"an extracted point has a power beyond double range by degree "
+            f"{degree}; it cannot reproduce the input moments"
+        ) from exc
+
+
+def require_reproduced(
+    measure: AtomicMeasure,
+    s: MomentSequence,
+    degree: int,
+    tol: float,
+    label: str,
+) -> list[float]:
+    """The moment-reproduction check of both solvers.
+
+    Returns :func:`reproduction_residuals` through ``degree`` and raises
+    :class:`ValidationFailure` when a point's power through ``degree``
+    leaves double range or when the worst residual exceeds ``tol``.
+    """
+    _require_finite_powers([pt for pt, _ in measure.atoms], degree)
+    residuals = reproduction_residuals(measure, s, degree)
+    worst = max([0.0, *residuals])
+    if worst > tol:
+        raise ValidationFailure(
+            f"{label} misses the input moments: worst relative residual "
+            f"{worst:g} exceeds {tol:g}"
+        )
+    return residuals

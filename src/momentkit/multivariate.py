@@ -42,13 +42,14 @@ from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
+    _require_finite_powers,
     _sum_positions,
     moment_matrix,
     moment_vector,
     monomial_values,
     numerical_rank,
-    reproduction_residuals,
     require_psd,
+    require_reproduced,
 )
 from .polynomials import AtomicMeasure, MomentSequence, _to_float
 
@@ -225,16 +226,10 @@ def _extract(
     _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
     points = [tuple(float(v @ op @ v) for op in operators) for v in vectors.T]
 
-    # A flat pair at ``level`` certifies the moments through degree 2*level.
+    # A flat pair at ``level`` certifies the moments through degree 2*level;
+    # the weight fit reads powers through ``level`` before the check runs.
     degree = min(2 * level, s.max_degree)
-    try:
-        # The largest power the weight fit and the moment check take.
-        max(abs(x) for pt in points for x in pt) ** degree
-    except OverflowError as exc:
-        raise ValidationFailure(
-            f"an extracted point has a power beyond double range by degree "
-            f"{degree}; it cannot reproduce the input moments"
-        ) from exc
+    _require_finite_powers(points, degree)
 
     a = monomial_values(s.dim, points, level)
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
@@ -249,12 +244,7 @@ def _extract(
         )
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
-    worst = max([0.0, *reproduction_residuals(measure, s, degree)])
-    if worst > tol:
-        raise ValidationFailure(
-            f"extracted measure misses the input moments: worst relative "
-            f"residual {worst:g} exceeds {tol:g}"
-        )
+    require_reproduced(measure, s, degree, tol, "extracted measure")
     return measure
 
 

@@ -30,15 +30,14 @@ from .errors import (
     DegreeOverflow,
     DimMismatch,
     RankCollapse,
-    ValidationFailure,
 )
 from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     assemble,
     numerical_rank,
-    reproduction_residuals,
     require_psd,
+    require_reproduced,
 )
 from .polynomials import AtomicMeasure, MomentSequence, _to_float
 
@@ -234,16 +233,12 @@ def solve_1d(
     atoms = [((x,), w) for x, w in zip(nodes, weights) if w > 0.0]
     measure = AtomicMeasure(1, atoms)
 
-    residuals = reproduction_residuals(measure, s, min(2 * q - 1, s.max_degree))
-    max_residual = max(residuals)
-    if max_residual > tol:
-        raise ValidationFailure(
-            f"recovered measure misses the input moments: worst relative "
-            f"residual {max_residual:g} exceeds {tol:g}"
-        )
+    residuals = require_reproduced(
+        measure, s, min(2 * q - 1, s.max_degree), tol, "recovered measure"
+    )
 
     jacobi = JacobiMatrix(
         [scale * a for a in jacobi_scaled.diag],
         [scale * b for b in jacobi_scaled.offdiag],
     )
-    return Solve1DResult(measure, jacobi, q, supported, max_residual, residuals)
+    return Solve1DResult(measure, jacobi, q, supported, max(residuals), residuals)
