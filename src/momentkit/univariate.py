@@ -230,8 +230,11 @@ def solve_1d(
             ClampedNodeWarning,
         )
 
-    atoms = [((x,), w) for x, w in zip(nodes, weights) if w > 0.0]
-    measure = AtomicMeasure(1, atoms)
+    # The clamp can move several nodes onto 0.0; they become one atom.
+    merged: dict[float, float] = {}
+    for x, w in zip(nodes, weights):
+        merged[x] = merged.get(x, 0.0) + w
+    measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
 
     residuals = require_reproduced(
         measure, s, min(2 * q - 1, s.max_degree), tol, "recovered measure"
