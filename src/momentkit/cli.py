@@ -546,9 +546,7 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
         # An image degree too deep for the data is an input error, as in
         # ``reduce``.
         stage("pushforward", ok=False, error=str(exc))
-        return finish(
-            EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_INCONCLUSIVE
-        )
+        return finish(EXIT_INPUT)
     stage(
         "pushforward",
         ok=True,
