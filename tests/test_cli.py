@@ -758,6 +758,58 @@ def test_solve_points_beyond_double_range_are_a_solver_failure(
     assert not out.exists()
 
 
+def test_solve_1d_node_power_beyond_double_range_is_a_solver_failure(
+    tmp_path, capsys
+):
+    # The exact data is finite as doubles through degree 4; a recovered
+    # node's cube leaves double range, so the 1-D validation refuses it.
+    spec = write_spec(
+        tmp_path,
+        "ovf.json",
+        atomic_spec(
+            1,
+            7,
+            [[1.0, 0.5138143288314894], [1.0, 1.7787886843719507], [1e-119, 1e105]],
+        ),
+    )
+    moments = str(tmp_path / "ovf.mom")
+    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "o.atoms"
+    code, report = run_json(capsys, "solve", moments, str(out))
+    assert code == EXIT_SOLVE
+    assert report["exit"] == EXIT_SOLVE
+    assert report["solved_degree"] == 4
+    assert report["error"] == {
+        "type": "ValidationFailure",
+        "message": "an extracted point has a power beyond double range by "
+        "degree 3; it cannot reproduce the input moments",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--rank-tol", "1e-14"], ["--mode", "1d", "--rank-tol", "0"]]
+)
+def test_solve_clamped_nodes_on_one_point_are_a_solver_failure(
+    tmp_path, capsys, flags
+):
+    # Both atoms lie within NODE_TOL below zero; the clamp merges them into
+    # one atom at 0, which misses s_1 = -6e-7.
+    spec = write_spec(
+        tmp_path, "clamp.json", atomic_spec(1, 4, [[1.0, -1e-7], [1.0, -5e-7]])
+    )
+    moments = str(tmp_path / "clamp.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "c.atoms"
+    code, report = run_json(capsys, "solve", moments, str(out), *flags)
+    assert code == EXIT_SOLVE
+    assert report["error"]["type"] == "ValidationFailure"
+    assert "worst relative residual 6e-07" in report["error"]["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -22,9 +22,14 @@ from momentkit import (
     psd_check,
     AtomicMeasure,
 )
-from momentkit.matrices import monomial_values, reproduction_residuals, require_psd
+from momentkit.matrices import (
+    monomial_values,
+    reproduction_residuals,
+    require_psd,
+    require_reproduced,
+)
 from momentkit.polynomials import add_indices, monomials_up_to
-from momentkit.errors import NotPsd
+from momentkit.errors import NotPsd, ValidationFailure
 
 
 class TestMomentMatrix:
@@ -415,6 +420,79 @@ class TestEvaluationMatchesReference:
         residuals = reproduction_residuals(mu, s, 1)
         assert residuals == _reference_residuals(mu, s, 1)
         assert residuals[1] == math.inf
+
+
+_DYADIC_COORDINATES = [0.5, -1.25, 2.0, 0.75, -3.5]
+_DYADIC_WEIGHTS = [0.25, 1.5, 0.5]
+
+
+def _dyadic_measure(dim: int, exact: bool, extra=()) -> AtomicMeasure:
+    """Three dyadic atoms in ``dim`` coordinates, plus the atoms ``extra``;
+    exact measures hold every coordinate and weight as a ``Fraction``."""
+    atoms = [
+        (
+            tuple(_DYADIC_COORDINATES[(i + j) % 5] for j in range(dim)),
+            _DYADIC_WEIGHTS[i],
+        )
+        for i in range(len(_DYADIC_WEIGHTS))
+    ]
+    atoms += list(extra)
+    if exact:
+        atoms = [(tuple(map(Fraction, pt)), Fraction(w)) for pt, w in atoms]
+    return AtomicMeasure(dim, atoms)
+
+
+class TestRequireReproduced:
+    DEGREE = 4
+
+    def _data(self, dim: int, exact: bool) -> MomentSequence:
+        # The first atom's weight is off by 2**-10 against the measure.
+        mu = _dyadic_measure(dim, exact)
+        (pt, w), *rest = mu.atoms
+        shifted = AtomicMeasure(dim, [(pt, w + 2.0**-10), *rest])
+        return moments_of_atomic(shifted, self.DEGREE, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_within_tol_returns_the_residuals(self, dim, exact):
+        mu, s = _dyadic_measure(dim, exact), self._data(dim, exact)
+        residuals = reproduction_residuals(mu, s, self.DEGREE)
+        assert max(residuals) > 0.0
+        got = require_reproduced(mu, s, self.DEGREE, max(residuals), "measure")
+        assert got == residuals
+        exact_fit = moments_of_atomic(mu, self.DEGREE, exact=exact)
+        assert require_reproduced(mu, exact_fit, self.DEGREE, 0.0, "measure") == (
+            reproduction_residuals(mu, exact_fit, self.DEGREE)
+        )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_worst_residual_above_tol_raises(self, dim, exact):
+        mu, s = _dyadic_measure(dim, exact), self._data(dim, exact)
+        worst = max(reproduction_residuals(mu, s, self.DEGREE))
+        message = (
+            f"test measure misses the input moments: worst relative residual "
+            f"{worst:g} exceeds {worst / 2:g}"
+        )
+        with pytest.raises(ValidationFailure, match=f"^{message}$"):
+            require_reproduced(mu, s, self.DEGREE, worst / 2, "test measure")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_power_beyond_double_range_raises(self, dim, exact):
+        # (2**300)**4 leaves double range; its lower powers do not.
+        far = ((2.0**300,) * dim, 2.0**-20)
+        mu = _dyadic_measure(dim, exact, extra=[far])
+        s = self._data(dim, exact)
+        with pytest.raises(OverflowError):
+            reproduction_residuals(mu, s, self.DEGREE)
+        with pytest.raises(
+            ValidationFailure, match="power beyond double range by degree 4"
+        ):
+            require_reproduced(mu, s, self.DEGREE, math.inf, "measure")
+        # Through degree 3 every power is finite, and the residual decides.
+        with pytest.raises(ValidationFailure, match="misses the input moments"):
+            require_reproduced(mu, s, 3, 1.0, "measure")
 
 
 class TestAssembledMatricesSkipTheSymmetryScan:

@@ -18,6 +18,7 @@ from momentkit import (
     MomentSequence,
     NotPsd,
     RankCollapse,
+    ValidationFailure,
     moments_factorial,
     moments_of_atomic,
     solve_1d,
@@ -155,6 +156,42 @@ class TestSolveEdgeCases:
             res = solve_1d(s)
         assert res.stieltjes_supported
         assert min(x for (x,), _ in res.measure.atoms) == 0.0
+
+    def test_clamped_nodes_on_one_point_become_one_atom(self):
+        # Both nodes lie within NODE_TOL below zero, so the clamp moves both
+        # onto 0.0; they merge into one atom carrying both weights.
+        mu = AtomicMeasure(1, [((-1e-7,), 1.0), ((-5e-7,), 1.0)])
+        s = moments_of_atomic(mu, 4)
+        with pytest.warns(ClampedNodeWarning, match="clamped 2"):
+            with pytest.raises(
+                ValidationFailure, match="worst relative residual 6e-07 exceeds 1e-08"
+            ):
+                solve_1d(s, rank_tol=1e-14)
+        with pytest.warns(ClampedNodeWarning, match="clamped 2"):
+            res = solve_1d(s, rank_tol=1e-14, tol=1e-6)
+        ((point, weight),) = res.measure.atoms
+        assert point == (0.0,)
+        assert weight == pytest.approx(2.0, rel=1e-12)
+        assert res.max_residual == pytest.approx(6e-7, rel=1e-9)
+
+    def test_node_power_beyond_double_range_is_a_validation_failure(self):
+        # A tiny atom at 1e105 leaves the exact moments finite as doubles
+        # through degree 4 only; the recovered node's cube is beyond double
+        # range at the validated degree 2q - 1 = 3.
+        mu = AtomicMeasure(
+            1,
+            [
+                ((0.5138143288314894,), 1.0),
+                ((1.7787886843719507,), 1.0),
+                ((1e105,), 1e-119),
+            ],
+        )
+        s = moments_of_atomic(mu, 7, exact=True)
+        assert s.finite_degree() == 4
+        with pytest.raises(
+            ValidationFailure, match="beyond double range by degree 3"
+        ):
+            solve_1d(s.restrict(s.finite_degree()))
 
     def test_genuinely_negative_node_not_supported(self):
         mu = AtomicMeasure(1, [((-1.0,), 1.0), ((2.0,), 1.0)])
