@@ -199,8 +199,15 @@ def extract_atoms(
     -------
     AtomicMeasure
         ``r`` atoms reproducing every moment of degree <= ``2*level`` (the
-        range a flat pair certifies) within ``tol`` relative (checked;
-        :class:`ValidationFailure` if not).
+        range a flat pair certifies) within ``tol`` relative.
+
+    Raises
+    ------
+    ValidationFailure
+        If the atoms miss a moment of degree <= ``2*level`` by more than
+        ``tol`` relative, or a point's power through that degree leaves
+        double range (checked before the weight fit), or the flat rank is 0
+        while some moment exceeds ``tol``.
     """
     return _extract(s, flat_rank(s, level, rank_tol), tol, seed)
 

@@ -149,7 +149,8 @@ def solve_1d(
         within ``tol`` relative.  ``stieltjes_supported`` is true iff all
         nodes lie in ``[0, inf)`` up to :data:`NODE_TOL`; nodes negative by
         less than that are clamped to zero with a
-        :class:`ClampedNodeWarning`.
+        :class:`ClampedNodeWarning`, and nodes clamped onto the same point
+        become one atom carrying their summed weight.
 
     Raises
     ------
@@ -158,7 +159,9 @@ def solve_1d(
     RankCollapse
         If the rank decision is inconsistent with positive mass.
     ValidationFailure
-        If the recovered measure does not reproduce the moments.
+        If the recovered measure misses a moment of degree <= ``2q - 1``
+        by more than ``tol`` relative, or a node's power through that
+        degree leaves double range.
     """
     if s.dim != 1:
         raise DimMismatch(f"solve_1d needs 1-dimensional data, got dim {s.dim}")
