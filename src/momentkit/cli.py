@@ -595,9 +595,11 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
         warnings=[str(w.message) for w in caught],
     )
 
-    worst = max([0.0, *matrices.reproduction_residuals(mu, s, s.max_degree)])
+    worst = matrices._worst_residual(
+        matrices.reproduction_residuals(mu, s, s.max_degree)
+    )
     verify_tol = max(args.tol, 1e-6)
-    if worst > verify_tol:
+    if not worst <= verify_tol:
         stage("verify", ok=False, worst_residual=worst, tolerance=verify_tol)
         return finish(EXIT_PULLBACK)
     stage("verify", ok=True, worst_residual=worst, tolerance=verify_tol)

@@ -31,6 +31,7 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _monomial_index,
     _monomial_table,
     add_indices,
     monomials_up_to,
@@ -138,10 +139,16 @@ def _sum_positions(dim: int, level: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _shifted(dim: int, degree: int, gamma: MultiIndex) -> tuple[MultiIndex, ...]:
-    """``m + gamma`` for every monomial ``m`` of degree <= ``degree``, in
-    graded-lex order of ``m``."""
-    return tuple(add_indices(m, gamma) for m in _monomial_table(dim, degree))
+def _shifted_positions(dim: int, degree: int, gamma: MultiIndex) -> np.ndarray:
+    """Graded-lex position of ``m + gamma`` for every monomial ``m`` of
+    degree <= ``degree``, in graded-lex order of ``m``."""
+    position = _monomial_index(dim, degree + sum(gamma))
+    positions = np.array(
+        [position[add_indices(m, gamma)] for m in _monomial_table(dim, degree)],
+        dtype=np.intp,
+    )
+    positions.setflags(write=False)  # shared by every caller through the cache
+    return positions
 
 
 def assemble(values: np.ndarray, dim: int, level: int) -> np.ndarray:
@@ -152,15 +159,14 @@ def assemble(values: np.ndarray, dim: int, level: int) -> np.ndarray:
 
 def moment_vector(s: MomentSequence, degree: int) -> np.ndarray:
     """Every entry of ``s`` of degree <= ``degree`` as a float, in graded-lex
-    order.  Only these entries are converted, so an exact entry beyond
-    double range raises ``OverflowError`` only when it is asked for."""
+    order: a writable copy of the leading slice of the sequence's float
+    table, which converts each entry once.  An exact entry beyond double
+    range raises ``OverflowError`` only when the slice reaches it."""
     if degree > s.max_degree:
         raise DegreeOverflow(
             f"need entries up to degree {degree}, data stops at {s.max_degree}"
         )
-    return np.array(
-        [float(s.values[m]) for m in _monomial_table(s.dim, degree)], dtype=float
-    )
+    return s._float_prefix(len(_monomial_table(s.dim, degree))).copy()
 
 
 def moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
@@ -225,16 +231,19 @@ def localizing_matrix(
             f"constraint needs degree {2 * level + int(f.degree)} entries, "
             f"data stops at {s.max_degree}"
         )
+    table = s._float_table()
+    # A sequence with an exact entry multiplies exactly, entry by entry.
+    exact = None if s._all_float else list(s.values.values())
     total = np.zeros(len(_monomial_table(s.dim, 2 * level)))
     for gamma, coeff in terms:
-        entries = [s.values[m] for m in _shifted(s.dim, 2 * level, gamma)]
-        if set(map(type, entries)) == {float}:
+        positions = _shifted_positions(s.dim, 2 * level, gamma)
+        if exact is None:
             # Fraction * float rounds the coefficient first and multiplies
             # in floats, so one array product gives the same bits.
             with np.errstate(over="ignore", invalid="ignore"):
-                term = float(coeff) * np.array(entries)
+                term = float(coeff) * table[positions]
         else:
-            term = np.array([float(coeff * v) for v in entries])
+            term = np.array([float(coeff * exact[p]) for p in positions.tolist()])
         total = total + term
     return SymmetricMatrixWithBasis._assembled(
         monomials_up_to(s.dim, level), assemble(total, s.dim, level)
@@ -405,6 +414,12 @@ def _require_finite_powers(points: Sequence[Sequence[Scalar]], degree: int) -> N
         ) from exc
 
 
+def _worst_residual(residuals: Sequence[float]) -> float:
+    """The largest residual, ``0.0`` for none, and NaN when any is NaN: a
+    NaN residual is a miss, where ``max`` would skip it."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def require_reproduced(
     measure: AtomicMeasure,
     s: MomentSequence,
@@ -416,12 +431,13 @@ def require_reproduced(
 
     Returns :func:`reproduction_residuals` through ``degree`` and raises
     :class:`ValidationFailure` when a point's power through ``degree``
-    leaves double range or when the worst residual exceeds ``tol``.
+    leaves double range or when the worst residual exceeds ``tol`` or is
+    NaN.
     """
     _require_finite_powers([pt for pt, _ in measure.atoms], degree)
     residuals = reproduction_residuals(measure, s, degree)
-    worst = max([0.0, *residuals])
-    if worst > tol:
+    worst = _worst_residual(residuals)
+    if not worst <= tol:
         raise ValidationFailure(
             f"{label} misses the input moments: worst relative residual "
             f"{worst:g} exceeds {tol:g}"

@@ -51,7 +51,7 @@ from .matrices import (
     require_psd,
     require_reproduced,
 )
-from .polynomials import AtomicMeasure, MomentSequence, _to_float
+from .polynomials import AtomicMeasure, MomentSequence
 
 @dataclass
 class FlatRankResult:
@@ -219,8 +219,9 @@ def _extract(
     level = fr.level
     operators, r = _operators(s, fr, tol)
     if r == 0:
-        worst = max(abs(_to_float(v)) for v in s.values.values())
-        if worst > tol:
+        # np.max keeps a NaN entry, and a NaN is a miss.
+        worst = float(np.max(np.abs(s._float_table())))
+        if not worst <= tol:
             raise ValidationFailure(
                 f"rank 0 but moments reach {worst:g}; data is inconsistent"
             )

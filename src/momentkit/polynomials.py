@@ -81,6 +81,13 @@ def _monomial_set(dim: int, degree: int) -> frozenset[MultiIndex]:
     return frozenset(_monomial_table(dim, degree))
 
 
+@functools.lru_cache(maxsize=128)
+def _monomial_index(dim: int, degree: int) -> dict[MultiIndex, int]:
+    """Graded-lex position of every multi-index of degree <= ``degree``.
+    The order is nested, so a position holds in every longer table."""
+    return {alpha: i for i, alpha in enumerate(_monomial_table(dim, degree))}
+
+
 def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
     """All multi-indices with total degree <= ``degree`` in graded-lex order."""
     return list(_monomial_table(dim, degree))
@@ -119,10 +126,12 @@ def _exp(log_value: float) -> float:
     return math.inf if log_value >= _LOG_MAX else math.exp(log_value)
 
 
-def _log(value: Scalar) -> float:
-    """Natural log of a positive entry.  An exact entry whose float over- or
-    underflows is logged as ``log(numerator) - log(denominator)``."""
-    fv = _to_float(value)
+def _log(value: Scalar, fv: float | None = None) -> float:
+    """Natural log of a positive entry, given its :func:`_to_float` as ``fv``
+    when the caller has it.  An exact entry whose float over- or underflows
+    is logged as ``log(numerator) - log(denominator)``."""
+    if fv is None:
+        fv = _to_float(value)
     if not isinstance(value, (int, Fraction)) or 0.0 < fv < math.inf:
         return math.log(fv)
     exact = Fraction(value)
@@ -369,10 +378,23 @@ class MomentSequence:
         too large for IEEE doubles stay usable.
 
     The object is immutable: nothing changes ``values`` or ``log_values``
-    after construction, so what is derived from them may be kept.
+    after construction, so what is derived from them may be kept.  Every
+    float read of the library goes through one read-only table of
+    ``_to_float`` of each entry in graded-lex order, converted on the first
+    float read (:meth:`_float_table`); the marginal view of the growth
+    diagnostics reads the same table.
     """
 
-    __slots__ = ("dim", "max_degree", "values", "log_values", "_marginals")
+    __slots__ = (
+        "dim",
+        "max_degree",
+        "values",
+        "log_values",
+        "_marginals",
+        "_floats",
+        "_all_float",
+        "_overflow_at",
+    )
 
     def __init__(
         self,
@@ -406,8 +428,50 @@ class MomentSequence:
         self.log_values = logs
         # axis -> (floats, logs) of its pure powers, made on the first read
         self._marginals: dict | None = None
+        # the float table; _all_float and _overflow_at are set with it
+        self._floats: np.ndarray | None = None
 
     # -- access ----------------------------------------------------------
+
+    def _float_table(self) -> np.ndarray:
+        """:func:`_to_float` of every entry in graded-lex order, converted
+        on the first call and kept read-only.
+
+        Building it also sets ``_all_float`` (every entry is a ``float``)
+        and ``_overflow_at``, the position of the first exact entry beyond
+        double range (the table's length when there is none).
+        """
+        if self._floats is None:
+            values = list(self.values.values())
+            self._all_float = set(map(type, values)) == {float}
+            if self._all_float:
+                table = np.array(values, dtype=float)
+                self._overflow_at = len(values)
+            else:
+                table = np.array([_to_float(v) for v in values], dtype=float)
+                self._overflow_at = next(
+                    (
+                        int(i)
+                        for i in np.flatnonzero(~np.isfinite(table))
+                        if not isinstance(values[i], float)
+                    ),
+                    len(values),
+                )
+            table.setflags(write=False)
+            self._floats = table
+        return self._floats
+
+    def _float_prefix(self, count: int) -> np.ndarray:
+        """The first ``count`` entries of :meth:`_float_table`, read-only.
+
+        Raises ``OverflowError``, as ``float`` does, when they reach an
+        exact entry beyond double range.
+        """
+        table = self._float_table()
+        if count > self._overflow_at:
+            alpha = _monomial_table(self.dim, self.max_degree)[self._overflow_at]
+            float(self.values[alpha])  # raises OverflowError
+        return table[:count]
 
     def indices(self) -> list[MultiIndex]:
         """All stored multi-indices in graded-lex order."""
@@ -472,15 +536,18 @@ class MomentSequence:
             self._marginals = {}
         view = self._marginals.get(axis)
         if view is None:
+            table = self._float_table()
+            position = _monomial_index(self.dim, self.max_degree)
             floats: list[float] = []
             logs: list[float | None] = []
             for n in range(self.max_degree + 1):
                 idx = self._axis_index(axis, n)
                 v = self.values[idx]
-                floats.append(_to_float(v))
+                fv = table.item(position[idx])
+                floats.append(fv)
                 lv = self.log_values.get(idx)
                 if lv is None:
-                    lv = None if v < 0 else NEG_INF if v == 0 else _log(v)
+                    lv = None if v < 0 else NEG_INF if v == 0 else _log(v, fv)
                 logs.append(lv)
             view = self._marginals[axis] = (floats, logs)
         return view
@@ -515,10 +582,11 @@ class MomentSequence:
         IEEE doubles — are still usable through :meth:`log_value`, but no
         matrix can be built from them.
         """
-        # Degree 0 is skipped: a float mass is checked finite on construction.
-        for alpha in _monomial_table(self.dim, self.max_degree)[1:]:
-            if not math.isfinite(_to_float(self.values[alpha])):
-                return sum(alpha) - 1
+        # Degree 0 is skipped: a float mass is checked finite on
+        # construction, and an exact one may overflow.
+        bad = np.flatnonzero(~np.isfinite(self._float_table()[1:]))
+        if bad.size:
+            return sum(_monomial_table(self.dim, self.max_degree)[bad[0] + 1]) - 1
         return self.max_degree
 
     # -- the associated linear functional ---------------------------------

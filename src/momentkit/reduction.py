@@ -47,6 +47,7 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _monomial_index,
     _monomial_table,
     _riesz_sorted,
     _to_float,
@@ -348,6 +349,8 @@ def pushed_power_sequence(
     algebra = _image_algebra(
         _presentation_key(SemiAlgebraicPresentation(s.dim, [f])), count
     )
+    table = s._float_table()
+    position = _monomial_index(s.dim, s.max_degree)
     values: dict[MultiIndex, Scalar] = {}
     for (n,), terms in algebra.sorted_terms:
         power = algebra.images[(n,)]
@@ -359,7 +362,7 @@ def pushed_power_sequence(
         val = _riesz_sorted(s, terms)
         cancel_scale = 0.0
         for expo, coeff in power.terms.items():
-            cancel_scale += abs(_to_float(coeff)) * abs(_to_float(s.value(expo)))
+            cancel_scale += abs(_to_float(coeff)) * abs(table.item(position[expo]))
         fv = _to_float(val)
         if (
             math.isfinite(cancel_scale)

@@ -39,7 +39,7 @@ from .matrices import (
     require_psd,
     require_reproduced,
 )
-from .polynomials import AtomicMeasure, MomentSequence, _to_float
+from .polynomials import AtomicMeasure, MomentSequence
 
 #: Nodes no lower than this are treated as supported on ``[0, inf)``;
 #: negative nodes above it are clamped to zero (with a warning).
@@ -166,7 +166,7 @@ def solve_1d(
     if s.dim != 1:
         raise DimMismatch(f"solve_1d needs 1-dimensional data, got dim {s.dim}")
     level = s.max_degree // 2
-    values = [_to_float(s.value((k,))) for k in range(s.max_degree + 1)]
+    values = s._float_table().tolist()
     mass = values[0]
     if mass <= 0.0:
         if all(v == 0.0 for v in values):
