@@ -1067,6 +1067,39 @@ def test_pipeline_subalgebra_pullback_fails_verification(tmp_path, capsys):
     assert verify["worst_residual"] > verify["tolerance"]
 
 
+def test_pipeline_nan_residual_fails_verification(tmp_path, capsys):
+    # Two atoms on the curve x2 = x1^2; their (0, 8) moment is 12.8, but the
+    # file claims e^800. The solve and pull-back read through degree 4 only,
+    # so the verify stage meets the entry as an inf target and a NaN residual.
+    spec = write_spec(
+        tmp_path,
+        "pc.json",
+        {
+            "fixture": "power-curve",
+            "exponent": 2,
+            "degree": 8,
+            "atoms": [[0.5, 0.5, 0.25], [0.5, 1.0, 1.5]],
+        },
+    )
+    moments, gens = tmp_path / "pc.mom", tmp_path / "pc.gens"
+    argv = ["generate", spec, str(moments), "--generators-out", str(gens), "--exact"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    lines = moments.read_text().splitlines()
+    bad = tmp_path / "bad.mom"
+    bad.write_text(
+        "\n".join("0 8 log:800" if ln.startswith("0 8 ") else ln for ln in lines)
+        + "\n"
+    )
+    out = tmp_path / "out.atoms"
+    code, report = run_json(capsys, "pipeline", str(bad), str(gens), str(out))
+    assert code == EXIT_PULLBACK
+    verify = stage_named(report, "verify")
+    assert verify["ok"] is False
+    assert verify["worst_residual"] == "nan"
+    assert not out.exists()
+
+
 def test_pipeline_rejects_non_generating_set_by_default(tmp_path, capsys):
     moments = make_factorial_file(tmp_path, degree=12)
     gens = tmp_path / "sq.txt"

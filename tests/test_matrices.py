@@ -494,6 +494,20 @@ class TestRequireReproduced:
         with pytest.raises(ValidationFailure, match="misses the input moments"):
             require_reproduced(mu, s, 3, 1.0, "measure")
 
+    @pytest.mark.parametrize("position", [1, -1])
+    def test_nan_residual_is_a_miss(self, position):
+        # A NaN entry gives a NaN residual; max() would skip it when it is
+        # not the first element.
+        mu = _dyadic_measure(2, False)
+        values = dict(moments_of_atomic(mu, self.DEGREE).values)
+        values[monomials_up_to(2, self.DEGREE)[position]] = math.nan
+        s = MomentSequence(2, self.DEGREE, values)
+        assert math.isnan(reproduction_residuals(mu, s, self.DEGREE)[position])
+        with pytest.raises(
+            ValidationFailure, match="worst relative residual nan exceeds inf"
+        ):
+            require_reproduced(mu, s, self.DEGREE, math.inf, "measure")
+
 
 class TestAssembledMatricesSkipTheSymmetryScan:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

@@ -189,6 +189,20 @@ class TestExtractAtoms:
         with pytest.raises(NotFlat, match="rank 0 but moments reach inf"):
             extract_atoms_auto(s)
 
+    @pytest.mark.parametrize("entry", [math.nan, 5.0])
+    def test_rank_zero_with_a_nonzero_or_nan_entry_is_refused(self, entry):
+        # Level 1 sees only zeros; a NaN entry at (0, 4) is a miss like 5.0,
+        # and at level 2 the matrix holding the NaN cannot be ranked.
+        values = {alpha: 0.0 for alpha in _all_indices(2, 4)}
+        values[(0, 4)] = entry
+        s = MomentSequence(2, 4, values)
+        with pytest.raises(
+            ValidationFailure, match=f"rank 0 but moments reach {entry:g}"
+        ):
+            extract_atoms(s, 1)
+        with pytest.raises(MomentError):
+            extract_atoms_auto(s)
+
     def test_point_with_powers_beyond_double_range_fails_validation(self):
         # Lognormal data: the points extracted at the deep levels have powers
         # past double range within the degrees the weight fit and the moment

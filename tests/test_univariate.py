@@ -193,6 +193,13 @@ class TestSolveEdgeCases:
         ):
             solve_1d(s.restrict(s.finite_degree()))
 
+    def test_nan_residual_is_a_validation_failure(self):
+        # The inf entry makes the growth scale inf, the node NaN and the
+        # degree-1 residual NaN.
+        s = MomentSequence(1, 3, {(0,): 1.0, (1,): 2.0, (2,): 4.0, (3,): math.inf})
+        with pytest.raises(ValidationFailure, match="worst relative residual nan"):
+            solve_1d(s)
+
     def test_genuinely_negative_node_not_supported(self):
         mu = AtomicMeasure(1, [((-1.0,), 1.0), ((2.0,), 1.0)])
         res = solve_1d(moments_of_atomic(mu, 6))
