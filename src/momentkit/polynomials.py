@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -82,10 +83,13 @@ def _monomial_set(dim: int, degree: int) -> frozenset[MultiIndex]:
 
 
 @functools.lru_cache(maxsize=128)
-def _monomial_index(dim: int, degree: int) -> dict[MultiIndex, int]:
-    """Graded-lex position of every multi-index of degree <= ``degree``.
-    The order is nested, so a position holds in every longer table."""
-    return {alpha: i for i, alpha in enumerate(_monomial_table(dim, degree))}
+def _monomial_index(dim: int, degree: int) -> Mapping[MultiIndex, int]:
+    """Graded-lex position of every multi-index of degree <= ``degree``, read
+    only (every caller shares it through the cache).  The order is nested,
+    so a position holds in every longer table."""
+    return MappingProxyType(
+        {alpha: i for i, alpha in enumerate(_monomial_table(dim, degree))}
+    )
 
 
 def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
