@@ -44,6 +44,7 @@ from .errors import (
     NegativeMoment,
     NotPositive,
     TrivialFunctional,
+    ValidationFailure,
 )
 from .polynomials import AtomicMeasure, MomentSequence, Polynomial
 
@@ -595,14 +596,20 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
         warnings=[str(w.message) for w in caught],
     )
 
-    worst = matrices._worst_residual(
-        matrices.reproduction_residuals(mu, s, s.max_degree)
-    )
-    verify_tol = max(args.tol, 1e-6)
-    if not worst <= verify_tol:
-        stage("verify", ok=False, worst_residual=worst, tolerance=verify_tol)
+    try:
+        residuals = matrices.require_reproduced(
+            mu, s, s.max_degree, args.tol, "pulled-back measure"
+        )
+    except ValidationFailure as exc:
+        stage(
+            "verify",
+            ok=False,
+            worst_residual=exc.worst,
+            tolerance=args.tol,
+            error=str(exc),
+        )
         return finish(EXIT_PULLBACK)
-    stage("verify", ok=True, worst_residual=worst, tolerance=verify_tol)
+    stage("verify", ok=True, worst_residual=max(residuals), tolerance=args.tol)
 
     try:
         fileformats.write_measure_file(args.out, mu)

@@ -70,7 +70,13 @@ class IllConditionedWeights(MomentError):
 
 class ValidationFailure(MomentError):
     """A reconstructed measure does not reproduce the input moments within
-    tolerance."""
+    tolerance.
+
+    ``worst`` is the worst relative residual that decided the miss, NaN
+    included; it is ``None`` when no residual was taken.
+    """
+
+    worst: float | None = None
 
 
 class NoPreimage(MomentError):

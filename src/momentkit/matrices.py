@@ -432,14 +432,17 @@ def require_reproduced(
     Returns :func:`reproduction_residuals` through ``degree`` and raises
     :class:`ValidationFailure` when a point's power through ``degree``
     leaves double range or when the worst residual exceeds ``tol`` or is
-    NaN.
+    NaN.  A miss carries that residual as the error's ``worst``; the power
+    check's error leaves it ``None``.
     """
     _require_finite_powers([pt for pt, _ in measure.atoms], degree)
     residuals = reproduction_residuals(measure, s, degree)
     worst = _worst_residual(residuals)
     if not worst <= tol:
-        raise ValidationFailure(
+        miss = ValidationFailure(
             f"{label} misses the input moments: worst relative residual "
             f"{worst:g} exceeds {tol:g}"
         )
+        miss.worst = worst
+        raise miss
     return residuals

@@ -949,7 +949,10 @@ def test_pipeline_recovers_curve_atoms_with_inverse(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["exit"] == EXIT_OK
     assert stage_named(report, "pullback")["route"] == "witnesses"
-    assert stage_named(report, "verify")["ok"] is True
+    verify = stage_named(report, "verify")
+    assert verify["ok"] is True
+    # Without --tol the verify stage checks at the default tolerance.
+    assert verify["tolerance"] == matrices.DEFAULT_PSD_TOL
     assert stage_named(report, "solve")["atom_count"] == 2
 
     mu = fileformats.read_measure_file(out)
@@ -1097,6 +1100,28 @@ def test_pipeline_nan_residual_fails_verification(tmp_path, capsys):
     verify = stage_named(report, "verify")
     assert verify["ok"] is False
     assert verify["worst_residual"] == "nan"
+    assert not out.exists()
+
+
+def test_pipeline_power_beyond_double_range_fails_verification(tmp_path, capsys):
+    # The atom 1e40 solves and pulls back at image degree 6, where its powers
+    # reach 1e240; the data runs to degree 12, and 1e480 leaves double range.
+    spec = write_spec(tmp_path, "far.json", atomic_spec(1, 12, [[1.0, 1e40]]))
+    moments = str(tmp_path / "far.mom")
+    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    capsys.readouterr()
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1\n")
+    out = tmp_path / "far.atoms"
+    code, report = run_json(
+        capsys, "pipeline", moments, str(gens), str(out), "--image-degree", "6"
+    )
+    assert code == EXIT_PULLBACK
+    assert stage_named(report, "pullback")["ok"] is True
+    verify = stage_named(report, "verify")
+    assert verify["ok"] is False
+    assert verify["worst_residual"] is None
+    assert "power beyond double range by degree 12" in verify["error"]
     assert not out.exists()
 
 

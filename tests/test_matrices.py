@@ -465,17 +465,34 @@ class TestRequireReproduced:
             reproduction_residuals(mu, exact_fit, self.DEGREE)
         )
 
-    @pytest.mark.parametrize("exact", [False, True])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_worst_residual_above_tol_raises(self, dim, exact):
+    @pytest.mark.parametrize(
+        "dim, exact, nan_at",
+        [
+            *(
+                pytest.param(dim, exact, None, id=f"{dim}-{exact}")
+                for dim in (1, 2, 3)
+                for exact in (False, True)
+            ),
+            # A NaN entry past the first, whose residual max() would skip.
+            pytest.param(2, False, -1, id="nan"),
+        ],
+    )
+    def test_worst_residual_above_tol_raises(self, dim, exact, nan_at):
         mu, s = _dyadic_measure(dim, exact), self._data(dim, exact)
-        worst = max(reproduction_residuals(mu, s, self.DEGREE))
+        if nan_at is not None:
+            values = dict(s.values)
+            values[monomials_up_to(dim, self.DEGREE)[nan_at]] = math.nan
+            s = MomentSequence(dim, self.DEGREE, values)
+        residuals = reproduction_residuals(mu, s, self.DEGREE)
+        worst = float(np.max(residuals))
+        tol = float(np.nanmax(residuals)) / 2
         message = (
             f"test measure misses the input moments: worst relative residual "
-            f"{worst:g} exceeds {worst / 2:g}"
+            f"{worst:g} exceeds {tol:g}"
         )
-        with pytest.raises(ValidationFailure, match=f"^{message}$"):
-            require_reproduced(mu, s, self.DEGREE, worst / 2, "test measure")
+        with pytest.raises(ValidationFailure, match=f"^{message}$") as raised:
+            require_reproduced(mu, s, self.DEGREE, tol, "test measure")
+        np.testing.assert_equal(raised.value.worst, worst)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
