@@ -18,8 +18,34 @@ _SPEC.loader.exec_module(bench_record)
 
 ENV = {"commit": "0123abc", "python": "3.12.3", "numpy": "2.4.6"}
 
+#: The tally lines of a solve-1d run as ``benchmarks/run.py`` prints them,
+#: with the note that follows them.
+TALLIES = """\
+# outcomes of 1296 operations: {"solved": 272, "refused": 64, "wrong": 960, "crash": 0}
+#   exact atoms<8          {"wrong": 52, "solved": 140, "refused": 32}
+#   exact atoms>=8         {"wrong": 416}
+#   factorial              {"wrong": 8}
+#   float atoms<8          {"solved": 132, "refused": 32, "wrong": 60}
+#   float atoms>=8         {"wrong": 416}
+#   lognormal              {"wrong": 8}
+# latencies are each problem's median of 2 passes
+"""
+OUTCOMES = {
+    "counts": {"solved": 272, "refused": 64, "wrong": 960, "crash": 0},
+    "by_kind": {
+        "exact atoms<8": {"wrong": 52, "solved": 140, "refused": 32},
+        "exact atoms>=8": {"wrong": 416},
+        "factorial": {"wrong": 8},
+        "float atoms<8": {"solved": 132, "refused": 32, "wrong": 60},
+        "float atoms>=8": {"wrong": 416},
+        "lognormal": {"wrong": 8},
+    },
+}
 
-def _stdout(metrics: dict, attempted: int = 240, failed: int = 0) -> str:
+
+def _stdout(
+    metrics: dict, attempted: int = 240, failed: int = 0, tallies: str = TALLIES
+) -> str:
     """What ``benchmarks/run.py`` prints: ``#`` lines, people's lines and
     one JSON line last."""
     result = {
@@ -33,7 +59,7 @@ def _stdout(metrics: dict, attempted: int = 240, failed: int = 0) -> str:
             "# momentkit benchmark: workload solve-md, seed 1, seconds 2, trace 0",
             "# env " + json.dumps(ENV),
             *(f"{k:<58} {v:>14.6g} {u}" for k, (v, u) in metrics.items()),
-            '# outcomes of 240 operations: {"solved": 186}',
+            *tallies.splitlines(),
             json.dumps(result),
         ]
     ) + "\n"
@@ -55,6 +81,22 @@ class TestParseRun:
     def test_output_without_a_result_line_is_refused(self, stdout):
         with pytest.raises(ValueError):
             bench_record.parse_run(stdout)
+
+    def test_reads_the_outcome_tallies(self):
+        run = bench_record.parse_run(_stdout(END_TO_END))
+        assert run["outcomes"] == OUTCOMES
+
+    @pytest.mark.parametrize(
+        "tallies",
+        [
+            TALLIES.replace("# outcomes of", "# tallies of"),
+            TALLIES.replace('{"wrong": 416}', '{"wrong": 416'),
+        ],
+        ids=["no-outcomes-line", "kind-not-json"],
+    )
+    def test_output_without_readable_tallies_is_refused(self, tallies):
+        with pytest.raises(ValueError):
+            bench_record.parse_run(_stdout(END_TO_END, tallies=tallies))
 
     def test_a_run_with_failed_operations_is_a_failure(self):
         run = bench_record.parse_run(_stdout(END_TO_END, attempted=10, failed=2))
@@ -84,6 +126,7 @@ class TestAssemble:
                     "problems_per_s": {"value": 580.5, "unit": "1/s"},
                     "latency_p50_ms": {"value": 1.37, "unit": "ms"},
                 },
+                "outcomes": OUTCOMES,
                 "traced_attempted": 480,
                 "traced_failed": 0,
                 "per_layer": {

@@ -5,19 +5,21 @@ Run from the directory that should receive the file::
     python3 tools/bench_record.py --root PATH --seed 70001 --seconds 10
 
 ``PATH`` is a git checkout of momentkit.  Its own ``benchmarks/run.py``
-runs every workload twice, with ``--trace 0`` (end-to-end metrics) and with
-``--trace 1`` (per-layer metrics).  A cold-CLI split follows: the median
-wall time of a bare ``python3 -c pass``, of ``python3 -c "import
-momentkit.cli"`` and of ``python3 -m momentkit.cli check`` on a power-curve
-fixture generated in a temporary directory.  Each runs once untimed, then
-:data:`COLD_SAMPLES` times in alternating rounds, with the checkout's
-``src`` on ``PYTHONPATH`` and one BLAS thread.  ``work_ms`` is the check's
-median less the import's.
+runs every workload twice, with ``--trace 0`` (end-to-end metrics and the
+outcome tallies: solved, refused, wrong and crash, in all and per kind of
+problem) and with ``--trace 1`` (per-layer metrics).  A cold-CLI split
+follows: the median wall time of a bare ``python3 -c pass``, of ``python3
+-c "import momentkit.cli"`` and of ``python3 -m momentkit.cli check`` on a
+power-curve fixture generated in a temporary directory.  Each runs once
+untimed, then :data:`COLD_SAMPLES` times in alternating rounds, with the
+checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread.  ``work_ms`` is
+the check's median less the import's.
 
 The file is written in the current directory.  The exit status is 1 when
-any run fails (a non-zero exit, no JSON result line, or ``correct`` false),
-and the file still lists what was recorded, with the failures.  A speed
-claim cites two such files: the parent's and the change's.
+any run fails (a non-zero exit, no JSON result line, no outcomes line, or
+``correct`` false), and the file still lists what was recorded, with the
+failures.  A speed claim cites two such files: the parent's and the
+change's.
 """
 
 from __future__ import annotations
@@ -52,10 +54,31 @@ BLAS_THREAD_VARS = (
 )
 
 
+def parse_outcomes(lines: list[str]) -> dict:
+    """The outcome tallies of a run's output: the ``# outcomes of N
+    operations: {...}`` line as ``counts``, and the ``#   <kind> {...}``
+    lines that follow it as ``by_kind``.  Raises ``ValueError`` when the
+    output holds no outcomes line or a tally is not JSON."""
+    start = next(
+        (i for i, ln in enumerate(lines) if ln.startswith("# outcomes of ")), None
+    )
+    if start is None:
+        raise ValueError("the output holds no outcomes line")
+    counts = json.loads(lines[start].partition(": ")[2])
+    by_kind = {}
+    for line in lines[start + 1 :]:
+        if not line.startswith("#   "):
+            break
+        kind, _, row = line[4:].partition(" {")
+        by_kind[kind.strip()] = json.loads("{" + row)
+    return {"counts": counts, "by_kind": by_kind}
+
+
 def parse_run(stdout: str) -> dict:
     """The result of one ``benchmarks/run.py`` run: its last line, which is
-    one JSON object, and the environment of its ``# env`` line.  Raises
-    ``ValueError`` when the output holds no such last line."""
+    one JSON object, the environment of its ``# env`` line and its
+    :func:`parse_outcomes` tallies as ``outcomes``.  Raises ``ValueError``
+    when the output holds no such last line or no tallies."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the run printed nothing")
@@ -69,7 +92,7 @@ def parse_run(stdout: str) -> dict:
         (json.loads(ln[len("# env ") :]) for ln in lines if ln.startswith("# env ")),
         None,
     )
-    return {**result, "env": env}
+    return {**result, "env": env, "outcomes": parse_outcomes(lines)}
 
 
 def run_failure(run: dict) -> str | None:
@@ -88,8 +111,9 @@ def assemble(
     failures: list[str],
 ) -> dict:
     """The record: per workload, the untraced run's end-to-end metrics with
-    ``attempted`` and ``failed``, and the traced run's per-layer metrics;
-    the cold-CLI split; the environment of the first run; the failures."""
+    ``attempted``, ``failed`` and the outcome tallies, and the traced run's
+    per-layer metrics; the cold-CLI split; the environment of the first
+    run; the failures."""
     workloads = {}
     for name in WORKLOADS:
         untraced, traced = runs.get((name, 0)), runs.get((name, 1))
@@ -98,6 +122,7 @@ def assemble(
             entry["attempted"] = untraced["attempted"]
             entry["failed"] = untraced["failed"]
             entry["end_to_end"] = untraced["metrics"]
+            entry["outcomes"] = untraced["outcomes"]
         if traced is not None:
             entry["traced_attempted"] = traced["attempted"]
             entry["traced_failed"] = traced["failed"]
