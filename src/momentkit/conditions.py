@@ -25,12 +25,17 @@ numerator and denominator, whether it over- or underflows as a float.
 The pure-power entries ``s[n e_j]`` are converted to floats and logged once
 per sequence and axis, on the first read, and kept on the sequence, which is
 immutable; every diagnostic run on one sequence reads that one conversion.
+:func:`normalize` divides float data as one array, whose quotients become the
+float table of the normalized copy, so its first read converts nothing.
+Terms, partial sums and margins are computed one by one with ``math.exp``
+and ``math.fsum`` in a fixed order, never with numpy's vectorized exp or
+cumulative sums, which round differently; one input always gives the same
+bits.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,7 +49,7 @@ from .errors import (
     TrivialFunctional,
 )
 from .matrices import DEFAULT_PSD_TOL, assemble, psd_check
-from .polynomials import MomentSequence, Scalar, _exp, _log, _to_float
+from .polynomials import _LOG_MAX, MomentSequence, Scalar, _exp, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -121,9 +126,16 @@ def normalize(s: MomentSequence) -> MomentSequence:
             "mass s_0 = 0: a positive functional with zero mass is identically "
             "zero (zero measure)"
         )
-    values = {a: _divide(v, mass) for a, v in s.values.items()}
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
+    table = s._float_table()
+    if s._all_float:
+        # One IEEE division per entry, as ``_divide`` makes on a float (an
+        # overflow is inf, silently); the quotients are the copy's table.
+        with np.errstate(over="ignore"):
+            quotients = table / mass
+        return MomentSequence._from_float_table(s.dim, s.max_degree, quotients, logs)
+    values = {a: _divide(v, mass) for a, v in s.values.items()}
     return MomentSequence(s.dim, s.max_degree, values, logs)
 
 
@@ -170,7 +182,11 @@ def _classify(terms: list[float]) -> tuple[str, dict]:
         details["rule"] = "vanishing-terms"
         return CONVERGENCE_CONSISTENT, details
     ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-    median_ratio = statistics.median(ratios)
+    ordered = sorted(ratios)
+    mid = len(ordered) // 2
+    median_ratio = (
+        ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    )
     max_ratio = max(ratios)
     details["median_ratio"] = median_ratio
     details["max_ratio"] = max_ratio
@@ -215,7 +231,11 @@ def _series_report(
             f"at {s.max_degree}"
         )
     logs = s._marginal_logs(axis, range(order, order * count + 1, order))
-    terms = [_term_from_log(lm, n * root) for n, lm in enumerate(logs, 1)]
+    # _term_from_log of each log, with its exp written out.
+    terms = [
+        math.inf if (x := -lm / (2.0 * (n * root))) >= _LOG_MAX else math.exp(x)
+        for n, lm in enumerate(logs, 1)
+    ]
     degenerate = -math.inf in logs
     sums = _partial_sums(terms)
     if degenerate:
@@ -325,13 +345,13 @@ def check_subsequence_bounds(
 
     # g_k = log(m_k) / k; roots are exp(g_k) and terms are exp(-g_k / 2).
     logs = s._marginal_logs(axis, range(1, high + 1))
-    g = {k: lm / k for k, lm in enumerate(logs, 1)}
+    g = [0.0] + [lm / k for k, lm in enumerate(logs, 1)]  # g[0] is not read
 
     def diff(a: float, b: float) -> float:
         # a - b with the convention that equal infinities cancel to zero.
         return 0.0 if a == b else a - b
 
-    monotone_margin = min(diff(g[k + 1], g[k]) for k in range(1, high))
+    monotone_margin = min(map(diff, g[2:], g[1:high]))
     monotone_ok = monotone_margin >= -INEQUALITY_SLACK
 
     termwise_margin = 0.0
@@ -344,13 +364,10 @@ def check_subsequence_bounds(
             termwise_margin = max(termwise_margin, diff(g[base], g[idx]) / 2.0)
     termwise_ok = termwise_margin <= INEQUALITY_SLACK
 
-    def term(k: int) -> float:
-        return _term_from_log(g[k] * k, k)
-
-    sum_lhs = math.fsum(term(n) for n in range(stride, count + 1))
-    sum_rhs = stride * math.fsum(
-        term(q * stride) for q in range(1, count // stride + 2)
-    )
+    # a(k) for k = 1 .. high, each computed once for both sums.
+    terms = [0.0] + [_term_from_log(g[k] * k, k) for k in range(1, high + 1)]
+    sum_lhs = math.fsum(terms[stride : count + 1])
+    sum_rhs = stride * math.fsum(terms[stride : high + 1 : stride])
     if math.isinf(sum_lhs) and math.isinf(sum_rhs):
         sum_ok = True
     else:

@@ -309,18 +309,22 @@ def psd_check(
     is taken in scaled units, so entries and row sums beyond the double range
     neither overflow the symmetrization nor turn the tolerance into ``inf``,
     and neither do entries that are all subnormal.
+
+    A NaN or infinite entry raises :class:`EigenFailure`.  It is found from
+    the scale itself, which is NaN or ``inf`` exactly when such an entry is
+    present, so one pass over the matrix serves both.
     """
     m = _as_array(matrix)
     if m.size == 0:
         return PsdVerdict(True, 0.0, tol_rel)
-    if not np.all(np.isfinite(m)):
+    scale = float(np.abs(m).max())
+    if not math.isfinite(scale):
         raise EigenFailure("matrix has non-finite entries")
-    scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return PsdVerdict(True, 0.0, tol_rel)
     m = m / scale
     m = (m + m.T) / 2.0
-    tolerance = tol_rel * max(1.0 / scale, float(np.max(np.sum(np.abs(m), axis=1))))
+    tolerance = tol_rel * max(1.0 / scale, float(np.abs(m).sum(axis=1).max()))
     try:
         min_eig = float(np.linalg.eigvalsh(m)[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal

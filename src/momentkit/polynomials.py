@@ -92,6 +92,22 @@ def _monomial_index(dim: int, degree: int) -> Mapping[MultiIndex, int]:
     )
 
 
+@functools.lru_cache(maxsize=128)
+def _axis_positions(dim: int, degree: int, axis: int) -> np.ndarray:
+    """Graded-lex position of the pure power ``n * e_axis`` for ``n = 0 ..
+    degree``, read only (every caller shares it through the cache)."""
+    position = _monomial_index(dim, degree)
+    positions = np.array(
+        [
+            position[tuple(n if j == axis else 0 for j in range(dim))]
+            for n in range(degree + 1)
+        ],
+        dtype=np.intp,
+    )
+    positions.setflags(write=False)
+    return positions
+
+
 def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
     """All multi-indices with total degree <= ``degree`` in graded-lex order."""
     return list(_monomial_table(dim, degree))
@@ -435,6 +451,23 @@ class MomentSequence:
         # the float table; _all_float and _overflow_at are set with it
         self._floats: np.ndarray | None = None
 
+    @classmethod
+    def _from_float_table(
+        cls,
+        dim: int,
+        max_degree: int,
+        table: np.ndarray,
+        log_values: Mapping[Sequence[int], float] | None = None,
+    ) -> "MomentSequence":
+        """The sequence whose entries are the floats of ``table``, one per
+        monomial in graded-lex order, with ``table`` (a fresh array, made
+        read-only here) kept as its float table."""
+        entries = dict(zip(_monomial_table(dim, max_degree), table.tolist()))
+        s = cls(dim, max_degree, entries, log_values)
+        table.setflags(write=False)
+        s._floats, s._all_float, s._overflow_at = table, True, len(table)
+        return s
+
     # -- access ----------------------------------------------------------
 
     def _float_table(self) -> np.ndarray:
@@ -540,19 +573,25 @@ class MomentSequence:
             self._marginals = {}
         view = self._marginals.get(axis)
         if view is None:
-            table = self._float_table()
-            position = _monomial_index(self.dim, self.max_degree)
-            floats: list[float] = []
-            logs: list[float | None] = []
-            for n in range(self.max_degree + 1):
-                idx = self._axis_index(axis, n)
-                v = self.values[idx]
-                fv = table.item(position[idx])
-                floats.append(fv)
-                lv = self.log_values.get(idx)
-                if lv is None:
-                    lv = None if v < 0 else NEG_INF if v == 0 else _log(v, fv)
-                logs.append(lv)
+            self._axis_index(axis, 0)  # raises on an axis out of range
+            picked = self._float_table()[
+                _axis_positions(self.dim, self.max_degree, axis)
+            ]
+            floats: list[float] = picked.tolist()
+            logs: list[float | None]
+            if not self.log_values and 0.0 < picked.min() and picked.max() < math.inf:
+                # Every entry is positive with a finite float, which is the
+                # one ``_log`` logs.
+                logs = list(map(math.log, floats))
+            else:
+                logs = []
+                for n, fv in enumerate(floats):
+                    idx = self._axis_index(axis, n)
+                    v = self.values[idx]
+                    lv = self.log_values.get(idx)
+                    if lv is None:
+                        lv = None if v < 0 else NEG_INF if v == 0 else _log(v, fv)
+                    logs.append(lv)
             view = self._marginals[axis] = (floats, logs)
         return view
 
@@ -676,6 +715,12 @@ def _first_coincident_pair(
     if count < 2:
         return None
     coords = np.array([[float(x) for x in pt] for pt in points], dtype=float)
+    if coords.shape[1] == 1 and not np.isnan(coords).any():
+        # On a line, a pair within ``tol`` makes some gap between sorted
+        # neighbours that small; without one no pair coincides.
+        with np.errstate(invalid="ignore", over="ignore"):
+            if (np.diff(np.sort(coords[:, 0])) > tol).all():
+                return None
     step = max(1, _PAIR_BLOCK // coords.size)
     for start in range(0, count - 1, step):
         block = coords[start : start + step]

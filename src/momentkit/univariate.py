@@ -109,17 +109,18 @@ def _partial_cholesky_rows(h: np.ndarray, rows: int) -> list[np.ndarray]:
     leading block of that size.
     """
     n = h.shape[1]
-    r: list[np.ndarray] = []
+    r = np.zeros((rows, n), dtype=float)
     for i in range(rows):
-        row = np.zeros(n, dtype=float)
-        pivot = h[i, i] - sum(prev[i] * prev[i] for prev in r)
+        # h[i, :] less row i's inner products with every column, summed over
+        # the earlier rows in order from 0.0: a reduction over the outer axis
+        # adds whole rows one after another, with no pairwise regrouping.
+        rest = h[i] - np.add.reduce(r[:i, i, None] * r[:i], axis=0, initial=0.0)
+        pivot = rest[i]
         if pivot <= 0.0 or not math.isfinite(pivot):
-            break
-        row[i] = math.sqrt(pivot)
-        for j in range(i + 1, n):
-            row[j] = (h[i, j] - sum(prev[i] * prev[j] for prev in r)) / row[i]
-        r.append(row)
-    return r
+            return list(r[:i])
+        r[i, i] = root = math.sqrt(pivot)
+        r[i, i + 1 :] = rest[i + 1 :] / root
+    return list(r)
 
 
 def solve_1d(

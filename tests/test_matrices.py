@@ -144,6 +144,35 @@ class TestPsdCheck:
         with pytest.raises(EigenFailure):
             psd_check(np.array([[math.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[7.0, 1.0], [1.0, math.nan]],  # NaN after a larger finite entry
+            [[1.0, math.inf], [math.inf, 1.0]],
+            [[2.0, 0.0], [0.0, -math.inf]],
+        ],
+        ids=["nan-after-larger", "+inf", "-inf"],
+    )
+    def test_non_finite_entry_found_from_the_scale(self, entries):
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            psd_check(np.array(entries))
+
+    def test_all_subnormal_matrix_keeps_verdict_and_tolerance(self):
+        m = np.array(
+            [[3e-310, 1e-310, 0.0], [1e-310, 2e-310, -5e-324], [0.0, -5e-324, 1e-311]]
+        )
+        verdict = psd_check(m)
+        assert verdict.is_psd
+        assert verdict.tolerance_used == 1e-8
+        assert verdict.min_eigenvalue == pytest.approx(
+            float(np.linalg.eigvalsh(m * 1e300)[0]) / 1e300, rel=1e-9
+        )
+        # Every eigenvalue is within the tolerance tol_rel of zero.
+        negative = psd_check(-m)
+        assert negative.is_psd
+        assert negative.min_eigenvalue < 0.0
+        assert negative.tolerance_used == 1e-8
+
     def test_require_psd_raises_with_context(self):
         with pytest.raises(NotPsd):
             require_psd(np.array([[-1.0]]), label="test matrix")

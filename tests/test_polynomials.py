@@ -303,6 +303,26 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match=f"^{message}$"):
             AtomicMeasure(2, [(p, 1.0) for p in points[2:]])
 
+    def test_one_dimensional_pair_is_the_first_in_row_major_order(self):
+        # Sorted, (1, 1+1e-13) is the first close pair; the scan meets
+        # (0, 2), the atoms 3 and 3+1e-13, before it.
+        points = [3.0, 1.0, 3.0 + 1e-13, 1.0 + 1e-13]
+        message = re.escape(f"atoms (3.0,) and ({3.0 + 1e-13!r},) coincide within 1e-12")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AtomicMeasure(1, [((x,), 1.0) for x in points])
+        far = [3.0, 1.0, 3.0 + 1e-11, 1.0 - 1e-11]
+        assert len(AtomicMeasure(1, [((x,), 1.0) for x in far])) == 4
+
+    def test_one_dimensional_nan_and_inf_keep_the_scan(self):
+        nan = math.nan
+        assert len(AtomicMeasure(1, [((nan,), 1.0), ((nan,), 1.0), ((2.0,), 1.0)])) == 3
+        with pytest.raises(ValueError, match=r"^atoms \(2\.0,\) and \(2\.0,\)"):
+            AtomicMeasure(1, [((nan,), 1.0), ((2.0,), 1.0), ((nan,), 1.0), ((2.0,), 1.0)])
+        with pytest.raises(ValueError, match=r"^atoms \(inf,\) and \(1\.0,\) coincide"):
+            AtomicMeasure(1, [((math.inf,), 1.0), ((1.0,), 1.0)], tol_atom=math.inf)
+        # The sorted gap of these two overflows to inf, quietly.
+        assert len(AtomicMeasure(1, [((1e308,), 1.0), ((-1e308,), 1.0)])) == 2
+
     def test_nan_gaps_keep_the_rule_of_python_max(self):
         # The gap of a pair is max(|a_k - b_k|) taken by Python's max: a NaN
         # in the first coordinate is kept, so the pair never coincides; a
