@@ -3,11 +3,14 @@
 Run from the repository root::
 
     PYTHONPATH=src python3 tools/answer_digest.py --workload solve-md --seed 70001
+    PYTHONPATH=src python3 tools/answer_digest.py --workload all --seed 1 --seed 2
 
-The pool is built from ``--seed`` exactly as ``benchmarks/run.py`` builds it.
-Each problem's operation runs once, and one line per problem is printed:
-its index, its kind and the SHA-256 of ``repr(answer)``.  The last line
-digests all of them.  For ``solve-1d`` the answer is the operation's own
+``--seed`` may be given more than once, and ``--workload all`` runs every
+workload in ``benchmarks/run.py``'s order.  For each workload, and for each
+seed in the order given, the pool is built exactly as ``benchmarks/run.py``
+builds it.  Each problem's operation runs once, and one line per problem is
+printed: its index, its kind and the SHA-256 of ``repr(answer)``.  A line
+``all <workload> <seed> <problems> <digest>`` then digests all of them.  For ``solve-1d`` the answer is the operation's own
 answer, the full ``solve_1d`` outcome (the error's type and message, or the
 result's rank, residuals, worst residual, Jacobi matrix and support flag)
 where the operation keeps only the atoms or the error's type, and the full
@@ -115,38 +118,52 @@ def md_details(problem) -> tuple:
     return hyp, outcome
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The options, with ``workloads`` the workloads to run in order and
+    ``seed`` the list of seeds."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=run.WORKLOADS_ORDER)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument(
+        "--workload", required=True, choices=(*run.WORKLOADS_ORDER, "all")
+    )
+    parser.add_argument("--seed", type=int, required=True, action="append")
     args = parser.parse_args(argv)
+    args.workloads = (
+        run.WORKLOADS_ORDER if args.workload == "all" else (args.workload,)
+    )
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     run.pin_blas_threads()
     import momentkit
     from workloads import WORKLOADS, Context, child_env
 
     print(f"# momentkit from {Path(momentkit.__file__).parent}", file=sys.stderr)
     warnings.simplefilter("ignore")
-    wl = WORKLOADS[args.workload]
-    total = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        ctx = Context(ROOT, workdir, child_env(ROOT))
-        pool = run.build_pool(wl, args.seed, ctx, None)
-        for i, problem in enumerate(pool):
-            if wl.name == "reduce-curve":
-                answer = curve_answer(problem, workdir)
-            elif wl.name == "solve-1d":
-                answer = (
-                    wl.op(problem, ctx),
-                    solve_1d_outcome(problem),
-                    growth_reports(problem),
-                )
-            else:
-                answer = md_details(problem)
-            digest = hashlib.sha256(repr(answer).encode()).hexdigest()
-            total.update(digest.encode())
-            print(f"{i}\t{problem.kind}\t{digest}")
-    print(f"all\t{len(pool)}\t{total.hexdigest()}")
+    for name in args.workloads:
+        for seed in args.seed:
+            wl = WORKLOADS[name]
+            total = hashlib.sha256()
+            with tempfile.TemporaryDirectory() as tmp:
+                workdir = Path(tmp)
+                ctx = Context(ROOT, workdir, child_env(ROOT))
+                pool = run.build_pool(wl, seed, ctx, None)
+                for i, problem in enumerate(pool):
+                    if wl.name == "reduce-curve":
+                        answer = curve_answer(problem, workdir)
+                    elif wl.name == "solve-1d":
+                        answer = (
+                            wl.op(problem, ctx),
+                            solve_1d_outcome(problem),
+                            growth_reports(problem),
+                        )
+                    else:
+                        answer = md_details(problem)
+                    digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+                    total.update(digest.encode())
+                    print(f"{i}\t{problem.kind}\t{digest}")
+            print(f"all\t{name}\t{seed}\t{len(pool)}\t{total.hexdigest()}")
     return 0
 
 
