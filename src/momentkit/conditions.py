@@ -27,10 +27,9 @@ per sequence and axis, on the first read, and kept on the sequence, which is
 immutable; every diagnostic run on one sequence reads that one conversion.
 :func:`normalize` divides float data as one array, whose quotients become the
 float table of the normalized copy, so its first read converts nothing.
-Terms, partial sums and margins are computed one by one with ``math.exp``
-and ``math.fsum`` in a fixed order, never with numpy's vectorized exp or
-cumulative sums, which round differently; one input always gives the same
-bits.
+Terms, partial sums and margins are computed entry by entry with
+``math.exp`` and ``math.fsum``: numpy's ``exp`` and ``cumsum`` round some of
+them differently.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentkit import EigenFailure, MomentSequence, PsdVerdict, psd_check
-from momentkit.conditions import _divide, normalize, stieltjes_terms
-from momentkit.polynomials import NEG_INF, _log, _to_float, monomials_up_to
+from momentkit.conditions import _divide, normalize
+from momentkit.polynomials import _log, _to_float, monomials_up_to
 from momentkit.univariate import _partial_cholesky_rows
+from test_float_table import _ref_marginal_view, _view_bytes
 
 # ---------------------------------------------------------------------------
 # the scalar code, kept as references
@@ -42,19 +43,6 @@ def _ref_normalize(s: MomentSequence) -> MomentSequence:
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
     return MomentSequence(s.dim, s.max_degree, values, logs)
-
-
-def _ref_marginal_view(s: MomentSequence, axis: int):
-    floats, logs = [], []
-    for n in range(s.max_degree + 1):
-        idx = tuple(n if j == axis else 0 for j in range(s.dim))
-        v = s.values[idx]
-        floats.append(_to_float(v))
-        lv = s.log_values.get(idx)
-        if lv is None:
-            lv = None if v < 0 else NEG_INF if v == 0 else _log(v)
-        logs.append(lv)
-    return floats, logs
 
 
 def _ref_psd_check(m: np.ndarray, tol_rel: float = 1e-8) -> PsdVerdict:
@@ -90,14 +78,6 @@ def _sequence_bytes(s: MomentSequence):
     return (
         [(type(v).__name__, _f(v) if isinstance(v, float) else v) for v in s.values.values()],
         {a: _f(lv) for a, lv in s.log_values.items()},
-    )
-
-
-def _view_bytes(view):
-    floats, logs = view
-    return (
-        np.array(floats, dtype=float).tobytes(),
-        [None if lv is None else _f(lv) for lv in logs],
     )
 
 
@@ -294,14 +274,6 @@ def test_marginal_view_of_positive_data_logs_each_float(s):
         )
     with pytest.raises(ValueError, match=f"axis {s.dim} out of range"):
         s._marginal_view(s.dim)
-
-
-def test_normalized_float_series_equal_the_reference_copy():
-    values = {(k,): 2.0**k * (k + 1.0) for k in range(13)}
-    values[(0,)] = 4.0
-    s = MomentSequence(1, 12, values)
-    got, want = stieltjes_terms(normalize(s), 0, 12), stieltjes_terms(_ref_normalize(s), 0, 12)
-    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------

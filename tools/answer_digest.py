@@ -10,21 +10,22 @@ workload in ``benchmarks/run.py``'s order.  For each workload, and for each
 seed in the order given, the pool is built exactly as ``benchmarks/run.py``
 builds it.  Each problem's operation runs once, and one line per problem is
 printed: its index, its kind and the SHA-256 of ``repr(answer)``.  A line
-``all <workload> <seed> <problems> <digest>`` then digests all of them.  For ``solve-1d`` the answer is the operation's own
-answer, the full ``solve_1d`` outcome (the error's type and message, or the
-result's rank, residuals, worst residual, Jacobi matrix and support flag)
-where the operation keeps only the atoms or the error's type, and the full
-reports of its four growth diagnostics (terms, partial sums, fit details,
-margins and ``hankel_level``), called with the operation's arguments, where
-the operation keeps only the classifications and ``passed``.  For ``solve-md`` the answer is the operation's two calls
-with everything they return: the full ``check_hypotheses`` report (every
-verdict's eigenvalue and tolerance) and the ``extract_atoms_auto`` outcome
-with the error's message, which for a refusal lists each level's failure,
-where the operation keeps only ``passed`` and the error's type.  For
-``reduce-curve`` the answer is every ``check`` and
-``pipeline`` exit code, its ``--format json`` and ``--format text`` reports
-with the work directory masked, and the ``.atoms`` file the pipeline wrote,
-so both report renderers are compared byte for byte.
+``all <workload> <seed> <problems> <digest>`` then digests all of them.  For
+``solve-1d`` the answer is the operation's own answer, the full ``solve_1d``
+outcome (the error's type and message, or the result's rank, residuals,
+worst residual, Jacobi matrix and support flag) where the operation keeps
+only the atoms or the error's type, and the full reports of its four growth
+diagnostics (terms, partial sums, fit details, margins and
+``hankel_level``), called with the operation's arguments, where the
+operation keeps only the classifications and ``passed``.  For ``solve-md``
+the answer is the operation's two calls with everything they return: the
+full ``check_hypotheses`` report (every verdict's eigenvalue and tolerance)
+and the ``extract_atoms_auto`` outcome with the error's message, which for a
+refusal lists each level's failure, where the operation keeps only
+``passed`` and the error's type.  For ``reduce-curve`` the answer is every
+``check`` and ``pipeline`` exit code, its ``--format json`` and ``--format
+text`` reports with the work directory masked, and the ``.atoms`` file the
+pipeline wrote, so both report renderers are compared byte for byte.
 
 momentkit is imported from ``PYTHONPATH``, so running the tool twice with
 the sources of two checkouts and diffing the outputs shows whether a change
@@ -133,6 +134,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
+def answer(wl, problem, ctx, workdir: Path):
+    """What the line of one problem digests."""
+    if wl.name == "reduce-curve":
+        return curve_answer(problem, workdir)
+    if wl.name == "solve-1d":
+        return (wl.op(problem, ctx), solve_1d_outcome(problem), growth_reports(problem))
+    return md_details(problem)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     run.pin_blas_threads()
@@ -142,25 +152,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# momentkit from {Path(momentkit.__file__).parent}", file=sys.stderr)
     warnings.simplefilter("ignore")
     for name in args.workloads:
+        wl = WORKLOADS[name]
         for seed in args.seed:
-            wl = WORKLOADS[name]
             total = hashlib.sha256()
             with tempfile.TemporaryDirectory() as tmp:
                 workdir = Path(tmp)
                 ctx = Context(ROOT, workdir, child_env(ROOT))
                 pool = run.build_pool(wl, seed, ctx, None)
                 for i, problem in enumerate(pool):
-                    if wl.name == "reduce-curve":
-                        answer = curve_answer(problem, workdir)
-                    elif wl.name == "solve-1d":
-                        answer = (
-                            wl.op(problem, ctx),
-                            solve_1d_outcome(problem),
-                            growth_reports(problem),
-                        )
-                    else:
-                        answer = md_details(problem)
-                    digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+                    got = answer(wl, problem, ctx, workdir)
+                    digest = hashlib.sha256(repr(got).encode()).hexdigest()
                     total.update(digest.encode())
                     print(f"{i}\t{problem.kind}\t{digest}")
             print(f"all\t{name}\t{seed}\t{len(pool)}\t{total.hexdigest()}")
