@@ -259,8 +259,6 @@ def _positive_sequences(draw):
     if draw(st.booleans()):  # one entry that takes the per-entry rule
         alpha = draw(st.sampled_from(monomials_up_to(dim, max_degree)))
         values[alpha] = draw(st.sampled_from([0, -2, 10**400, Fraction(1, 10**400), -0.0]))
-        if alpha == (0,) * dim and values[alpha] == -0.0:
-            values[alpha] = 1.0
     return MomentSequence(dim, max_degree, values)
 
 
