@@ -1,15 +1,20 @@
-"""The options of ``tools/answer_digest.py`` and the order of its runs.
+"""The options of ``tools/answer_digest.py``, the order of its runs and what
+``--pools`` digests.
 
-No pool is built here: the loop runs over empty pools."""
+No pool is built here: the loop runs over empty or hand-made pools."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from momentkit import MomentSequence
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
 _WRITES_BYTECODE = sys.dont_write_bytecode
@@ -33,6 +38,11 @@ class TestParseArgs:
         )
         assert args.workloads == ("solve-md",)
         assert args.seed == [777, 10, 777]
+
+    def test_pools_is_off_unless_given(self):
+        assert not answer_digest.parse_args(["--workload", "all", "--seed", "1"]).pools
+        args = answer_digest.parse_args(["--pools", "--workload", "all", "--seed", "1"])
+        assert args.pools
 
     def test_all_is_every_workload_in_benchmark_order(self):
         args = answer_digest.parse_args(["--workload", "all", "--seed", "1"])
@@ -69,3 +79,59 @@ def test_one_all_line_per_workload_and_seed(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"all\t{name}\t{seed}\t0\t{empty}" for name, seed in expected
     ]
+
+
+class TestPoolDigests:
+    def test_values_by_bits_and_type_and_logs(self):
+        s = MomentSequence(1, 3, {(0,): 0.1, (1,): 3, (2,): Fraction(1, 2), (3,): 1.0}, {(3,): 0.5})
+        assert answer_digest.sequence_record(s) == (
+            1,
+            3,
+            [
+                ((0,), "0x1.999999999999ap-4"),
+                ((1,), "int 3"),
+                ((2,), "Fraction Fraction(1, 2)"),
+                ((3,), "0x1.0000000000000p+0"),
+            ],
+            [((3,), "0x1.0000000000000p-1")],
+        )
+        exact_one = MomentSequence(1, 3, {**s.values, (3,): Fraction(1)}, s.log_values)
+        int_one = MomentSequence(1, 3, {**s.values, (3,): 1}, s.log_values)
+        records = {repr(answer_digest.sequence_record(x)) for x in (s, exact_one, int_one)}
+        assert len(records) == 3
+
+    def test_pools_digest_inputs_and_run_no_operation(self, monkeypatch, capsys, tmp_path):
+        moments, generators = tmp_path / "p.moments", tmp_path / "p.generators"
+        moments.write_text("moments")
+        generators.write_text("generators")
+        s = MomentSequence(1, 1, {(0,): 1.0, (1,): 0.5})
+        pools = {
+            "solve-md": [SimpleNamespace(kind="md", data={"s": s, "level": 1})],
+            "solve-1d": [SimpleNamespace(kind="1d", data={"s": s, "solve": s, "stride": 2})],
+            "reduce-curve": [
+                SimpleNamespace(
+                    kind="k=1",
+                    data={"moments": str(moments), "generators": str(generators)},
+                )
+            ],
+        }
+
+        def no_operation(*args):
+            raise AssertionError("--pools runs no operation")
+
+        monkeypatch.setattr(answer_digest.run, "pin_blas_threads", lambda: None)
+        monkeypatch.setattr(answer_digest.run, "build_pool", lambda wl, *_: pools[wl.name])
+        monkeypatch.setattr(answer_digest, "answer", no_operation)
+        assert answer_digest.main(["--workload", "all", "--seed", "3", "--pools"]) == 0
+        record = answer_digest.sequence_record(s)
+        inputs = {
+            "solve-md": (("s", record),),
+            "solve-1d": (("s", record), ("solve", record)),
+            "reduce-curve": (b"moments", b"generators"),
+        }
+        expected = []
+        for name in ORDER:
+            digest = hashlib.sha256(repr(inputs[name]).encode()).hexdigest()
+            total = hashlib.sha256(digest.encode()).hexdigest()
+            expected += [f"0\t{pools[name][0].kind}\t{digest}", f"all\t{name}\t3\t1\t{total}"]
+        assert capsys.readouterr().out.splitlines() == expected

@@ -4,6 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python3 tools/answer_digest.py --workload solve-md --seed 70001
     PYTHONPATH=src python3 tools/answer_digest.py --workload all --seed 1 --seed 2
+    PYTHONPATH=src python3 tools/answer_digest.py --workload all --seed 1 --pools
 
 ``--seed`` may be given more than once, and ``--workload all`` runs every
 workload in ``benchmarks/run.py``'s order.  For each workload, and for each
@@ -26,6 +27,13 @@ refusal lists each level's failure, where the operation keeps only
 ``check`` and ``pipeline`` exit code, its ``--format json`` and ``--format
 text`` reports with the work directory masked, and the ``.atoms`` file the
 pipeline wrote, so both report renderers are compared byte for byte.
+
+With ``--pools`` no operation runs: each line digests the problem's
+generated inputs instead, that is every value (``float.hex`` of a float,
+the type name and ``repr`` of an exact value) and every stored log of each
+moment sequence the problem holds, and for ``reduce-curve`` the bytes of its
+moment file and generator file.  The ``all`` lines are printed as without
+it.
 
 momentkit is imported from ``PYTHONPATH``, so running the tool twice with
 the sources of two checkouts and diffing the outputs shows whether a change
@@ -119,6 +127,31 @@ def md_details(problem) -> tuple:
     return hyp, outcome
 
 
+def sequence_record(s) -> tuple:
+    """Every value and stored log of a moment sequence, floats by their
+    bits and exact values with their type."""
+    values = [
+        (alpha, v.hex() if isinstance(v, float) else f"{type(v).__name__} {v!r}")
+        for alpha, v in s.values.items()
+    ]
+    logs = sorted((alpha, lv.hex()) for alpha, lv in s.log_values.items())
+    return s.dim, s.max_degree, values, logs
+
+
+def pool_inputs(wl, problem) -> tuple:
+    """What the ``--pools`` line of one problem digests."""
+    from momentkit import MomentSequence
+
+    d = problem.data
+    if wl.name == "reduce-curve":
+        return Path(d["moments"]).read_bytes(), Path(d["generators"]).read_bytes()
+    return tuple(
+        (key, sequence_record(v))
+        for key, v in d.items()
+        if isinstance(v, MomentSequence)
+    )
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The options, with ``workloads`` the workloads to run in order and
     ``seed`` the list of seeds."""
@@ -127,6 +160,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--workload", required=True, choices=(*run.WORKLOADS_ORDER, "all")
     )
     parser.add_argument("--seed", type=int, required=True, action="append")
+    parser.add_argument(
+        "--pools",
+        action="store_true",
+        help="digest each problem's generated inputs; run no operation",
+    )
     args = parser.parse_args(argv)
     args.workloads = (
         run.WORKLOADS_ORDER if args.workload == "all" else (args.workload,)
@@ -160,7 +198,10 @@ def main(argv: list[str] | None = None) -> int:
                 ctx = Context(ROOT, workdir, child_env(ROOT))
                 pool = run.build_pool(wl, seed, ctx, None)
                 for i, problem in enumerate(pool):
-                    got = answer(wl, problem, ctx, workdir)
+                    if args.pools:
+                        got = pool_inputs(wl, problem)
+                    else:
+                        got = answer(wl, problem, ctx, workdir)
                     digest = hashlib.sha256(repr(got).encode()).hexdigest()
                     total.update(digest.encode())
                     print(f"{i}\t{problem.kind}\t{digest}")
