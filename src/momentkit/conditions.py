@@ -26,7 +26,8 @@ The pure-power entries ``s[n e_j]`` are converted to floats and logged once
 per sequence and axis, on the first read, and kept on the sequence, which is
 immutable; every diagnostic run on one sequence reads that one conversion.
 :func:`normalize` divides float data as one array, whose quotients become the
-float table of the normalized copy, so its first read converts nothing.
+float table of the normalized copy, so its first read converts nothing; it
+divides exact data exactly, an ``int`` entry over an ``int`` mass included.
 Terms, partial sums and margins are computed entry by entry with
 ``math.exp`` and ``math.fsum``: numpy's ``exp`` and ``cumsum`` round some of
 them differently.
@@ -139,10 +140,13 @@ def normalize(s: MomentSequence) -> MomentSequence:
 
 
 def _divide(value: Scalar, mass: Scalar) -> Scalar:
-    """``value / mass``.  Where that quotient raises, because a float meets
-    an exact number whose float over- or underflows, a non-finite float
-    stays as it is and any other entry becomes the correctly rounded float
-    of the exact quotient."""
+    """``value / mass``, an exact ``Fraction`` when both are exact (an
+    ``int`` over an ``int`` too, which ``/`` would round to a float).
+    Where the quotient raises, because a float meets an exact number whose
+    float over- or underflows, a non-finite float stays as it is and any
+    other entry becomes the correctly rounded float of the exact quotient."""
+    if isinstance(value, int) and isinstance(mass, int):
+        return Fraction(value, mass)
     try:
         return value / mass
     except (OverflowError, ZeroDivisionError):

@@ -4,7 +4,11 @@ growth behavior), for tests, demos, and the CLI's ``generate`` command.
 Three families:
 
 * atomic — moments of an explicit finite atomic measure, optionally with
-  exact rational arithmetic;
+  exact rational arithmetic.  Both routes read one power table per
+  coordinate: floats take Python's ``float ** int`` powers and multiply
+  and add in the order of the plain per-monomial, per-atom loop, so every
+  float keeps that loop's bits; exact data sums integer numerators over
+  common denominators, one ``Fraction`` per entry;
 * exponential-type — 1-D moments ``n!`` (density ``exp(-x)`` on
   ``[0, inf)``), computed by the exact integer recursion; the associated
   root series decay like powers of ``n``, so growth diagnostics should find
@@ -29,14 +33,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import MembershipViolation
+from .matrices import _exponents, _powers
 from .polynomials import (
     AtomicMeasure,
     MomentSequence,
     Polynomial,
     Scalar,
     _exp,
-    monomials_up_to,
+    _monomial_table,
 )
 from .reduction import SemiAlgebraicPresentation
 
@@ -48,26 +55,69 @@ def moments_of_atomic(
 
     With ``exact=True`` every coordinate and weight is converted to the
     exact rational it represents and all entries come out as ``Fraction``.
+
+    Both routes read power tables, one per coordinate, instead of taking a
+    power per monomial and atom.  Floats multiply each atom's weight by its
+    powers ``x_j ** alpha_j`` from ``matrices._powers`` over ``j = 0 ..
+    dim - 1`` in order and add the atoms in order from ``0.0``, the order of
+    the per-monomial loop, so every entry has the bits that loop gave (a
+    factor ``x ** 0 = 1.0`` is exact); a power beyond double range raises
+    ``OverflowError``.  Exact data holds each coordinate as integers over
+    one common denominator and the weights over another, so each entry is
+    one integer sum of products over its denominator.
     """
-    atoms: list[tuple[tuple[Scalar, ...], Scalar]] = []
+    convert = Fraction if exact else float
+    points: list[tuple[Scalar, ...]] = []
+    weights: list[Scalar] = []
     for point, weight in measure.atoms:
-        if exact:
-            atoms.append(
-                (tuple(Fraction(x) for x in point), Fraction(weight))
-            )
-        else:
-            atoms.append((tuple(float(x) for x in point), float(weight)))
-    values: dict[tuple[int, ...], Scalar] = {}
-    for alpha in monomials_up_to(measure.dim, max_degree):
-        total: Scalar = Fraction(0) if exact else 0.0
-        for point, weight in atoms:
-            term: Scalar = weight
-            for x, e in zip(point, alpha):
-                if e:
-                    term = term * x**e
-            total = total + term
-        values[alpha] = total
-    return MomentSequence(measure.dim, max_degree, values)
+        points.append(tuple(convert(x) for x in point))
+        weights.append(convert(weight))
+    dim = measure.dim
+    columns = [[point[j] for point in points] for j in range(dim)]
+    exponents = _exponents(dim, max_degree)
+    if exact:
+        entries = _exact_sums(columns, weights, exponents, max_degree)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.array(weights, dtype=float)
+            for j, column in enumerate(columns):
+                rows = rows * _powers(column, max_degree)[exponents[:, j]]
+            totals = np.zeros(len(exponents))
+            for atom in rows.T:  # atoms in order: no regrouped sum
+                totals += atom
+        entries = totals.tolist()
+    values = dict(zip(_monomial_table(dim, max_degree), entries))
+    return MomentSequence(dim, max_degree, values)
+
+
+def _exact_sums(
+    columns: list[list[Fraction]],
+    weights: list[Fraction],
+    exponents: np.ndarray,
+    max_degree: int,
+) -> list[Fraction]:
+    """``sum_i w_i * prod_j x_ij ** alpha_j`` for each row ``alpha`` of
+    ``exponents``, from integer numerators over common denominators."""
+    numerators, denominator = _over_common_denominator(weights)
+    sums = np.array(numerators, dtype=object)
+    denominators = np.full(len(exponents), denominator, dtype=object)
+    for j, column in enumerate(columns):
+        numerators, denominator = _over_common_denominator(column)
+        powers = [[1] * len(numerators)]  # one product per further degree
+        for _ in range(max_degree):
+            powers.append([p * n for p, n in zip(powers[-1], numerators)])
+        scales = [denominator**e for e in range(len(powers))]
+        sums = sums * np.array(powers, dtype=object)[exponents[:, j]]
+        denominators = denominators * np.array(scales, dtype=object)[exponents[:, j]]
+    return [
+        Fraction(n, d) for n, d in zip(sums.sum(axis=1).tolist(), denominators.tolist())
+    ]
+
+
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def moments_factorial(max_degree: int) -> MomentSequence:

@@ -115,7 +115,7 @@ class HypothesesReport:
 def _exponents(dim: int, degree: int) -> np.ndarray:
     """The monomials of degree <= ``degree`` in graded-lex order as the rows
     of an exponent matrix."""
-    exponents = np.array(_monomial_table(dim, degree))
+    exponents = np.array(_monomial_table(dim, degree), dtype=np.intp).reshape(-1, dim)
     exponents.setflags(write=False)  # shared by every caller through the cache
     return exponents
 
@@ -250,6 +250,18 @@ def localizing_matrix(
     )
 
 
+def _powers(column: Sequence[float], degree: int) -> np.ndarray:
+    """``x ** e`` with one row per ``e = 0 .. degree`` and one column per
+    float ``x`` of ``column``.
+
+    Every power is Python's ``float ** int`` (``np.power`` rounds some of
+    them differently), so a power beyond double range raises
+    ``OverflowError``.
+    """
+    table = [[x**e for x in column] for e in range(degree + 1)]
+    return np.array(table, dtype=float).reshape(degree + 1, len(column))
+
+
 def monomial_values(
     dim: int, points: Sequence[Sequence[Scalar]], degree: int
 ) -> np.ndarray:
@@ -257,10 +269,9 @@ def monomial_values(
     monomial ``alpha`` of degree <= ``degree`` (graded-lex order) and one
     column per point.
 
-    Every power is Python's ``float ** int`` (``np.power`` rounds some of
-    them differently), so a power beyond double range raises
-    ``OverflowError``; the powers are multiplied over ``j = 0 .. dim - 1``
-    in order, as :func:`math.prod` does, and a product that overflows is
+    The powers come from :func:`_powers`, so one beyond double range raises
+    ``OverflowError``; they are multiplied over ``j = 0 .. dim - 1`` in
+    order, as :func:`math.prod` does, and a product that overflows is
     ``inf``.
     """
     coords = [[float(x) for x in pt] for pt in points]
@@ -268,7 +279,7 @@ def monomial_values(
     values = np.ones((len(exponents), len(coords)))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(dim):
-            powers = np.array([[c[j] ** e for c in coords] for e in range(degree + 1)])
+            powers = _powers([c[j] for c in coords], degree)
             values = values * powers[exponents[:, j]]
     return values
 

@@ -1,7 +1,8 @@
-"""Array forms of the 1-D solve and the growth diagnostics against the
-scalar code they replaced: the Cholesky rows of ``solve_1d``, the float
-``normalize``, the marginal view and the ``psd_check`` guard must equal the
-per-entry references byte for byte."""
+"""Array forms of the 1-D solve, the growth diagnostics and the atomic
+fixture against the scalar code they replaced: the Cholesky rows of
+``solve_1d``, the float ``normalize``, the marginal view, the ``psd_check``
+guard and ``moments_of_atomic`` must equal the per-entry references byte for
+byte."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentkit import EigenFailure, MomentSequence, PsdVerdict, psd_check
+from momentkit import AtomicMeasure, EigenFailure, MomentSequence, PsdVerdict, psd_check
 from momentkit.conditions import _divide, normalize
+from momentkit.fixtures import moments_of_atomic
 from momentkit.polynomials import _log, _to_float, monomials_up_to
 from momentkit.univariate import _partial_cholesky_rows
 from test_float_table import _ref_marginal_view, _view_bytes
@@ -59,6 +61,30 @@ def _ref_psd_check(m: np.ndarray, tol_rel: float = 1e-8) -> PsdVerdict:
     min_eig = float(np.linalg.eigvalsh(m)[0])
     used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
     return PsdVerdict(min_eig >= -tolerance, min_eig * scale, used)
+
+
+def _ref_moments_of_atomic(
+    measure: AtomicMeasure, max_degree: int, exact: bool = False
+) -> MomentSequence:
+    atoms = []
+    for point, weight in measure.atoms:
+        if exact:
+            atoms.append(
+                (tuple(Fraction(x) for x in point), Fraction(weight))
+            )
+        else:
+            atoms.append((tuple(float(x) for x in point), float(weight)))
+    values = {}
+    for alpha in monomials_up_to(measure.dim, max_degree):
+        total = Fraction(0) if exact else 0.0
+        for point, weight in atoms:
+            term = weight
+            for x, e in zip(point, alpha):
+                if e:
+                    term = term * x**e
+            total = total + term
+        values[alpha] = total
+    return MomentSequence(measure.dim, max_degree, values)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +318,89 @@ def test_psd_check_matches_the_two_pass_reference(n, data):
         if data.draw(st.booleans()):
             m = m + m.T  # symmetric, as every caller's matrix is
         assert _psd_outcome(psd_check, m) == _psd_outcome(_ref_psd_check, m)
+
+
+# ---------------------------------------------------------------------------
+# moments_of_atomic: power tables against the per-monomial loop
+
+_COORDINATES = [
+    0, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e150, -3e200,
+    1.7e308, 10**150, -(10**160), Fraction(10**170, 3), Fraction(-1, 10**320),
+]
+_coordinates = st.one_of(
+    st.sampled_from(_COORDINATES),
+    st.integers(-64, 64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10**6),
+)
+_weights = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e150, 1.7e308, Fraction(1, 3), 10**155]),
+    st.integers(1, 10**6),
+    st.floats(min_value=5e-324, max_value=1e300),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+)
+
+
+@st.composite
+def _atomic_measures(draw):
+    """0-20 distinct atoms in dims 1-4 with int, float and ``Fraction``
+    coordinates and weights, extremes included."""
+    dim = draw(st.integers(1, 4))
+    points = draw(
+        st.lists(
+            st.tuples(*[_coordinates] * dim),
+            max_size=20,
+            unique_by=lambda p: tuple(float(x) for x in p),
+        )
+    )
+    atoms = [(p, draw(_weights)) for p in points]
+    return AtomicMeasure(dim, atoms, tol_atom=0.0)
+
+
+def _fixture_outcome(fn, measure, max_degree, exact):
+    try:
+        s = fn(measure, max_degree, exact)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _sequence_bytes(s)
+
+
+class TestMomentsOfAtomicMatchThePerMonomialLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        measure=_atomic_measures(),
+        max_degree=st.integers(-1, 12),
+        exact=st.booleans(),
+    )
+    def test_hypothesis_measures(self, measure, max_degree, exact):
+        assert _fixture_outcome(
+            moments_of_atomic, measure, max_degree, exact
+        ) == _fixture_outcome(_ref_moments_of_atomic, measure, max_degree, exact)
+
+    def test_atoms_are_added_in_order(self):
+        # 1 + 2**-53 rounds back to 1 at every step of the loop; a pairwise
+        # or blocked sum adds some of the small weights together first.
+        weights = [1.0] + [2.0**-53] * 15
+        measure = AtomicMeasure(1, [((k / 8,), w) for k, w in enumerate(weights)])
+        got = moments_of_atomic(measure, 4)
+        assert _sequence_bytes(got) == _sequence_bytes(_ref_moments_of_atomic(measure, 4))
+        assert got.values[(0,)] == 1.0
+        assert float(np.sum(np.array(weights))) != 1.0
+
+    def test_power_beyond_double_range_raises_overflow_on_floats_only(self):
+        measure = AtomicMeasure(2, [((1.0, 1e200), 2.0)])
+        for fn in (moments_of_atomic, _ref_moments_of_atomic):
+            with pytest.raises(OverflowError):
+                fn(measure, 2)
+        assert moments_of_atomic(measure, 2, exact=True).values[(0, 2)] == 2 * Fraction(1e200) ** 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_negative_degree_raises_value_error(self, exact):
+        measure = AtomicMeasure(1, [((2.0,), 1.0)])
+        with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+            moments_of_atomic(measure, -1, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_measure(self, exact):
+        got = moments_of_atomic(AtomicMeasure(3), 2, exact)
+        assert _sequence_bytes(got) == _sequence_bytes(_ref_moments_of_atomic(AtomicMeasure(3), 2, exact))

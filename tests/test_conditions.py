@@ -352,7 +352,28 @@ class TestNormalizeBesideAnExactMass:
             values = {(0,): mass, **{(n + 1,): v for n, v in enumerate(entries)}}
             got = normalize(MomentSequence(1, len(entries), values)).values
             for alpha, v in values.items():
-                assert repr(got[alpha]) == repr(v / mass)
+                # an int over an int mass is their exact quotient, not v / mass
+                exact = isinstance(v, int) and isinstance(mass, int)
+                want = Fraction(v, mass) if exact else v / mass
+                assert repr(got[alpha]) == repr(want)
+
+    def test_integer_data_stays_exact(self):
+        ints = normalize(MomentSequence(1, 2, {(0,): 3, (1,): 1, (2,): 10**400}))
+        assert ints.values == {
+            (0,): Fraction(1),
+            (1,): Fraction(1, 3),
+            (2,): Fraction(10**400, 3),
+        }
+        assert {type(v) for v in ints.values.values()} == {Fraction}
+        assert ints.log_values == {}
+        # the same terms as with the mass given as a Fraction; the entry
+        # beyond double range is no zero term
+        fraction_mass = normalize(
+            MomentSequence(1, 2, {(0,): Fraction(3), (1,): 1, (2,): 10**400})
+        )
+        terms = stieltjes_terms(ints, count=2).terms
+        assert terms == stieltjes_terms(fraction_mass, count=2).terms
+        assert terms[1] == pytest.approx(1.316e-100, rel=1e-3)
 
 
 class TestSignedMarginals:
