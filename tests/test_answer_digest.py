@@ -83,7 +83,8 @@ def test_one_all_line_per_workload_and_seed(monkeypatch, capsys):
 
 class TestPoolDigests:
     def test_values_by_bits_and_type_and_logs(self):
-        s = MomentSequence(1, 3, {(0,): 0.1, (1,): 3, (2,): Fraction(1, 2), (3,): 1.0}, {(3,): 0.5})
+        values = {(0,): 0.1, (1,): 3, (2,): Fraction(1, 2), (3,): 1.0}
+        s = MomentSequence(1, 3, values, {(3,): 0.5})
         assert answer_digest.sequence_record(s) == (
             1,
             3,
@@ -95,12 +96,13 @@ class TestPoolDigests:
             ],
             [((3,), "0x1.0000000000000p-1")],
         )
-        exact_one = MomentSequence(1, 3, {**s.values, (3,): Fraction(1)}, s.log_values)
-        int_one = MomentSequence(1, 3, {**s.values, (3,): 1}, s.log_values)
-        records = {repr(answer_digest.sequence_record(x)) for x in (s, exact_one, int_one)}
-        assert len(records) == 3
+        # 1.0, Fraction(1) and 1 are equal values with three records
+        ones = [MomentSequence(1, 3, {**values, (3,): one}) for one in (1.0, Fraction(1), 1)]
+        assert len({repr(answer_digest.sequence_record(x)) for x in ones}) == 3
 
-    def test_pools_digest_inputs_and_run_no_operation(self, monkeypatch, capsys, tmp_path):
+    def test_pools_digest_inputs_and_run_no_operation(
+        self, monkeypatch, capsys, tmp_path
+    ):
         moments, generators = tmp_path / "p.moments", tmp_path / "p.generators"
         moments.write_text("moments")
         generators.write_text("generators")
@@ -133,5 +135,6 @@ class TestPoolDigests:
         for name in ORDER:
             digest = hashlib.sha256(repr(inputs[name]).encode()).hexdigest()
             total = hashlib.sha256(digest.encode()).hexdigest()
-            expected += [f"0\t{pools[name][0].kind}\t{digest}", f"all\t{name}\t3\t1\t{total}"]
+            expected.append(f"0\t{pools[name][0].kind}\t{digest}")
+            expected.append(f"all\t{name}\t3\t1\t{total}")
         assert capsys.readouterr().out.splitlines() == expected

@@ -392,15 +392,11 @@ class TestMomentsOfAtomicMatchThePerMonomialLoop:
         for fn in (moments_of_atomic, _ref_moments_of_atomic):
             with pytest.raises(OverflowError):
                 fn(measure, 2)
-        assert moments_of_atomic(measure, 2, exact=True).values[(0, 2)] == 2 * Fraction(1e200) ** 2
+        exact = moments_of_atomic(measure, 2, exact=True)
+        assert exact.values[(0, 2)] == 2 * Fraction(1e200) ** 2
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_negative_degree_raises_value_error(self, exact):
         measure = AtomicMeasure(1, [((2.0,), 1.0)])
         with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
             moments_of_atomic(measure, -1, exact)
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_zero_measure(self, exact):
-        got = moments_of_atomic(AtomicMeasure(3), 2, exact)
-        assert _sequence_bytes(got) == _sequence_bytes(_ref_moments_of_atomic(AtomicMeasure(3), 2, exact))

@@ -69,37 +69,36 @@ def test_generate_atomic_roundtrip(tmp_path, capsys):
     assert float(s.value((1, 1))) == pytest.approx(2.5)
 
 
+_PLANAR_ATOMS = [[0.5, 1.0, 2.0], [0.25, -3.0, 1e-3], [2.0, 0.1, 7.0]]
+_CURVE_SPEC = {
+    "fixture": "power-curve",
+    "degree": 12,
+    "exponent": 3,
+    "atoms": [[0.5, 1.5, 4.0], [1.25, 0.3, 0.1]],
+}
+
+
 @pytest.mark.parametrize(
     "spec, exact",
     [
-        (atomic_spec(2, 6, [[0.5, 1.0, 2.0], [0.25, -3.0, 1e-3], [2.0, 0.1, 7.0]]), False),
-        (atomic_spec(2, 6, [[0.5, 1.0, 2.0], [0.25, -3.0, 1e-3], [2.0, 0.1, 7.0]]), True),
+        (atomic_spec(2, 6, _PLANAR_ATOMS), False),
+        (atomic_spec(2, 6, _PLANAR_ATOMS), True),
         (atomic_spec(3, 4, [[1.5, 0.3, -0.7, 2.0], [0.2, 5.0, 0.0, -1.0]]), False),
-        (
-            {"fixture": "power-curve", "degree": 12, "exponent": 3,
-             "atoms": [[0.5, 1.5, 4.0], [1.25, 0.3, 0.1]]},
-            False,
-        ),
-        (
-            {"fixture": "power-curve", "degree": 12, "exponent": 3,
-             "atoms": [[0.5, 1.5, 4.0], [1.25, 0.3, 0.1]]},
-            True,
-        ),
+        (_CURVE_SPEC, False),
+        (_CURVE_SPEC, True),
     ],
-    ids=["atomic-float", "atomic-exact", "atomic-3d", "power-curve-float", "power-curve-exact"],
+    ids=["atomic", "atomic-exact", "atomic-3d", "power-curve", "power-curve-exact"],
 )
 def test_generate_writes_the_per_monomial_moments(tmp_path, capsys, spec, exact):
-    # The moments of the per-monomial loop, kept in test_array_forms.
+    # the per-monomial loop that moments_of_atomic replaced
     from test_array_forms import _ref_moments_of_atomic
 
     out = tmp_path / "m.mom"
-    flags = ["--exact"] if exact else []
-    code, _ = run_json(capsys, "generate", write_spec(tmp_path, "s.json", spec), str(out), *flags)
+    spec_file = write_spec(tmp_path, "s.json", spec)
+    code, _ = run_json(capsys, "generate", spec_file, str(out), *["--exact"] * exact)
     assert code == EXIT_OK
-    dim = spec.get("dim", 2)
-    measure = AtomicMeasure(
-        dim, [(tuple(row[1:]), row[0]) for row in spec["atoms"]]
-    )
+    atoms = [(tuple(row[1:]), row[0]) for row in spec["atoms"]]
+    measure = AtomicMeasure(spec.get("dim", 2), atoms)
     want = _ref_moments_of_atomic(measure, spec["degree"], exact)
     assert out.read_bytes() == fileformats.format_moment_file(want).encode()
 
