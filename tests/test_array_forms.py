@@ -387,6 +387,13 @@ class TestMomentsOfAtomicMatchThePerMonomialLoop:
         assert got.values[(0,)] == 1.0
         assert float(np.sum(np.array(weights))) != 1.0
 
+    def test_sum_starts_from_positive_zero(self):
+        # 0.0 + -0.0 is 0.0: an odd power of -0.0 leaves no negative zero
+        measure = AtomicMeasure(1, [((-0.0,), 1.0)])
+        got = moments_of_atomic(measure, 3)
+        assert _sequence_bytes(got) == _sequence_bytes(_ref_moments_of_atomic(measure, 3))
+        assert math.copysign(1.0, got.values[(3,)]) == 1.0
+
     def test_power_beyond_double_range_raises_overflow_on_floats_only(self):
         measure = AtomicMeasure(2, [((1.0, 1e200), 2.0)])
         for fn in (moments_of_atomic, _ref_moments_of_atomic):
