@@ -66,7 +66,8 @@ def moments_of_atomic(
     one common denominator and the weights over another, so each entry is
     one integer sum of products over its denominator.
     """
-    convert = Fraction if exact else float
+    # A Fraction is kept as it is: Fraction(x) would only copy it.
+    convert = _as_fraction if exact else float
     points: list[tuple[Scalar, ...]] = []
     weights: list[Scalar] = []
     for point, weight in measure.atoms:
@@ -88,6 +89,10 @@ def moments_of_atomic(
         entries = totals.tolist()
     values = dict(zip(_monomial_table(dim, max_degree), entries))
     return MomentSequence(dim, max_degree, values)
+
+
+def _as_fraction(x: Scalar) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _exact_sums(

@@ -293,11 +293,24 @@ def reproduction_residuals(
     ``|alpha| <= degree`` in graded-lex order, each sum taken with
     :func:`math.fsum` over the atoms.
     """
-    weights = np.array([float(w) for _, w in measure.atoms])
-    values = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
+    table = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
+    return _residuals(table, _weights(measure), s, degree)
+
+
+def _weights(measure: AtomicMeasure) -> np.ndarray:
+    return np.array([float(w) for _, w in measure.atoms])
+
+
+def _residuals(
+    table: np.ndarray, weights: np.ndarray, s: MomentSequence, degree: int
+) -> list[float]:
+    """:func:`reproduction_residuals` from the measure's
+    :func:`monomial_values` table through ``degree`` and its float
+    weights."""
     targets = moment_vector(s, degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.array([math.fsum(row) for row in (values * weights).tolist()])
+        rows = (table * weights).tolist()
+        sums = np.fromiter(map(math.fsum, rows), dtype=float, count=len(rows))
         # fmax, like max(1.0, t), ignores a NaN target.
         return (np.abs(sums - targets) / np.fmax(1.0, np.abs(targets))).tolist()
 
@@ -450,8 +463,24 @@ def require_reproduced(
     NaN.  A miss carries that residual as the error's ``worst``; the power
     check's error leaves it ``None``.
     """
-    _require_finite_powers([pt for pt, _ in measure.atoms], degree)
-    residuals = reproduction_residuals(measure, s, degree)
+    points = [pt for pt, _ in measure.atoms]
+    _require_finite_powers(points, degree)
+    table = monomial_values(s.dim, points, degree)
+    return _require_table_reproduces(table, _weights(measure), s, degree, tol, label)
+
+
+def _require_table_reproduces(
+    table: np.ndarray,
+    weights: np.ndarray,
+    s: MomentSequence,
+    degree: int,
+    tol: float,
+    label: str,
+) -> list[float]:
+    """The decision of :func:`require_reproduced`, on a measure's
+    :func:`monomial_values` table through ``degree`` (its powers already
+    checked) and its float weights, for a caller that holds the table."""
+    residuals = _residuals(table, weights, s, degree)
     worst = _worst_residual(residuals)
     if not worst <= tol:
         miss = ValidationFailure(

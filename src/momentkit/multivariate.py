@@ -21,10 +21,19 @@ level ``n - 1`` is the block of the flat pair's level-``n`` moment matrix
 with rows ``alpha + e_j`` and columns ``beta``.  The level scan of
 :func:`extract_atoms_auto` assembles and ranks each level's moment matrix
 once and reuses it as the next level's previous matrix.
+
+Each extraction builds one table of monomial values at its atoms, through
+degree ``2 * level``: the weight fit reads its leading rows, the monomials
+of degree <= ``level``, and the moment check reads all of it, through the decision that
+:func:`~momentkit.matrices.require_reproduced` takes.  The probe
+direction depends only on the dimension and the seed, so it is drawn once
+per ``(dim, seed)`` and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,13 +52,13 @@ from .matrices import (
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
     _require_finite_powers,
+    _require_table_reproduces,
     _sum_positions,
     moment_matrix,
     moment_vector,
     monomial_values,
     numerical_rank,
     require_psd,
-    require_reproduced,
 )
 from .polynomials import AtomicMeasure, MomentSequence
 
@@ -108,12 +117,16 @@ def multiplication_operators(
     ``tol`` (relative to their norms) — the signature of data that is not
     consistently atomic at this level.
     """
-    return _operators(s, flat_rank(s, level, rank_tol), tol)
+    operators, r = _operators(s, flat_rank(s, level, rank_tol), tol)
+    return list(operators), r
 
 
-def _shift_matrix(dim: int, fr: FlatRankResult, axis: int) -> np.ndarray:
+def _shift_matrix(
+    dim: int, fr: FlatRankResult, axis: int | np.ndarray
+) -> np.ndarray:
     """The localizing matrix of ``x_axis`` at level ``fr.level - 1``, read
-    out of the moment matrix at ``fr.level``.
+    out of the moment matrix at ``fr.level``; for an array of axes, one
+    such matrix per axis, stacked, in one indexed read.
 
     Its entries ``s[alpha + e_axis + beta]`` sit in rows ``alpha + e_axis``
     and columns ``beta``, where ``basis[1 + axis]`` is ``e_axis``.  Adding
@@ -122,13 +135,14 @@ def _shift_matrix(dim: int, fr: FlatRankResult, axis: int) -> np.ndarray:
     """
     n = fr.previous_matrix.size
     rows = _sum_positions(dim, fr.level)[:n, 1 + axis]
-    return 0.0 + fr.matrix.entries[rows][:, :n]
+    return 0.0 + fr.matrix.entries[:, :n][rows.T]
 
 
 def _operators(
     s: MomentSequence, fr: FlatRankResult, tol: float
-) -> tuple[list[np.ndarray], int]:
-    """:func:`multiplication_operators` on a level's ranked moment matrices."""
+) -> tuple[np.ndarray, int]:
+    """:func:`multiplication_operators` on a level's ranked moment matrices,
+    with the operators stacked, one slice per coordinate (none at rank 0)."""
     level = fr.level
     if not fr.is_flat:
         raise NotFlat(
@@ -138,7 +152,7 @@ def _operators(
     require_psd(fr.matrix, tol, label=f"moment matrix (level {level})")
     r = fr.rank
     if r == 0:
-        return [], 0
+        return np.empty((0, 0, 0)), 0
 
     eigenvalues, eigenvectors = np.linalg.eigh(fr.previous_matrix.entries)
     # top-r eigenpairs span the column space; whiten so the compression is a
@@ -151,23 +165,34 @@ def _operators(
     u = eigenvectors[:, -r:]
     w = u / np.sqrt(lam)
 
-    operators: list[np.ndarray] = []
-    for axis in range(s.dim):
-        op = w.T @ _shift_matrix(s.dim, fr, axis) @ w
-        operators.append((op + op.T) / 2.0)
+    # Stacked products run the same gemm on every slice as one product per
+    # axis or pair would, so each operator and commutator keeps its bits.
+    ops = w.T @ _shift_matrix(s.dim, fr, np.arange(s.dim)) @ w
+    ops = (ops + ops.transpose(0, 2, 1)) / 2.0
+    norms = np.abs(ops).sum(axis=2).max(axis=1).tolist()
+    pairs = list(itertools.combinations(range(s.dim), 2))  # row-major
+    first, second = [i for i, _ in pairs], [j for _, j in pairs]
+    comms = ops[first] @ ops[second] - ops[second] @ ops[first]
+    comm_norms = np.abs(comms).sum(axis=2).max(axis=1).tolist()
+    for i, j, comm_norm in zip(first, second, comm_norms):
+        bound = tol * max(1.0, norms[i] * norms[j])
+        if comm_norm > bound:
+            raise CommutatorTooLarge(
+                f"coordinate operators {i} and {j} do not commute: "
+                f"commutator norm {comm_norm:g} exceeds {bound:g}"
+            )
+    return ops, r
 
-    norms = [float(np.max(np.sum(np.abs(op), axis=1))) for op in operators]
-    for i in range(len(operators)):
-        for j in range(i + 1, len(operators)):
-            comm = operators[i] @ operators[j] - operators[j] @ operators[i]
-            comm_norm = float(np.max(np.sum(np.abs(comm), axis=1)))
-            bound = tol * max(1.0, norms[i] * norms[j])
-            if comm_norm > bound:
-                raise CommutatorTooLarge(
-                    f"coordinate operators {i} and {j} do not commute: "
-                    f"commutator norm {comm_norm:g} exceeds {bound:g}"
-                )
-    return operators, r
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _probe_direction(dim: int, seed: int) -> np.ndarray:
+    """The unit direction of :func:`extract_atoms`'s probe: a normal draw
+    from ``default_rng(seed)``, normalized.  It depends on nothing else,
+    so it is drawn once per ``(dim, seed)`` and shared read-only."""
+    coeffs = np.random.default_rng(seed).standard_normal(dim)
+    coeffs /= math.sqrt(float(coeffs @ coeffs))
+    coeffs.setflags(write=False)  # shared by every caller through the cache
+    return coeffs
 
 
 def extract_atoms(
@@ -229,17 +254,21 @@ def _extract(
 
     # One seeded probe: a draw that does not separate the atoms is refused
     # below by the weight fit or the moment check.
-    coeffs = np.random.default_rng(seed).standard_normal(s.dim)
-    coeffs /= math.sqrt(float(coeffs @ coeffs))
+    coeffs = _probe_direction(s.dim, seed)
     _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
-    points = [tuple(float(v @ op @ v) for op in operators) for v in vectors.T]
+    # Rayleigh quotients: v @ operators holds v @ op for every axis, and a
+    # dot with v finishes each, as v @ op @ v does, bit for bit.
+    points = [tuple(float(row @ v) for row in v @ operators) for v in vectors.T]
 
-    # A flat pair at ``level`` certifies the moments through degree 2*level;
-    # the weight fit reads powers through ``level`` before the check runs.
+    # A flat pair at ``level`` certifies the moments through degree 2*level.
+    # One table of powers through that degree serves both the weight fit,
+    # on its leading rows (the monomials of degree <= level, nested in
+    # graded-lex order), and the moment check.
     degree = min(2 * level, s.max_degree)
     _require_finite_powers(points, degree)
+    table = monomial_values(s.dim, points, degree)
 
-    a = monomial_values(s.dim, points, level)
+    a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
     if lstsq_rank < r:
         raise IllConditionedWeights(
@@ -252,7 +281,7 @@ def _extract(
         )
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
-    require_reproduced(measure, s, degree, tol, "extracted measure")
+    _require_table_reproduces(table, weights, s, degree, tol, "extracted measure")
     return measure
 
 

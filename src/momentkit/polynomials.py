@@ -709,18 +709,24 @@ def _first_coincident_pair(
 
     The gap of a pair is Python's ``max`` over ``|float(a) - float(b)|``
     coordinate by coordinate, which keeps a leading NaN (never within
-    ``tol``) and skips a later one.
+    ``tol``) and skips a later one.  So a pair within ``tol`` is within
+    ``tol`` on axis 0, and has no NaN there.  When every gap between
+    neighbours among the sorted non-NaN axis-0 coordinates exceeds ``tol``,
+    no pair is, and the answer is ``None`` without a pairwise scan; this
+    test runs in plain Python, which at a few dozen points is cheaper than
+    numpy's fixed cost.  Otherwise every pair is scanned in row-major order,
+    so an error names the same pair either way.
     """
     count = len(points)
     if count < 2:
         return None
-    coords = np.array([[float(x) for x in pt] for pt in points], dtype=float)
-    if coords.shape[1] == 1 and not np.isnan(coords).any():
-        # On a line, a pair within ``tol`` makes some gap between sorted
-        # neighbours that small; without one no pair coincides.
-        with np.errstate(invalid="ignore", over="ignore"):
-            if (np.diff(np.sort(coords[:, 0])) > tol).all():
-                return None
+    rows = [[float(x) for x in pt] for pt in points]
+    firsts = sorted(row[0] for row in rows if row[0] == row[0])
+    # A float gap between sorted neighbours bounds every other one below;
+    # a NaN gap (inf - inf) is not above ``tol``, and keeps the scan.
+    if all(b - a > tol for a, b in zip(firsts, firsts[1:])):
+        return None
+    coords = np.array(rows, dtype=float)
     step = max(1, _PAIR_BLOCK // coords.size)
     for start in range(0, count - 1, step):
         block = coords[start : start + step]

@@ -40,6 +40,7 @@ from momentkit.matrices import (
     moment_vector,
     reproduction_residuals,
     require_psd,
+    require_reproduced,
 )
 from momentkit.multivariate import FlatRankResult
 from conftest import measure_errors, random_measure
@@ -480,6 +481,21 @@ class TestScanMatchesTheTwoBuildReference:
                 )
         assert np.signbit(flat_rank(s, 1).matrix.entries[0, 1])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stacked_shift_blocks_equal_the_single_ones(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        mu = AtomicMeasure(
+            dim, [(tuple(rng.uniform(-2.0, 2.0, dim)), w) for w in (0.5, 0.25, 1.0)]
+        )
+        s = moments_of_atomic(mu, 6)
+        for level in range(1, 4):
+            fr = flat_rank(s, level)
+            stacked = multivariate._shift_matrix(dim, fr, np.arange(dim))
+            assert stacked.shape == (dim, fr.previous_matrix.size, fr.previous_matrix.size)
+            for axis in range(dim):
+                single = multivariate._shift_matrix(dim, fr, axis)
+                assert stacked[axis].tobytes() == single.tobytes()
+
     @pytest.mark.parametrize(
         "huge_degree, raising_level", [(3, 2), (4, 2), (5, 3), (6, 3), (7, None), (8, None)]
     )
@@ -521,15 +537,10 @@ class TestScanMatchesTheTwoBuildReference:
             assert got_degree == want_degree == 2 * raising_level
 
 
-class _FixedDirection:
-    """Stands in for ``default_rng``: every normal draw is all ones, so the
-    probe direction is (1, ..., 1) before normalization."""
-
-    def __init__(self, seed):
-        pass
-
-    def standard_normal(self, size):
-        return np.ones(size)
+def _fixed_direction(dim, seed):
+    """Stands in for ``multivariate._probe_direction``: the probe direction
+    is (1, ..., 1), normalized."""
+    return np.ones(dim) / math.sqrt(dim)
 
 
 class TestOneProbe:
@@ -543,7 +554,7 @@ class TestOneProbe:
     )
     def test_a_direction_that_does_not_separate_is_refused(self, points):
         s = moments_of_atomic(AtomicMeasure(2, [(p, 0.5) for p in points]), 4)
-        with mock.patch.object(multivariate.np.random, "default_rng", _FixedDirection):
+        with mock.patch.object(multivariate, "_probe_direction", _fixed_direction):
             with pytest.raises(MomentError) as refused:
                 extract_atoms(s, 2)
             assert isinstance(refused.value, (IllConditionedWeights, ValidationFailure))
@@ -555,6 +566,40 @@ class TestOneProbe:
         pos, wt = measure_errors(AtomicMeasure(2, [(p, 0.5) for p in points]), nu)
         assert pos <= 1e-9
         assert wt <= 1e-9
+
+    def test_a_miss_reads_as_the_shared_gate_reads_it(self):
+        # Extraction validates from its own table of powers; a miss must
+        # carry the message and worst residual that require_reproduced
+        # gives for the same measure.
+        points = [(1.0, 3.0), (3.0, 1.0)]
+        s = moments_of_atomic(AtomicMeasure(2, [(p, 0.5) for p in points]), 4)
+        built = []
+
+        def recording(*args):
+            built.append(AtomicMeasure(*args))
+            return built[-1]
+
+        with mock.patch.object(multivariate, "_probe_direction", _fixed_direction):
+            with mock.patch.object(multivariate, "AtomicMeasure", recording):
+                with pytest.raises(ValidationFailure) as extracted:
+                    extract_atoms(s, 2)
+        (measure,) = built
+        with pytest.raises(ValidationFailure) as gated:
+            require_reproduced(measure, s, 4, 1e-8, "extracted measure")
+        assert str(extracted.value) == str(gated.value)
+        assert repr(extracted.value.worst) == repr(gated.value.worst)
+        assert extracted.value.worst > 1e-8
+
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (2, 0), (3, 7), (4, 90210)])
+    def test_direction_is_the_normalized_draw_shared_read_only(self, dim, seed):
+        coeffs = np.random.default_rng(seed).standard_normal(dim)
+        coeffs /= math.sqrt(float(coeffs @ coeffs))
+        got = multivariate._probe_direction(dim, seed)
+        assert got.tobytes() == coeffs.tobytes()
+        assert multivariate._probe_direction(dim, seed) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(s=_atomic_data(min_dim=2, max_count=8))

@@ -353,6 +353,47 @@ class TestAtomicMeasure:
             got = str(exc)
         assert got == _reference_coincidence(points, 1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        points=st.lists(
+            st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 4),
+            max_size=24,
+            unique=True,
+        ),
+        close=st.lists(
+            st.tuples(
+                st.integers(0, 23),
+                st.sampled_from([0.0, 2**-45, 1e-13, 1e-11]),
+                st.sampled_from([0.0, 1e-13, 1.0]),
+                st.integers(0, 30),
+            ),
+            max_size=3,
+        ),
+        special=st.lists(
+            st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 30)),
+            max_size=3,
+        ),
+    )
+    def test_scattered_points_match_the_pairwise_loop(self, dim, points, close, special):
+        # Distinct scattered points take the sorted axis-0 shortcut; a
+        # point close to another on axis 0 only, or also on every other
+        # axis, and a NaN or inf on axis 0 exercise its fallback.
+        points = [p[:dim] for p in points]
+        for k, first, rest, at in close:
+            if points:
+                base = points[k % len(points)]
+                near = (base[0] + first, *(x + rest for x in base[1:]))
+                points.insert(at % (len(points) + 1), near)
+        for x, at in special:
+            points.insert(at % (len(points) + 1), (x, *[float(at)] * (dim - 1)))
+        try:
+            AtomicMeasure(dim, [(p, 1.0) for p in points])
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _reference_coincidence(points, 1e-12)
+
     def test_dim_checked(self):
         with pytest.raises(DimMismatch):
             AtomicMeasure(2, [((1.0,), 0.5)])
