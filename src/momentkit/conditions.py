@@ -25,9 +25,9 @@ numerator and denominator, whether it over- or underflows as a float.
 The pure-power entries ``s[n e_j]`` are converted to floats and logged once
 per sequence and axis, on the first read, and kept on the sequence, which is
 immutable; every diagnostic run on one sequence reads that one conversion.
-:func:`normalize` divides float data as one array, whose quotients become the
-float table of the normalized copy, so its first read converts nothing; it
-divides exact data exactly, an ``int`` entry over an ``int`` mass included.
+:func:`normalize` divides every entry by the mass with one rule: an exact
+entry over an exact mass stays exact, an ``int`` over an ``int`` included,
+and any other quotient is the IEEE float one, an overflow a quiet ``inf``.
 Terms, partial sums and margins are computed entry by entry with
 ``math.exp`` and ``math.fsum``: numpy's ``exp`` and ``cumsum`` round some of
 them differently.
@@ -49,7 +49,7 @@ from .errors import (
     TrivialFunctional,
 )
 from .matrices import DEFAULT_PSD_TOL, assemble, psd_check
-from .polynomials import _LOG_MAX, MomentSequence, Scalar, _exp, _log, _to_float
+from .polynomials import MomentSequence, Scalar, _exp, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -126,16 +126,9 @@ def normalize(s: MomentSequence) -> MomentSequence:
             "mass s_0 = 0: a positive functional with zero mass is identically "
             "zero (zero measure)"
         )
+    values = {a: _divide(v, mass) for a, v in s.values.items()}
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
-    table = s._float_table()
-    if s._all_float:
-        # One IEEE division per entry, as ``_divide`` makes on a float (an
-        # overflow is inf, silently); the quotients are the copy's table.
-        with np.errstate(over="ignore"):
-            quotients = table / mass
-        return MomentSequence._from_float_table(s.dim, s.max_degree, quotients, logs)
-    values = {a: _divide(v, mass) for a, v in s.values.items()}
     return MomentSequence(s.dim, s.max_degree, values, logs)
 
 
@@ -234,11 +227,7 @@ def _series_report(
             f"at {s.max_degree}"
         )
     logs = s._marginal_logs(axis, range(order, order * count + 1, order))
-    # _term_from_log of each log, with its exp written out.
-    terms = [
-        math.inf if (x := -lm / (2.0 * (n * root))) >= _LOG_MAX else math.exp(x)
-        for n, lm in enumerate(logs, 1)
-    ]
+    terms = [_term_from_log(lm, n * root) for n, lm in enumerate(logs, 1)]
     degenerate = -math.inf in logs
     sums = _partial_sums(terms)
     if degenerate:

@@ -264,7 +264,7 @@ def _extract(
     # One table of powers through that degree serves both the weight fit,
     # on its leading rows (the monomials of degree <= level, nested in
     # graded-lex order), and the moment check.
-    degree = min(2 * level, s.max_degree)
+    degree = 2 * level
     _require_finite_powers(points, degree)
     table = monomial_values(s.dim, points, degree)
 

@@ -451,23 +451,6 @@ class MomentSequence:
         # the float table; _all_float and _overflow_at are set with it
         self._floats: np.ndarray | None = None
 
-    @classmethod
-    def _from_float_table(
-        cls,
-        dim: int,
-        max_degree: int,
-        table: np.ndarray,
-        log_values: Mapping[Sequence[int], float] | None = None,
-    ) -> "MomentSequence":
-        """The sequence whose entries are the floats of ``table``, one per
-        monomial in graded-lex order, with ``table`` (a fresh array, made
-        read-only here) kept as its float table."""
-        entries = dict(zip(_monomial_table(dim, max_degree), table.tolist()))
-        s = cls(dim, max_degree, entries, log_values)
-        table.setflags(write=False)
-        s._floats, s._all_float, s._overflow_at = table, True, len(table)
-        return s
-
     # -- access ----------------------------------------------------------
 
     def _float_table(self) -> np.ndarray:
@@ -534,14 +517,21 @@ class MomentSequence:
         :class:`NegativeMoment` if the entry is negative.
         """
         idx = tuple(alpha)
-        if idx in self.log_values:
-            return self.log_values[idx]
         v = self.value(idx)
-        if v < 0:
+        lv = self._entry_log(idx)
+        if lv is None:
             raise NegativeMoment(f"moment at {idx} is negative: {v}")
-        if v == 0:
-            return NEG_INF
-        return _log(v)
+        return lv
+
+    def _entry_log(self, idx: MultiIndex, fv: float | None = None) -> float | None:
+        """The stored log of the entry at ``idx``, else ``-inf`` for a zero
+        entry, ``None`` for a negative one and :func:`_log` of any other
+        (``fv`` is its :func:`_to_float` when the caller has it)."""
+        lv = self.log_values.get(idx)
+        if lv is None:
+            v = self.values[idx]
+            lv = None if v < 0 else NEG_INF if v == 0 else _log(v, fv)
+        return lv
 
     def marginal(self, axis: int, order: int) -> Scalar:
         """The pure-power entry ``s[order * e_axis]``."""
@@ -549,9 +539,7 @@ class MomentSequence:
 
     def log_marginal(self, axis: int, order: int) -> float:
         """:meth:`log_value` of the pure-power entry ``s[order * e_axis]``."""
-        if not 0 <= order <= self.max_degree:
-            return self.log_value(self._axis_index(axis, order))  # raises
-        return self._marginal_logs(axis, range(order, order + 1))[0]
+        return self.log_value(self._axis_index(axis, order))
 
     def _marginal_logs(self, axis: int, orders: range) -> list[float]:
         """:meth:`log_marginal` of every order in ``orders``, from the
@@ -559,8 +547,8 @@ class MomentSequence:
         logs = self._marginal_view(axis)[1]
         picked = [logs[n] for n in orders]
         if None in picked:
-            idx = self._axis_index(axis, orders[picked.index(None)])
-            raise NegativeMoment(f"moment at {idx} is negative: {self.values[idx]}")
+            n = orders[picked.index(None)]
+            self.log_value(self._axis_index(axis, n))  # raises NegativeMoment
         return picked
 
     def _marginal_view(self, axis: int) -> tuple[list[float], list[float | None]]:
@@ -584,14 +572,10 @@ class MomentSequence:
                 # one ``_log`` logs.
                 logs = list(map(math.log, floats))
             else:
-                logs = []
-                for n, fv in enumerate(floats):
-                    idx = self._axis_index(axis, n)
-                    v = self.values[idx]
-                    lv = self.log_values.get(idx)
-                    if lv is None:
-                        lv = None if v < 0 else NEG_INF if v == 0 else _log(v, fv)
-                    logs.append(lv)
+                logs = [
+                    self._entry_log(self._axis_index(axis, n), fv)
+                    for n, fv in enumerate(floats)
+                ]
             view = self._marginals[axis] = (floats, logs)
         return view
 

@@ -228,8 +228,8 @@ class TestFloatNormalizeMatchesPerEntryDivision:
     def test_values_logs_and_table(self, s):
         got, want = normalize(s), _ref_normalize(s)
         assert _sequence_bytes(got) == _sequence_bytes(want)
-        table = got._floats  # seeded by normalize, not converted on a read
-        assert table is not None and not table.flags.writeable
+        table = got._float_table()
+        assert not table.flags.writeable
         assert table.tobytes() == np.array(
             [_to_float(v) for v in got.values.values()], dtype=float
         ).tobytes()

@@ -622,6 +622,22 @@ def test_solve_factorial_writes_quadrature(tmp_path, capsys):
         assert got == pytest.approx(math.factorial(k), rel=1e-9)
 
 
+def test_solve_degree_one_data_places_one_atom(tmp_path, capsys):
+    # Degree 1 is level 0 of the 1-D solve: the moment matrix is 1 x 1 and
+    # the one-atom rule reads the first moment beside it.
+    spec = write_spec(tmp_path, "d1.json", atomic_spec(1, 1, [[2.0, 1.5]]))
+    moments = str(tmp_path / "d1.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+
+    code, report = run_json(capsys, "solve", moments, str(tmp_path / "d1.atoms"))
+    assert code == EXIT_OK
+    assert (report["mode"], report["rank"]) == ("1d", 1)
+    assert report["measure"]["atom_count"] == 1
+    ((point, weight),) = fileformats.read_measure_file(report["out"]).atoms
+    assert (point, weight) == ((1.5,), 2.0)
+
+
 def test_solve_into_missing_directory_exits_2(tmp_path, capsys):
     moments = make_factorial_file(tmp_path, degree=4)
     code, report = run_json(

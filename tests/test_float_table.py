@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     MomentSequence,
+    NegativeMoment,
     Polynomial,
     localizing_matrix,
     moment_matrix,
@@ -87,6 +88,16 @@ def _outcome(fn, *args):
     return ("returns", np.asarray(out).dtype.str, np.asarray(out).tobytes())
 
 
+def _log_outcome(read):
+    """What a log read gives, in bytes: the log's bytes, or the message of
+    the :class:`NegativeMoment` it raises."""
+    try:
+        out = read()
+    except NegativeMoment as exc:
+        return ("raises", str(exc))
+    return ("returns", np.float64(out).tobytes())
+
+
 def _view_bytes(view):
     floats, logs = view
     return (
@@ -137,6 +148,10 @@ def _sequences(draw):
         values[alpha] = _entry(kind, draw)
         if kind == "inf":
             logs[alpha] = draw(st.floats(700.0, 2000.0))
+        elif values[alpha] > 0 and draw(st.integers(0, 3)) == 0:
+            # A stored log is authoritative: off the entry's own by 0.5, a
+            # read that logs the entry instead shows.
+            logs[alpha] = _log(values[alpha]) + draw(st.sampled_from([0.0, 0.5]))
     zero = (0,) * dim
     mass = draw(st.sampled_from(["keep", "one", "huge"]))
     if mass == "huge" and mode != "float":
@@ -187,6 +202,18 @@ class TestTableMatchesPerEntryReads:
             assert _view_bytes(s._marginal_view(axis)) == _view_bytes(
                 _ref_marginal_view(fresh, axis)
             )
+            # log_marginal and log_value give the view's log, or both raise
+            # what a diagnostic reading that entry raises.
+            for n, lv in enumerate(s._marginal_view(axis)[1]):
+                if lv is None:
+                    orders = range(n, n + 1)
+                    want = _log_outcome(lambda: fresh._marginal_logs(axis, orders)[0])
+                    assert want[0] == "raises"
+                else:
+                    want = ("returns", np.float64(lv).tobytes())
+                idx = fresh._axis_index(axis, n)
+                assert _log_outcome(lambda: fresh.log_marginal(axis, n)) == want
+                assert _log_outcome(lambda: fresh.log_value(idx)) == want
         assert s.finite_degree() == _ref_finite_degree(fresh)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])

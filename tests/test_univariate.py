@@ -139,6 +139,23 @@ class TestSolveEdgeCases:
         with pytest.raises(DegreeOverflow):
             solve_1d(MomentSequence(1, 0, {(0,): 1.0}))
 
+    @pytest.mark.parametrize(
+        "mass, mean", [(2.0, 3.0), (Fraction(2), Fraction(3))], ids=["float", "exact"]
+    )
+    def test_degree_one_data_gives_one_atom_at_level_zero(self, mass, mean):
+        # Level 0: the moment matrix is 1 x 1, and the one-atom rule reads
+        # s_0 and s_1.
+        res = solve_1d(MomentSequence(1, 1, {(0,): mass, (1,): mean}))
+        assert res.measure.atoms == [((1.5,), 2.0)]
+        assert res.rank == 1
+        assert res.stieltjes_supported
+        assert res.residuals == [0.0, 0.0]
+
+    def test_degree_one_data_with_a_negative_mean_is_not_supported(self):
+        res = solve_1d(MomentSequence(1, 1, {(0,): 1.0, (1,): -0.5}))
+        assert res.measure.atoms == [((-0.5,), 1.0)]
+        assert not res.stieltjes_supported
+
     def test_zero_mass_with_content_rejected(self):
         s = MomentSequence(1, 2, {(0,): 0.0, (1,): 1.0, (2,): 1.0})
         with pytest.raises(RankCollapse):

@@ -15,6 +15,12 @@ untimed, then :data:`COLD_SAMPLES` times in alternating rounds, with the
 checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread.  ``work_ms`` is
 the check's median less the import's.
 
+``trace.overhead_pct`` and ``import.startup_ms`` come from the one traced
+run of each workload, and the cold-CLI medians from one set of
+:data:`COLD_SAMPLES` rounds.  Each is one run's figure: on a shared host
+they move more between two recordings of the same code than a change
+moves them, so they support no claim.
+
 The file is written in the current directory.  The exit status is 1 when
 any run fails (a non-zero exit, no JSON result line, no outcomes line, or
 ``correct`` false), and the file still lists what was recorded, with the
