@@ -1,8 +1,8 @@
 """Array forms of the 1-D solve, the growth diagnostics and the atomic
 fixture against the scalar code they replaced: the Cholesky rows of
-``solve_1d``, the float ``normalize``, the marginal view, the ``psd_check``
-guard and ``moments_of_atomic`` must equal the per-entry references byte for
-byte."""
+``solve_1d``, the marginal view, the ``psd_check`` guard and
+``moments_of_atomic`` must equal the per-entry references byte for byte, and
+so must ``normalize`` on float data and the float table of its copy."""
 
 from __future__ import annotations
 
