@@ -25,10 +25,14 @@ Polynomial files hold one polynomial per line (blank lines and ``#``
 comments skipped) in a small infix grammar over variables ``<prefix>1 ..
 <prefix>N``: integer, rational (``3/4``), and decimal constants; ``+``,
 ``-``, ``*``; ``^`` with a nonnegative integer exponent; parentheses.
+
+Every reader skips blank lines, and an error names its line as counted in
+the file, blank lines included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -39,11 +43,12 @@ from .errors import FileFormatError
 from .polynomials import (
     AtomicMeasure,
     MomentSequence,
+    MultiIndex,
     Polynomial,
     _exp,
     _log,
+    _monomial_table,
     _to_float,
-    monomials_up_to,
 )
 
 MOMENT_HEADER_RE = re.compile(
@@ -103,43 +108,61 @@ def write_moment_file(path: str | Path, s: MomentSequence) -> None:
     Path(path).write_text(format_moment_file(s))
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of ``text`` that are not blank, each with its line number
+    in the file."""
+    return [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
+@functools.lru_cache(maxsize=32)
+def _exponent_fields(dim: int, degree: int) -> tuple[tuple[list[str], MultiIndex], ...]:
+    """Every multi-index of a ``(dim, degree)`` moment file in graded-lex
+    order, with its exponents as :func:`format_moment_file` writes them
+    (shared through the cache, so read only)."""
+    return tuple(
+        ([str(a) for a in alpha], alpha) for alpha in _monomial_table(dim, degree)
+    )
+
+
 def parse_moment_file(text: str) -> MomentSequence:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _content_lines(text)
     if not lines:
         raise FileFormatError("empty moment file")
-    header = MOMENT_HEADER_RE.match(lines[0])
+    header = MOMENT_HEADER_RE.match(lines[0][1])
     if not header:
         raise FileFormatError(
-            f"bad moment file header: {lines[0]!r} (expected "
+            f"bad moment file header: {lines[0][1]!r} (expected "
             f"'momentfile v1 dim=<d> degree=<D>')"
         )
     dim, degree = int(header.group(1)), int(header.group(2))
     if dim < 1:
         raise FileFormatError(f"dimension must be >= 1, got {dim}")
-    expected = monomials_up_to(dim, degree)
+    expected = _exponent_fields(dim, degree)
     if len(lines) - 1 != len(expected):
         raise FileFormatError(
             f"moment file with dim={dim} degree={degree} must have "
             f"{len(expected)} entries, found {len(lines) - 1}"
         )
-    values: dict[tuple[int, ...], float] = {}
-    logs: dict[tuple[int, ...], float] = {}
-    for lineno, (line, alpha) in enumerate(zip(lines[1:], expected), start=2):
+    values: dict[MultiIndex, float] = {}
+    logs: dict[MultiIndex, float] = {}
+    for (lineno, line), (fields, alpha) in zip(lines[1:], expected):
         parts = line.split()
         if len(parts) != dim + 1:
             raise FileFormatError(
                 f"line {lineno}: expected {dim} exponents and one value, "
                 f"got {len(parts)} fields"
             )
-        try:
-            idx = tuple(int(p) for p in parts[:dim])
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: bad exponent ({exc})") from exc
-        if idx != alpha:
-            raise FileFormatError(
-                f"line {lineno}: expected index {alpha} (graded-lex order), "
-                f"got {idx}"
-            )
+        # Exponents written another way (``+1``, ``01``) are read as ints.
+        if parts[:dim] != fields:
+            try:
+                idx = tuple(int(p) for p in parts[:dim])
+            except ValueError as exc:
+                raise FileFormatError(f"line {lineno}: bad exponent ({exc})") from exc
+            if idx != alpha:
+                raise FileFormatError(
+                    f"line {lineno}: expected index {alpha} (graded-lex order), "
+                    f"got {idx}"
+                )
         raw = parts[dim]
         if raw.startswith("log:"):
             try:
@@ -152,8 +175,8 @@ def parse_moment_file(text: str) -> MomentSequence:
                 raise FileFormatError(
                     f"line {lineno}: log value {raw!r} is not finite"
                 )
-            logs[idx] = lv
-            values[idx] = _exp(lv)
+            logs[alpha] = lv
+            values[alpha] = _exp(lv)
         else:
             try:
                 value = float(raw)
@@ -166,7 +189,7 @@ def parse_moment_file(text: str) -> MomentSequence:
                     f"line {lineno}: value {raw!r} is not a finite double; "
                     f"write an entry outside double range as 'log:<natural log>'"
                 )
-            values[idx] = value
+            values[alpha] = value
     try:
         return MomentSequence(dim, degree, values, logs)
     except Exception as exc:
@@ -194,18 +217,18 @@ def write_measure_file(path: str | Path, measure: AtomicMeasure) -> None:
 
 
 def parse_measure_file(text: str) -> AtomicMeasure:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _content_lines(text)
     if not lines:
         raise FileFormatError("empty measure file")
-    header = MEASURE_HEADER_RE.match(lines[0])
+    header = MEASURE_HEADER_RE.match(lines[0][1])
     if not header:
         raise FileFormatError(
-            f"bad measure file header: {lines[0]!r} (expected "
+            f"bad measure file header: {lines[0][1]!r} (expected "
             f"'atoms v1 dim=<d>')"
         )
     dim = int(header.group(1))
     atoms = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != dim + 1:
             raise FileFormatError(
@@ -251,7 +274,13 @@ def _tokenize(text: str, var_prefix: str) -> list[tuple[str, object]]:
             m = _NUMBER_RE.match(text, i)
             if not m:
                 raise FileFormatError(f"bad number at position {i}: {text[i:]!r}")
-            tokens.append(("number", Fraction(m.group(0))))
+            try:
+                number = Fraction(m.group(0))
+            except ZeroDivisionError as exc:
+                raise FileFormatError(
+                    f"zero denominator at position {i}: {m.group(0)!r}"
+                ) from exc
+            tokens.append(("number", number))
             i = m.end()
             continue
         if ch.isalpha():
@@ -355,9 +384,9 @@ def parse_polynomials(
     text: str, dim: int, var_prefix: str = "x"
 ) -> list[Polynomial]:
     polys = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _content_lines(text):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         try:
             polys.append(parse_polynomial(stripped, dim, var_prefix))

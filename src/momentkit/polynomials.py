@@ -635,7 +635,10 @@ class MomentSequence:
                 f"polynomial degree {poly.degree} exceeds truncation degree "
                 f"{self.max_degree}"
             )
-        return _riesz_sorted(self, poly.sorted_terms())
+        total: Scalar = 0
+        for alpha, coeff in poly.sorted_terms():
+            total = total + coeff * self.values[alpha]
+        return total
 
     def restrict(self, max_degree: int) -> "MomentSequence":
         """The same data truncated to a smaller degree."""
@@ -668,17 +671,6 @@ class MomentSequence:
             f"MomentSequence(dim={self.dim}, max_degree={self.max_degree}, "
             f"{len(self.values)} entries)"
         )
-
-
-def _riesz_sorted(
-    s: MomentSequence, terms: Sequence[tuple[MultiIndex, Fraction]]
-) -> Scalar:
-    """:meth:`MomentSequence.riesz` of a polynomial whose terms are given in
-    graded-lex order, without its checks or the sort."""
-    total: Scalar = 0
-    for alpha, coeff in terms:
-        total = total + coeff * s.values[alpha]
-    return total
 
 
 #: Most coordinate gaps :func:`_first_coincident_pair` holds at once.

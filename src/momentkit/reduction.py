@@ -18,7 +18,11 @@ inverse map that :func:`pull_back_atoms` evaluates.
 The images ``f^alpha`` and the generation certificate depend only on the
 presentation, not on the data.  Each is built once per process for every
 presentation (compared by its polynomials' contents) and degree budget, and
-read from a fixed-size cache after that.
+read from a fixed-size cache after that.  The cached algebra also holds the
+graded-lex position of every term of every image and, from the first read
+of all-float data, each coefficient rounded to a float: on such data the
+Riesz functional multiplies in floats, which gives the bits of ``Fraction *
+float`` term by term.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +53,6 @@ from .polynomials import (
     Scalar,
     _monomial_index,
     _monomial_table,
-    _riesz_sorted,
     _to_float,
     grlex_key,
 )
@@ -139,14 +142,52 @@ class GenerationResult:
 _PresentationKey = tuple[int, tuple[tuple[tuple[MultiIndex, Fraction], ...], ...]]
 
 
-class _ImageAlgebra(NamedTuple):
-    """The images ``f^alpha`` of one presentation for all ``|alpha| <=
-    budget``, in graded-lex order of ``alpha``."""
+#: ``(coefficient, graded-lex position)`` of each term of one image.
+_Terms = tuple[tuple[Scalar, int], ...]
 
-    #: Read-only ``alpha -> f^alpha``.
-    images: Mapping[MultiIndex, Polynomial]
-    #: ``(alpha, terms of f^alpha in graded-lex order)`` for every image.
-    sorted_terms: tuple[tuple[MultiIndex, tuple[tuple[MultiIndex, Fraction], ...]], ...]
+
+class _ImageAlgebra:
+    """The images ``f^alpha`` of one presentation for all ``|alpha| <=
+    budget``, in graded-lex order of ``alpha``, and the terms the Riesz
+    functional reads of each."""
+
+    def __init__(self, dim: int, images: dict[MultiIndex, Polynomial]) -> None:
+        #: Read-only ``alpha -> f^alpha``.
+        self.images: Mapping[MultiIndex, Polynomial] = MappingProxyType(images)
+        top = max((sum(a) for image in images.values() for a in image.terms), default=0)
+        self._position = _monomial_index(dim, top)
+        #: Per image, its exact coefficients and their positions in
+        #: graded-lex order; the order is nested, so a position holds in
+        #: every longer table.
+        self.terms: tuple[_Terms, ...] = tuple(
+            tuple((c, self._position[a]) for a, c in image.sorted_terms())
+            for image in images.values()
+        )
+
+    @functools.cached_property
+    def float_terms(self) -> tuple[_Terms, ...]:
+        """:attr:`terms` with each coefficient ``c`` as ``float(c)``, built
+        on the first read of float data.  An image with a coefficient beyond
+        double range keeps its exact ones, so its Riesz value raises the
+        ``OverflowError`` of ``Fraction * float`` at the same term."""
+        return tuple(map(_rounded, self.terms))
+
+    @functools.cached_property
+    def scale_terms(self) -> tuple[tuple[tuple[float, int], ...], ...]:
+        """Per image, ``abs(_to_float(c))`` and the position of each term in
+        the order of its ``terms`` dict, as the cancellation scale of
+        :func:`pushed_power_sequence` sums them; built on its first read."""
+        return tuple(
+            tuple((abs(_to_float(c)), self._position[a]) for a, c in image.terms.items())
+            for image in self.images.values()
+        )
+
+
+def _rounded(terms: _Terms) -> _Terms:
+    try:
+        return tuple((float(c), p) for c, p in terms)
+    except OverflowError:
+        return terms
 
 
 def _presentation_key(pres: SemiAlgebraicPresentation) -> _PresentationKey:
@@ -175,10 +216,7 @@ def _image_algebra(key: _PresentationKey, budget: int) -> _ImageAlgebra:
         j = next(i for i, e in enumerate(alpha) if e)
         prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(alpha))
         images[alpha] = images[prev] * generators[j]
-    return _ImageAlgebra(
-        MappingProxyType(images),
-        tuple((alpha, tuple(image.sorted_terms())) for alpha, image in images.items()),
-    )
+    return _ImageAlgebra(dim, images)
 
 
 def _image_monomials(
@@ -304,6 +342,31 @@ def _certificate(
     )
 
 
+def _riesz_operands(
+    s: MomentSequence, algebra: _ImageAlgebra
+) -> tuple[tuple[_Terms, ...], list[Scalar]]:
+    """The image terms and the entries of ``s`` that :func:`_riesz` reads.
+
+    On all-float data these are the float coefficients and the float table:
+    ``Fraction * float`` is ``float(c) * v``, so the products keep their
+    bits.  On any other data they are the exact coefficients and the stored
+    entries, so exact data stays exact.
+    """
+    table = s._float_table()
+    if s._all_float:
+        return algebra.float_terms, table.tolist()
+    return algebra.terms, list(s.values.values())
+
+
+def _riesz(terms: _Terms, entries: Sequence[Scalar]) -> Scalar:
+    """The Riesz value of one image, its terms summed in graded-lex order
+    from ``0``."""
+    total: Scalar = 0
+    for c, p in terms:
+        total = total + c * entries[p]
+    return total
+
+
 def pushforward_moments(
     s: MomentSequence, pres: SemiAlgebraicPresentation, image_degree: int
 ) -> MomentSequence:
@@ -329,7 +392,8 @@ def pushforward_moments(
             f"up to degree {need}, data stops at {s.max_degree}"
         )
     algebra = _image_algebra(_presentation_key(pres), image_degree)
-    values = {alpha: _riesz_sorted(s, terms) for alpha, terms in algebra.sorted_terms}
+    terms, entries = _riesz_operands(s, algebra)
+    values = {alpha: _riesz(t, entries) for alpha, t in zip(algebra.images, terms)}
     return MomentSequence(pres.num_generators, image_degree, values)
 
 
@@ -349,20 +413,21 @@ def pushed_power_sequence(
     algebra = _image_algebra(
         _presentation_key(SemiAlgebraicPresentation(s.dim, [f])), count
     )
-    table = s._float_table()
-    position = _monomial_index(s.dim, s.max_degree)
+    terms, entries = _riesz_operands(s, algebra)
+    floats = entries if s._all_float else s._float_table().tolist()
     values: dict[MultiIndex, Scalar] = {}
-    for (n,), terms in algebra.sorted_terms:
-        power = algebra.images[(n,)]
+    for ((n,), power), power_terms, scale_terms in zip(
+        algebra.images.items(), terms, algebra.scale_terms
+    ):
         if power.degree > s.max_degree:
             raise DegreeOverflow(
                 f"polynomial degree {power.degree} exceeds truncation degree "
                 f"{s.max_degree}"
             )
-        val = _riesz_sorted(s, terms)
+        val = _riesz(power_terms, entries)
         cancel_scale = 0.0
-        for expo, coeff in power.terms.items():
-            cancel_scale += abs(_to_float(coeff)) * abs(table.item(position[expo]))
+        for c, p in scale_terms:
+            cancel_scale += c * abs(floats[p])
         fv = _to_float(val)
         if (
             math.isfinite(cancel_scale)

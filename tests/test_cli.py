@@ -379,6 +379,18 @@ def test_check_malformed_inputs(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_check_zero_denominator_in_generators_exits_2(tmp_path, capsys):
+    moments = make_factorial_file(tmp_path, degree=2)
+    gens = tmp_path / "zero.txt"
+    gens.write_text("# constraint\n\nx1 + 3/0\n")
+    code, report = run_json(capsys, "check", moments, str(gens))
+    assert code == EXIT_INPUT
+    assert report == {
+        "error": "line 3: zero denominator at position 5: '3/0'",
+        "exit": EXIT_INPUT,
+    }
+
+
 def test_check_text_format_default(tmp_path, capsys):
     moments = make_factorial_file(tmp_path)
     code = main(["check", moments])

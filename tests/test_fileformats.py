@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
@@ -16,6 +18,7 @@ from momentkit import (
     moments_of_atomic,
 )
 from momentkit.fileformats import (
+    MOMENT_HEADER_RE,
     format_measure_file,
     format_moment_file,
     format_polynomial,
@@ -28,6 +31,7 @@ from momentkit.fileformats import (
     write_polynomials_file,
     read_polynomials_file,
 )
+from momentkit.polynomials import _exp, monomials_up_to
 
 
 class TestMomentFiles:
@@ -190,6 +194,209 @@ class TestNonFiniteMomentValues:
         assert s.value((2,)) == math.inf and s.log_value((2,)) == 1e300
 
 
+def _reference_parse(text: str) -> MomentSequence:
+    """The moment-file reader as it was before it compared exponent strings:
+    every exponent is read with ``int``, and lines are counted without the
+    blank ones (so inputs with blank lines are not compared with it)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FileFormatError("empty moment file")
+    header = MOMENT_HEADER_RE.match(lines[0])
+    if not header:
+        raise FileFormatError(
+            f"bad moment file header: {lines[0]!r} (expected "
+            f"'momentfile v1 dim=<d> degree=<D>')"
+        )
+    dim, degree = int(header.group(1)), int(header.group(2))
+    if dim < 1:
+        raise FileFormatError(f"dimension must be >= 1, got {dim}")
+    expected = monomials_up_to(dim, degree)
+    if len(lines) - 1 != len(expected):
+        raise FileFormatError(
+            f"moment file with dim={dim} degree={degree} must have "
+            f"{len(expected)} entries, found {len(lines) - 1}"
+        )
+    values, logs = {}, {}
+    for lineno, (line, alpha) in enumerate(zip(lines[1:], expected), start=2):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise FileFormatError(
+                f"line {lineno}: expected {dim} exponents and one value, "
+                f"got {len(parts)} fields"
+            )
+        try:
+            idx = tuple(int(p) for p in parts[:dim])
+        except ValueError as exc:
+            raise FileFormatError(f"line {lineno}: bad exponent ({exc})") from exc
+        if idx != alpha:
+            raise FileFormatError(
+                f"line {lineno}: expected index {alpha} (graded-lex order), "
+                f"got {idx}"
+            )
+        raw = parts[dim]
+        if raw.startswith("log:"):
+            try:
+                lv = float(raw[4:])
+            except ValueError as exc:
+                raise FileFormatError(f"line {lineno}: bad log value {raw!r}") from exc
+            if not math.isfinite(lv):
+                raise FileFormatError(f"line {lineno}: log value {raw!r} is not finite")
+            logs[idx] = lv
+            values[idx] = _exp(lv)
+        else:
+            try:
+                value = float(raw)
+            except ValueError as exc:
+                raise FileFormatError(f"line {lineno}: bad value {raw!r}") from exc
+            if not math.isfinite(value):
+                raise FileFormatError(
+                    f"line {lineno}: value {raw!r} is not a finite double; "
+                    f"write an entry outside double range as 'log:<natural log>'"
+                )
+            values[idx] = value
+    try:
+        return MomentSequence(dim, degree, values, logs)
+    except Exception as exc:
+        raise FileFormatError(f"inconsistent moment data: {exc}") from exc
+
+
+def _bits(parse, text: str):
+    """What ``parse(text)`` gives: every value and stored log as
+    ``float.hex``, or the message of the ``FileFormatError`` it raises."""
+    try:
+        s = parse(text)
+    except FileFormatError as exc:
+        return str(exc)
+    return (
+        s.dim,
+        s.max_degree,
+        [(alpha, v.hex()) for alpha, v in s.values.items()],
+        sorted((alpha, lv.hex()) for alpha, lv in s.log_values.items()),
+    )
+
+
+#: A dim-2 degree-1 moment file, one line at a time.
+_LINES = ["momentfile v1 dim=2 degree=1", "0 0 1.0", "1 0 2.0", "0 1 3.0"]
+
+
+def _edited(line: int, replacement: str) -> str:
+    return "\n".join(_LINES[:line] + [replacement] + _LINES[line + 1:]) + "\n"
+
+
+class TestMomentReader:
+    """The reader compares exponent fields as strings and parses them only
+    when they differ; every file reads as before, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        degree=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_files_read_back_bit_for_bit(self, dim, degree, seed):
+        rng = np.random.default_rng(seed)
+        special = (-0.0, 5e-324, 1.7976931348623157e308)
+        lines = [f"momentfile v1 dim={dim} degree={degree}"]
+        values, logs = {}, {}
+        for alpha in monomials_up_to(dim, degree):
+            pick = rng.random()
+            if pick < 0.1:
+                lv = float(rng.normal(0.0, 400.0))
+                logs[alpha], values[alpha] = lv, _exp(lv)
+                token = f"log:{lv!r}"
+            else:
+                if pick < 0.4:
+                    value = special[int(rng.integers(len(special)))]
+                else:
+                    value = float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+                values[alpha] = value
+                token = repr(value)
+            lines.append(" ".join([*map(str, alpha), token]))
+        text = "\n".join(lines) + "\n"
+        back = parse_moment_file(text)
+        assert [(a, v.hex()) for a, v in back.values.items()] == [
+            (a, v.hex()) for a, v in values.items()
+        ]
+        assert {a: lv.hex() for a, lv in back.log_values.items()} == {
+            a: lv.hex() for a, lv in logs.items()
+        }
+        assert _bits(parse_moment_file, text) == _bits(_reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Exponents written another way read as the same index.
+            _edited(2, "+1 0 2.0"),
+            _edited(2, "01 00 2.0"),
+            _edited(3, "-0 +01 3.0"),
+            _edited(2, "1_0 0 2.0"),
+            _edited(2, "x 0 2.0"),
+            _edited(2, "0 1 2.0"),
+            # A moved line break keeps the token stream but not the fields.
+            "\n".join([_LINES[0], "0 0 1.0 1", "0 2.0", _LINES[3]]) + "\n",
+            "\n".join([_LINES[0], "0 0", "1.0 1 0 2.0", _LINES[3]]) + "\n",
+            # Log tokens.
+            _edited(3, "0 1 log:800.0"),
+            _edited(3, "0 1 log:-5e-324"),
+            _edited(3, "0 1 log:nan"),
+            _edited(3, "0 1 log:1e400"),
+            _edited(3, "0 1 log:"),
+            _edited(3, "0 1 LOG:1.0"),
+            # Values.
+            _edited(3, "0 1 nan"),
+            _edited(3, "0 1 1e400"),
+            _edited(3, "0 1 1_0.5"),
+            _edited(3, "0 1 1e-400"),
+            _edited(3, "0 1 0x1p3"),
+            _edited(3, "0 1\t-0.0"),
+            # Counts and headers.
+            "\n".join(_LINES + ["1 1 4.0"]) + "\n",
+            "momentfile v1 dim=0 degree=1\n0 1.0\n",
+            "momentfile v2 dim=1 degree=0\n0 1.0\n",
+            _edited(1, "0 0 -inf"),
+        ],
+    )
+    def test_same_sequence_or_message_as_before(self, text):
+        assert _bits(parse_moment_file, text) == _bits(_reference_parse, text)
+
+
+class TestErrorsNameTheFileLine:
+    """Blank lines count: every reader names the line of the file."""
+
+    def test_moment_file_value(self):
+        text = "momentfile v1 dim=1 degree=2\n\n\n0 1.0\n1 2.0\n2 nan\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_moment_file(text)
+        assert str(err.value) == (
+            "line 6: value 'nan' is not a finite double; write an entry "
+            "outside double range as 'log:<natural log>'"
+        )
+
+    def test_moment_file_fields_after_a_blank_header_line(self):
+        text = "\n  \nmomentfile v1 dim=2 degree=1\n0 0 1.0\n\n1 0\n0 1 3.0\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_moment_file(text)
+        assert str(err.value) == "line 6: expected 2 exponents and one value, got 2 fields"
+
+    def test_blank_lines_do_not_change_what_is_read(self):
+        text = "\n".join(_LINES) + "\n"
+        spaced = "\n\n" + "\n \t\n".join(_LINES) + "\n\n"
+        assert parse_moment_file(spaced) == parse_moment_file(text)
+
+    def test_measure_file(self):
+        text = "\natoms v1 dim=1\n\n2.0 1.0\n\n1.0 x\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_measure_file(text)
+        assert str(err.value) == (
+            "line 6: bad number (could not convert string to float: 'x')"
+        )
+
+    def test_polynomial_file(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_polynomials("x1\n\n# c\n\nx1 x2\n", 2)
+        assert str(err.value).startswith("line 5: ")
+
+
 class TestMeasureFiles:
     def test_roundtrip(self):
         mu = AtomicMeasure(2, [((1.0, 2.0), 0.5), ((0.0, 4.0), 1.5)])
@@ -249,6 +456,21 @@ class TestPolynomialGrammar:
     def test_negative_exponent_rejected(self):
         with pytest.raises(FileFormatError):
             parse_polynomial("x1^-2", 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1 + 3/0", "zero denominator at position 5: '3/0'"),
+            ("0/0*x1", "zero denominator at position 0: '0/0'"),
+        ],
+    )
+    def test_zero_denominator_rejected(self, text, message):
+        with pytest.raises(FileFormatError) as err:
+            parse_polynomial(text, 1)
+        assert str(err.value) == message
+        with pytest.raises(FileFormatError) as err:
+            parse_polynomials(f"# constraint\n\n{text}\n", 1)
+        assert str(err.value) == f"line 3: {message}"
 
     def test_format_parse_roundtrip(self):
         p = Polynomial(

@@ -314,6 +314,18 @@ class TestPushedPowerSequence:
         assert t.values[(0,)] == s.mass
         assert [t.values[(n,)] for n in range(1, 5)] == [0.0] * 4
 
+    def test_negative_data_on_a_cubic_cancels_to_zero(self):
+        # On x2 = x1^3 with x1 < 0 every entry f^3 reads is negative: the
+        # cancellation scale sums |c| |s|, not the signed products.
+        cubic = Polynomial(2, {(0, 1): 1, (3, 0): -1})
+        mu = AtomicMeasure(
+            2, [((x, x**3), w) for x, w in [(-1.5, 0.6), (-0.7, 0.4), (-1.1, 0.3)]]
+        )
+        s = moments_of_atomic(mu, 12)
+        assert s.riesz(cubic**3) != 0.0
+        t = pushed_power_sequence(s, cubic, 4)
+        assert [t.values[(n,)] for n in range(1, 5)] == [0.0] * 4
+
     def test_off_curve_value_stays_nonzero(self):
         # An atom of weight 0.25 at (1, 2) has f = 1, so L(f^n) = 0.25.
         mu = AtomicMeasure(2, [((1.5, 2.25), 0.6), ((1.0, 2.0), 0.25)])
@@ -355,6 +367,54 @@ def _presentations(draw):
     )
 
 
+#: Float entries at the edges of double range: a signed zero, subnormals,
+#: entries whose products with a coefficient overflow to ``inf``, and an
+#: ``inf`` marker, which is stored with a log.
+_EDGE_ENTRIES = (-0.0, 5e-324, -2.5e-320, 1e300, -1.7976931348623157e308, math.inf)
+#: Kinds of moment data: the first two are uniform, ``edge`` mixes
+#: :data:`_EDGE_ENTRIES` into floats, and ``int`` mixes ints into floats.
+_DATA_KINDS = ("exact", "float", "edge", "int")
+
+
+def _moment_data(dim: int, degree: int, kind: str, seed: int) -> MomentSequence:
+    """Random data of one of :data:`_DATA_KINDS`; the mass is never an edge
+    entry, and under ``int`` it is an int."""
+    rng = np.random.default_rng(seed)
+    values: dict = {}
+    logs: dict = {}
+    for alpha in monomials_up_to(dim, degree):
+        if kind == "exact":
+            values[alpha] = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 8)))
+            continue
+        value = float(rng.uniform(-10.0, 10.0))
+        if kind == "int" and not sum(alpha):
+            value = int(rng.integers(-50, 51))
+        elif sum(alpha) and kind != "float" and rng.random() < 0.4:
+            if kind == "edge":
+                value = _EDGE_ENTRIES[int(rng.integers(len(_EDGE_ENTRIES)))]
+                if value == math.inf:
+                    logs[alpha] = 800.0
+            else:
+                value = int(rng.integers(-50, 51))
+        values[alpha] = value
+    s = MomentSequence(dim, degree, values, logs)
+    s._float_table()
+    # Float and edge data take the float loop, the others the exact one.
+    assert s._all_float == (kind in ("float", "edge"))
+    return s
+
+
+def _outcome(compute) -> dict | tuple[str, str]:
+    """``repr`` of every value ``compute()`` returns (it tells -0.0 from 0.0
+    and a Fraction from an equal float), or the message of the
+    ``OverflowError`` it raises."""
+    try:
+        values = compute()
+    except OverflowError as exc:
+        return ("OverflowError", str(exc))
+    return {a: repr(v) for a, v in values.items()}
+
+
 def _reference_pushed_powers(s: MomentSequence, f: Polynomial, count: int) -> dict:
     """``pushed_power_sequence``'s values built by ``s.riesz(f**n)``, with
     its cancellation rule, as before the sums read the cached sorted terms."""
@@ -385,26 +445,17 @@ def _reference_pushed_powers(s: MomentSequence, f: Polynomial, count: int) -> di
 
 
 class TestPushedPowersMatchRiesz:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         pres=_presentations(),
         count=st.integers(0, 5),
-        exact=st.booleans(),
+        kind=st.sampled_from(_DATA_KINDS),
         seed=st.integers(0, 2**16),
     )
-    def test_equal_to_riesz_of_each_power(self, pres, count, exact, seed):
+    def test_equal_to_riesz_of_each_power(self, pres, count, kind, seed):
         f = pres.generators[0]
         degree = max(count * pres.max_degree, 1)
-        rng = np.random.default_rng(seed)
-        values = {
-            alpha: (
-                Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 8)))
-                if exact
-                else float(rng.uniform(-10.0, 10.0))
-            )
-            for alpha in monomials_up_to(pres.dim, degree)
-        }
-        s = MomentSequence(pres.dim, degree, values)
+        s = _moment_data(pres.dim, degree, kind, seed)
         pushed = pushed_power_sequence(s, f, count)
         expected = _reference_pushed_powers(s, f, count)
         # repr tells -0.0 from 0.0 and a Fraction from an equal float.
@@ -414,6 +465,34 @@ class TestPushedPowersMatchRiesz:
         for (n,), v in pushed.values.items():
             if v != 0.0:
                 assert repr(v) == repr(s.riesz(f**n))
+
+    @pytest.mark.parametrize("kind", _DATA_KINDS)
+    @pytest.mark.parametrize(
+        "coeff",
+        [Fraction(10**400), Fraction(-1, 10**400), Fraction(-7, 3)],
+        ids=["beyond-range", "below-range", "in-range"],
+    )
+    def test_coefficient_at_the_edge_of_double_range(self, kind, coeff):
+        # f = c x1 + x2: on float data a coefficient beyond double range
+        # raises the OverflowError of Fraction * float at its term, and one
+        # below it rounds to -0.0 before it multiplies.
+        f = Polynomial(2, {(1, 0): coeff, (0, 1): 1})
+        pres = SemiAlgebraicPresentation(2, [f, _x(1)])
+        for seed in range(4):
+            s = _moment_data(2, 4, kind, seed)
+            pushed = _outcome(lambda: pushed_power_sequence(s, f, 2).values)
+            assert pushed == _outcome(lambda: _reference_pushed_powers(s, f, 2))
+            images = _reference_images(pres, 2)
+            expected = _outcome(
+                lambda: {alpha: s.riesz(image) for alpha, image in images.items()}
+            )
+            assert _outcome(lambda: pushforward_moments(s, pres, 2).values) == expected
+            if kind == "exact":
+                assert all(v.startswith("Fraction(") for v in pushed.values())
+            elif kind != "int" and coeff > 1:
+                assert pushed == (
+                    "OverflowError", "integer division result too large for a float"
+                )
 
     def test_power_beyond_the_data_raises_riesz_error(self):
         f = Polynomial(2, {(0, 1): 1, (2, 0): -1})
@@ -459,14 +538,14 @@ class TestPresentationCache:
         assert second.witnesses == expected
         assert reduction._certificate.cache_info().hits == 1
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         pres=_presentations(),
         budget=st.integers(0, 4),
-        exact=st.booleans(),
+        kind=st.sampled_from(_DATA_KINDS),
         seed=st.integers(0, 2**16),
     )
-    def test_cache_matches_a_fresh_build(self, pres, budget, exact, seed):
+    def test_cache_matches_a_fresh_build(self, pres, budget, kind, seed):
         reduction._image_algebra.cache_clear()
         reference = _reference_images(pres, budget)
         cached = _image_monomials(pres, budget)
@@ -474,17 +553,7 @@ class TestPresentationCache:
         assert dict(cached) == reference
         assert _image_monomials(pres, budget) is cached
 
-        rng = np.random.default_rng(seed)
-        degree = budget * pres.max_degree
-        values = {
-            alpha: (
-                Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 8)))
-                if exact
-                else float(rng.uniform(-10.0, 10.0))
-            )
-            for alpha in monomials_up_to(pres.dim, degree)
-        }
-        s = MomentSequence(pres.dim, degree, values)
+        s = _moment_data(pres.dim, budget * pres.max_degree, kind, seed)
         pushed = pushforward_moments(s, pres, budget)
         expected = {alpha: s.riesz(image) for alpha, image in reference.items()}
         # repr tells -0.0 from 0.0 and a Fraction from an equal float.
