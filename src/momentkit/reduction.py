@@ -173,7 +173,7 @@ class _ImageAlgebra:
         return tuple(map(_rounded, self.terms))
 
     @functools.cached_property
-    def scale_terms(self) -> tuple[tuple[tuple[float, int], ...], ...]:
+    def scale_terms(self) -> tuple[_Terms, ...]:
         """Per image, ``abs(_to_float(c))`` and the position of each term in
         the order of its ``terms`` dict, as the cancellation scale of
         :func:`pushed_power_sequence` sums them; built on its first read."""

@@ -478,11 +478,11 @@ class TestPushedPowersMatchRiesz:
         # below it rounds to -0.0 before it multiplies.
         f = Polynomial(2, {(1, 0): coeff, (0, 1): 1})
         pres = SemiAlgebraicPresentation(2, [f, _x(1)])
+        images = _reference_images(pres, 2)
         for seed in range(4):
             s = _moment_data(2, 4, kind, seed)
             pushed = _outcome(lambda: pushed_power_sequence(s, f, 2).values)
             assert pushed == _outcome(lambda: _reference_pushed_powers(s, f, 2))
-            images = _reference_images(pres, 2)
             expected = _outcome(
                 lambda: {alpha: s.riesz(image) for alpha, image in images.items()}
             )
