@@ -36,7 +36,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-from . import conditions, fileformats, fixtures, matrices, multivariate, reduction, univariate
+from . import conditions, fileformats, fixtures, matrices, reduction, solver
 from .errors import (
     DegreeOverflow,
     FileFormatError,
@@ -259,7 +259,7 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
     # Matrices need finite doubles; entries beyond the finite prefix still
     # feed the log-domain growth diagnostics below.
     finite_degree = s_norm.finite_degree()
-    s_mat = s_norm if finite_degree == s.max_degree else s_norm.restrict(finite_degree)
+    s_mat = s_norm.restrict(finite_degree)
     if finite_degree < s.max_degree:
         report["matrix_degree"] = finite_degree
     if max_deg > finite_degree:
@@ -379,33 +379,19 @@ def cmd_diagnose(args: argparse.Namespace) -> Outcome:
 # solve
 
 
-def _solve_sequence(
-    s: MomentSequence,
-    mode: str,
-    level: int | None,
-    rank_tol: float,
-    tol: float,
-    seed: int,
-) -> tuple[AtomicMeasure, dict]:
-    if mode == "auto":
-        # A level is a flat-extraction level, so giving one selects it.
-        mode = "1d" if s.dim == 1 and level is None else "md"
-    if mode == "1d":
-        result = univariate.solve_1d(s, rank_tol, tol)
-        detail = {
-            "mode": "1d",
-            "rank": result.rank,
-            "stieltjes_supported": result.stieltjes_supported,
-            "max_residual": result.max_residual,
-            "jacobi_diag": result.jacobi.diag,
-            "jacobi_offdiag": result.jacobi.offdiag,
-        }
-        return result.measure, detail
-    if level is not None:
-        measure = multivariate.extract_atoms(s, level, rank_tol, tol, seed)
-    else:
-        measure, level = multivariate.extract_atoms_auto(s, rank_tol, tol, seed)
-    return measure, {"mode": "md", "level": level, "rank": len(measure)}
+def _solve(
+    s: MomentSequence, args: argparse.Namespace, mode: str = "auto", level: int | None = None
+) -> tuple[AtomicMeasure, dict, list[str]]:
+    """:func:`momentkit.solve` with the command's options, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        measure, detail = solver.solve(s, mode, level, args.rank_tol, args.tol, args.seed)
+    return measure, detail, [str(w.message) for w in caught]
+
+
+def _solve_exit(exc: MomentError) -> int:
+    # Data too short for the level or the solve is an input error, as in ``check``.
+    return EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
@@ -417,21 +403,15 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
     report: dict = {"moments": args.moments, "dim": s.dim, "degree": s.max_degree}
     finite_degree = s.finite_degree()
     if finite_degree < s.max_degree:
-        s = s.restrict(finite_degree)
+        # A refusal reports the degree the solver read, as a success does.
         report["solved_degree"] = finite_degree
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            measure, detail = _solve_sequence(
-                s, args.mode, args.level, args.rank_tol, args.tol, args.seed
-            )
+        measure, detail, caught = _solve(s, args, args.mode, args.level)
     except MomentError as exc:
-        # A level deeper than the data is an input error, as in ``check``.
-        code = EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
-        return _fail_report(report, exc, code)
+        return _fail_report(report, exc, _solve_exit(exc))
     report.update(detail)
     if caught:
-        report["warnings"] = [str(w.message) for w in caught]
+        report["warnings"] = caught
     report["measure"] = _measure_report(measure)
     try:
         fileformats.write_measure_file(args.out, measure)
@@ -557,19 +537,13 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
     )
 
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            nu, solve_detail = _solve_sequence(
-                pushed, "auto", None, args.rank_tol, args.tol, args.seed
-            )
+        nu, solve_detail, caught = _solve(pushed, args)
     except MomentError as exc:
-        # Pushed data too short to solve is an input error, as in ``solve``.
         stage(
             "solve", ok=False, error_type=type(exc).__name__, error=str(exc)
         )
-        return finish(EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE)
-    solve_detail["warnings"] = [str(w.message) for w in caught]
-    stage("solve", ok=True, atom_count=len(nu), **solve_detail)
+        return finish(_solve_exit(exc))
+    stage("solve", ok=True, atom_count=len(nu), **solve_detail, warnings=caught)
 
     # A generation certificate is the inverse of the evaluation map
     # (w_i(f_1, ..., f_m) = x_i exactly), so only an uncertified run, whose

@@ -31,6 +31,8 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _exp,
+    _log,
     _monomial_index,
     _monomial_table,
     add_indices,
@@ -294,11 +296,7 @@ def reproduction_residuals(
     :func:`math.fsum` over the atoms.
     """
     table = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
-    return _residuals(table, _weights(measure), s, degree)
-
-
-def _weights(measure: AtomicMeasure) -> np.ndarray:
-    return np.array([float(w) for _, w in measure.atoms])
+    return _residuals(table, np.array([float(w) for _, w in measure.atoms]), s, degree)
 
 
 def _residuals(
@@ -442,12 +440,6 @@ def _require_finite_powers(points: Sequence[Sequence[Scalar]], degree: int) -> N
         ) from exc
 
 
-def _worst_residual(residuals: Sequence[float]) -> float:
-    """The largest residual, ``0.0`` for none, and NaN when any is NaN: a
-    NaN residual is a miss, where ``max`` would skip it."""
-    return float(np.max(residuals, initial=0.0))
-
-
 def require_reproduced(
     measure: AtomicMeasure,
     s: MomentSequence,
@@ -455,33 +447,52 @@ def require_reproduced(
     tol: float,
     label: str,
 ) -> list[float]:
-    """The moment-reproduction check of both solvers.
+    """The moment-reproduction check of every solve: the residuals through
+    ``degree``, :func:`reproduction_residuals` through the finite prefix
+    (``s.finite_degree()``) and :func:`_log_residuals` above it.  Raises
+    :class:`ValidationFailure` when a point's power through the prefix
+    leaves double range, or when the worst residual exceeds ``tol`` or is
+    NaN; that miss carries the residual as the error's ``worst``."""
+    finite = min(degree, s.finite_degree())
+    _require_finite_powers([pt for pt, _ in measure.atoms], finite)
+    residuals = reproduction_residuals(measure, s, finite)
+    if finite < degree:
+        residuals += _log_residuals(measure, s, finite, degree)
+    return _require_within(residuals, tol, label)
 
-    Returns :func:`reproduction_residuals` through ``degree`` and raises
-    :class:`ValidationFailure` when a point's power through ``degree``
-    leaves double range or when the worst residual exceeds ``tol`` or is
-    NaN.  A miss carries that residual as the error's ``worst``; the power
-    check's error leaves it ``None``.
-    """
-    points = [pt for pt, _ in measure.atoms]
-    _require_finite_powers(points, degree)
-    table = monomial_values(s.dim, points, degree)
-    return _require_table_reproduces(table, _weights(measure), s, degree, tol, label)
 
-
-def _require_table_reproduces(
-    table: np.ndarray,
-    weights: np.ndarray,
-    s: MomentSequence,
-    degree: int,
-    tol: float,
-    label: str,
+def _log_residuals(
+    measure: AtomicMeasure, s: MomentSequence, low: int, degree: int
 ) -> list[float]:
-    """The decision of :func:`require_reproduced`, on a measure's
-    :func:`monomial_values` table through ``degree`` (its powers already
-    checked) and its float weights, for a caller that holds the table."""
-    residuals = _residuals(table, weights, s, degree)
-    worst = _worst_residual(residuals)
+    """``|m - t| / max(1, |t|)`` for every entry ``t`` of degree ``low + 1 ..
+    degree``, in logs: ``t`` by :meth:`MomentSequence._entry_log`, each term
+    ``w x^alpha`` of ``m`` as ``log|w| + sum_j alpha_j log|x_j|`` (no float
+    power), both over ``max(1, |t|)`` before the exp.  A non-finite float
+    with no stored log logs as ``inf`` or NaN, so its residual is NaN.
+    """
+    atoms = [
+        (_log(abs(w)), w < 0, [(_log(abs(x)) if x else -math.inf, x < 0) for x in pt])
+        for pt, w in measure.atoms
+        if w
+    ]
+    residuals = []
+    for alpha in _monomial_table(s.dim, degree)[len(_monomial_table(s.dim, low)) :]:
+        v = s.values[alpha]
+        log_t = _log(-v) if v < 0 else s._entry_log(alpha)
+        scale = max(0.0, log_t)
+        m = 0.0
+        for log_w, negative, coords in atoms:
+            odd = sum(a for a, (_, neg) in zip(alpha, coords) if neg) % 2
+            log_term = log_w + sum(a * lx for a, (lx, _) in zip(alpha, coords) if a)
+            m += (-1.0 if negative ^ odd else 1.0) * _exp(log_term - scale)
+        t = _exp(log_t - scale)
+        residuals.append(abs(m + t if v < 0 else m - t))
+    return residuals
+
+
+def _require_within(residuals: list[float], tol: float, label: str) -> list[float]:
+    """:func:`require_reproduced`'s decision: ``np.max`` keeps a NaN, a miss."""
+    worst = float(np.max(residuals, initial=0.0))
     if not worst <= tol:
         miss = ValidationFailure(
             f"{label} misses the input moments: worst relative residual "

@@ -52,7 +52,8 @@ from .matrices import (
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
     _require_finite_powers,
-    _require_table_reproduces,
+    _require_within,
+    _residuals,
     _sum_positions,
     moment_matrix,
     moment_vector,
@@ -281,7 +282,7 @@ def _extract(
         )
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
-    _require_table_reproduces(table, weights, s, degree, tol, "extracted measure")
+    _require_within(_residuals(table, weights, s, degree), tol, "extracted measure")
     return measure
 
 
@@ -298,7 +299,8 @@ def extract_atoms_auto(
     ``(measure, level)`` for the first success.  Raises
     :class:`DegreeOverflow` when the data stops below degree 2, where there
     is no level to scan, and :class:`NotFlat` when no level admits a
-    validated extraction.
+    validated extraction.  The data is read as doubles; :func:`momentkit.solve`
+    takes data with ``inf`` markers or exact entries beyond double range.
     """
     if s.max_degree < 2:
         raise DegreeOverflow(

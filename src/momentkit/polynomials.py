@@ -641,17 +641,15 @@ class MomentSequence:
         return total
 
     def restrict(self, max_degree: int) -> "MomentSequence":
-        """The same data truncated to a smaller degree."""
+        """The data truncated to ``max_degree`` (``self`` at its own degree)."""
         if max_degree > self.max_degree:
             raise DegreeOverflow(
                 f"cannot extend degree {self.max_degree} data to {max_degree}"
             )
-        keep = {
-            a: v for a, v in self.values.items() if sum(a) <= max_degree
-        }
-        logs = {
-            a: v for a, v in self.log_values.items() if sum(a) <= max_degree
-        }
+        if max_degree == self.max_degree:
+            return self
+        keep = {a: v for a, v in self.values.items() if sum(a) <= max_degree}
+        logs = {a: v for a, v in self.log_values.items() if sum(a) <= max_degree}
         return MomentSequence(self.dim, max_degree, keep, logs)
 
     def __eq__(self, other: object) -> bool:

@@ -133,8 +133,9 @@ def solve_1d(
     Parameters
     ----------
     s : MomentSequence
-        One-dimensional data of truncation degree ``D``; the moment matrix
-        at level ``D // 2`` must be positive semidefinite.
+        One-dimensional data of truncation degree ``D``, read as doubles, so
+        ``inf`` markers and exact entries beyond double range need
+        :func:`momentkit.solve`; the level-``D // 2`` matrix must be PSD.
     rank_tol : float
         Relative singular-value threshold for the rank decision.
     tol : float

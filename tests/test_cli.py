@@ -1132,10 +1132,11 @@ def test_pipeline_subalgebra_pullback_fails_verification(tmp_path, capsys):
     assert verify["worst_residual"] > verify["tolerance"]
 
 
-def test_pipeline_nan_residual_fails_verification(tmp_path, capsys):
+def test_pipeline_marker_miss_fails_verification(tmp_path, capsys):
     # Two atoms on the curve x2 = x1^2; their (0, 8) moment is 12.8, but the
     # file claims e^800. The solve and pull-back read through degree 4 only,
-    # so the verify stage meets the entry as an inf target and a NaN residual.
+    # so the verify stage meets the entry as an inf marker, compares it in
+    # logs and finds the relative residual |12.8 - e^800| / e^800 = 1.
     spec = write_spec(
         tmp_path,
         "pc.json",
@@ -1161,30 +1162,140 @@ def test_pipeline_nan_residual_fails_verification(tmp_path, capsys):
     assert code == EXIT_PULLBACK
     verify = stage_named(report, "verify")
     assert verify["ok"] is False
-    assert verify["worst_residual"] == "nan"
+    assert verify["worst_residual"] == 1.0
     assert not out.exists()
 
 
-def test_pipeline_power_beyond_double_range_fails_verification(tmp_path, capsys):
-    # The atom 1e40 solves and pulls back at image degree 6, where its powers
-    # reach 1e240; the data runs to degree 12, and 1e480 leaves double range.
+def far_atom_file(tmp_path, capsys):
+    """Exact degree-12 moments of the point mass at 1e40: finite doubles
+    through degree 7 (1e280), ``log:`` markers from degree 8 (1e320) on."""
     spec = write_spec(tmp_path, "far.json", atomic_spec(1, 12, [[1.0, 1e40]]))
-    moments = str(tmp_path / "far.mom")
-    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    moments = tmp_path / "far.mom"
+    assert main(["generate", spec, str(moments), "--exact"]) == EXIT_OK
     capsys.readouterr()
+    return moments
+
+
+def test_pipeline_power_beyond_double_range_is_verified_in_logs(tmp_path, capsys):
+    # The atom 1e40 solves and pulls back at image degree 6, where its powers
+    # reach 1e240; verify compares degrees 8..12, beyond double range, in logs.
+    moments = far_atom_file(tmp_path, capsys)
     gens = tmp_path / "x.txt"
     gens.write_text("x1\n")
     out = tmp_path / "far.atoms"
     code, report = run_json(
-        capsys, "pipeline", moments, str(gens), str(out), "--image-degree", "6"
+        capsys, "pipeline", str(moments), str(gens), str(out), "--image-degree", "6"
+    )
+    assert code == EXIT_OK
+    verify = stage_named(report, "verify")
+    assert verify["ok"] is True
+    assert verify["worst_residual"] <= verify["tolerance"]
+    assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
+    assert out.exists()
+
+
+def test_pipeline_perturbed_marker_fails_verification(tmp_path, capsys):
+    # The same file with the degree-12 log raised by 1e-5: a relative miss of
+    # about 1e-5 on an entry beyond double range, which only verify reads.
+    moments = far_atom_file(tmp_path, capsys)
+    lines = moments.read_text().splitlines()
+    log12 = float(lines[-1].split("log:")[1])
+    lines[-1] = f"12 log:{log12 + 1e-5!r}"
+    moments.write_text("\n".join(lines) + "\n")
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1\n")
+    out = tmp_path / "far.atoms"
+    code, report = run_json(
+        capsys, "pipeline", str(moments), str(gens), str(out), "--image-degree", "6"
     )
     assert code == EXIT_PULLBACK
-    assert stage_named(report, "pullback")["ok"] is True
     verify = stage_named(report, "verify")
     assert verify["ok"] is False
-    assert verify["worst_residual"] is None
-    assert "power beyond double range by degree 12" in verify["error"]
+    assert verify["worst_residual"] == pytest.approx(1e-5, rel=1e-3)
+    assert "misses the input moments" in verify["error"]
     assert not out.exists()
+
+
+def _solve_both_ways(tmp_path, capsys, moments, *pipeline_flags):
+    """``solve`` and ``pipeline`` with the generator ``x1`` on one 1-D file:
+    (code, report) of each, and the pipeline's solve stage."""
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1\n")
+    solved = run_json(capsys, "solve", str(moments), str(tmp_path / "s.atoms"))
+    piped = run_json(
+        capsys, "pipeline", str(moments), str(gens), str(tmp_path / "p.atoms"),
+        *pipeline_flags,
+    )
+    return solved, piped, stage_named(piped[1], "solve")
+
+
+def test_solve_and_pipeline_refuse_a_marker_the_prefix_misses(tmp_path, capsys):
+    # The prefix 1, 2, 4 is the point mass at 2, whose s_3 is 8, not e^800.
+    moments = tmp_path / "d2.mom"
+    moments.write_text("momentfile v1 dim=1 degree=3\n0 1\n1 2\n2 4\n3 log:800\n")
+    (code, report), (p_code, _), p_solve = _solve_both_ways(tmp_path, capsys, moments)
+    assert (code, p_code) == (EXIT_SOLVE, EXIT_SOLVE)
+    assert report["solved_degree"] == 2
+    assert report["error"]["type"] == p_solve["error_type"] == "ValidationFailure"
+    # ``solve`` compares the marker's log; the pushed data has lost it.
+    assert "worst relative residual 1 exceeds" in report["error"]["message"]
+    assert "worst relative residual nan exceeds" in p_solve["error"]
+
+
+def test_solve_and_pipeline_refuse_lognormal_data(tmp_path, capsys):
+    moments = tmp_path / "logn.mom"
+    fileformats.write_moment_file(moments, fixtures.moments_lognormal(40))
+    (code, report), (p_code, _), p_solve = _solve_both_ways(tmp_path, capsys, moments)
+    assert (code, p_code) == (EXIT_SOLVE, EXIT_SOLVE)
+    assert report["error"]["type"] == p_solve["error_type"] == "ValidationFailure"
+
+
+def test_solve_and_pipeline_accept_a_point_beyond_double_range(tmp_path, capsys):
+    moments = far_atom_file(tmp_path, capsys)
+    (code, report), (p_code, p_report), _ = _solve_both_ways(
+        tmp_path, capsys, moments, "--image-degree", "6"
+    )
+    assert (code, p_code) == (EXIT_OK, EXIT_OK)
+    assert report["solved_degree"] == 7
+    assert stage_named(p_report, "verify")["ok"] is True
+    assert report["measure"] == p_report["measure"]
+    assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
+
+
+def test_solve_and_pipeline_agree_on_finite_data(tmp_path, capsys):
+    moments = one_d_atomic_file(tmp_path, capsys)
+    (code, report), (p_code, p_report), p_solve = _solve_both_ways(
+        tmp_path, capsys, moments
+    )
+    assert (code, p_code) == (EXIT_OK, EXIT_OK)
+    # The report of finite data is the 1-D solver's result, key for key.
+    result = univariate.solve_1d(fileformats.read_moment_file(moments))
+    detail = {
+        "mode": "1d",
+        "rank": 3,
+        "stieltjes_supported": True,
+        "max_residual": result.max_residual,
+        "jacobi_diag": result.jacobi.diag,
+        "jacobi_offdiag": result.jacobi.offdiag,
+    }
+    assert report == {
+        "moments": moments,
+        "dim": 1,
+        "degree": 6,
+        **detail,
+        "measure": {
+            "atom_count": 3,
+            "total_mass": float(result.measure.total_mass),
+            "atoms": [
+                {"weight": w, "point": list(pt)}
+                for pt, w in result.measure.sorted_atoms()
+            ],
+        },
+        "out": str(tmp_path / "s.atoms"),
+    }
+    assert list(report) == ["moments", "dim", "degree", *detail, "measure", "out"]
+    assert {k: p_solve[k] for k in detail} == detail
+    assert report["measure"] == p_report["measure"]
 
 
 def test_pipeline_rejects_non_generating_set_by_default(tmp_path, capsys):

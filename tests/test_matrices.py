@@ -555,6 +555,60 @@ class TestRequireReproduced:
             require_reproduced(mu, s, self.DEGREE, math.inf, "measure")
 
 
+    def test_exact_entries_beyond_double_range_compare_in_logs(self):
+        # s_2 = 10**310 leaves double range, so degrees 2..4 are compared in
+        # logs; reading them as floats raised a bare OverflowError.
+        mu = AtomicMeasure(1, [((10**5,), 10**300)])
+        s = moments_of_atomic(mu, self.DEGREE, exact=True)
+        assert s.finite_degree() == 1
+        residuals = require_reproduced(mu, s, self.DEGREE, 1e-12, "measure")
+        assert len(residuals) == 5
+        assert max(residuals) < 1e-12
+        values = dict(s.values)
+        values[(3,)] *= Fraction(1000001, 1000000)
+        with pytest.raises(
+            ValidationFailure,
+            match="^measure misses the input moments: worst relative residual "
+            "9.99999e-07 exceeds 1e-08$",
+        ) as raised:
+            require_reproduced(mu, MomentSequence(1, 4, values), 4, 1e-8, "measure")
+        assert raised.value.worst == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-9)
+
+    def test_signed_and_zero_entries_beyond_double_range(self):
+        # Atoms at (-1e200, 1) and (0, 3): every entry s[(k, l)] with k >= 2
+        # is beyond double range, negative for odd k, and the second atom adds
+        # nothing to it.
+        mu = AtomicMeasure(2, [((-(10**200), 1), 1), ((0, 3), Fraction(1, 2))])
+        s = moments_of_atomic(mu, self.DEGREE, exact=True)
+        assert s.finite_degree() == 1
+        assert s.value((3, 0)) < 0
+        residuals = require_reproduced(mu, s, self.DEGREE, 1e-12, "measure")
+        assert len(residuals) == 15
+        assert max(residuals) < 1e-12
+        values = dict(s.values)
+        values[(3, 1)] = -values[(3, 1)]
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, MomentSequence(2, 4, values), 4, 1e-8, "measure")
+        assert raised.value.worst == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("marker", [math.inf, math.nan])
+    def test_non_finite_entry_without_a_log_is_a_miss(self, marker):
+        mu = _dyadic_measure(1, False)
+        s = moments_of_atomic(mu, self.DEGREE)
+        values = dict(s.values)
+        values[(3,)] = marker
+        logs = {(4,): s.log_value((4,))}
+        values[(4,)] = math.inf
+        with pytest.raises(
+            ValidationFailure, match="worst relative residual nan exceeds inf"
+        ):
+            require_reproduced(mu, MomentSequence(1, 4, values, logs), 4, math.inf, "m")
+        # With its log, the marker compares like the value it stands for.
+        logs[(3,)] = s.log_value((3,))
+        residuals = require_reproduced(mu, MomentSequence(1, 4, values, logs), 4, 1e-12, "m")
+        assert max(residuals) < 1e-12
+
+
 class TestAssembledMatricesSkipTheSymmetryScan:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_graded_lex_bases_are_nested(self, dim):

@@ -227,6 +227,10 @@ class TestMomentSequence:
         with pytest.raises(DegreeOverflow):
             r.value((0, 3))
 
+    def test_restrict_to_its_own_degree_is_the_sequence_itself(self):
+        s = _point_mass_sequence()
+        assert s.restrict(s.max_degree) is s
+
     def test_equality(self):
         assert _point_mass_sequence() == _point_mass_sequence()
 

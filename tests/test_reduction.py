@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from momentkit import (
     AmbiguousPreimageWarning,
@@ -454,6 +454,9 @@ class TestPushedPowersMatchRiesz:
     )
     def test_equal_to_riesz_of_each_power(self, pres, count, kind, seed):
         f = pres.generators[0]
+        # A plain coordinate is read as the marginal, with its raw values
+        # and stored logs, and never reaches the Riesz loop.
+        assume(all(f != Polynomial.variable(pres.dim, j) for j in range(pres.dim)))
         degree = max(count * pres.max_degree, 1)
         s = _moment_data(pres.dim, degree, kind, seed)
         pushed = pushed_power_sequence(s, f, count)
