@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .polynomials import (
     _log,
     _monomial_index,
     _monomial_table,
+    _to_float,
     add_indices,
     monomials_up_to,
 )
@@ -449,7 +451,7 @@ def require_reproduced(
 ) -> list[float]:
     """The moment-reproduction check of every solve: the residuals through
     ``degree``, :func:`reproduction_residuals` through the finite prefix
-    (``s.finite_degree()``) and :func:`_log_residuals` above it.  Raises
+    (``s.finite_degree()``) and :func:`_residuals_above` above it.  Raises
     :class:`ValidationFailure` when a point's power through the prefix
     leaves double range, or when the worst residual exceeds ``tol`` or is
     NaN; that miss carries the residual as the error's ``worst``."""
@@ -457,37 +459,61 @@ def require_reproduced(
     _require_finite_powers([pt for pt, _ in measure.atoms], finite)
     residuals = reproduction_residuals(measure, s, finite)
     if finite < degree:
-        residuals += _log_residuals(measure, s, finite, degree)
+        residuals += _residuals_above(measure, s, finite, degree)
     return _require_within(residuals, tol, label)
 
 
-def _log_residuals(
+def require_reproduced_above(
+    measure: AtomicMeasure, s: MomentSequence, low: int, tol: float, label: str
+) -> list[float]:
+    """:func:`require_reproduced` of the entries above degree ``low`` alone,
+    for a solve that checked the finite prefix ``low`` itself."""
+    return _require_within(_residuals_above(measure, s, low, s.max_degree), tol, label)
+
+
+def _residuals_above(
     measure: AtomicMeasure, s: MomentSequence, low: int, degree: int
 ) -> list[float]:
     """``|m - t| / max(1, |t|)`` for every entry ``t`` of degree ``low + 1 ..
-    degree``, in logs: ``t`` by :meth:`MomentSequence._entry_log`, each term
-    ``w x^alpha`` of ``m`` as ``log|w| + sum_j alpha_j log|x_j|`` (no float
-    power), both over ``max(1, |t|)`` before the exp.  A non-finite float
-    with no stored log logs as ``inf`` or NaN, so its residual is NaN.
+    degree``, with no float power: ``m = sum w x^alpha`` is summed exactly in
+    fractions, so terms that cancel leave their true difference.  A finite
+    or exact ``t`` is compared exactly and an ``inf`` marker in logs, by its
+    stored log.  A non-finite float with no stored log has no value to
+    compare, and a non-finite atom no exact moment: their residuals are NaN.
     """
-    atoms = [
-        (_log(abs(w)), w < 0, [(_log(abs(x)) if x else -math.inf, x < 0) for x in pt])
-        for pt, w in measure.atoms
-        if w
-    ]
+    alphas = _monomial_table(s.dim, degree)[len(_monomial_table(s.dim, low)) :]
+    try:
+        atoms = [(Fraction(w), [Fraction(x) for x in pt]) for pt, w in measure.atoms]
+    except (ValueError, OverflowError):
+        return [math.nan] * len(alphas)
     residuals = []
-    for alpha in _monomial_table(s.dim, degree)[len(_monomial_table(s.dim, low)) :]:
+    for alpha in alphas:
+        m = sum(w * math.prod(x**a for x, a in zip(pt, alpha)) for w, pt in atoms)
         v = s.values[alpha]
-        log_t = _log(-v) if v < 0 else s._entry_log(alpha)
-        scale = max(0.0, log_t)
-        m = 0.0
-        for log_w, negative, coords in atoms:
-            odd = sum(a for a, (_, neg) in zip(alpha, coords) if neg) % 2
-            log_term = log_w + sum(a * lx for a, (lx, _) in zip(alpha, coords) if a)
-            m += (-1.0 if negative ^ odd else 1.0) * _exp(log_term - scale)
-        t = _exp(log_t - scale)
-        residuals.append(abs(m + t if v < 0 else m - t))
+        if isinstance(v, float) and not math.isfinite(v):
+            log_t = math.nan if v < 0 else s.log_values.get(alpha, math.nan)
+            log_m = _log(abs(m)) if m else -math.inf
+            top = max(log_m, log_t)  # |m - t| over exp(top), then scaled
+            diff = abs((-1 if m < 0 else 1) * math.exp(log_m - top) - math.exp(log_t - top))
+            residuals.append(_exp(math.log(diff) + top - max(0.0, log_t)) if diff else 0.0)
+        else:
+            t = Fraction(v)
+            residuals.append(_to_float(abs(m - t) / max(1, abs(t))))
     return residuals
+
+
+def _require_table_reproduces(
+    table: np.ndarray,
+    weights: np.ndarray,
+    s: MomentSequence,
+    degree: int,
+    tol: float,
+    label: str,
+) -> list[float]:
+    """The decision of :func:`require_reproduced`, on a measure's
+    :func:`monomial_values` table through ``degree`` (its powers already
+    checked) and its float weights, for a caller that holds the table."""
+    return _require_within(_residuals(table, weights, s, degree), tol, label)
 
 
 def _require_within(residuals: list[float], tol: float, label: str) -> list[float]:

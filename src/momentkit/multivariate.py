@@ -52,8 +52,7 @@ from .matrices import (
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
     _require_finite_powers,
-    _require_within,
-    _residuals,
+    _require_table_reproduces,
     _sum_positions,
     moment_matrix,
     moment_vector,
@@ -282,7 +281,7 @@ def _extract(
         )
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
-    _require_within(_residuals(table, weights, s, degree), tol, "extracted measure")
+    _require_table_reproduces(table, weights, s, degree, tol, "extracted measure")
     return measure
 
 

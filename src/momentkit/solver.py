@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import multivariate, univariate
-from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, _log_residuals, _require_within
+from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced_above
 from .polynomials import AtomicMeasure, MomentSequence
 
 
@@ -20,9 +20,9 @@ def solve(
     ``mode="1d"`` runs :func:`~momentkit.univariate.solve_1d`, ``"md"`` flat
     extraction at ``level`` or by scanning, and ``"auto"`` picks ``"1d"`` for
     1-D data with no ``level``.  The solver reads the finite prefix
-    ``s.restrict(s.finite_degree())``.  Each entry above it is compared in
-    logs (a miss is :class:`ValidationFailure`) and the detail gains
-    ``solved_degree``."""
+    ``s.restrict(s.finite_degree())``.  Each entry above it is compared by
+    :func:`~momentkit.matrices.require_reproduced_above` (a miss is
+    :class:`ValidationFailure`) and the detail gains ``solved_degree``."""
     finite_degree = s.finite_degree()
     prefix = s.restrict(finite_degree)
     if mode == "auto":
@@ -47,6 +47,6 @@ def solve(
         label = "extracted measure"
         detail = {"mode": "md", "level": level, "rank": len(measure)}
     if finite_degree < s.max_degree:
-        _require_within(_log_residuals(measure, s, finite_degree, s.max_degree), tol, label)
+        require_reproduced_above(measure, s, finite_degree, tol, label)
         detail["solved_degree"] = finite_degree
     return measure, detail

@@ -1262,6 +1262,23 @@ def test_solve_and_pipeline_accept_a_point_beyond_double_range(tmp_path, capsys)
     assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
 
 
+def test_solve_accepts_symmetric_atoms_beyond_double_range(tmp_path, capsys):
+    # 1/2 (delta at -1e50 + delta at 1e50) to degree 16: the prefix stops at
+    # degree 7, and the odd entries above it are 0, where the two terms of
+    # about 1e450 and more cancel exactly.
+    spec = write_spec(
+        tmp_path, "sym.json", atomic_spec(1, 16, [[0.5, -1e50], [0.5, 1e50]])
+    )
+    moments = tmp_path / "sym.mom"
+    assert main(["generate", spec, str(moments), "--exact"]) == EXIT_OK
+    capsys.readouterr()
+    code, report = run_json(capsys, "solve", str(moments), str(tmp_path / "s.atoms"))
+    assert code == EXIT_OK
+    assert report["solved_degree"] == 7
+    points = [atom["point"][0] for atom in report["measure"]["atoms"]]
+    assert points == pytest.approx([-1e50, 1e50])
+
+
 def test_solve_and_pipeline_agree_on_finite_data(tmp_path, capsys):
     moments = one_d_atomic_file(tmp_path, capsys)
     (code, report), (p_code, p_report), p_solve = _solve_both_ways(

@@ -313,6 +313,12 @@ class TestMomentReader:
                 token = repr(value)
             lines.append(" ".join([*map(str, alpha), token]))
         text = "\n".join(lines) + "\n"
+        assert _bits(parse_moment_file, text) == _bits(_reference_parse, text)
+        if values[(0,) * dim] == math.inf:
+            # A mass marker beyond double range has no finite mass to read.
+            with pytest.raises(FileFormatError, match="inconsistent moment data"):
+                parse_moment_file(text)
+            return
         back = parse_moment_file(text)
         assert [(a, v.hex()) for a, v in back.values.items()] == [
             (a, v.hex()) for a, v in values.items()
@@ -320,7 +326,6 @@ class TestMomentReader:
         assert {a: lv.hex() for a, lv in back.log_values.items()} == {
             a: lv.hex() for a, lv in logs.items()
         }
-        assert _bits(parse_moment_file, text) == _bits(_reference_parse, text)
 
     @pytest.mark.parametrize(
         "text",

@@ -591,6 +591,25 @@ class TestRequireReproduced:
             require_reproduced(mu, MomentSequence(2, 4, values), 4, 1e-8, "measure")
         assert raised.value.worst == pytest.approx(2.0, rel=1e-12)
 
+    def test_symmetric_atoms_beyond_double_range_cancel(self):
+        # Every odd entry of 1/2 (delta at -10**200 + delta at 10**200) is 0,
+        # the difference of two terms near 10**(200 k) that cancel exactly.
+        far = 10**200
+        mu = AtomicMeasure(1, [((-far,), Fraction(1, 2)), ((far,), Fraction(1, 2))])
+        s = moments_of_atomic(mu, 8, exact=True)
+        assert s.finite_degree() == 1
+        residuals = require_reproduced(mu, s, 8, 1e-12, "measure")
+        assert residuals[3::2] == [0.0, 0.0, 0.0]
+        assert max(residuals) < 1e-12
+        # Weights 1/2 -+ 2**-30 put s_3 near -2**-29 * 10**600, not 0.
+        tilt = Fraction(1, 2**30)
+        lopsided = AtomicMeasure(
+            1, [((-far,), Fraction(1, 2) + tilt), ((far,), Fraction(1, 2) - tilt)]
+        )
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(lopsided, s, 8, 1e-8, "measure")
+        assert raised.value.worst == math.inf
+
     @pytest.mark.parametrize("marker", [math.inf, math.nan])
     def test_non_finite_entry_without_a_log_is_a_miss(self, marker):
         mu = _dyadic_measure(1, False)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from momentkit import (
     AmbiguousPreimageWarning,
@@ -445,29 +445,44 @@ def _reference_pushed_powers(s: MomentSequence, f: Polynomial, count: int) -> di
 
 
 class TestPushedPowersMatchRiesz:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         pres=_presentations(),
         count=st.integers(0, 5),
         kind=st.sampled_from(_DATA_KINDS),
         seed=st.integers(0, 2**16),
+        axis=st.none() | st.integers(0, 2),
     )
-    def test_equal_to_riesz_of_each_power(self, pres, count, kind, seed):
+    def test_equal_to_riesz_of_each_power(self, pres, count, kind, seed, axis):
+        # A drawn axis replaces the generator by that coordinate.
         f = pres.generators[0]
-        # A plain coordinate is read as the marginal, with its raw values
-        # and stored logs, and never reaches the Riesz loop.
-        assume(all(f != Polynomial.variable(pres.dim, j) for j in range(pres.dim)))
-        degree = max(count * pres.max_degree, 1)
+        if axis is not None and axis < pres.dim:
+            f = Polynomial.variable(pres.dim, axis)
+        degree = max(count * max(pres.max_degree, f.degree), 1)
         s = _moment_data(pres.dim, degree, kind, seed)
         pushed = pushed_power_sequence(s, f, count)
-        expected = _reference_pushed_powers(s, f, count)
+        axes = [j for j in range(pres.dim) if f == Polynomial.variable(pres.dim, j)]
+        if axes:
+            # A plain coordinate is read as the marginal, by the raw entries
+            # s[n e_j] and their stored logs: an int stays an int and -0.0
+            # stays -0.0, where the Riesz loop gives a Fraction and 0.0.
+            steps = [
+                tuple(n * (i == axes[0]) for i in range(pres.dim)) for n in range(count + 1)
+            ]
+            expected = {(n,): s.values[a] for n, a in enumerate(steps)}
+            assert pushed.log_values == {
+                (n,): s.log_values[a] for n, a in enumerate(steps) if a in s.log_values
+            }
+        else:
+            expected = _reference_pushed_powers(s, f, count)
         # repr tells -0.0 from 0.0 and a Fraction from an equal float.
         assert {a: repr(v) for a, v in pushed.values.items()} == {
             a: repr(v) for a, v in expected.items()
         }
         for (n,), v in pushed.values.items():
             if v != 0.0:
-                assert repr(v) == repr(s.riesz(f**n))
+                riesz = s.riesz(f**n)
+                assert v == riesz if axes else repr(v) == repr(riesz)
 
     @pytest.mark.parametrize("kind", _DATA_KINDS)
     @pytest.mark.parametrize(

@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from momentkit import AtomicMeasure, MomentError, MomentSequence, moments_of_atomic, solve
+from momentkit import (
+    AtomicMeasure,
+    MomentError,
+    MomentSequence,
+    ValidationFailure,
+    moments_of_atomic,
+    solve,
+)
+from momentkit.matrices import require_reproduced_above
 from momentkit.polynomials import _log, monomials_up_to
 
 TOL = 1e-8
@@ -41,12 +49,14 @@ def _reference_residual(m: Fraction, s: MomentSequence, alpha: tuple[int, ...]) 
 
 @st.composite
 def _data(draw):
-    """Moments of 1-8 dyadic atoms in dims 1-3 whose top degrees are beyond
-    the finite prefix: float data with ``inf`` markers carrying their true
-    logs above a cut degree, or exact data scaled by ``2**t`` so that every
-    entry above the cut, unless it cancels, leaves double range.  In half the
+    """Moments of 1-8 dyadic atoms of either sign in dims 1-3 whose top
+    degrees are beyond the finite prefix: float data with ``inf`` markers
+    carrying their true logs for the positive entries above a cut degree, or
+    exact data scaled by ``2**t`` so that every entry above the cut, unless
+    it cancels, leaves double range.  In half the draws the atoms come in
+    pairs x, -x of equal weight, whose odd entries cancel to 0.  In half the
     draws one entry ``t`` above the prefix moves by ``1.5e-5 * max(1, |t|)``.
-    Returns the sequence and whether it was perturbed."""
+    Returns the sequence, whether it was perturbed and the measure."""
     dim = draw(st.integers(1, 3))
     degree = draw(st.integers(2, 8 if dim == 1 else 6))
     cut = draw(st.integers(1, degree - 1))
@@ -61,20 +71,28 @@ def _data(draw):
             st.sampled_from([1, -1]),
         )
     else:
-        # Positive, so every entry has a log.
-        coordinate = st.builds(Fraction, st.integers(1, 16), st.just(4))
+        coordinate = st.builds(Fraction, st.integers(-16, 16), st.just(4))
+    mirrored = draw(st.booleans())
     points = draw(
-        st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=8, unique=True)
+        st.lists(
+            st.tuples(*[coordinate] * dim),
+            min_size=1,
+            max_size=4 if mirrored else 8,
+            unique_by=lambda pt: tuple(map(abs, pt)) if mirrored else pt,
+        )
     )
-    weights = [Fraction(draw(st.integers(1, 16)), 8) for _ in points]
-    exact_data = moments_of_atomic(
-        AtomicMeasure(dim, list(zip(points, weights))), degree, exact=True
-    )
+    atoms = [(pt, Fraction(draw(st.integers(1, 16)), 8)) for pt in points]
+    if mirrored:
+        atoms += [(tuple(-x for x in pt), w) for pt, w in atoms if any(pt)]
+    measure = AtomicMeasure(dim, atoms)
+    exact_data = moments_of_atomic(measure, degree, exact=True)
     values = dict(exact_data.values)
     logs = {}
     if not exact:
         for alpha, v in values.items():
-            if sum(alpha) > cut:
+            # Above the cut a positive entry becomes a marker with its log;
+            # a zero or negative one, which has none, stays a float.
+            if sum(alpha) > cut and v > 0:
                 values[alpha], logs[alpha] = math.inf, _log(v)
             else:
                 values[alpha] = float(v)
@@ -90,26 +108,72 @@ def _data(draw):
         else:
             values[alpha] += max(1, abs(values[alpha])) * Fraction(1, 2**16)
         s = MomentSequence(dim, degree, values, logs)
-    return s, perturb
+    return s, perturb, measure
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_data())
 def test_solve_reproduces_every_entry_above_the_prefix_or_raises(case):
-    s, perturbed = case
+    s, perturbed, _ = case
+    finite = s.finite_degree()
     try:
         measure, detail = solve(s, tol=TOL)
+    except ValidationFailure:
+        try:
+            # The same route on the prefix alone: a measure here means the
+            # refusal came from the comparison above the prefix.
+            measure, _ = solve(s.restrict(finite), tol=TOL)
+        except MomentError as exc:
+            event(f"dim {s.dim}: {type(exc).__name__} on the prefix")
+            return
+        event(f"dim {s.dim}: refused above the prefix")
+        # Unperturbed data is refused only for a measure that really misses.
+        assert perturbed or _worst_above(measure, s, finite) > TOL - 1e-12
+        return
     except MomentError as exc:
         event(f"dim {s.dim}: {type(exc).__name__}")
         return
     event(f"dim {s.dim}: accepted")
     assert not perturbed, "a perturbed entry above the prefix was accepted"
-    finite = s.finite_degree()
     assert detail.get("solved_degree", s.max_degree) == finite
-    for alpha in monomials_up_to(s.dim, s.max_degree):
-        if sum(alpha) > finite:
-            residual = _reference_residual(_exact_moment(measure, alpha), s, alpha)
-            assert residual <= TOL + 1e-12
+    assert _worst_above(measure, s, finite) <= TOL + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_data())
+def test_the_check_above_the_prefix_accepts_exactly_the_true_measure(case):
+    # Entries that cancel, as the odd ones of mirrored atoms do, included.
+    s, perturbed, measure = case
+    finite = s.finite_degree()
+    if perturbed:
+        with pytest.raises(ValidationFailure):
+            require_reproduced_above(measure, s, finite, TOL, "true measure")
+    else:
+        residuals = require_reproduced_above(measure, s, finite, TOL, "true measure")
+        assert max(residuals, default=0.0) <= 1e-12
+
+
+def _worst_above(measure: AtomicMeasure, s: MomentSequence, finite: int) -> float:
+    return max(
+        (
+            _reference_residual(_exact_moment(measure, alpha), s, alpha)
+            for alpha in monomials_up_to(s.dim, s.max_degree)
+            if sum(alpha) > finite
+        ),
+        default=0.0,
+    )
+
+
+def test_solve_accepts_symmetric_atoms_beyond_double_range():
+    # Exact degree-16 moments of 1/2 (delta at -10**50 + delta at 10**50):
+    # the prefix stops at degree 7 and every odd entry above it is 0.
+    far = 10**50
+    mu = AtomicMeasure(1, [((-far,), Fraction(1, 2)), ((far,), Fraction(1, 2))])
+    s = moments_of_atomic(mu, 16, exact=True)
+    measure, detail = solve(s, tol=TOL)
+    assert detail["solved_degree"] == 7
+    assert [pt[0] for pt, _ in measure.sorted_atoms()] == pytest.approx([-1e50, 1e50])
+    assert _worst_above(measure, s, 7) <= TOL
 
 
 def test_solve_of_finite_data_adds_no_solved_degree():
