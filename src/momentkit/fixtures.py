@@ -7,8 +7,8 @@ Three families:
   exact rational arithmetic.  Both routes read one power table per
   coordinate: floats take Python's ``float ** int`` powers and multiply
   and add in the order of the plain per-monomial, per-atom loop, so every
-  float keeps that loop's bits; exact data sums integer numerators over
-  common denominators, one ``Fraction`` per entry;
+  float keeps that loop's bits; exact data is ``matrices._exact_sums``,
+  the reproduction gate's exact moment, one ``Fraction`` per entry;
 * exponential-type — 1-D moments ``n!`` (density ``exp(-x)`` on
   ``[0, inf)``), computed by the exact integer recursion; the associated
   root series decay like powers of ``n``, so growth diagnostics should find
@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MembershipViolation
-from .matrices import _exponents, _powers
+from .matrices import _exact_sums, _exponents, _powers
 from .polynomials import (
     AtomicMeasure,
     MomentSequence,
@@ -62,9 +62,10 @@ def moments_of_atomic(
     dim - 1`` in order and add the atoms in order from ``0.0``, the order of
     the per-monomial loop, so every entry has the bits that loop gave (a
     factor ``x ** 0 = 1.0`` is exact); a power beyond double range raises
-    ``OverflowError``.  Exact data holds each coordinate as integers over
-    one common denominator and the weights over another, so each entry is
-    one integer sum of products over its denominator.
+    ``OverflowError``.  Exact data (``matrices._exact_sums``) holds each
+    coordinate as integers over one common denominator and the weights over
+    another, so each entry is one integer sum of products over its
+    denominator.
     """
     # A Fraction is kept as it is: Fraction(x) would only copy it.
     convert = _as_fraction if exact else float
@@ -93,36 +94,6 @@ def moments_of_atomic(
 
 def _as_fraction(x: Scalar) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
-
-
-def _exact_sums(
-    columns: list[list[Fraction]],
-    weights: list[Fraction],
-    exponents: np.ndarray,
-    max_degree: int,
-) -> list[Fraction]:
-    """``sum_i w_i * prod_j x_ij ** alpha_j`` for each row ``alpha`` of
-    ``exponents``, from integer numerators over common denominators."""
-    numerators, denominator = _over_common_denominator(weights)
-    sums = np.array(numerators, dtype=object)
-    denominators = np.full(len(exponents), denominator, dtype=object)
-    for j, column in enumerate(columns):
-        numerators, denominator = _over_common_denominator(column)
-        powers = [[1] * len(numerators)]  # one product per further degree
-        for _ in range(max_degree):
-            powers.append([p * n for p, n in zip(powers[-1], numerators)])
-        scales = [denominator**e for e in range(len(powers))]
-        sums = sums * np.array(powers, dtype=object)[exponents[:, j]]
-        denominators = denominators * np.array(scales, dtype=object)[exponents[:, j]]
-    return [
-        Fraction(n, d) for n, d in zip(sums.sum(axis=1).tolist(), denominators.tolist())
-    ]
-
-
-def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over their least common denominator."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
 
 
 def moments_factorial(max_degree: int) -> MomentSequence:

@@ -266,6 +266,36 @@ def _powers(column: Sequence[float], degree: int) -> np.ndarray:
     return np.array(table, dtype=float).reshape(degree + 1, len(column))
 
 
+def _exact_sums(
+    columns: list[list[Fraction]],
+    weights: list[Fraction],
+    exponents: np.ndarray,
+    max_degree: int,
+) -> list[Fraction]:
+    """``sum_i w_i * prod_j x_ij ** alpha_j`` for each row ``alpha`` of
+    ``exponents``, from integer numerators over common denominators."""
+    numerators, denominator = _over_common_denominator(weights)
+    sums = np.array(numerators, dtype=object)
+    denominators = np.full(len(exponents), denominator, dtype=object)
+    for j, column in enumerate(columns):
+        numerators, denominator = _over_common_denominator(column)
+        powers = [[1] * len(numerators)]  # one product per further degree
+        for _ in range(max_degree):
+            powers.append([p * n for p, n in zip(powers[-1], numerators)])
+        scales = [denominator**e for e in range(len(powers))]
+        sums = sums * np.array(powers, dtype=object)[exponents[:, j]]
+        denominators = denominators * np.array(scales, dtype=object)[exponents[:, j]]
+    return [
+        Fraction(n, d) for n, d in zip(sums.sum(axis=1).tolist(), denominators.tolist())
+    ]
+
+
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
 def monomial_values(
     dim: int, points: Sequence[Sequence[Scalar]], degree: int
 ) -> np.ndarray:
@@ -369,7 +399,7 @@ def numerical_rank(
     if not np.all(np.isfinite(m)):
         raise EigenFailure("matrix has non-finite entries")
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
+    if sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
@@ -425,23 +455,6 @@ def require_psd(
     return verdict
 
 
-def _require_finite_powers(points: Sequence[Sequence[Scalar]], degree: int) -> None:
-    """Raise :class:`ValidationFailure` when a coordinate or one of its
-    powers through ``degree`` leaves double range, where
-    :func:`monomial_values` would raise ``OverflowError``.
-
-    ``max|x| ** degree`` in floats bounds every monomial of degree <=
-    ``degree`` at every point, so it is the one power to take.
-    """
-    try:
-        max((abs(float(x)) for pt in points for x in pt), default=0.0) ** degree
-    except OverflowError as exc:
-        raise ValidationFailure(
-            f"an extracted point has a power beyond double range by degree "
-            f"{degree}; it cannot reproduce the input moments"
-        ) from exc
-
-
 def require_reproduced(
     measure: AtomicMeasure,
     s: MomentSequence,
@@ -450,14 +463,18 @@ def require_reproduced(
     label: str,
 ) -> list[float]:
     """The moment-reproduction check of every solve: the residuals through
-    ``degree``, :func:`reproduction_residuals` through the finite prefix
-    (``s.finite_degree()``) and :func:`_residuals_above` above it.  Raises
-    :class:`ValidationFailure` when a point's power through the prefix
-    leaves double range, or when the worst residual exceeds ``tol`` or is
+    ``degree``, :func:`reproduction_residuals` in floats through the finite
+    prefix (``s.finite_degree()``) and :func:`_residuals_above`, exact, above
+    it, or at every degree when doubles cannot hold the prefix (an atom's
+    power or an exact entry there leaves double range, where
+    :func:`reproduction_residuals` raises ``OverflowError``).  Raises
+    :class:`ValidationFailure` when the worst residual exceeds ``tol`` or is
     NaN; that miss carries the residual as the error's ``worst``."""
     finite = min(degree, s.finite_degree())
-    _require_finite_powers([pt for pt, _ in measure.atoms], finite)
-    residuals = reproduction_residuals(measure, s, finite)
+    try:
+        residuals = reproduction_residuals(measure, s, finite)
+    except OverflowError:
+        finite, residuals = -1, []
     if finite < degree:
         residuals += _residuals_above(measure, s, finite, degree)
     return _require_within(residuals, tol, label)
@@ -475,20 +492,22 @@ def _residuals_above(
     measure: AtomicMeasure, s: MomentSequence, low: int, degree: int
 ) -> list[float]:
     """``|m - t| / max(1, |t|)`` for every entry ``t`` of degree ``low + 1 ..
-    degree``, with no float power: ``m = sum w x^alpha`` is summed exactly in
-    fractions, so terms that cancel leave their true difference.  A finite
+    degree``, with no float power: ``m = sum w x^alpha`` is :func:`_exact_sums`
+    of the measure, so terms that cancel leave their true difference.  A finite
     or exact ``t`` is compared exactly and an ``inf`` marker in logs, by its
     stored log.  A non-finite float with no stored log has no value to
     compare, and a non-finite atom no exact moment: their residuals are NaN.
     """
-    alphas = _monomial_table(s.dim, degree)[len(_monomial_table(s.dim, low)) :]
+    start = len(_monomial_table(s.dim, low))
+    alphas = _monomial_table(s.dim, degree)[start:]
     try:
-        atoms = [(Fraction(w), [Fraction(x) for x in pt]) for pt, w in measure.atoms]
+        weights = [Fraction(w) for _, w in measure.atoms]
+        columns = [[Fraction(pt[j]) for pt, _ in measure.atoms] for j in range(s.dim)]
     except (ValueError, OverflowError):
         return [math.nan] * len(alphas)
+    moments = _exact_sums(columns, weights, _exponents(s.dim, degree)[start:], degree)
     residuals = []
-    for alpha in alphas:
-        m = sum(w * math.prod(x**a for x, a in zip(pt, alpha)) for w, pt in atoms)
+    for alpha, m in zip(alphas, moments):
         v = s.values[alpha]
         if isinstance(v, float) and not math.isfinite(v):
             log_t = math.nan if v < 0 else s.log_values.get(alpha, math.nan)

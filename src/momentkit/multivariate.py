@@ -51,7 +51,6 @@ from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
     SymmetricMatrixWithBasis,
-    _require_finite_powers,
     _require_table_reproduces,
     _sum_positions,
     moment_matrix,
@@ -265,8 +264,13 @@ def _extract(
     # on its leading rows (the monomials of degree <= level, nested in
     # graded-lex order), and the moment check.
     degree = 2 * level
-    _require_finite_powers(points, degree)
-    table = monomial_values(s.dim, points, degree)
+    try:
+        table = monomial_values(s.dim, points, degree)
+    except OverflowError as exc:
+        raise ValidationFailure(
+            f"an extracted point has a power beyond double range by degree "
+            f"{degree}; it cannot reproduce the input moments"
+        ) from exc
 
     a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)

@@ -210,10 +210,6 @@ class Polynomial:
         alpha = tuple(1 if j == index else 0 for j in range(dim))
         return cls(dim, {alpha: 1})
 
-    @classmethod
-    def monomial(cls, alpha: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        return cls(len(alpha), {tuple(alpha): coeff})
-
     # -- structure ---------------------------------------------------------
 
     @property

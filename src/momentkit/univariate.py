@@ -162,8 +162,9 @@ def solve_1d(
         If the rank decision is inconsistent with positive mass.
     ValidationFailure
         If the recovered measure misses a moment of degree <= ``2q - 1``
-        by more than ``tol`` relative, or a node's power through that
-        degree leaves double range.
+        by more than ``tol`` relative; where a node's power leaves double
+        range, :func:`~momentkit.matrices.require_reproduced` compares
+        those moments exactly.
     """
     if s.dim != 1:
         raise DimMismatch(f"solve_1d needs 1-dimensional data, got dim {s.dim}")

@@ -820,11 +820,10 @@ def test_solve_points_beyond_double_range_are_a_solver_failure(
     assert not out.exists()
 
 
-def test_solve_1d_node_power_beyond_double_range_is_a_solver_failure(
-    tmp_path, capsys
-):
-    # The exact data is finite as doubles through degree 4; a recovered
-    # node's cube leaves double range, so the 1-D validation refuses it.
+def node_overflow_file(tmp_path, capsys):
+    """Exact degree-7 moments of atoms 0.5138..., 1.7787... (weight 1) and
+    1e105 (weight 1e-119): finite doubles through degree 4, ``log:`` markers
+    from degree 5 on."""
     spec = write_spec(
         tmp_path,
         "ovf.json",
@@ -834,19 +833,52 @@ def test_solve_1d_node_power_beyond_double_range_is_a_solver_failure(
             [[1.0, 0.5138143288314894], [1.0, 1.7787886843719507], [1e-119, 1e105]],
         ),
     )
-    moments = str(tmp_path / "ovf.mom")
-    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    moments = tmp_path / "ovf.mom"
+    assert main(["generate", spec, str(moments), "--exact"]) == EXIT_OK
     capsys.readouterr()
+    return moments
+
+
+def test_solve_1d_node_power_beyond_double_range_is_compared_exactly(
+    tmp_path, capsys
+):
+    # A recovered node's cube leaves double range at the validated degree 3,
+    # so the 1-D validation compares s_0 .. s_3 exactly, and the entries
+    # above the prefix in logs; the 2-atom rule reproduces all of them.
+    moments = node_overflow_file(tmp_path, capsys)
     out = tmp_path / "o.atoms"
-    code, report = run_json(capsys, "solve", moments, str(out))
-    assert code == EXIT_SOLVE
-    assert report["exit"] == EXIT_SOLVE
+    code, report = run_json(capsys, "solve", str(moments), str(out))
+    assert code == EXIT_OK
     assert report["solved_degree"] == 4
-    assert report["error"] == {
-        "type": "ValidationFailure",
-        "message": "an extracted point has a power beyond double range by "
-        "degree 3; it cannot reproduce the input moments",
-    }
+    assert report["rank"] == 2
+    assert report["max_residual"] <= 1e-15
+    assert out.exists()
+
+
+def test_pipeline_node_power_beyond_double_range_is_verified_exactly(
+    tmp_path, capsys
+):
+    moments = node_overflow_file(tmp_path, capsys)
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1\n")
+    out = tmp_path / "o.atoms"
+    argv = ["pipeline", str(moments), str(gens), str(out), "--image-degree", "4"]
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    verify = stage_named(report, "verify")
+    assert verify["ok"] is True
+    assert verify["worst_residual"] <= 1e-12
+    assert out.exists()
+    out.unlink()
+    # s_4 moved by 1e-6 relative: verify compares it and refuses.
+    lines = moments.read_text().splitlines()
+    degree, value = lines[5].split()
+    assert degree == "4"
+    lines[5] = f"4 {float(value) * (1 + 1e-6)!r}"
+    moments.write_text("\n".join(lines) + "\n")
+    code, report = run_json(capsys, *argv)
+    assert code in (EXIT_SOLVE, EXIT_PULLBACK)
+    assert report["exit"] == code
     assert not out.exists()
 
 

@@ -401,6 +401,56 @@ class TestErrorsNameTheFileLine:
             parse_polynomials("x1\n\n# c\n\nx1 x2\n", 2)
         assert str(err.value).startswith("line 5: ")
 
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            pytest.param(
+                parse_polynomials,
+                "x1\nx1 + .\n",
+                "line 2: bad number at position 5: '.'",
+                id="lone-point",
+            ),
+            pytest.param(
+                parse_polynomials,
+                "x1\nx1 / 2\n",
+                "line 2: unexpected character '/' at position 3",
+                id="slash",
+            ),
+            pytest.param(
+                parse_polynomials,
+                "x1\nx1 +\n",
+                "line 2: unexpected end of expression: 'x1 +'",
+                id="dangling-plus",
+            ),
+            pytest.param(
+                parse_polynomials,
+                "x1\n(x1 + 1 x1\n",
+                "line 2: missing ')' in '(x1 + 1 x1'",
+                id="unclosed-paren",
+            ),
+            pytest.param(
+                parse_polynomials,
+                "x1\nx1 * )\n",
+                "line 2: unexpected token ')' in 'x1 * )'",
+                id="stray-paren",
+            ),
+            pytest.param(
+                parse_polynomials, "# a\n# b\n", "no polynomials found", id="comments-only"
+            ),
+            pytest.param(parse_measure_file, "", "empty measure file", id="empty-measure"),
+            pytest.param(
+                parse_moment_file,
+                "momentfile v1 dim=1 degree=1\n0 log:800\n1 1.0\n",
+                "inconsistent moment data: mass s_0 must be finite",
+                id="log-mass",
+            ),
+        ],
+    )
+    def test_reader_error(self, read, text, message):
+        with pytest.raises(FileFormatError) as err:
+            read(text, 1) if read is parse_polynomials else read(text)
+        assert str(err.value) == message
+
 
 class TestMeasureFiles:
     def test_roundtrip(self):
@@ -445,6 +495,9 @@ class TestPolynomialGrammar:
     def test_leading_minus(self):
         p = parse_polynomial("-x1^2 + x2", 2)
         assert p.terms == {(2, 0): Fraction(-1), (0, 1): Fraction(1)}
+
+    def test_leading_plus(self):
+        assert parse_polynomial("+x1", 2) == parse_polynomial("x1", 2)
 
     def test_variable_prefix(self):
         p = parse_polynomial("y1 + y2^2", 2, var_prefix="y")

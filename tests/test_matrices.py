@@ -27,8 +27,9 @@ from momentkit.matrices import (
     reproduction_residuals,
     require_psd,
     require_reproduced,
+    require_reproduced_above,
 )
-from momentkit.polynomials import add_indices, monomials_up_to
+from momentkit.polynomials import _log, _to_float, add_indices, monomials_up_to
 from momentkit.errors import NotPsd, ValidationFailure
 
 
@@ -184,6 +185,9 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
+
+    def test_empty_matrix(self):
+        assert numerical_rank(np.zeros((0, 0))) == 0
 
     def test_full_rank(self):
         assert numerical_rank(np.diag([3.0, 2.0, 1.0])) == 3
@@ -532,13 +536,24 @@ class TestRequireReproduced:
         s = self._data(dim, exact)
         with pytest.raises(OverflowError):
             reproduction_residuals(mu, s, self.DEGREE)
+        # The gate compares every entry exactly instead: the far atom's
+        # degree-4 moments, near 2**1180, miss the data by a residual that
+        # rounds to inf, which a finite tol refuses.
         with pytest.raises(
-            ValidationFailure, match="power beyond double range by degree 4"
-        ):
-            require_reproduced(mu, s, self.DEGREE, math.inf, "measure")
+            ValidationFailure,
+            match="^measure misses the input moments: worst relative residual "
+            "inf exceeds 1$",
+        ) as raised:
+            require_reproduced(mu, s, self.DEGREE, 1.0, "measure")
+        assert raised.value.worst == math.inf
         # Through degree 3 every power is finite, and the residual decides.
         with pytest.raises(ValidationFailure, match="misses the input moments"):
             require_reproduced(mu, s, 3, 1.0, "measure")
+        # Data generated from the same measure is reproduced.
+        truth = moments_of_atomic(mu, self.DEGREE, exact=True)
+        residuals = require_reproduced(mu, truth, self.DEGREE, 1e-12, "measure")
+        assert len(residuals) == len(monomials_up_to(dim, self.DEGREE))
+        assert max(residuals) <= 1e-12
 
     @pytest.mark.parametrize("position", [1, -1])
     def test_nan_residual_is_a_miss(self, position):
@@ -626,6 +641,124 @@ class TestRequireReproduced:
         logs[(3,)] = s.log_value((3,))
         residuals = require_reproduced(mu, MomentSequence(1, 4, values, logs), 4, 1e-12, "m")
         assert max(residuals) < 1e-12
+
+    @pytest.mark.parametrize("coordinate", [math.inf, math.nan])
+    def test_non_finite_atom_above_the_prefix_is_a_miss(self, coordinate):
+        # Above the prefix the moment is summed exactly, and a non-finite
+        # atom has no exact value.
+        s = MomentSequence(
+            1,
+            4,
+            {(0,): 1.0, (1,): 1.0, (2,): 1.0, (3,): math.inf, (4,): math.inf},
+            {(3,): 0.0, (4,): 0.0},
+        )
+        mu = AtomicMeasure(1, [((coordinate,), 1.0)])
+        with pytest.raises(
+            ValidationFailure, match="worst relative residual nan exceeds inf"
+        ):
+            require_reproduced_above(mu, s, 2, math.inf, "measure")
+
+    def test_exact_mass_beyond_double_range_is_compared_exactly(self):
+        # Even s_0 = 10**400 leaves double range, so no entry can be read as
+        # a float; the gate compares all of them exactly.
+        mu = AtomicMeasure(1, [((2,), 10**400)])
+        s = moments_of_atomic(mu, 3, exact=True)
+        with pytest.raises(OverflowError):
+            reproduction_residuals(mu, s, 3)
+        assert require_reproduced(mu, s, 3, 1e-8, "measure") == [0.0] * 4
+        values = dict(s.values)
+        values[(2,)] *= Fraction(1000001, 1000000)
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, MomentSequence(1, 3, values), 3, 1e-8, "measure")
+        assert raised.value.worst == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-9)
+
+    def test_powers_beyond_double_range_inside_the_prefix(self):
+        # The odd entries of 1/2 (delta at -10**50 + delta at 10**50) are 0,
+        # so the data is finite through degree 7 while the atoms' 7th powers
+        # are not: the prefix is compared exactly too.
+        far = 10**50
+        mu = AtomicMeasure(1, [((-far,), Fraction(1, 2)), ((far,), Fraction(1, 2))])
+        s = moments_of_atomic(mu, 16, exact=True)
+        assert s.finite_degree() == 7
+        with pytest.raises(OverflowError):
+            reproduction_residuals(mu, s, 7)
+        residuals = require_reproduced(mu, s, 16, 1e-8, "measure")
+        assert residuals == [0.0] * 17
+        values = dict(s.values)
+        values[(7,)] += Fraction(1, 1000000)
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, MomentSequence(1, 16, values), 16, 1e-8, "measure")
+        assert raised.value.worst == pytest.approx(1e-6, rel=1e-12)
+
+
+def _float_image(s: MomentSequence) -> MomentSequence:
+    """Exact data rounded to doubles: an entry beyond double range becomes
+    an ``inf`` marker carrying the log of its exact value."""
+    values = {alpha: _to_float(v) for alpha, v in s.values.items()}
+    logs = {alpha: _log(s.values[alpha]) for alpha, v in values.items() if v == math.inf}
+    return MomentSequence(s.dim, s.max_degree, values, logs)
+
+
+@st.composite
+def _gate_cases(draw):
+    """A measure of 1-6 atoms with coordinates and weights of at most three
+    mantissa bits, so every product through degree 16 is exact in doubles;
+    in half the draws it gains a far atom (``|x|`` in 2**200 .. 2**600,
+    small weight) or a mirrored far pair.  Float data is the exact data
+    rounded, so its far coordinates are positive: a negative entry beyond
+    double range has no float form."""
+    dim = draw(st.integers(1, 3))
+    exact = draw(st.booleans())
+    small = st.builds(
+        lambda sign, m, e: Fraction(sign * m) * Fraction(2) ** e,
+        st.sampled_from([-1, 1]),
+        st.sampled_from([1, 3, 5, 7]),
+        st.integers(-3, 2),
+    )
+    points = draw(
+        st.lists(st.tuples(*[small] * dim), min_size=1, max_size=6, unique=True)
+    )
+    atoms = [(pt, draw(small.map(abs))) for pt in points]
+    far = draw(st.sampled_from([None, None, "atom", "pair"]))
+    if far is not None:
+        sign = st.sampled_from([-1, 1] if exact else [1])
+        point = tuple(
+            draw(sign) * Fraction(2) ** draw(st.integers(200, 600)) for _ in range(dim)
+        )
+        w = Fraction(1, 2 ** draw(st.integers(1, 40)))
+        atoms.append((point, w))
+        if far == "pair":
+            atoms.append((tuple(-x for x in point), w))
+    if not exact:
+        atoms = [(tuple(map(float, pt)), float(w)) for pt, w in atoms]
+    degree = draw(st.integers(8, 16))
+    mu = AtomicMeasure(dim, atoms)
+    s = moments_of_atomic(mu, degree, exact=True)
+    return mu, s if exact else _float_image(s), far is None
+
+
+class TestOneReproductionRule:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_gate_cases(), data=st.data())
+    def test_accepts_the_truth_and_refuses_a_moved_entry(self, case, data):
+        mu, s, nothing_overflows = case
+        degree = s.max_degree
+        residuals = require_reproduced(mu, s, degree, 1e-12, "measure")
+        assert max(residuals) <= 1e-12
+        if nothing_overflows:
+            assert residuals == reproduction_residuals(mu, s, degree)
+        alpha = data.draw(st.sampled_from(monomials_up_to(s.dim, degree)))
+        values, logs = dict(s.values), dict(s.log_values)
+        t = values[alpha]
+        if t == math.inf:
+            logs[alpha] += math.log1p(1e-6)
+        elif isinstance(t, float):
+            values[alpha] = t + 1e-6 * max(1.0, abs(t))
+        else:
+            values[alpha] = t + Fraction(1, 10**6) * max(1, abs(t))
+        moved = MomentSequence(s.dim, degree, values, logs)
+        with pytest.raises(ValidationFailure, match="misses the input moments"):
+            require_reproduced(mu, moved, degree, 1e-8, "measure")
 
 
 class TestAssembledMatricesSkipTheSymmetryScan:

@@ -136,6 +136,29 @@ class TestMultiplicationOperators:
         assert ops == []
         assert rank == 0
 
+    def test_nonpositive_compression_eigenvalue_is_a_rank_collapse(self):
+        # The level-1 Hankel [[1, 0], [0, -d]] has rank 2 and the level-2
+        # one (eigenvalues -d, 0, 1 + d**2) rank 2 as well: flat, and PSD
+        # within tol 1e-5, yet -d is among the top two eigenvalues.
+        d = 2.0**-20
+        values = {(0,): 1.0, (1,): 0.0, (2,): -d, (3,): 0.0, (4,): d * d}
+        s = MomentSequence(1, 4, values)
+        with pytest.raises(
+            RankCollapse, match="rank-2 compression hit a nonpositive eigenvalue"
+        ):
+            multiplication_operators(s, 2, tol=1e-5)
+
+    def test_operators_of_perturbed_data_do_not_commute(self):
+        # Three atoms with s[(2, 1)] moved by 1e-6: the rank stays 3 at
+        # rank_tol 1e-6, but the compressed operators no longer commute.
+        values = dict(moments_of_atomic(_three_atoms(), 4).values)
+        values[(2, 1)] += 1e-6
+        s = MomentSequence(2, 4, values)
+        with pytest.raises(
+            CommutatorTooLarge, match="coordinate operators 0 and 1 do not commute"
+        ):
+            multiplication_operators(s, 2, rank_tol=1e-6)
+
 
 def _all_indices(dim: int, degree: int):
     from momentkit import monomials_up_to

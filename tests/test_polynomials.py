@@ -149,6 +149,13 @@ def _point_mass_sequence() -> MomentSequence:
 
 
 class TestMomentSequence:
+    def test_non_canonical_keys_are_converted(self):
+        # Keys that are not the canonical int tuples go through the checked
+        # path, which converts each exponent with int().
+        s = MomentSequence(1, 2, {("0",): 1.0, ("1",): 2.0, ("2",): 4.0})
+        assert s == MomentSequence(1, 2, {(0,): 1.0, (1,): 2.0, (2,): 4.0})
+        assert all(type(a) is int for alpha in s.values for a in alpha)
+
     def test_value_and_mass(self):
         s = _point_mass_sequence()
         assert s.mass == 1

@@ -242,6 +242,30 @@ class TestPullBack:
             assert atoms[0][1] == pytest.approx(0.5, abs=1e-8)
             assert atoms[1][1] == pytest.approx(1.5, abs=1e-8)
 
+    def test_wrong_witness_is_no_preimage(self):
+        # Swapped witnesses map (2, 1) to (3, 1), whose image (-8, 3) is not
+        # the atom.
+        pres = _curve(2)
+        x1, x2 = power_curve_inverse(2)
+        nu = AtomicMeasure(2, [((2.0, 1.0), 0.8)])
+        with pytest.raises(
+            NoPreimage,
+            match=r"^best candidate for atom \(2\.0, 1\.0\) has residual 10 above 1e-06$",
+        ):
+            pull_back_atoms(nu, pres, [x2, x1])
+
+    def test_coincident_preimages_are_merged_with_a_warning(self):
+        # Image atoms 1e-9 apart pull back to points 1e-9 apart, within tol:
+        # one atom carrying both weights.
+        pres = _curve(2)
+        nu = AtomicMeasure(2, [((0.5, 1.0), 0.25), ((0.5 + 1e-9, 1.0), 0.75)])
+        with pytest.warns(
+            AmbiguousPreimageWarning,
+            match="1 pulled-back atom\\(s\\) coincided and were merged",
+        ):
+            pulled = pull_back_atoms(nu, pres, power_curve_inverse(2))
+        assert pulled.atoms == [((1.0, 1.5), 1.0)]
+
     def test_dim_mismatch(self):
         pres = _curve(2)
         nu = AtomicMeasure(1, [((1.0,), 1.0)])

@@ -24,6 +24,7 @@ from momentkit import (
     solve_1d,
 )
 from momentkit import univariate
+from momentkit.matrices import require_reproduced
 from momentkit.univariate import _growth_scale, _partial_cholesky_rows
 from conftest import measure_errors, random_measure
 
@@ -191,10 +192,11 @@ class TestSolveEdgeCases:
         assert weight == pytest.approx(2.0, rel=1e-12)
         assert res.max_residual == pytest.approx(6e-7, rel=1e-9)
 
-    def test_node_power_beyond_double_range_is_a_validation_failure(self):
+    def test_node_power_beyond_double_range_is_compared_exactly(self):
         # A tiny atom at 1e105 leaves the exact moments finite as doubles
-        # through degree 4 only; the recovered node's cube is beyond double
-        # range at the validated degree 2q - 1 = 3.
+        # through degree 4 only.  The recovered node's cube is beyond double
+        # range at the validated degree 2q - 1 = 3, so the gate compares
+        # s_0 .. s_3 exactly, and the 2-atom rule reproduces them.
         mu = AtomicMeasure(
             1,
             [
@@ -205,10 +207,27 @@ class TestSolveEdgeCases:
         )
         s = moments_of_atomic(mu, 7, exact=True)
         assert s.finite_degree() == 4
-        with pytest.raises(
-            ValidationFailure, match="beyond double range by degree 3"
-        ):
-            solve_1d(s.restrict(s.finite_degree()))
+        res = solve_1d(s.restrict(s.finite_degree()))
+        assert res.rank == 2
+        (near, w_near), (far, w_far) = res.measure.sorted_atoms()
+        assert w_near == pytest.approx(2.0, rel=1e-12)
+        assert far[0] == pytest.approx(1e105, rel=1e-12)
+        assert w_far == pytest.approx(1e-119, rel=1e-12)
+        assert len(res.residuals) == 4
+        assert res.max_residual <= 1e-15
+        # s_3 moved by 1e-6 relative: the exact comparison refuses the rule.
+        values = dict(s.values)
+        values[(3,)] *= Fraction(1000001, 1000000)
+        with pytest.raises(ValidationFailure, match="misses the input moments"):
+            require_reproduced(
+                res.measure, MomentSequence(1, 7, values), 3, 1e-8, "recovered measure"
+            )
+
+    def test_rank_zero_with_positive_mass_is_a_rank_collapse(self):
+        # No singular value exceeds rank_tol = 1 times the largest.
+        s = moments_of_atomic(AtomicMeasure(1, [((1.0,), 1.0), ((2.0,), 1.0)]), 4)
+        with pytest.raises(RankCollapse, match="numerical rank 0 despite positive mass"):
+            solve_1d(s, rank_tol=1.0)
 
     def test_nan_residual_is_a_validation_failure(self):
         # The inf entry makes the growth scale inf, the node NaN and the
