@@ -474,7 +474,7 @@ def require_reproduced(
     try:
         residuals = reproduction_residuals(measure, s, finite)
     except OverflowError:
-        finite, residuals = -1, []
+        finite, residuals = -1, []  # every entry lies above degree -1
     if finite < degree:
         residuals += _residuals_above(measure, s, finite, degree)
     return _require_within(residuals, tol, label)

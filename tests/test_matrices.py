@@ -704,11 +704,9 @@ def _gate_cases(draw):
     """A measure of 1-6 atoms with coordinates and weights of at most three
     mantissa bits, so every product through degree 16 is exact in doubles;
     in half the draws it gains a far atom (``|x|`` in 2**200 .. 2**600,
-    small weight) or a mirrored far pair.  Float data is the exact data
-    rounded, so its far coordinates are positive: a negative entry beyond
-    double range has no float form."""
+    small weight) or a mirrored far pair.  Returned with its exact moments
+    through a degree of 8 to 16, and whether no power leaves double range."""
     dim = draw(st.integers(1, 3))
-    exact = draw(st.booleans())
     small = st.builds(
         lambda sign, m, e: Fraction(sign * m) * Fraction(2) ** e,
         st.sampled_from([-1, 1]),
@@ -721,44 +719,48 @@ def _gate_cases(draw):
     atoms = [(pt, draw(small.map(abs))) for pt in points]
     far = draw(st.sampled_from([None, None, "atom", "pair"]))
     if far is not None:
-        sign = st.sampled_from([-1, 1] if exact else [1])
         point = tuple(
-            draw(sign) * Fraction(2) ** draw(st.integers(200, 600)) for _ in range(dim)
+            draw(st.sampled_from([-1, 1])) * Fraction(2) ** draw(st.integers(200, 600))
+            for _ in range(dim)
         )
         w = Fraction(1, 2 ** draw(st.integers(1, 40)))
         atoms.append((point, w))
         if far == "pair":
             atoms.append((tuple(-x for x in point), w))
-    if not exact:
-        atoms = [(tuple(map(float, pt)), float(w)) for pt, w in atoms]
-    degree = draw(st.integers(8, 16))
     mu = AtomicMeasure(dim, atoms)
-    s = moments_of_atomic(mu, degree, exact=True)
-    return mu, s if exact else _float_image(s), far is None
+    return mu, moments_of_atomic(mu, draw(st.integers(8, 16)), exact=True), far is None
 
 
 class TestOneReproductionRule:
     @settings(max_examples=60, deadline=None)
     @given(case=_gate_cases(), data=st.data())
     def test_accepts_the_truth_and_refuses_a_moved_entry(self, case, data):
-        mu, s, nothing_overflows = case
-        degree = s.max_degree
-        residuals = require_reproduced(mu, s, degree, 1e-12, "measure")
-        assert max(residuals) <= 1e-12
-        if nothing_overflows:
-            assert residuals == reproduction_residuals(mu, s, degree)
-        alpha = data.draw(st.sampled_from(monomials_up_to(s.dim, degree)))
-        values, logs = dict(s.values), dict(s.log_values)
-        t = values[alpha]
-        if t == math.inf:
-            logs[alpha] += math.log1p(1e-6)
-        elif isinstance(t, float):
-            values[alpha] = t + 1e-6 * max(1.0, abs(t))
-        else:
-            values[alpha] = t + Fraction(1, 10**6) * max(1, abs(t))
-        moved = MomentSequence(s.dim, degree, values, logs)
-        with pytest.raises(ValidationFailure, match="misses the input moments"):
-            require_reproduced(mu, moved, degree, 1e-8, "measure")
+        mu, exact, nothing_overflows = case
+        # The float form of both; a negative entry beyond double range has
+        # none, as an inf marker stands for a positive value.
+        floats = _float_image(exact)
+        forms = [(mu, exact)]
+        if -math.inf not in floats.values.values():
+            points = [(tuple(map(float, pt)), float(w)) for pt, w in mu.atoms]
+            forms.append((AtomicMeasure(mu.dim, points), floats))
+        degree = exact.max_degree
+        for measure, s in forms:
+            residuals = require_reproduced(measure, s, degree, 1e-12, "measure")
+            assert max(residuals) <= 1e-12
+            if nothing_overflows:
+                assert residuals == reproduction_residuals(measure, s, degree)
+            alpha = data.draw(st.sampled_from(monomials_up_to(s.dim, degree)))
+            values, logs = dict(s.values), dict(s.log_values)
+            t = values[alpha]
+            if t == math.inf:
+                logs[alpha] += math.log1p(1e-6)
+            elif isinstance(t, float):
+                values[alpha] = t + 1e-6 * max(1.0, abs(t))
+            else:
+                values[alpha] = t + Fraction(1, 10**6) * max(1, abs(t))
+            moved = MomentSequence(s.dim, degree, values, logs)
+            with pytest.raises(ValidationFailure, match="misses the input moments"):
+                require_reproduced(measure, moved, degree, 1e-8, "measure")
 
 
 class TestAssembledMatricesSkipTheSymmetryScan:
