@@ -13,7 +13,8 @@ the finite term lists and classifies their decay:
   full series plausibly diverges;
 * ``convergence-consistent`` — the tail ratios show geometric decay
   (median ratio <= ``RATIO_LIMIT``), so the full series plausibly converges;
-* ``inconclusive`` — neither pattern fits.
+* ``inconclusive`` — neither pattern fits, or an entry read is ``inf`` or
+  ``nan`` with no stored log and so gives no term.
 
 The classification is a heuristic about the visible histogram of terms, not
 a theorem about the underlying measure; the thresholds below are part of
@@ -230,7 +231,10 @@ def _series_report(
     terms = [_term_from_log(lm, n * root) for n, lm in enumerate(logs, 1)]
     degenerate = -math.inf in logs
     sums = _partial_sums(terms)
-    if degenerate:
+    if not all(lm < math.inf for lm in logs):  # a +inf or NaN log
+        classification = INCONCLUSIVE
+        details = {"rule": "entry-without-value"}
+    elif degenerate:
         classification = DIVERGENCE_CONSISTENT
         details = {"rule": "degenerate-zero-moment"}
     else:

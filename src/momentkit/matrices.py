@@ -467,13 +467,14 @@ def require_reproduced(
     prefix (``s.finite_degree()``) and :func:`_residuals_above`, exact, above
     it, or at every degree when doubles cannot hold the prefix (an atom's
     power or an exact entry there leaves double range, where
-    :func:`reproduction_residuals` raises ``OverflowError``).  Raises
+    :func:`reproduction_residuals` raises ``OverflowError``, or its ``fsum``
+    a ``ValueError`` on terms that overflow to ``inf`` and ``-inf``).  Raises
     :class:`ValidationFailure` when the worst residual exceeds ``tol`` or is
     NaN; that miss carries the residual as the error's ``worst``."""
     finite = min(degree, s.finite_degree())
     try:
         residuals = reproduction_residuals(measure, s, finite)
-    except OverflowError:
+    except (OverflowError, ValueError):
         finite, residuals = -1, []  # every entry lies above degree -1
     if finite < degree:
         residuals += _residuals_above(measure, s, finite, degree)

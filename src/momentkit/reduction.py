@@ -51,6 +51,7 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     Scalar,
+    _log,
     _monomial_index,
     _monomial_table,
     _to_float,
@@ -342,22 +343,6 @@ def _certificate(
     )
 
 
-def _riesz_operands(
-    s: MomentSequence, algebra: _ImageAlgebra
-) -> tuple[tuple[_Terms, ...], list[Scalar]]:
-    """The image terms and the entries of ``s`` that :func:`_riesz` reads.
-
-    On all-float data these are the float coefficients and the float table:
-    ``Fraction * float`` is ``float(c) * v``, so the products keep their
-    bits.  On any other data they are the exact coefficients and the stored
-    entries, so exact data stays exact.
-    """
-    table = s._float_table()
-    if s._all_float:
-        return algebra.float_terms, table.tolist()
-    return algebra.terms, list(s.values.values())
-
-
 def _riesz(terms: _Terms, entries: Sequence[Scalar]) -> Scalar:
     """The Riesz value of one image, its terms summed in graded-lex order
     from ``0``."""
@@ -373,7 +358,10 @@ def pushforward_moments(
     """Moment data of the functional composed with the substitution map.
 
     The pushed entry at ``alpha`` (an ``m``-multi-index) is the original
-    functional applied to ``f^alpha``.  Exact when ``s`` is exact.
+    functional applied to ``f^alpha``.  Exact when ``s`` is exact.  An image
+    of one term ``c x^beta`` with ``c > 0`` whose entry ``s[beta]`` has a
+    stored log keeps it as the log ``log c + log s[beta]``, so entries
+    beyond double range stay usable; no other pushed entry has a log.
 
     Requires ``image_degree * max_degree(pres) <= s.max_degree`` so that the
     deepest image stays inside the data.
@@ -392,51 +380,49 @@ def pushforward_moments(
             f"up to degree {need}, data stops at {s.max_degree}"
         )
     algebra = _image_algebra(_presentation_key(pres), image_degree)
-    terms, entries = _riesz_operands(s, algebra)
+    # On all-float data the float coefficients multiply the float table:
+    # ``Fraction * float`` is ``float(c) * v``, so the products keep their
+    # bits.  Any other data multiplies exactly, so exact data stays exact.
+    table = s._float_table()
+    if s._all_float:
+        terms, entries = algebra.float_terms, table.tolist()
+    else:
+        terms, entries = algebra.terms, list(s.values.values())
     values = {alpha: _riesz(t, entries) for alpha, t in zip(algebra.images, terms)}
-    return MomentSequence(pres.num_generators, image_degree, values)
+    logs = {
+        alpha: _log(c) + s.log_values[beta]
+        for alpha, image in algebra.images.items()
+        for beta, c in image.terms.items()
+        if len(image.terms) == 1 and beta in s.log_values and c > 0
+    }
+    return MomentSequence(pres.num_generators, image_degree, values, logs)
 
 
 def pushed_power_sequence(
     s: MomentSequence, f: Polynomial, count: int
 ) -> MomentSequence:
-    """1-D data ``t_n = L(f^n)`` for ``n = 0..count``.
-
-    For a plain coordinate this is the marginal and keeps any stored log
-    values (so entries beyond double range stay classifiable); otherwise the
-    powers are substituted exactly and evaluated through the functional, and
-    a value that cancels to within :data:`RIESZ_CANCEL_TOL` becomes zero.
+    """1-D data ``t_n = L(f^n)`` for ``n = 0..count``: the
+    :func:`pushforward_moments` of the presentation ``(f,)``, its logs
+    included, with each value that cancels to within
+    :data:`RIESZ_CANCEL_TOL` made zero.
     """
-    for axis in range(s.dim):
-        if f == Polynomial.variable(s.dim, axis):
-            return s.marginal_sequence(axis, count)
-    algebra = _image_algebra(
-        _presentation_key(SemiAlgebraicPresentation(s.dim, [f])), count
-    )
-    terms, entries = _riesz_operands(s, algebra)
-    floats = entries if s._all_float else s._float_table().tolist()
-    values: dict[MultiIndex, Scalar] = {}
-    for ((n,), power), power_terms, scale_terms in zip(
-        algebra.images.items(), terms, algebra.scale_terms
-    ):
-        if power.degree > s.max_degree:
-            raise DegreeOverflow(
-                f"polynomial degree {power.degree} exceeds truncation degree "
-                f"{s.max_degree}"
-            )
-        val = _riesz(power_terms, entries)
+    pres = SemiAlgebraicPresentation(s.dim, [f])
+    pushed = pushforward_moments(s, pres, count)
+    algebra = _image_algebra(_presentation_key(pres), count)
+    floats = s._float_table().tolist()
+    values = dict(pushed.values)
+    for alpha, scale_terms in zip(values, algebra.scale_terms):
         cancel_scale = 0.0
         for c, p in scale_terms:
             cancel_scale += c * abs(floats[p])
-        fv = _to_float(val)
+        fv = _to_float(values[alpha])
         if (
             math.isfinite(cancel_scale)
             and fv != 0.0
             and abs(fv) <= RIESZ_CANCEL_TOL * cancel_scale
         ):
-            val = 0.0
-        values[(n,)] = val
-    return MomentSequence(1, count, values)
+            values[alpha] = 0.0
+    return MomentSequence(1, count, values, pushed.log_values)
 
 
 def _newton_preimages(

@@ -365,6 +365,49 @@ def test_check_point_mass_beyond_double_range_passes(tmp_path, capsys):
         assert math.isfinite(verdict["tolerance"])
 
 
+@pytest.mark.parametrize(
+    "generator, code, classification, rule",
+    [
+        ("2*x1^2", EXIT_OK, "divergence-consistent", "power-law"),
+        ("x1 + x2", EXIT_INCONCLUSIVE, "inconclusive", "entry-without-value"),
+        ("x1^2 - x2", EXIT_INCONCLUSIVE, "inconclusive", "entry-without-value"),
+    ],
+)
+def test_check_reads_pushed_markers_by_their_logs(
+    tmp_path, capsys, generator, code, classification, rule
+):
+    # delta at (1e30, 3) plus 2 delta at (2, 1e25) to degree 14: markers from
+    # degree 11 on.  2 x1^2 pushes them as one-term images, with logs, and
+    # the bounded support reads as divergence; an image of several terms
+    # sums them to inf with no log, an entry without a value.
+    spec = write_spec(
+        tmp_path, "two.json", atomic_spec(2, 14, [[1.0, 1e30, 3.0], [2.0, 2.0, 1e25]])
+    )
+    moments = str(tmp_path / "two.mom")
+    assert main(["generate", spec, moments, "--exact"]) == EXIT_OK
+    capsys.readouterr()
+    gens = tmp_path / "gens.txt"
+    gens.write_text(generator + "\n")
+    got, report = run_json(capsys, "check", moments, str(gens))
+    assert got == code
+    growth = report["growth"][0]
+    assert (growth["classification"], growth["fit"]["rule"]) == (classification, rule)
+
+
+def test_check_scaled_lognormal_stays_convergence_consistent(tmp_path, capsys):
+    # 2 x1 keeps the log of every lognormal entry, so the terms beyond
+    # double range are read from the logs: a geometric decay.
+    path = tmp_path / "logn.mom"
+    fileformats.write_moment_file(path, fixtures.moments_lognormal(60))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("2*x1\n")
+    code, report = run_json(capsys, "check", str(path), str(gens))
+    assert code == EXIT_INCONCLUSIVE
+    growth = report["growth"][0]
+    assert growth["classification"] == "convergence-consistent"
+    assert growth["fit"]["rule"] == "geometric-ratio"
+
+
 def test_check_malformed_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.mom"
     bad.write_text("not a moment file\n")
@@ -1248,6 +1291,61 @@ def test_pipeline_perturbed_marker_fails_verification(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reduce_keeps_the_markers_of_a_one_term_image(tmp_path, capsys):
+    # x1 pushes each marker forward with its log, and ``solve`` answers the
+    # written file as it answers the original one.
+    moments = far_atom_file(tmp_path, capsys)
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1\n")
+    pushed = tmp_path / "pushed.mom"
+    code, _ = run_json(capsys, "reduce", str(moments), str(gens), str(pushed))
+    assert code == EXIT_OK
+    assert fileformats.read_moment_file(pushed) == fileformats.read_moment_file(moments)
+    code, report = run_json(capsys, "solve", str(pushed), str(tmp_path / "s.atoms"))
+    assert code == EXIT_OK
+    assert report["solved_degree"] == 7
+    assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
+
+
+def test_reduce_refuses_a_marker_pushed_through_two_terms(tmp_path, capsys):
+    # x1 + 1 has images of several terms: their sums are inf with no log.
+    moments = far_atom_file(tmp_path, capsys)
+    gens = tmp_path / "x.txt"
+    gens.write_text("x1 + 1\n")
+    pushed = tmp_path / "pushed.mom"
+    code, report = run_json(capsys, "reduce", str(moments), str(gens), str(pushed))
+    assert code == EXIT_INPUT
+    assert "moment (8,) is inf and has no stored log" in report["error"]
+    assert not pushed.exists()
+
+
+@pytest.mark.parametrize("shift, code", [(0.0, EXIT_OK), (1e-5, EXIT_SOLVE)])
+def test_pipeline_solves_markers_at_the_default_image_degree(
+    tmp_path, capsys, shift, code
+):
+    # At image degree 12 the solve stage reads the pushed markers' logs.
+    # With the degree-12 log raised by 1e-5 it refuses them as ``solve``
+    # refuses the file.
+    moments = far_atom_file(tmp_path, capsys)
+    lines = moments.read_text().splitlines()
+    log12 = float(lines[-1].split("log:")[1])
+    lines[-1] = f"12 log:{log12 + shift!r}"
+    moments.write_text("\n".join(lines) + "\n")
+    (s_code, report), (p_code, p_report), p_solve = _solve_both_ways(
+        tmp_path, capsys, moments
+    )
+    assert (s_code, p_code) == (code, code)
+    if code == EXIT_OK:
+        verify = stage_named(p_report, "verify")
+        assert verify["ok"] is True
+        assert verify["worst_residual"] <= 1e-12
+        assert p_report["measure"] == report["measure"]
+    else:
+        assert p_solve["error_type"] == report["error"]["type"] == "ValidationFailure"
+        assert p_solve["error"] == report["error"]["message"]
+        assert "worst relative residual 9.99995e-06 exceeds" in p_solve["error"]
+
+
 def _solve_both_ways(tmp_path, capsys, moments, *pipeline_flags):
     """``solve`` and ``pipeline`` with the generator ``x1`` on one 1-D file:
     (code, report) of each, and the pipeline's solve stage."""
@@ -1269,9 +1367,9 @@ def test_solve_and_pipeline_refuse_a_marker_the_prefix_misses(tmp_path, capsys):
     assert (code, p_code) == (EXIT_SOLVE, EXIT_SOLVE)
     assert report["solved_degree"] == 2
     assert report["error"]["type"] == p_solve["error_type"] == "ValidationFailure"
-    # ``solve`` compares the marker's log; the pushed data has lost it.
+    # Both compare the marker's log: the pushed data keeps it.
     assert "worst relative residual 1 exceeds" in report["error"]["message"]
-    assert "worst relative residual nan exceeds" in p_solve["error"]
+    assert "worst relative residual 1 exceeds" in p_solve["error"]
 
 
 def test_solve_and_pipeline_refuse_lognormal_data(tmp_path, capsys):

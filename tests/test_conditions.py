@@ -136,6 +136,25 @@ class TestStieltjesTerms:
         assert rep.classification == CONVERGENCE_CONSISTENT
         assert rep.fit_details["rule"] == "vanishing-terms"
 
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    @pytest.mark.parametrize("zero_at", [None, 3])
+    def test_entry_without_a_value_is_inconclusive(self, entry, zero_at):
+        # The data above with one entry that is inf or nan and has no log:
+        # no term can be read from it, whatever the others say, a zero
+        # moment's degenerate rule included.
+        deg = 60
+        values = {(0,): 1.0, **{(n,): math.inf for n in range(1, deg + 1)}}
+        logs = {(n,): float(n**3) for n in range(1, deg + 1)}
+        values[(50,)] = entry
+        del logs[(50,)]
+        if zero_at is not None:
+            values[(zero_at,)] = 0.0
+            del logs[(zero_at,)]
+        rep = stieltjes_terms(MomentSequence(1, deg, values, logs), count=deg)
+        assert rep.degenerate == (zero_at is not None)
+        assert rep.classification == INCONCLUSIVE
+        assert rep.fit_details == {"rule": "entry-without-value"}
+
     def test_inconclusive_between_rules(self):
         # a_n = n^(-2): decays too fast for the power-law rule
         # (exponent 2 > 1.05) but with ratios tending to 1, too slowly for
@@ -445,14 +464,19 @@ def _reference_series(s, axis, count, order, root):
             f"at {s.max_degree}"
         )
     terms = []
-    degenerate = False
+    degenerate = without_value = False
     for n in range(1, count + 1):
         lm = _reference_log_marginal(s, axis, n * order)
         if lm == -math.inf:
             degenerate = True
+        if lm == math.inf or math.isnan(lm):
+            without_value = True
         terms.append(conditions._term_from_log(lm, n * root))
     sums = conditions._partial_sums(terms)
-    if degenerate:
+    if without_value:
+        classification = conditions.INCONCLUSIVE
+        details = {"rule": "entry-without-value"}
+    elif degenerate:
         classification = DIVERGENCE_CONSISTENT
         details = {"rule": "degenerate-zero-moment"}
     else:

@@ -690,6 +690,22 @@ class TestRequireReproduced:
             require_reproduced(mu, MomentSequence(1, 16, values), 16, 1e-8, "measure")
         assert raised.value.worst == pytest.approx(1e-6, rel=1e-12)
 
+    def test_terms_that_overflow_to_opposite_infinities(self):
+        # s_1 = 0 is finite, but its weighted terms -2**1100 and 2**1100 are
+        # -inf and inf as floats, where math.fsum raises ValueError: the
+        # entries are compared exactly.
+        mu = AtomicMeasure(1, [((-(2.0**1000),), 2.0**100), ((2.0**1000,), 2.0**100)])
+        s = moments_of_atomic(mu, 2, exact=True)
+        assert s.finite_degree() == 1
+        with pytest.raises(ValueError):
+            reproduction_residuals(mu, s, 1)
+        assert require_reproduced(mu, s, 2, 1e-8, "measure") == [0.0] * 3
+        values = dict(s.values)
+        values[(0,)] *= Fraction(1000001, 1000000)
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, MomentSequence(1, 2, values), 2, 1e-8, "measure")
+        assert raised.value.worst == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-9)
+
 
 def _float_image(s: MomentSequence) -> MomentSequence:
     """Exact data rounded to doubles: an entry beyond double range becomes

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momentkit import (
     AmbiguousPreimageWarning,
@@ -28,6 +28,7 @@ from momentkit import (
     pushforward_moments,
     reduction,
 )
+from momentkit.polynomials import _log
 from momentkit.reduction import _image_monomials, pushed_power_sequence
 
 
@@ -485,28 +486,18 @@ class TestPushedPowersMatchRiesz:
         degree = max(count * max(pres.max_degree, f.degree), 1)
         s = _moment_data(pres.dim, degree, kind, seed)
         pushed = pushed_power_sequence(s, f, count)
-        axes = [j for j in range(pres.dim) if f == Polynomial.variable(pres.dim, j)]
-        if axes:
-            # A plain coordinate is read as the marginal, by the raw entries
-            # s[n e_j] and their stored logs: an int stays an int and -0.0
-            # stays -0.0, where the Riesz loop gives a Fraction and 0.0.
-            steps = [
-                tuple(n * (i == axes[0]) for i in range(pres.dim)) for n in range(count + 1)
-            ]
-            expected = {(n,): s.values[a] for n, a in enumerate(steps)}
-            assert pushed.log_values == {
-                (n,): s.log_values[a] for n, a in enumerate(steps) if a in s.log_values
-            }
-        else:
-            expected = _reference_pushed_powers(s, f, count)
+        expected = _reference_pushed_powers(s, f, count)
         # repr tells -0.0 from 0.0 and a Fraction from an equal float.
         assert {a: repr(v) for a, v in pushed.values.items()} == {
             a: repr(v) for a, v in expected.items()
         }
         for (n,), v in pushed.values.items():
             if v != 0.0:
-                riesz = s.riesz(f**n)
-                assert v == riesz if axes else repr(v) == repr(riesz)
+                assert repr(v) == repr(s.riesz(f**n))
+        axes = [j for j in range(pres.dim) if f == Polynomial.variable(pres.dim, j)]
+        if axes:
+            # A plain coordinate keeps the stored logs of the marginal.
+            assert pushed.log_values == s.marginal_sequence(axes[0], count).log_values
 
     @pytest.mark.parametrize("kind", _DATA_KINDS)
     @pytest.mark.parametrize(
@@ -536,14 +527,15 @@ class TestPushedPowersMatchRiesz:
                     "OverflowError", "integer division result too large for a float"
                 )
 
-    def test_power_beyond_the_data_raises_riesz_error(self):
+    def test_power_beyond_the_data_raises_pushforward_error(self):
         f = Polynomial(2, {(0, 1): 1, (2, 0): -1})
         s = moments_of_atomic(AtomicMeasure(2, [((1.0, 2.0), 1.0)]), 5)
-        with pytest.raises(DegreeOverflow) as riesz_error:
-            s.riesz(f**3)
+        with pytest.raises(DegreeOverflow) as pushforward_error:
+            pushforward_moments(s, SemiAlgebraicPresentation(2, [f]), 3)
         with pytest.raises(DegreeOverflow) as pushed_error:
             pushed_power_sequence(s, f, 3)
-        assert str(pushed_error.value) == str(riesz_error.value)
+        assert str(pushed_error.value) == str(pushforward_error.value)
+        assert "needs original entries up to degree 6" in str(pushed_error.value)
 
 
 class TestPresentationCache:
@@ -587,6 +579,16 @@ class TestPresentationCache:
         kind=st.sampled_from(_DATA_KINDS),
         seed=st.integers(0, 2**16),
     )
+    # Images of one term with c > 0 (2 x1^2, x2^2), of one term with c < 0
+    # (-x2, -2 x1^2 x2) and of several terms (x1 + x2 and its products).
+    @example(
+        pres=SemiAlgebraicPresentation(
+            2, [Polynomial(2, {(2, 0): 2}), -_x(1), _x(0) + _x(1)]
+        ),
+        budget=2,
+        kind="edge",
+        seed=7,
+    )
     def test_cache_matches_a_fresh_build(self, pres, budget, kind, seed):
         reduction._image_algebra.cache_clear()
         reference = _reference_images(pres, budget)
@@ -602,3 +604,23 @@ class TestPresentationCache:
         assert {a: repr(v) for a, v in pushed.values.items()} == {
             a: repr(v) for a, v in expected.items()
         }
+        # One log rule: a one-term image c x^beta with c > 0 keeps the
+        # stored log of s[beta], shifted by log c; no other image has a log.
+        # Beside the edge kind's markers, ``logged`` stores a log for about
+        # half the entries, so that one-term images meet one often.
+        rng = np.random.default_rng(seed)
+        logged = MomentSequence(
+            s.dim,
+            s.max_degree,
+            s.values,
+            {a: float(rng.uniform(-5, 5)) for a in s.values if rng.random() < 0.5}
+            | s.log_values,
+        )
+        for data in (s, logged):
+            expected_logs = {}
+            for alpha, image in reference.items():
+                if len(image.terms) == 1:
+                    ((beta, c),) = image.terms.items()
+                    if c > 0 and beta in data.log_values:
+                        expected_logs[alpha] = _log(c) + data.log_values[beta]
+            assert pushforward_moments(data, pres, budget).log_values == expected_logs
