@@ -481,14 +481,6 @@ def require_reproduced(
     return _require_within(residuals, tol, label)
 
 
-def require_reproduced_above(
-    measure: AtomicMeasure, s: MomentSequence, low: int, tol: float, label: str
-) -> list[float]:
-    """:func:`require_reproduced` of the entries above degree ``low`` alone,
-    for a solve that checked the finite prefix ``low`` itself."""
-    return _require_within(_residuals_above(measure, s, low, s.max_degree), tol, label)
-
-
 def _residuals_above(
     measure: AtomicMeasure, s: MomentSequence, low: int, degree: int
 ) -> list[float]:

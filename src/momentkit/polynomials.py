@@ -667,10 +667,6 @@ class MomentSequence:
         )
 
 
-#: Most coordinate gaps :func:`_first_coincident_pair` holds at once.
-_PAIR_BLOCK = 1 << 18
-
-
 def _first_coincident_pair(
     points: Sequence[tuple[Scalar, ...]], tol: float
 ) -> tuple[int, int] | None:
@@ -682,10 +678,9 @@ def _first_coincident_pair(
     ``tol``) and skips a later one.  So a pair within ``tol`` is within
     ``tol`` on axis 0, and has no NaN there.  When every gap between
     neighbours among the sorted non-NaN axis-0 coordinates exceeds ``tol``,
-    no pair is, and the answer is ``None`` without a pairwise scan; this
-    test runs in plain Python, which at a few dozen points is cheaper than
-    numpy's fixed cost.  Otherwise every pair is scanned in row-major order,
-    so an error names the same pair either way.
+    no pair is, and the answer is ``None`` without a pairwise scan.
+    Otherwise every pair is scanned in row-major order.  Both run in plain
+    Python, which at a few dozen points is cheaper than numpy's fixed cost.
     """
     count = len(points)
     if count < 2:
@@ -696,17 +691,10 @@ def _first_coincident_pair(
     # a NaN gap (inf - inf) is not above ``tol``, and keeps the scan.
     if all(b - a > tol for a, b in zip(firsts, firsts[1:])):
         return None
-    coords = np.array(rows, dtype=float)
-    step = max(1, _PAIR_BLOCK // coords.size)
-    for start in range(0, count - 1, step):
-        block = coords[start : start + step]
-        with np.errstate(invalid="ignore", over="ignore"):
-            gaps = np.abs(block[:, None, :] - coords[None, :, :])
-        far = (gaps > tol).any(axis=2) | np.isnan(gaps[:, :, 0])
-        far |= np.tri(len(block), count, start, dtype=bool)  # pairs with j <= i
-        if not far.all():
-            i, j = divmod(int(np.argmin(far)), count)
-            return start + i, j
+    for i in range(count):
+        for j in range(i + 1, count):
+            if max(abs(a - b) for a, b in zip(rows[i], rows[j])) <= tol:
+                return i, j
     return None
 
 

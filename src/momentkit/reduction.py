@@ -359,9 +359,12 @@ def pushforward_moments(
 
     The pushed entry at ``alpha`` (an ``m``-multi-index) is the original
     functional applied to ``f^alpha``.  Exact when ``s`` is exact.  An image
-    of one term ``c x^beta`` with ``c > 0`` whose entry ``s[beta]`` has a
-    stored log keeps it as the log ``log c + log s[beta]``, so entries
-    beyond double range stay usable; no other pushed entry has a log.
+    ``sum_i c_i x^beta_i`` whose coefficients are all positive, whose entries
+    ``s[beta_i]`` are all positive (a finite positive value or a stored log)
+    and at least one of which has a stored log gets the log of its sum,
+    ``m + log sum_i exp(l_i - m)`` with ``l_i = log c_i + log s[beta_i]`` and
+    ``m = max_i l_i`` (``l`` itself for one term), so entries beyond double
+    range stay usable; no other pushed entry has a log.
 
     Requires ``image_degree * max_degree(pres) <= s.max_degree`` so that the
     deepest image stays inside the data.
@@ -389,12 +392,20 @@ def pushforward_moments(
     else:
         terms, entries = algebra.terms, list(s.values.values())
     values = {alpha: _riesz(t, entries) for alpha, t in zip(algebra.images, terms)}
-    logs = {
-        alpha: _log(c) + s.log_values[beta]
-        for alpha, image in algebra.images.items()
-        for beta, c in image.terms.items()
-        if len(image.terms) == 1 and beta in s.log_values and c > 0
-    }
+    logs = {}
+    stored = s.log_values
+    if stored:
+        for alpha, image in algebra.images.items():
+            # Membership first: a Fraction comparison costs more.
+            if any(beta in stored for beta in image.terms) and all(
+                c > 0 and (beta in stored or 0 < s.values[beta] < math.inf)
+                for beta, c in image.terms.items()
+            ):
+                ells = [_log(c) + s._entry_log(beta) for beta, c in image.terms.items()]
+                top = max(ells)
+                if top > -math.inf:
+                    total = math.fsum(math.exp(ell - top) for ell in ells)
+                    logs[alpha] = top + math.log(total)
     return MomentSequence(pres.num_generators, image_degree, values, logs)
 
 
@@ -547,24 +558,22 @@ def pull_back_atoms(
                     f"no preimage found for atom {point} (Newton search failed)"
                 )
 
+        # One evaluation per candidate gives its residual, its membership
+        # (as ``pres.contains``) and its violations.
         scored = []
         for x in candidates:
-            values = pres.values_at(x)
-            res = max(abs(float(v) - float(t)) for v, t in zip(values, point))
-            scored.append((res, x))
-        scored.sort(key=lambda rx: (rx[0], rx[1]))
+            values = [float(v) for v in pres.values_at(x)]
+            res = max(abs(v - float(t)) for v, t in zip(values, point))
+            scored.append((res, x, values))
+        scored.sort(key=lambda rxv: (rxv[0], rxv[1]))
         feasible = [
-            (res, x) for res, x in scored
-            if res <= tol and pres.contains(x, tol)
+            (res, x) for res, x, values in scored
+            if res <= tol and all(v >= -tol for v in values)
         ]
         if not feasible:
-            best_res, best_x = scored[0]
+            best_res, best_x, best_values = scored[0]
             if best_res <= tol:
-                violations = [
-                    (j, float(v))
-                    for j, v in enumerate(pres.values_at(best_x))
-                    if float(v) < -tol
-                ]
+                violations = [(j, v) for j, v in enumerate(best_values) if v < -tol]
                 raise MembershipViolation(
                     f"preimage {best_x} of atom {point} violates constraints "
                     f"{violations}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import multivariate, univariate
-from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced_above
+from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced
 from .polynomials import AtomicMeasure, MomentSequence
 
 
@@ -20,9 +20,10 @@ def solve(
     ``mode="1d"`` runs :func:`~momentkit.univariate.solve_1d`, ``"md"`` flat
     extraction at ``level`` or by scanning, and ``"auto"`` picks ``"1d"`` for
     1-D data with no ``level``.  The solver reads the finite prefix
-    ``s.restrict(s.finite_degree())``.  Each entry above it is compared by
-    :func:`~momentkit.matrices.require_reproduced_above` (a miss is
-    :class:`ValidationFailure`) and the detail gains ``solved_degree``."""
+    ``s.restrict(s.finite_degree())``; every entry of ``s`` is then compared
+    by :func:`~momentkit.matrices.require_reproduced` (a miss is
+    :class:`ValidationFailure`).  When the prefix stops short of
+    ``s.max_degree`` the detail gains ``solved_degree``."""
     finite_degree = s.finite_degree()
     prefix = s.restrict(finite_degree)
     if mode == "auto":
@@ -46,7 +47,7 @@ def solve(
             measure, level = multivariate.extract_atoms_auto(prefix, rank_tol, tol, seed)
         label = "extracted measure"
         detail = {"mode": "md", "level": level, "rank": len(measure)}
+    require_reproduced(measure, s, s.max_degree, tol, label)
     if finite_degree < s.max_degree:
-        require_reproduced_above(measure, s, finite_degree, tol, label)
         detail["solved_degree"] = finite_degree
     return measure, detail

@@ -369,7 +369,7 @@ def test_check_point_mass_beyond_double_range_passes(tmp_path, capsys):
     "generator, code, classification, rule",
     [
         ("2*x1^2", EXIT_OK, "divergence-consistent", "power-law"),
-        ("x1 + x2", EXIT_INCONCLUSIVE, "inconclusive", "entry-without-value"),
+        ("x1 + x2", EXIT_OK, "divergence-consistent", "power-law"),
         ("x1^2 - x2", EXIT_INCONCLUSIVE, "inconclusive", "entry-without-value"),
     ],
 )
@@ -377,9 +377,10 @@ def test_check_reads_pushed_markers_by_their_logs(
     tmp_path, capsys, generator, code, classification, rule
 ):
     # delta at (1e30, 3) plus 2 delta at (2, 1e25) to degree 14: markers from
-    # degree 11 on.  2 x1^2 pushes them as one-term images, with logs, and
-    # the bounded support reads as divergence; an image of several terms
-    # sums them to inf with no log, an entry without a value.
+    # degree 11 on.  2 x1^2 and x1 + x2 push them with logs, the log-sum of
+    # positive terms, and the bounded support reads as divergence; x1^2 - x2
+    # has a negative coefficient, so its images sum to inf with no log, an
+    # entry without a value.
     spec = write_spec(
         tmp_path, "two.json", atomic_spec(2, 14, [[1.0, 1e30, 3.0], [2.0, 2.0, 1e25]])
     )
@@ -658,23 +659,18 @@ def test_diagnose_subsequence_bounds_on_non_psd_hankel(tmp_path, capsys):
 # solve
 
 
-def test_solve_factorial_writes_quadrature(tmp_path, capsys):
+def test_solve_factorial_refuses_the_quadrature(tmp_path, capsys):
+    # The 4-node rule reproduces orders 0..7 (``TestSolveFactorial`` pins
+    # that on ``solve_1d``), but misses s_8 = 8! by 1/70 relative, and
+    # ``solve`` checks every entry it was given.
     moments = make_factorial_file(tmp_path, degree=8)
-    out = str(tmp_path / "rule.msr")
-    code, report = run_json(capsys, "solve", moments, out)
-    assert code == EXIT_OK
-    assert report["mode"] == "1d"
-    assert report["rank"] == 4
-    assert report["stieltjes_supported"] is True
-    assert report["measure"]["atom_count"] == 4
-    assert report["out"] == out
-
-    mu = fileformats.read_measure_file(out)
-    assert len(mu) == 4
-    # A 4-node rule reproduces orders 0..7 of the data it was built from.
-    for k in range(8):
-        got = math.fsum(float(w) * float(pt[0]) ** k for pt, w in mu.atoms)
-        assert got == pytest.approx(math.factorial(k), rel=1e-9)
+    out = tmp_path / "rule.msr"
+    code, report = run_json(capsys, "solve", moments, str(out))
+    assert code == EXIT_SOLVE
+    assert report["error"]["type"] == "ValidationFailure"
+    worst = float(report["error"]["message"].split("residual ")[1].split()[0])
+    assert worst == pytest.approx(1 / 70, rel=1e-5)
+    assert not out.exists()
 
 
 def test_solve_degree_one_data_places_one_atom(tmp_path, capsys):
@@ -694,7 +690,11 @@ def test_solve_degree_one_data_places_one_atom(tmp_path, capsys):
 
 
 def test_solve_into_missing_directory_exits_2(tmp_path, capsys):
-    moments = make_factorial_file(tmp_path, degree=4)
+    # Data that solves, so that only the missing directory stops the write.
+    spec = write_spec(tmp_path, "two.json", atomic_spec(1, 4, [[0.5, 1.0], [0.5, 3.0]]))
+    moments = str(tmp_path / "two.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
     code, report = run_json(
         capsys, "solve", moments, str(tmp_path / "missing" / "out.atoms")
     )
@@ -1307,16 +1307,42 @@ def test_reduce_keeps_the_markers_of_a_one_term_image(tmp_path, capsys):
     assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
 
 
-def test_reduce_refuses_a_marker_pushed_through_two_terms(tmp_path, capsys):
-    # x1 + 1 has images of several terms: their sums are inf with no log.
+@pytest.mark.parametrize("generator, code", [("x1 + 1", EXIT_OK), ("x1 - 1", EXIT_INPUT)])
+def test_reduce_pushes_markers_through_positive_terms(tmp_path, capsys, generator, code):
+    # The images of x1 + 1 sum positive terms, and their markers keep the
+    # log of that sum: ``solve`` answers the written file with the atom
+    # 1e40 + 1.  x1 - 1 has a negative coefficient: its sums are inf with
+    # no log.
     moments = far_atom_file(tmp_path, capsys)
     gens = tmp_path / "x.txt"
-    gens.write_text("x1 + 1\n")
+    gens.write_text(generator + "\n")
     pushed = tmp_path / "pushed.mom"
-    code, report = run_json(capsys, "reduce", str(moments), str(gens), str(pushed))
-    assert code == EXIT_INPUT
-    assert "moment (8,) is inf and has no stored log" in report["error"]
-    assert not pushed.exists()
+    got, report = run_json(capsys, "reduce", str(moments), str(gens), str(pushed))
+    assert got == code
+    if code == EXIT_INPUT:
+        assert "moment (8,) is inf and has no stored log" in report["error"]
+        assert not pushed.exists()
+        return
+    code, report = run_json(capsys, "solve", str(pushed), str(tmp_path / "s.atoms"))
+    assert code == EXIT_OK
+    assert report["solved_degree"] == 7
+    assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
+
+
+@pytest.mark.parametrize("generator, code", [("x1 + 1", EXIT_OK), ("x1 - 1", EXIT_SOLVE)])
+def test_pipeline_pushes_markers_through_positive_terms(tmp_path, capsys, generator, code):
+    moments = far_atom_file(tmp_path, capsys)
+    gens = tmp_path / "x.txt"
+    gens.write_text(generator + "\n")
+    out = tmp_path / "far.atoms"
+    got, report = run_json(capsys, "pipeline", str(moments), str(gens), str(out))
+    assert got == code
+    if code == EXIT_OK:
+        assert stage_named(report, "verify")["ok"] is True
+        assert report["measure"]["atoms"] == [{"weight": 1.0, "point": [1e40]}]
+    else:
+        assert "worst relative residual nan" in stage_named(report, "solve")["error"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("shift, code", [(0.0, EXIT_OK), (1e-5, EXIT_SOLVE)])
@@ -1600,8 +1626,11 @@ def test_solve_options_reach_the_solvers(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert [c[1:] for c in md] == [(3e-11, 2.5e-6, 17)]
 
-    factorial = make_factorial_file(tmp_path, degree=8)
-    code, _ = run_json(capsys, "solve", factorial, str(tmp_path / "1d.msr"), *SOLVE_FLAGS)
+    spec = write_spec(tmp_path, "1d.json", atomic_spec(1, 8, [a[:2] for a in atoms]))
+    moments = str(tmp_path / "1d.mom")
+    assert main(["generate", spec, moments]) == EXIT_OK
+    capsys.readouterr()
+    code, _ = run_json(capsys, "solve", moments, str(tmp_path / "1d.msr"), *SOLVE_FLAGS)
     assert code == EXIT_OK
     assert [c[1:] for c in one_d] == [(3e-11, 2.5e-6)]
 

@@ -27,7 +27,6 @@ from momentkit.matrices import (
     reproduction_residuals,
     require_psd,
     require_reproduced,
-    require_reproduced_above,
 )
 from momentkit.polynomials import _log, _to_float, add_indices, monomials_up_to
 from momentkit.errors import NotPsd, ValidationFailure
@@ -656,7 +655,7 @@ class TestRequireReproduced:
         with pytest.raises(
             ValidationFailure, match="worst relative residual nan exceeds inf"
         ):
-            require_reproduced_above(mu, s, 2, math.inf, "measure")
+            require_reproduced(mu, s, 4, math.inf, "measure")
 
     def test_exact_mass_beyond_double_range_is_compared_exactly(self):
         # Even s_0 = 10**400 leaves double range, so no entry can be read as

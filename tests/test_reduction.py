@@ -580,7 +580,8 @@ class TestPresentationCache:
         seed=st.integers(0, 2**16),
     )
     # Images of one term with c > 0 (2 x1^2, x2^2), of one term with c < 0
-    # (-x2, -2 x1^2 x2) and of several terms (x1 + x2 and its products).
+    # (-x2, -2 x1^2 x2), of several positive terms (x1 + x2, 2 x1^3 + 2 x1^2
+    # x2) and of several terms of either sign (-x1 x2 - x2^2).
     @example(
         pres=SemiAlgebraicPresentation(
             2, [Polynomial(2, {(2, 0): 2}), -_x(1), _x(0) + _x(1)]
@@ -604,10 +605,12 @@ class TestPresentationCache:
         assert {a: repr(v) for a, v in pushed.values.items()} == {
             a: repr(v) for a, v in expected.items()
         }
-        # One log rule: a one-term image c x^beta with c > 0 keeps the
-        # stored log of s[beta], shifted by log c; no other image has a log.
-        # Beside the edge kind's markers, ``logged`` stores a log for about
-        # half the entries, so that one-term images meet one often.
+        # One log rule: an image sum c x^beta with every c > 0, every entry
+        # s[beta] positive (a finite positive value or a stored log) and at
+        # least one stored log has the log of its sum of terms; a one-term
+        # image keeps log c + log s[beta] bit for bit.  No other image has a
+        # log.  Beside the edge kind's markers, ``logged`` stores a log for
+        # about half the entries, so that such images meet one often.
         rng = np.random.default_rng(seed)
         logged = MomentSequence(
             s.dim,
@@ -619,8 +622,19 @@ class TestPresentationCache:
         for data in (s, logged):
             expected_logs = {}
             for alpha, image in reference.items():
-                if len(image.terms) == 1:
-                    ((beta, c),) = image.terms.items()
-                    if c > 0 and beta in data.log_values:
-                        expected_logs[alpha] = _log(c) + data.log_values[beta]
-            assert pushforward_moments(data, pres, budget).log_values == expected_logs
+                terms = image.terms.items()
+                if any(beta in data.log_values for beta, _ in terms) and all(
+                    c > 0
+                    and (beta in data.log_values or 0 < data.values[beta] < math.inf)
+                    for beta, c in terms
+                ):
+                    ells = [_log(c) + data.log_value(beta) for beta, c in terms]
+                    if max(ells) > -math.inf:
+                        expected_logs[alpha] = float(np.logaddexp.reduce(ells))
+            got = pushforward_moments(data, pres, budget).log_values
+            assert got.keys() == expected_logs.keys()
+            for alpha, log_sum in expected_logs.items():
+                if len(reference[alpha].terms) == 1:
+                    assert got[alpha] == log_sum
+                else:
+                    assert got[alpha] == pytest.approx(log_sum, rel=1e-14, abs=1e-12)

@@ -1,10 +1,10 @@
-"""``momentkit.solve``: the measure it returns reproduces every entry above
-the data's finite prefix, by an exact reference, or the call raises a typed
-error."""
+"""``momentkit.solve``: the measure it returns reproduces every entry it was
+given, by an exact reference, or the call raises a typed error."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,14 +12,19 @@ from hypothesis import event, given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
+    ClampedNodeWarning,
     MomentError,
     MomentSequence,
     ValidationFailure,
+    fixtures,
     moments_of_atomic,
+    multivariate,
     solve,
+    univariate,
 )
-from momentkit.matrices import require_reproduced_above
+from momentkit.matrices import require_reproduced
 from momentkit.polynomials import _log, monomials_up_to
+from momentkit.reduction import pushforward_moments
 
 TOL = 1e-8
 
@@ -55,8 +60,11 @@ def _data(draw):
     exact data scaled by ``2**t`` so that every entry above the cut, unless
     it cancels, leaves double range.  In half the draws the atoms come in
     pairs x, -x of equal weight, whose odd entries cancel to 0.  In half the
-    draws one entry ``t`` above the prefix moves by ``1.5e-5 * max(1, |t|)``.
-    Returns the sequence, whether it was perturbed and the measure."""
+    draws one entry ``t`` above the degree the route reads moves by
+    ``1.5e-5 * max(1, |t|)``: ``2 * rank - 1`` on the 1-D route and
+    ``2 * level`` on flat extraction, from a first solve of the unmoved data,
+    or the finite prefix where that solve raises.  Returns the sequence,
+    whether it was perturbed and the measure."""
     dim = draw(st.integers(1, 3))
     degree = draw(st.integers(2, 8 if dim == 1 else 6))
     cut = draw(st.integers(1, degree - 1))
@@ -98,7 +106,8 @@ def _data(draw):
                 values[alpha] = float(v)
     s = MomentSequence(dim, degree, values, logs)
     # Signed atoms can cancel every entry above the cut down to double range.
-    above = [a for a in monomials_up_to(dim, degree) if sum(a) > s.finite_degree()]
+    read = _route_degree(s)
+    above = [a for a in monomials_up_to(dim, degree) if sum(a) > read]
     perturb = bool(above) and draw(st.booleans())
     if perturb:
         alpha = draw(st.sampled_from(above))
@@ -111,6 +120,30 @@ def _data(draw):
     return s, perturb, measure
 
 
+def _route_degree(s: MomentSequence) -> int:
+    """The degree through which ``solve``'s route reads and checks ``s``,
+    or the finite prefix where ``solve`` raises."""
+    try:
+        with warnings.catch_warnings():
+            # Drawing data is not the solve under test.
+            warnings.simplefilter("ignore", ClampedNodeWarning)
+            _, detail = solve(s, tol=TOL)
+    except MomentError:
+        return s.finite_degree()
+    if detail["mode"] == "1d":
+        return 2 * detail["rank"] - 1
+    return 2 * detail["level"]
+
+
+def _route_measure(s: MomentSequence) -> AtomicMeasure:
+    """The measure ``solve``'s route finds on the finite prefix, unchecked
+    beyond the degree it reads."""
+    prefix = s.restrict(s.finite_degree())
+    if s.dim == 1:
+        return univariate.solve_1d(prefix, tol=TOL).measure
+    return multivariate.extract_atoms_auto(prefix, tol=TOL)[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_data())
 def test_solve_reproduces_every_entry_above_the_prefix_or_raises(case):
@@ -120,23 +153,23 @@ def test_solve_reproduces_every_entry_above_the_prefix_or_raises(case):
         measure, detail = solve(s, tol=TOL)
     except ValidationFailure:
         try:
-            # The same route on the prefix alone: a measure here means the
-            # refusal came from the comparison above the prefix.
-            measure, _ = solve(s.restrict(finite), tol=TOL)
+            # The route alone: a measure here means the refusal came from
+            # the comparison of the entries it does not read.
+            measure = _route_measure(s)
         except MomentError as exc:
-            event(f"dim {s.dim}: {type(exc).__name__} on the prefix")
+            event(f"dim {s.dim}: {type(exc).__name__} in the route")
             return
-        event(f"dim {s.dim}: refused above the prefix")
+        event(f"dim {s.dim}: refused beyond the route")
         # Unperturbed data is refused only for a measure that really misses.
-        assert perturbed or _worst_above(measure, s, finite) > TOL - 1e-12
+        assert perturbed or _worst(measure, s) > TOL - 1e-12
         return
     except MomentError as exc:
         event(f"dim {s.dim}: {type(exc).__name__}")
         return
     event(f"dim {s.dim}: accepted")
-    assert not perturbed, "a perturbed entry above the prefix was accepted"
+    assert not perturbed, "a perturbed entry beyond the route was accepted"
     assert detail.get("solved_degree", s.max_degree) == finite
-    assert _worst_above(measure, s, finite) <= TOL + 1e-12
+    assert _worst(measure, s) <= TOL + 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,21 +177,21 @@ def test_solve_reproduces_every_entry_above_the_prefix_or_raises(case):
 def test_the_check_above_the_prefix_accepts_exactly_the_true_measure(case):
     # Entries that cancel, as the odd ones of mirrored atoms do, included.
     s, perturbed, measure = case
-    finite = s.finite_degree()
     if perturbed:
         with pytest.raises(ValidationFailure):
-            require_reproduced_above(measure, s, finite, TOL, "true measure")
+            require_reproduced(measure, s, s.max_degree, TOL, "true measure")
     else:
-        residuals = require_reproduced_above(measure, s, finite, TOL, "true measure")
+        residuals = require_reproduced(measure, s, s.max_degree, TOL, "true measure")
         assert max(residuals, default=0.0) <= 1e-12
 
 
-def _worst_above(measure: AtomicMeasure, s: MomentSequence, finite: int) -> float:
+def _worst(measure: AtomicMeasure, s: MomentSequence, low: int = -1) -> float:
+    """The worst :func:`_reference_residual` of the entries above ``low``."""
     return max(
         (
             _reference_residual(_exact_moment(measure, alpha), s, alpha)
             for alpha in monomials_up_to(s.dim, s.max_degree)
-            if sum(alpha) > finite
+            if sum(alpha) > low
         ),
         default=0.0,
     )
@@ -173,7 +206,7 @@ def test_solve_accepts_symmetric_atoms_beyond_double_range():
     measure, detail = solve(s, tol=TOL)
     assert detail["solved_degree"] == 7
     assert [pt[0] for pt, _ in measure.sorted_atoms()] == pytest.approx([-1e50, 1e50])
-    assert _worst_above(measure, s, 7) <= TOL
+    assert _worst(measure, s) <= TOL
 
 
 def test_solve_of_finite_data_adds_no_solved_degree():
@@ -181,3 +214,36 @@ def test_solve_of_finite_data_adds_no_solved_degree():
     measure, detail = solve(s)
     assert "solved_degree" not in detail
     assert sorted(pt[0] for pt, _ in measure.atoms) == pytest.approx([1.0, 2.0])
+
+
+def _moved(s: MomentSequence, alpha: tuple[int, ...], factor) -> MomentSequence:
+    values = dict(s.values)
+    values[alpha] *= factor
+    return MomentSequence(s.dim, s.max_degree, values, s.log_values)
+
+
+def test_flat_extraction_is_checked_above_its_level():
+    # Three atoms in 2-D to degree 5: level 2 reads degree 4, and s_(5,0)
+    # moved by 1e-3 relative is an entry no level reads.
+    mu = AtomicMeasure(2, [((1.0, 2.0), 0.5), ((3.0, 1.0), 0.3), ((5.0, 4.0), 0.2)])
+    s = moments_of_atomic(mu, 5)
+    measure, detail = solve(s)
+    assert (detail["level"], len(measure)) == (2, 3)
+    with pytest.raises(ValidationFailure) as miss:
+        solve(_moved(s, (5, 0), 1.001))
+    assert miss.value.worst == pytest.approx(1e-3 / 1.001, rel=1e-6)
+
+
+def test_pushed_curve_data_is_checked_above_its_level():
+    # The atom (1/2, 5/4) above the curve x2 = x1, pushed by (x2 - x1, x1)
+    # to the atom (3/4, 1/2) with exact degree-12 data: the level-1 atom
+    # reads degree 2, and s_(0,12) = 2**-12 moved by 1e-3 relative misses.
+    fx = fixtures.power_curve_fixture(
+        1, AtomicMeasure(2, [((Fraction(1, 2), Fraction(5, 4)), 1)]), 12, exact=True
+    )
+    s = pushforward_moments(fx.moments, fx.presentation, 12)
+    measure, detail = solve(s)
+    assert (detail["level"], measure.atoms) == (1, [((0.75, 0.5), 1.0)])
+    with pytest.raises(ValidationFailure) as miss:
+        solve(_moved(s, (0, 12), Fraction(1001, 1000)))
+    assert miss.value.worst == pytest.approx(2.0**-12 * 1e-3, rel=1e-6)
