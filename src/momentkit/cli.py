@@ -19,7 +19,9 @@ final verification failure.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
 exit code.  None of them prints; :func:`main` renders the report once, as
-text or JSON after ``--format``, and returns the code.  A file a command
+text or JSON after ``--format``, and returns the code.  Text renders in one
+pass over the report, writing a non-finite float as its ``repr``; JSON is
+sanitized first (non-finite floats become those strings) and then dumped.  A file a command
 cannot read or write, or finds malformed, reaches :func:`main` as an
 ``OSError`` or :class:`FileFormatError`, which it reports as
 ``{"error", "exit"}`` with exit 2.
@@ -74,32 +76,42 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
+def _scalar_text(value: Any) -> str:
+    """A leaf as text: a non-finite float as its ``repr``, as :func:`_sanitize`
+    writes it, anything else as ``str``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return f"{value}"
+
+
 def _text_lines(value: Any, indent: int = 0) -> list[str]:
+    """The text form of a report, rendered in one pass: a tuple reads as a
+    list and a leaf as :func:`_scalar_text`, so the lines are those of the
+    report after :func:`_sanitize`."""
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
         for k, v in value.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}{k}:")
                 lines.extend(_text_lines(v, indent + 1))
             else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(value, list):
+                lines.append(f"{pad}{k}: {_scalar_text(v)}")
+    elif isinstance(value, (list, tuple)):
         for v in value:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(v, indent + 1))
             else:
-                lines.append(f"{pad}- {v}")
+                lines.append(f"{pad}- {_scalar_text(v)}")
     else:
-        lines.append(f"{pad}{value}")
+        lines.append(f"{pad}{_scalar_text(value)}")
     return lines
 
 
 def _emit(report: dict, fmt: str) -> None:
-    report = _sanitize(report)
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(_sanitize(report), indent=2))
     else:
         print("\n".join(_text_lines(report)))
 

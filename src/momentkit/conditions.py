@@ -49,7 +49,7 @@ from .errors import (
     NotPositive,
     TrivialFunctional,
 )
-from .matrices import DEFAULT_PSD_TOL, assemble, psd_check
+from .matrices import DEFAULT_PSD_TOL, PsdVerdict, assemble, psd_check
 from .polynomials import MomentSequence, Scalar, _exp, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
@@ -130,7 +130,7 @@ def normalize(s: MomentSequence) -> MomentSequence:
     values = {a: _divide(v, mass) for a, v in s.values.items()}
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
-    return MomentSequence(s.dim, s.max_degree, values, logs)
+    return MomentSequence._assembled(s.dim, s.max_degree, values, logs)
 
 
 def _divide(value: Scalar, mass: Scalar) -> Scalar:
@@ -274,6 +274,20 @@ def subsequence_terms(
     return _series_report(s, axis, count, stride, stride)
 
 
+def _not_psd(verdict: PsdVerdict, level: int, matrix: str) -> HypothesisFailure:
+    """The :class:`HypothesisFailure` of the ``"plain"`` or ``"shifted"``
+    marginal matrix at ``level``, carrying its verdict's numbers."""
+    name = "index-shifted marginal" if matrix == "shifted" else "marginal"
+    failure = HypothesisFailure(
+        f"{name} moment matrix at level {level} is not positive "
+        f"semidefinite (min eigenvalue {verdict.min_eigenvalue:g})"
+    )
+    failure.min_eigenvalue = verdict.min_eigenvalue
+    failure.level = level
+    failure.matrix = matrix
+    return failure
+
+
 def check_subsequence_bounds(
     s: MomentSequence,
     axis: int = 0,
@@ -323,21 +337,14 @@ def check_subsequence_bounds(
     hankel = assemble(floats[: 2 * plain_level + 1], 1, plain_level)
     plain = psd_check(hankel, tol_rel)
     if not plain.is_psd:
-        raise HypothesisFailure(
-            f"marginal moment matrix at level {plain_level} is not positive "
-            f"semidefinite (min eigenvalue {plain.min_eigenvalue:g})"
-        )
+        raise _not_psd(plain, plain_level, "plain")
     if shift_level >= 0:
         # ``0.0 +`` turns a -0.0 entry into 0.0, as the localizing matrix of
         # ``x`` sums its terms onto zeros.
         shift = 0.0 + np.array(floats[1 : 2 * shift_level + 2])
         shifted = psd_check(assemble(shift, 1, shift_level), tol_rel)
         if not shifted.is_psd:
-            raise HypothesisFailure(
-                f"index-shifted marginal moment matrix at level {shift_level} "
-                f"is not positive semidefinite (min eigenvalue "
-                f"{shifted.min_eigenvalue:g})"
-            )
+            raise _not_psd(shifted, shift_level, "shifted")
 
     # g_k = log(m_k) / k; roots are exp(g_k) and terms are exp(-g_k / 2).
     logs = s._marginal_logs(axis, range(1, high + 1))

@@ -44,11 +44,29 @@ class EigenFailure(MomentError):
 
 
 class NotPsd(MomentError):
-    """A matrix that must be positive semidefinite is not (beyond tolerance)."""
+    """A matrix that must be positive semidefinite is not (beyond tolerance).
+
+    ``min_eigenvalue`` and ``tolerance`` are the verdict's smallest
+    eigenvalue and the tolerance it fell below; they are ``None`` when no
+    verdict was taken.
+    """
+
+    min_eigenvalue: float | None = None
+    tolerance: float | None = None
 
 
 class HypothesisFailure(MomentError):
-    """A precondition of a diagnostic check does not hold for the data."""
+    """A precondition of a diagnostic check does not hold for the data.
+
+    When a marginal moment matrix is not positive semidefinite,
+    ``min_eigenvalue`` is its smallest eigenvalue, ``level`` its level and
+    ``matrix`` ``"plain"`` or ``"shifted"`` (the index-shifted one); each is
+    ``None`` otherwise.
+    """
+
+    min_eigenvalue: float | None = None
+    level: int | None = None
+    matrix: str | None = None
 
 
 class RankCollapse(MomentError):

@@ -191,7 +191,7 @@ def parse_moment_file(text: str) -> MomentSequence:
                 )
             values[alpha] = value
     try:
-        return MomentSequence(dim, degree, values, logs)
+        return MomentSequence._assembled(dim, degree, values, logs)
     except Exception as exc:
         raise FileFormatError(f"inconsistent moment data: {exc}") from exc
 

@@ -228,7 +228,7 @@ def localizing_matrix(
         raise DimMismatch(
             f"constraint in {f.dim} variables against {s.dim}-dimensional moments"
         )
-    terms = f.sorted_terms()
+    terms = f._grlex_terms()
     if terms and 2 * level + int(f.degree) > s.max_degree:
         raise DegreeOverflow(
             f"localizing matrix at level {level} for a degree-{int(f.degree)} "
@@ -445,13 +445,17 @@ def require_psd(
     tol_rel: float = DEFAULT_PSD_TOL,
     label: str = "matrix",
 ) -> PsdVerdict:
-    """Like :func:`psd_check` but raises :class:`NotPsd` on failure."""
+    """Like :func:`psd_check` but raises :class:`NotPsd`, carrying the
+    verdict's ``min_eigenvalue`` and ``tolerance``, on failure."""
     verdict = psd_check(matrix, tol_rel)
     if not verdict.is_psd:
-        raise NotPsd(
+        failure = NotPsd(
             f"{label} is not positive semidefinite: min eigenvalue "
             f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}"
         )
+        failure.min_eigenvalue = verdict.min_eigenvalue
+        failure.tolerance = verdict.tolerance_used
+        raise failure
     return verdict
 
 

@@ -170,9 +170,15 @@ class Polynomial:
         polynomial.  Coefficients may be ``int``, ``float``, or ``Fraction``
         and are stored exactly as rationals (a float contributes the exact
         rational it represents).
+
+    Nothing changes ``terms`` after construction, so the graded-lex order of
+    the terms is sorted on its first read and kept (:meth:`sorted_terms`
+    hands out a copy).  The results of ``+``, ``-``, ``*`` and ``**`` are
+    built from canonical indices and ``Fraction`` coefficients, so they skip
+    the constructor's checks and only drop their zero coefficients.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_grlex")
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], Scalar] | None = None):
         if dim < 1:
@@ -191,6 +197,18 @@ class Polynomial:
                 clean[idx] = c
         self.dim = dim
         self.terms = clean
+        self._grlex: tuple[tuple[MultiIndex, Fraction], ...] | None = None
+
+    @classmethod
+    def _from_terms(cls, dim: int, terms: dict[MultiIndex, Fraction]) -> "Polynomial":
+        """The polynomial of ``terms``, whose indices are canonical ``int``
+        tuples of length ``dim`` and whose coefficients are ``Fraction``
+        values, as arithmetic builds them: only zero coefficients are dropped."""
+        poly = cls.__new__(cls)
+        poly.dim = dim
+        poly.terms = {alpha: c for alpha, c in terms.items() if c}
+        poly._grlex = None
+        return poly
 
     # -- constructors -----------------------------------------------------
 
@@ -224,7 +242,15 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in graded-lex order of their multi-indices."""
-        return [(a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)]
+        return list(self._grlex_terms())
+
+    def _grlex_terms(self) -> tuple[tuple[MultiIndex, Fraction], ...]:
+        """:meth:`sorted_terms`, sorted on the first call and kept."""
+        if self._grlex is None:
+            self._grlex = tuple(
+                (a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)
+            )
+        return self._grlex
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -246,12 +272,12 @@ class Polynomial:
         acc = dict(self.terms)
         for alpha, c in other.terms.items():
             acc[alpha] = acc.get(alpha, Fraction(0)) + c
-        return Polynomial(self.dim, acc)
+        return Polynomial._from_terms(self.dim, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {a: -c for a, c in self.terms.items()})
+        return Polynomial._from_terms(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else -_coerce_coeff(other))
@@ -262,7 +288,9 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, float, Fraction)):
             c = _coerce_coeff(other)
-            return Polynomial(self.dim, {a: v * c for a, v in self.terms.items()})
+            return Polynomial._from_terms(
+                self.dim, {a: v * c for a, v in self.terms.items()}
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
@@ -271,14 +299,14 @@ class Polynomial:
             for beta, cb in other.terms.items():
                 gamma = add_indices(alpha, beta)
                 acc[gamma] = acc.get(gamma, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, acc)
+        return Polynomial._from_terms(self.dim, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.dim, 1)
+        result = Polynomial._from_terms(self.dim, {(0,) * self.dim: Fraction(1)})
         base = self
         e = exponent
         while e:
@@ -308,7 +336,7 @@ class Polynomial:
                 f"point of length {len(point)} for a {self.dim}-variable polynomial"
             )
         total: Scalar = 0
-        for alpha, coeff in self.sorted_terms():
+        for alpha, coeff in self._grlex_terms():
             value: Scalar = coeff
             for x, a in zip(point, alpha):
                 if a:
@@ -324,7 +352,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces: list[str] = []
-        for alpha, coeff in reversed(self.sorted_terms()):
+        for alpha, coeff in reversed(self._grlex_terms()):
             factors = [
                 f"{var_prefix}{j + 1}" + (f"^{a}" if a > 1 else "")
                 for j, a in enumerate(alpha)
@@ -398,7 +426,10 @@ class MomentSequence:
     float read of the library goes through one read-only table of
     ``_to_float`` of each entry in graded-lex order, converted on the first
     float read (:meth:`_float_table`); the marginal view of the growth
-    diagnostics reads the same table.
+    diagnostics reads the same table.  A store the library builds itself,
+    complete and in graded-lex order (a parsed moment file, normalized,
+    restricted or pushed-forward data), is taken over without the key check
+    and the copy; its mass is checked all the same.
     """
 
     __slots__ = (
@@ -434,8 +465,33 @@ class MomentSequence:
             if idx not in store:
                 raise ValueError(f"log value for unknown moment index {idx}")
             logs[idx] = float(lv)
-        zero = (0,) * dim
-        s0 = store[zero]
+        self._take(dim, max_degree, store, logs)
+
+    @classmethod
+    def _assembled(
+        cls,
+        dim: int,
+        max_degree: int,
+        store: dict[MultiIndex, Scalar],
+        logs: dict[MultiIndex, float],
+    ) -> "MomentSequence":
+        """Take over a store the library built: one entry for every index
+        of ``_monomial_table(dim, max_degree)``, keyed by canonical ``int``
+        tuples in that order, and float ``logs`` keyed by some of them.  The
+        key check and the copy of ``__init__`` are skipped; the mass check
+        is kept."""
+        s = cls.__new__(cls)
+        s._take(dim, max_degree, store, logs)
+        return s
+
+    def _take(
+        self,
+        dim: int,
+        max_degree: int,
+        store: dict[MultiIndex, Scalar],
+        logs: dict[MultiIndex, float],
+    ) -> None:
+        s0 = store[(0,) * dim]
         if isinstance(s0, float) and not math.isfinite(s0):
             raise ValueError("mass s_0 must be finite")
         self.dim = dim
@@ -632,7 +688,7 @@ class MomentSequence:
                 f"{self.max_degree}"
             )
         total: Scalar = 0
-        for alpha, coeff in poly.sorted_terms():
+        for alpha, coeff in poly._grlex_terms():
             total = total + coeff * self.values[alpha]
         return total
 
@@ -646,7 +702,7 @@ class MomentSequence:
             return self
         keep = {a: v for a, v in self.values.items() if sum(a) <= max_degree}
         logs = {a: v for a, v in self.log_values.items() if sum(a) <= max_degree}
-        return MomentSequence(self.dim, max_degree, keep, logs)
+        return MomentSequence._assembled(self.dim, max_degree, keep, logs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentSequence):

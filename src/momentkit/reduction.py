@@ -125,7 +125,7 @@ class SemiAlgebraicPresentation:
             )
         images = _image_monomials(self, 0 if poly.is_zero() else int(poly.degree))
         result = Polynomial.zero(self.dim)
-        for alpha, coeff in poly.sorted_terms():
+        for alpha, coeff in poly._grlex_terms():
             result = result + images[alpha] * coeff
         return result
 
@@ -161,7 +161,7 @@ class _ImageAlgebra:
         #: graded-lex order; the order is nested, so a position holds in
         #: every longer table.
         self.terms: tuple[_Terms, ...] = tuple(
-            tuple((c, self._position[a]) for a, c in image.sorted_terms())
+            tuple((c, self._position[a]) for a, c in image._grlex_terms())
             for image in images.values()
         )
 
@@ -406,7 +406,7 @@ def pushforward_moments(
                 if top > -math.inf:
                     total = math.fsum(math.exp(ell - top) for ell in ells)
                     logs[alpha] = top + math.log(total)
-    return MomentSequence(pres.num_generators, image_degree, values, logs)
+    return MomentSequence._assembled(pres.num_generators, image_degree, values, logs)
 
 
 def pushed_power_sequence(
@@ -433,7 +433,7 @@ def pushed_power_sequence(
             and abs(fv) <= RIESZ_CANCEL_TOL * cancel_scale
         ):
             values[alpha] = 0.0
-    return MomentSequence(1, count, values, pushed.log_values)
+    return MomentSequence._assembled(1, count, values, pushed.log_values)
 
 
 def _newton_preimages(

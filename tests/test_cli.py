@@ -7,10 +7,14 @@ definitive failure, 4 inconclusive, 5 solver failure, 6 pull-back or
 verification failure.
 """
 
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentkit import fileformats, fixtures, matrices, multivariate, reduction, univariate
 from momentkit.cli import (
@@ -20,6 +24,7 @@ from momentkit.cli import (
     EXIT_OK,
     EXIT_PULLBACK,
     EXIT_SOLVE,
+    _emit,
     build_parser,
     main,
 )
@@ -1714,3 +1719,96 @@ def test_non_integer_flag_keeps_the_argparse_message(capsys):
     assert exc.value.code == EXIT_INPUT
     assert "--count: invalid int value: 'abc'" in capsys.readouterr().err
 
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+
+
+def _reference_sanitize(value):
+    """The JSON pass the text renderer ran first, kept as the reference."""
+    if isinstance(value, dict):
+        return {k: _reference_sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_sanitize(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    return value
+
+
+def _reference_text_lines(value, indent=0):
+    """The text renderer as it ran on a sanitized report."""
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}{k}:")
+                lines.extend(_reference_text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {v}")
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.extend(_reference_text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {v}")
+    else:
+        lines.append(f"{pad}{value}")
+    return lines
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0]),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=6),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=st.dictionaries(st.text(max_size=4), _TREES, max_size=5))
+def test_text_report_is_the_sanitized_report_rendered(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, "text")
+    expected = "\n".join(_reference_text_lines(_reference_sanitize(report))) + "\n"
+    assert out.getvalue() == expected
+
+
+def test_text_report_writes_non_finite_floats_by_repr():
+    report = {
+        "worst": math.inf,
+        "levels": (np.float64(-math.inf), math.nan, 1.5, np.float64(2.5)),
+        "empty": {},
+        "none": [],
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, "text")
+    assert out.getvalue().splitlines() == [
+        "worst: inf",
+        "levels:",
+        f"  - {np.float64(-math.inf)!r}",
+        "  - nan",
+        "  - 1.5",
+        "  - 2.5",
+        "empty:",
+        "none:",
+    ]

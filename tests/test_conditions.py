@@ -244,6 +244,28 @@ class TestCheckSubsequenceBounds:
         with pytest.raises(HypothesisFailure):
             check_subsequence_bounds(_alternating_sequence(), stride=2, count=2)
 
+    @pytest.mark.parametrize(
+        "second, matrix, level, name",
+        [(-1.0, "plain", 2, "marginal"), (1.0, "shifted", 1, "index-shifted marginal")],
+    )
+    def test_failure_carries_the_verdict(self, second, matrix, level, name):
+        # (1, 0, -1, 0, 1): the plain Hankel has eigenvalues -1, 0 and 2;
+        # (1, 0, 1, 0, 1): the index-shifted one is [[0, 1], [1, 0]].
+        s = MomentSequence(
+            1, 4, {(0,): 1.0, (1,): 0.0, (2,): second, (3,): 0.0, (4,): 1.0}
+        )
+        with pytest.raises(HypothesisFailure) as exc:
+            check_subsequence_bounds(s, stride=2, count=2)
+        failure = exc.value
+        assert (failure.matrix, failure.level) == (matrix, level)
+        assert failure.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        assert str(failure) == (
+            f"{name} moment matrix at level {level} is not positive "
+            f"semidefinite (min eigenvalue {failure.min_eigenvalue:g})"
+        )
+        bare = HypothesisFailure("no verdict")
+        assert (bare.min_eigenvalue, bare.level, bare.matrix) == (None, None, None)
+
     def test_count_below_stride_rejected(self):
         s = moments_factorial(12)
         with pytest.raises(ValueError):

@@ -177,6 +177,20 @@ class TestPsdCheck:
         with pytest.raises(NotPsd):
             require_psd(np.array([[-1.0]]), label="test matrix")
 
+    def test_not_psd_carries_the_verdict(self):
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+        verdict = psd_check(m, 1e-8)
+        with pytest.raises(NotPsd) as exc:
+            require_psd(m, 1e-8, label="m")
+        assert exc.value.min_eigenvalue == verdict.min_eigenvalue == pytest.approx(-1.0)
+        assert exc.value.tolerance == verdict.tolerance_used
+        assert str(exc.value) == (
+            f"m is not positive semidefinite: min eigenvalue "
+            f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}"
+        )
+        assert NotPsd("no verdict").min_eigenvalue is None
+        assert NotPsd("no verdict").tolerance is None
+
 
 class TestNumericalRank:
     def test_rank_one(self):

@@ -130,6 +130,109 @@ class TestPolynomialArithmetic:
             assert a * (b + b) == a * b + a * b
 
 
+def _reference_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    """``a + b`` through the public constructor, as every result was built
+    before arithmetic skipped its checks."""
+    acc = dict(a.terms)
+    for alpha, c in b.terms.items():
+        acc[alpha] = acc.get(alpha, Fraction(0)) + c
+    return Polynomial(a.dim, acc)
+
+
+def _reference_neg(a: Polynomial) -> Polynomial:
+    return Polynomial(a.dim, {alpha: -c for alpha, c in a.terms.items()})
+
+
+def _reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    acc: dict = {}
+    for alpha, ca in a.terms.items():
+        for beta, cb in b.terms.items():
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            acc[gamma] = acc.get(gamma, Fraction(0)) + ca * cb
+    return Polynomial(a.dim, acc)
+
+
+def _reference_pow(a: Polynomial, exponent: int) -> Polynomial:
+    result, base, e = Polynomial.constant(a.dim, 1), a, exponent
+    while e:
+        if e & 1:
+            result = _reference_mul(result, base)
+        base = _reference_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    """Two polynomials in one dimension, with zero, int, float and
+    ``Fraction`` coefficients given to the public constructor."""
+    dim = draw(st.integers(1, 3))
+    coeff = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.sampled_from([0.5, -0.25, 1.5, 0.0]),
+    )
+    terms = st.dictionaries(st.sampled_from(monomials_up_to(dim, 3)), coeff, max_size=6)
+    return Polynomial(dim, draw(terms)), Polynomial(dim, draw(terms))
+
+
+class TestArithmeticResults:
+    """``+``, ``-``, ``*`` and ``**`` build their results without the
+    constructor's checks; each result is the public constructor's polynomial
+    of the same terms, in the same insertion order, and its kept graded-lex
+    order is the sorted one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=_polynomial_pairs(),
+        scalar=st.one_of(
+            st.integers(-3, 3),
+            st.fractions(min_value=-2, max_value=2, max_denominator=4),
+            st.sampled_from([0.5, -1.25, 0.0]),
+        ),
+        exponent=st.integers(0, 3),
+    )
+    def test_results_equal_the_public_constructor(self, pair, scalar, exponent):
+        a, b = pair
+        c = Fraction(scalar)
+        cases = [
+            (a + b, _reference_add(a, b)),
+            (a - b, _reference_add(a, _reference_neg(b))),
+            (-a, _reference_neg(a)),
+            (a * b, _reference_mul(a, b)),
+            (a * scalar, Polynomial(a.dim, {k: v * c for k, v in a.terms.items()})),
+            (scalar * a, Polynomial(a.dim, {k: v * c for k, v in a.terms.items()})),
+            (a + scalar, _reference_add(a, Polynomial.constant(a.dim, scalar))),
+            (scalar - a, _reference_add(_reference_neg(a), Polynomial.constant(a.dim, scalar))),
+            (a**exponent, _reference_pow(a, exponent)),
+        ]
+        for got, ref in cases:
+            assert got == ref
+            assert list(got.terms.items()) == list(ref.terms.items())
+            assert all(type(v) is Fraction and v for v in got.terms.values())
+            assert all(
+                type(alpha) is tuple and all(type(e) is int for e in alpha)
+                for alpha in got.terms
+            )
+            expected = [(k, ref.terms[k]) for k in sorted(ref.terms, key=grlex_key)]
+            first = got.sorted_terms()
+            assert first == ref.sorted_terms() == expected
+            first.reverse()
+            first.append(((9,) * got.dim, Fraction(1)))
+            assert got.sorted_terms() == expected
+            assert got.sorted_terms() is not got.sorted_terms()
+            assert got.to_string() == ref.to_string()
+
+    def test_kept_order_is_read_by_evaluation_and_rendering(self):
+        p = Polynomial(2, {(0, 1): 3, (2, 0): -1, (0, 0): Fraction(1, 2), (1, 1): 2})
+        listed = p.sorted_terms()
+        listed.clear()
+        assert p.to_string() == "2*x1*x2 - x1^2 + 3*x2 + 1/2"
+        assert p.evaluate((Fraction(1), Fraction(2))) == Fraction(19, 2)
+        assert [alpha for alpha, _ in p.sorted_terms()] == [(0, 0), (0, 1), (2, 0), (1, 1)]
+
+
 def _random_poly(rng: np.random.Generator, dim: int, deg: int) -> Polynomial:
     terms = {}
     for alpha in monomials_up_to(dim, deg):

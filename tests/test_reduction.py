@@ -20,8 +20,10 @@ from momentkit import (
     Polynomial,
     SemiAlgebraicPresentation,
     check_generates,
+    fileformats,
     monomials_up_to,
     moments_of_atomic,
+    normalize,
     power_curve_inverse,
     power_curve_presentation,
     pull_back_atoms,
@@ -638,3 +640,54 @@ class TestPresentationCache:
                     assert got[alpha] == log_sum
                 else:
                     assert got[alpha] == pytest.approx(log_sum, rel=1e-14, abs=1e-12)
+
+
+def _assert_taken_over(got: MomentSequence) -> None:
+    """``got``, built by taking over a store, is the public constructor's
+    sequence of the same values and logs: the same keys in graded-lex order,
+    the same values by ``repr``, the same logs in the same order, and the
+    same float table."""
+    ref = MomentSequence(got.dim, got.max_degree, dict(got.values), dict(got.log_values))
+    assert list(got.values) == list(ref.values) == monomials_up_to(got.dim, got.max_degree)
+    assert all(all(type(e) is int for e in alpha) for alpha in got.values)
+    assert [repr(v) for v in got.values.values()] == [repr(v) for v in ref.values.values()]
+    assert list(got.log_values.items()) == list(ref.log_values.items())
+    assert all(type(lv) is float for lv in got.log_values.values())
+    assert got == ref
+    assert got._float_table().tobytes() == ref._float_table().tobytes()
+    assert (got._all_float, got._overflow_at) == (ref._all_float, ref._overflow_at)
+
+
+class TestLibraryBuiltStores:
+    """The reader, ``normalize``, ``restrict``, ``pushforward_moments`` and
+    ``pushed_power_sequence`` hand their stores over without the checks and
+    the copy of ``MomentSequence.__init__``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pres=_presentations(),
+        budget=st.integers(1, 3),
+        kind=st.sampled_from(_DATA_KINDS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_site_equals_the_public_constructor(self, pres, budget, kind, seed):
+        s = _moment_data(pres.dim, budget * pres.max_degree, kind, seed)
+        # A positive mass of the data's own kind, and a stored log on about
+        # half the entries beside the edge kind's markers.
+        rng = np.random.default_rng(seed)
+        mass = Fraction(5, 2) if kind == "exact" else 3 if kind == "int" else 2.5
+        data = MomentSequence(
+            s.dim,
+            s.max_degree,
+            s.values | {(0,) * s.dim: mass},
+            {a: float(rng.uniform(-5, 5)) for a in s.values if rng.random() < 0.5}
+            | s.log_values,
+        )
+        _assert_taken_over(
+            fileformats.parse_moment_file(fileformats.format_moment_file(data))
+        )
+        _assert_taken_over(normalize(data))
+        for degree in range(data.max_degree):
+            _assert_taken_over(data.restrict(degree))
+        _assert_taken_over(pushforward_moments(data, pres, budget))
+        _assert_taken_over(pushed_power_sequence(data, pres.generators[0], budget))

@@ -1,0 +1,169 @@
+"""Run two checkouts' benchmarks in alternating pairs and judge a speed claim.
+
+Run from the repository root::
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload reduce-curve --seed 90210 --seconds 25 --pairs 10
+
+Each pair runs ``benchmarks/run.py --trace 0`` of both checkouts, one after
+the other: the parent first in pairs 1, 3, 5, ... and the change first in
+the others, so a drift in host speed reaches both sides.  Each run's output
+is read with ``bench_record.parse_run``.
+
+The tool prints every run's end-to-end metrics (those ``BENCHMARK.json``
+lists), then one row per metric: each side's median and quartiles
+(``statistics.quantiles``, exclusive method), the pairs the change won and
+tied, the parent's quartile spread, and whether the gain rule holds.  The
+rule: the change reads better, in the metric's direction, in at least nine
+tenths of all pairs run (a tie counts for neither side, nor does a pair
+with a failed run), and the medians lie apart by more than the parent's
+quartile spread.
+
+A run fails on a non-zero exit, output ``parse_run`` cannot read, or
+``correct`` false.  Each failure is printed, and the exit status is then 1.
+Nothing is written: the benchmarks run in their own checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_record", Path(__file__).resolve().parent / "bench_record.py"
+)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+#: Share of all pairs run the change must win for a gain.
+WIN_SHARE = 0.9
+SIDES = ("parent", "change")
+
+
+def end_to_end_metrics() -> dict[str, str]:
+    """``name -> "higher" | "lower"`` of every end-to-end metric of
+    ``BENCHMARK.json``, in its order."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One parsed run of ``root``'s benchmark.  Raises ``RuntimeError``
+    naming why the run failed."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
+    try:
+        run = bench_record.parse_run(proc.stdout)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
+    why = bench_record.run_failure(run)
+    if why:
+        raise RuntimeError(why)
+    return run
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def compare(
+    pairs: list[dict[str, dict | None]], metric: str, better: str
+) -> dict:
+    """One metric over the pairs (``{"parent": run, "change": run}``, a
+    failed run ``None``): each side's quartiles over its good runs, the
+    change's wins and ties, the parent's quartile spread and the rule."""
+    sign = 1.0 if better == "higher" else -1.0
+    values: dict[str, list[float]] = {side: [] for side in SIDES}
+    wins = ties = 0
+    for pair in pairs:
+        read = {
+            side: run["metrics"][metric]["value"]
+            for side, run in pair.items()
+            if run is not None and metric in run["metrics"]
+        }
+        for side, value in read.items():
+            values[side].append(value)
+        if len(read) == 2:
+            gap = sign * (read["change"] - read["parent"])
+            wins += gap > 0
+            ties += gap == 0
+    row: dict = {"metric": metric, "better": better, "pairs": len(pairs),
+                 "wins": wins, "ties": ties, "holds": False}
+    for side in SIDES:
+        row[side] = quartiles(values[side]) if values[side] else None
+    if row["parent"] and row["change"]:
+        q1, parent_median, q3 = row["parent"]
+        row["spread"] = q3 - q1
+        gap = sign * (row["change"][1] - parent_median)
+        row["holds"] = wins >= WIN_SHARE * len(pairs) and gap > row["spread"]
+    return row
+
+
+def _quartile_text(q: tuple[float, float, float] | None) -> str:
+    return "-" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="the parent's checkout")
+    parser.add_argument("--change", required=True, type=Path, help="the change's checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = end_to_end_metrics()
+
+    pairs: list[dict[str, dict | None]] = []
+    failures: list[str] = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair: dict[str, dict | None] = {}
+        for side in order:
+            try:
+                run = run_once(roots[side], args.workload, args.seed, args.seconds)
+            except RuntimeError as exc:
+                run = None
+                failures.append(f"pair {i + 1} {side}: {exc}")
+            pair[side] = run
+            shown = "failed" if run is None else " ".join(
+                f"{m}={run['metrics'][m]['value']:.6g}"
+                for m in metrics
+                if m in run["metrics"]
+            )
+            print(f"pair {i + 1:>2} {side:<6} {shown}", flush=True)
+        pairs.append(pair)
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s runs, "
+          f"{args.pairs} pairs; medians [quartiles]")
+    print(f"{'metric':<20} {'better':<6} {'parent':<32} {'change':<32} "
+          f"{'wins':>4} {'ties':>4} {'spread':>10}  rule")
+    for metric, better in metrics.items():
+        row = compare(pairs, metric, better)
+        spread = f"{row['spread']:.4g}" if "spread" in row else "-"
+        print(f"{metric:<20} {better:<6} {_quartile_text(row['parent']):<32} "
+              f"{_quartile_text(row['change']):<32} {row['wins']:>4} "
+              f"{row['ties']:>4} {spread:>10}  {'holds' if row['holds'] else 'no'}")
+    for failure in failures:
+        print(f"failed: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
