@@ -491,6 +491,7 @@ class MomentSequence:
         store: dict[MultiIndex, Scalar],
         logs: dict[MultiIndex, float],
     ) -> None:
+        """Check the mass and keep ``store`` and ``logs`` as they are."""
         s0 = store[(0,) * dim]
         if isinstance(s0, float) and not math.isfinite(s0):
             raise ValueError("mass s_0 must be finite")

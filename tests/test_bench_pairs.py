@@ -42,9 +42,13 @@ def _pairs(parent: list[float], change: list[float]) -> list[dict]:
 PARENT = [100.0 + i for i in range(10)]  # quartiles 101.75 and 107.25
 
 
+def _rate_row(change: list[float]) -> dict:
+    return bench_pairs.compare(_pairs(PARENT, change), "problems_per_s", "higher")
+
+
 class TestCompare:
     def test_gain_beyond_the_quartile_spread_holds(self):
-        row = bench_pairs.compare(_pairs(PARENT, [p + 10 for p in PARENT]), "problems_per_s", "higher")
+        row = _rate_row([p + 10 for p in PARENT])
         assert (row["wins"], row["ties"], row["pairs"]) == (10, 0, 10)
         assert row["parent"] == pytest.approx((101.75, 104.5, 107.25))
         assert row["change"][1] == pytest.approx(114.5)
@@ -52,7 +56,7 @@ class TestCompare:
         assert row["holds"]
 
     def test_every_pair_won_inside_the_spread_does_not_hold(self):
-        row = bench_pairs.compare(_pairs(PARENT, [p + 1 for p in PARENT]), "problems_per_s", "higher")
+        row = _rate_row([p + 1 for p in PARENT])
         assert row["wins"] == 10 and not row["holds"]
 
     @pytest.mark.parametrize("losses, holds", [(1, True), (2, False)])
@@ -60,21 +64,22 @@ class TestCompare:
         change = [p + 20 for p in PARENT]
         for i in range(losses):
             change[i] = PARENT[i] - 1
-        row = bench_pairs.compare(_pairs(PARENT, change), "problems_per_s", "higher")
+        row = _rate_row(change)
         assert row["wins"] == 10 - losses and row["holds"] is holds
 
     def test_ties_count_for_neither_side(self):
         change = [p + 20 for p in PARENT]
         change[0] = PARENT[0]
-        row = bench_pairs.compare(_pairs(PARENT, change), "problems_per_s", "higher")
+        row = _rate_row(change)
         assert (row["wins"], row["ties"], row["holds"]) == (9, 1, True)
         change[1] = PARENT[1]
-        row = bench_pairs.compare(_pairs(PARENT, change), "problems_per_s", "higher")
+        row = _rate_row(change)
         assert (row["wins"], row["ties"], row["holds"]) == (8, 2, False)
 
     def test_lower_is_better_for_a_latency(self):
         pairs = [
-            {"parent": _run(100.0, p50=4.0 + i / 100), "change": _run(100.0, p50=3.0 + i / 100)}
+            {"parent": _run(100.0, p50=4.0 + i / 100),
+             "change": _run(100.0, p50=3.0 + i / 100)}
             for i in range(10)
         ]
         latency = bench_pairs.compare(pairs, "latency_p50_ms", "lower")

@@ -247,6 +247,7 @@ class TestCheckSubsequenceBounds:
     @pytest.mark.parametrize(
         "second, matrix, level, name",
         [(-1.0, "plain", 2, "marginal"), (1.0, "shifted", 1, "index-shifted marginal")],
+        ids=["plain", "shifted"],
     )
     def test_failure_carries_the_verdict(self, second, matrix, level, name):
         # (1, 0, -1, 0, 1): the plain Hankel has eigenvalues -1, 0 and 2;

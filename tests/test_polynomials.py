@@ -196,15 +196,17 @@ class TestArithmeticResults:
     def test_results_equal_the_public_constructor(self, pair, scalar, exponent):
         a, b = pair
         c = Fraction(scalar)
+        scaled = Polynomial(a.dim, {k: v * c for k, v in a.terms.items()})
+        constant = Polynomial.constant(a.dim, scalar)
         cases = [
             (a + b, _reference_add(a, b)),
             (a - b, _reference_add(a, _reference_neg(b))),
             (-a, _reference_neg(a)),
             (a * b, _reference_mul(a, b)),
-            (a * scalar, Polynomial(a.dim, {k: v * c for k, v in a.terms.items()})),
-            (scalar * a, Polynomial(a.dim, {k: v * c for k, v in a.terms.items()})),
-            (a + scalar, _reference_add(a, Polynomial.constant(a.dim, scalar))),
-            (scalar - a, _reference_add(_reference_neg(a), Polynomial.constant(a.dim, scalar))),
+            (a * scalar, scaled),
+            (scalar * a, scaled),
+            (a + scalar, _reference_add(a, constant)),
+            (scalar - a, _reference_add(_reference_neg(a), constant)),
             (a**exponent, _reference_pow(a, exponent)),
         ]
         for got, ref in cases:
