@@ -74,16 +74,40 @@ class RankCollapse(MomentError):
 
 
 class NotFlat(MomentError):
-    """No truncation level exhibits the rank stabilization needed for extraction."""
+    """No truncation level exhibits the rank stabilization needed for extraction.
+
+    When a level scan refuses, ``failures`` holds a ``(level, error)`` pair
+    for each level whose extraction failed a check, in scan order; it is
+    ``None`` when no scan was run.
+    """
+
+    failures: list[tuple[int, MomentError]] | None = None
 
 
 class CommutatorTooLarge(MomentError):
-    """Compressed multiplication operators fail to commute within tolerance."""
+    """Compressed multiplication operators fail to commute within tolerance.
+
+    ``pair`` is the ``(i, j)`` of the first pair of coordinate operators that
+    failed, ``norm`` its commutator norm and ``bound`` the norm it exceeded;
+    each is ``None`` when no pair was compared.
+    """
+
+    pair: tuple[int, int] | None = None
+    norm: float | None = None
+    bound: float | None = None
 
 
 class IllConditionedWeights(MomentError):
     """The weight-recovery least-squares problem is rank deficient or yields
-    nonpositive weights."""
+    nonpositive weights.
+
+    ``rank`` is the least-squares rank when it fell short, and
+    ``min_weight`` the smallest weight when one was not positive; the other
+    is ``None``.
+    """
+
+    rank: int | None = None
+    min_weight: float | None = None
 
 
 class ValidationFailure(MomentError):
@@ -91,10 +115,14 @@ class ValidationFailure(MomentError):
     tolerance.
 
     ``worst`` is the worst relative residual that decided the miss, NaN
-    included; it is ``None`` when no residual was taken.
+    included, ``index`` the multi-index of its entry (of the first NaN
+    residual, if any) and ``tolerance`` the tolerance it exceeded; each is
+    ``None`` when no residual was taken.
     """
 
     worst: float | None = None
+    index: tuple[int, ...] | None = None
+    tolerance: float | None = None
 
 
 class NoPreimage(MomentError):

@@ -7,6 +7,16 @@ the localizing matrix of a polynomial ``f`` holds
 ``sum_gamma f_gamma * s[alpha + beta + gamma]``.  Both are the Gram matrices
 of the functional on products, so a representing nonnegative measure (on the
 set where ``f >= 0``) forces them to be positive semidefinite.
+
+Whether a measure reproduces the data is decided by one rule, that of
+:func:`require_reproduced`: the residual ``|m - t| / max(1, |t|)`` of each
+entry, with ``m`` the ``math.fsum`` of the atoms' terms, against ``tol``.
+:func:`require_reproduced` returns those residuals, and ``solve_1d`` and
+``pipeline`` report them, so it takes every row's ``fsum``.  Flat
+extraction only needs the verdict: its gate bounds every row's residual in
+one array pass from a sum in any order and the rounding error that order
+can make, and takes the ``fsum`` residuals only when the bound cannot
+decide, so its verdict and refusal are those of the same rule.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .polynomials import (
 
 DEFAULT_PSD_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -482,7 +493,7 @@ def require_reproduced(
         finite, residuals = -1, []  # every entry lies above degree -1
     if finite < degree:
         residuals += _residuals_above(measure, s, finite, degree)
-    return _require_within(residuals, tol, label)
+    return _require_within(residuals, s, degree, tol, label)
 
 
 def _residuals_above(
@@ -525,15 +536,42 @@ def _require_table_reproduces(
     degree: int,
     tol: float,
     label: str,
-) -> list[float]:
+) -> None:
     """The decision of :func:`require_reproduced`, on a measure's
     :func:`monomial_values` table through ``degree`` (its powers already
-    checked) and its float weights, for a caller that holds the table."""
-    return _require_within(_residuals(table, weights, s, degree), tol, label)
+    checked) and its float weights, for a caller that holds the table.
+
+    The decision is first taken from a bound in one array pass.  Each row's
+    terms summed in any order lie within ``gamma_{n-1} * sum |t|`` of their
+    exact sum (Higham 2002, section 4.2), ``n`` the number of atoms, so the
+    exact sum lies between ``sums - slack`` and ``sums + slack`` with
+    ``slack = 4 * eps * n * sum |t|``; rounding is monotone, so the larger
+    residual of the two endpoints is at least the ``fsum`` residual of
+    :func:`_residuals`.  When that bound is within ``tol`` for every row
+    the data is reproduced.  Otherwise (a row too close to call, a NaN, an
+    ``inf``, an endpoint that overflows, or a NaN ``tol``) the ``fsum``
+    residuals decide, so every verdict, message and ``fsum`` error is that
+    of :func:`_residuals` and :func:`_require_within`.
+    """
+    targets = moment_vector(s, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table * weights
+        sums = terms.sum(axis=1)
+        slack = (4.0 * _EPS * terms.shape[1]) * np.abs(terms).sum(axis=1)
+        bound = np.maximum(
+            np.abs((sums + slack) - targets), np.abs((sums - slack) - targets)
+        ) / np.fmax(1.0, np.abs(targets))
+    if not bound.max() <= tol:
+        _require_within(_residuals(table, weights, s, degree), s, degree, tol, label)
 
 
-def _require_within(residuals: list[float], tol: float, label: str) -> list[float]:
-    """:func:`require_reproduced`'s decision: ``np.max`` keeps a NaN, a miss."""
+def _require_within(
+    residuals: list[float], s: MomentSequence, degree: int, tol: float, label: str
+) -> list[float]:
+    """:func:`require_reproduced`'s decision on the residuals of the entries
+    of ``s`` through ``degree``: ``np.max`` keeps a NaN, a miss.  The miss
+    carries the worst residual as ``worst``, the entry it belongs to (the
+    first NaN's, if any) as ``index`` and ``tol`` as ``tolerance``."""
     worst = float(np.max(residuals, initial=0.0))
     if not worst <= tol:
         miss = ValidationFailure(
@@ -541,5 +579,8 @@ def _require_within(residuals: list[float], tol: float, label: str) -> list[floa
             f"{worst:g} exceeds {tol:g}"
         )
         miss.worst = worst
+        if residuals:
+            miss.index = _monomial_table(s.dim, degree)[int(np.argmax(residuals))]
+        miss.tolerance = tol
         raise miss
     return residuals

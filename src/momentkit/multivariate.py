@@ -43,6 +43,7 @@ from .errors import (
     CommutatorTooLarge,
     DegreeOverflow,
     IllConditionedWeights,
+    MomentError,
     NotFlat,
     RankCollapse,
     ValidationFailure,
@@ -176,10 +177,12 @@ def _operators(
     for i, j, comm_norm in zip(first, second, comm_norms):
         bound = tol * max(1.0, norms[i] * norms[j])
         if comm_norm > bound:
-            raise CommutatorTooLarge(
+            failure = CommutatorTooLarge(
                 f"coordinate operators {i} and {j} do not commute: "
                 f"commutator norm {comm_norm:g} exceeds {bound:g}"
             )
+            failure.pair, failure.norm, failure.bound = (i, j), comm_norm, bound
+            raise failure
     return ops, r
 
 
@@ -275,14 +278,18 @@ def _extract(
     a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
     if lstsq_rank < r:
-        raise IllConditionedWeights(
+        failure = IllConditionedWeights(
             f"weight system has rank {lstsq_rank} < {r}; atoms are not "
             f"separated enough to assign weights"
         )
+        failure.rank = int(lstsq_rank)
+        raise failure
     if any(w <= 0.0 for w in weights):
-        raise IllConditionedWeights(
+        failure = IllConditionedWeights(
             f"weight fit produced nonpositive weights: {list(weights)}"
         )
+        failure.min_weight = float(min(weights))
+        raise failure
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
     _require_table_reproduces(table, weights, s, degree, tol, "extracted measure")
@@ -310,7 +317,7 @@ def extract_atoms_auto(
             f"flat extraction needs moments of degree 2 or more; the data "
             f"has degree {s.max_degree}"
         )
-    failures: list[str] = []
+    failures: list[tuple[int, MomentError]] = []
     fr: FlatRankResult | None = None
     for level in range(1, s.max_degree // 2 + 1):
         if fr is None:
@@ -327,9 +334,11 @@ def extract_atoms_auto(
         except NotFlat:
             continue
         except (CommutatorTooLarge, IllConditionedWeights, ValidationFailure) as exc:
-            failures.append(f"level {level}: {exc}")
-    detail = f" ({'; '.join(failures)})" if failures else ""
-    raise NotFlat(
+            failures.append((level, exc))
+    detail = "; ".join(f"level {level}: {exc}" for level, exc in failures)
+    refusal = NotFlat(
         f"no truncation level up to {s.max_degree // 2} admits a validated "
-        f"atomic extraction{detail}"
+        f"atomic extraction{f' ({detail})' if detail else ''}"
     )
+    refusal.failures = failures
+    raise refusal

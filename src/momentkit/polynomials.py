@@ -171,14 +171,16 @@ class Polynomial:
         and are stored exactly as rationals (a float contributes the exact
         rational it represents).
 
-    Nothing changes ``terms`` after construction, so the graded-lex order of
-    the terms is sorted on its first read and kept (:meth:`sorted_terms`
-    hands out a copy).  The results of ``+``, ``-``, ``*`` and ``**`` are
-    built from canonical indices and ``Fraction`` coefficients, so they skip
-    the constructor's checks and only drop their zero coefficients.
+    ``terms`` is a read-only view of the private dict, so nothing changes
+    the terms after construction, and their graded-lex order is sorted on
+    its first read and kept (:meth:`sorted_terms` hands out a copy).
+    Arithmetic and the image algebra of :mod:`momentkit.reduction` read the
+    dict itself.  The results of ``+``, ``-``, ``*`` and ``**`` are built
+    from canonical indices and ``Fraction`` coefficients, so they skip the
+    constructor's checks and only drop their zero coefficients.
     """
 
-    __slots__ = ("dim", "terms", "_grlex")
+    __slots__ = ("dim", "_terms", "_grlex")
 
     def __init__(self, dim: int, terms: Mapping[Sequence[int], Scalar] | None = None):
         if dim < 1:
@@ -196,7 +198,7 @@ class Polynomial:
             if c:
                 clean[idx] = c
         self.dim = dim
-        self.terms = clean
+        self._terms = clean
         self._grlex: tuple[tuple[MultiIndex, Fraction], ...] | None = None
 
     @classmethod
@@ -206,9 +208,14 @@ class Polynomial:
         values, as arithmetic builds them: only zero coefficients are dropped."""
         poly = cls.__new__(cls)
         poly.dim = dim
-        poly.terms = {alpha: c for alpha, c in terms.items() if c}
+        poly._terms = {alpha: c for alpha, c in terms.items() if c}
         poly._grlex = None
         return poly
+
+    @property
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
+        """Read-only ``multi-index -> coefficient`` of the nonzero terms."""
+        return MappingProxyType(self._terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -233,12 +240,12 @@ class Polynomial:
     @property
     def degree(self) -> float:
         """Total degree; ``-inf`` for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return NEG_INF
-        return max(sum(alpha) for alpha in self.terms)
+        return max(sum(alpha) for alpha in self._terms)
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
+        return self._terms.get(tuple(alpha), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in graded-lex order of their multi-indices."""
@@ -248,12 +255,12 @@ class Polynomial:
         """:meth:`sorted_terms`, sorted on the first call and kept."""
         if self._grlex is None:
             self._grlex = tuple(
-                (a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)
+                (a, self._terms[a]) for a in sorted(self._terms, key=grlex_key)
             )
         return self._grlex
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -269,15 +276,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
-        acc = dict(self.terms)
-        for alpha, c in other.terms.items():
+        acc = dict(self._terms)
+        for alpha, c in other._terms.items():
             acc[alpha] = acc.get(alpha, Fraction(0)) + c
         return Polynomial._from_terms(self.dim, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_terms(self.dim, {a: -c for a, c in self.terms.items()})
+        return Polynomial._from_terms(self.dim, {a: -c for a, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else -_coerce_coeff(other))
@@ -289,14 +296,14 @@ class Polynomial:
         if isinstance(other, (int, float, Fraction)):
             c = _coerce_coeff(other)
             return Polynomial._from_terms(
-                self.dim, {a: v * c for a, v in self.terms.items()}
+                self.dim, {a: v * c for a, v in self._terms.items()}
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
         acc: dict[MultiIndex, Fraction] = {}
-        for alpha, ca in self.terms.items():
-            for beta, cb in other.terms.items():
+        for alpha, ca in self._terms.items():
+            for beta, cb in other._terms.items():
                 gamma = add_indices(alpha, beta)
                 acc[gamma] = acc.get(gamma, Fraction(0)) + ca * cb
         return Polynomial._from_terms(self.dim, acc)
@@ -319,7 +326,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -349,7 +356,7 @@ class Polynomial:
 
     def to_string(self, var_prefix: str = "x") -> str:
         """Human-readable infix form, highest-degree terms first."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces: list[str] = []
         for alpha, coeff in reversed(self._grlex_terms()):

@@ -155,7 +155,7 @@ class _ImageAlgebra:
     def __init__(self, dim: int, images: dict[MultiIndex, Polynomial]) -> None:
         #: Read-only ``alpha -> f^alpha``.
         self.images: Mapping[MultiIndex, Polynomial] = MappingProxyType(images)
-        top = max((sum(a) for image in images.values() for a in image.terms), default=0)
+        top = max((sum(a) for image in images.values() for a in image._terms), default=0)
         self._position = _monomial_index(dim, top)
         #: Per image, its exact coefficients and their positions in
         #: graded-lex order; the order is nested, so a position holds in
@@ -179,7 +179,7 @@ class _ImageAlgebra:
         the order of its ``terms`` dict, as the cancellation scale of
         :func:`pushed_power_sequence` sums them; built on its first read."""
         return tuple(
-            tuple((abs(_to_float(c)), self._position[a]) for a, c in image.terms.items())
+            tuple((abs(_to_float(c)), self._position[a]) for a, c in image._terms.items())
             for image in self.images.values()
         )
 
@@ -200,7 +200,7 @@ def _presentation_key(pres: SemiAlgebraicPresentation) -> _PresentationKey:
     """
     return (
         pres.dim,
-        tuple(tuple(sorted(f.terms.items())) for f in pres.generators),
+        tuple(tuple(sorted(f._terms.items())) for f in pres.generators),
     )
 
 
@@ -332,8 +332,8 @@ def _certificate(
     dim, generator_terms = key
     images = _image_algebra(key, budget).images
     order = list(images)  # graded-lex, as built
-    columns = [dict(images[alpha].terms) for alpha in order]
-    targets = [dict(Polynomial.variable(dim, i).terms) for i in range(dim)]
+    columns = [dict(images[alpha]._terms) for alpha in order]
+    targets = [dict(Polynomial.variable(dim, i)._terms) for i in range(dim)]
     solved = _solve_exact(columns, targets)
     if any(sol is None for sol in solved):
         return None
@@ -397,11 +397,11 @@ def pushforward_moments(
     if stored:
         for alpha, image in algebra.images.items():
             # Membership first: a Fraction comparison costs more.
-            if any(beta in stored for beta in image.terms) and all(
+            if any(beta in stored for beta in image._terms) and all(
                 c > 0 and (beta in stored or 0 < s.values[beta] < math.inf)
-                for beta, c in image.terms.items()
+                for beta, c in image._terms.items()
             ):
-                ells = [_log(c) + s._entry_log(beta) for beta, c in image.terms.items()]
+                ells = [_log(c) + s._entry_log(beta) for beta, c in image._terms.items()]
                 top = max(ells)
                 if top > -math.inf:
                     total = math.fsum(math.exp(ell - top) for ell in ells)

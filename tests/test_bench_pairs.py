@@ -124,3 +124,65 @@ def test_main_alternates_and_reports_a_failed_run(monkeypatch, capsys, tmp_path)
     # completed pair was won.
     row = next(line for line in out.splitlines() if line.startswith("problems_per_s"))
     assert row.split()[-4:] == ["8", "0", "5.5", "no"]
+
+
+class TestNoWorseVerdict:
+    """``compare``'s verdict against a bound of 0.25, over ``PARENT``
+    (median 104.5, so the limit is 26.125, and quartile spread 5.5)."""
+
+    def _verdict(self, change: list[float], parent=PARENT, bound=0.25) -> str:
+        pairs = _pairs(parent, change)
+        return bench_pairs.compare(pairs, "problems_per_s", "higher", bound)["verdict"]
+
+    def test_a_loss_within_the_bound_is_ok(self):
+        assert self._verdict([p - 20 for p in PARENT]) == "ok"
+
+    def test_a_loss_beyond_the_bound_is_worse(self):
+        assert self._verdict([p - 30 for p in PARENT]) == "worse"
+
+    def test_a_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [50.0, 150.0] * 5  # quartiles 50 and 150, median 100
+        assert self._verdict([p + 1 for p in parent], parent) == "unresolved"
+        # ... unless every change run beats every parent run.
+        assert self._verdict([151.0 + i for i in range(10)], parent) == "ok"
+
+    def test_a_loss_beyond_the_bound_is_worse_however_wide_the_spread(self):
+        parent = [50.0, 150.0] * 5
+        assert self._verdict([40.0] * 10, parent) == "worse"
+
+    def test_lower_is_better_for_a_latency(self):
+        pairs = [
+            {"parent": _run(100.0, p50=4.0), "change": _run(100.0, p50=p50)}
+            for p50 in (4.9, 5.1) * 5
+        ]
+        # The medians are 4.0 and 5.0, a loss of exactly the bound.
+        row = bench_pairs.compare(pairs, "latency_p50_ms", "lower", 0.25)
+        assert row["verdict"] == "ok"
+        pairs = [{"parent": _run(100.0, p50=4.0), "change": _run(100.0, p50=5.1)}] * 10
+        row = bench_pairs.compare(pairs, "latency_p50_ms", "lower", 0.25)
+        assert row["verdict"] == "worse"
+
+    def test_no_bound_gives_no_verdict(self):
+        assert "verdict" not in _rate_row([p + 10 for p in PARENT])
+
+
+def test_main_prints_a_verdict_per_metric(monkeypatch, capsys, tmp_path):
+    outputs = {"parent": iter(_stdout(r) for r in PARENT),
+               "change": iter(_stdout(r - 30, p50=3.6) for r in PARENT)}
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, next(outputs[Path(cwd).name]), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "solve-md",
+                             "--seed", "7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    verdicts = lines[lines.index(
+        "no worse than the parent, by each metric's bound in BENCHMARK.json") + 1:]
+    assert verdicts[:3] == [
+        f"  {'setup_s':<20} bound 0.25  -",
+        f"  {'problems_per_s':<20} bound 0.25  worse",
+        f"  {'latency_p50_ms':<20} bound 0.25  ok",
+    ]

@@ -22,7 +22,11 @@ from momentkit import (
     psd_check,
     AtomicMeasure,
 )
+from momentkit import matrices
 from momentkit.matrices import (
+    _require_table_reproduces,
+    _require_within,
+    _residuals,
     monomial_values,
     reproduction_residuals,
     require_psd,
@@ -832,3 +836,209 @@ class TestAssembledMatricesSkipTheSymmetryScan:
         with pytest.raises(ValueError, match="not symmetric"):
             SymmetricMatrixWithBasis(m.basis, entries)
         assert np.array_equal(SymmetricMatrixWithBasis(m.basis, m.entries).entries, m.entries)
+
+
+# ---------------------------------------------------------------------------
+# The flat-extraction gate decides from a rounding bound and takes the fsum
+# residuals only when the bound cannot decide.  Its reference is the gate as
+# it was: every row's fsum residual, then the decision.
+
+
+def _reference_table_gate(table, weights, s, degree, tol, label):
+    return _require_within(_residuals(table, weights, s, degree), s, degree, tol, label)
+
+
+def _gate_outcome(gate, table, weights, s, degree, tol):
+    """``"pass"``, or the error's type and message, and for a miss its
+    ``worst`` (by ``repr``, so NaN equals NaN), ``index`` and ``tolerance``."""
+    try:
+        gate(table, weights, s, degree, tol, "measure")
+    except ValidationFailure as exc:
+        return ("ValidationFailure", str(exc), repr(exc.worst), exc.index,
+                repr(exc.tolerance))
+    except (OverflowError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return "pass"
+
+
+_GATE_TOLS = [0.0, 1e-15, 1e-12, 1e-8, 1e-3, 1.0, math.inf, math.nan]
+_GATE_SCALES = [0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1.0, 1e20, 1e300, 1.7e308]
+
+
+@st.composite
+def _table_gate_cases(draw):
+    """A table of 1-20 atom columns over the monomials of a 1- or 2-variable
+    degree, float weights, targets and a tolerance.  Rows are finite,
+    subnormal or cancelling, and in wild cases also near overflow (their
+    exact sum may overflow) or hold an ``inf``; each target is the row's
+    exact sum or a value within ``1e-16 * tol`` (relative) of the residual
+    ``tol``, and in wild cases also a free float or a NaN or ``inf`` marker
+    (never the mass, which is finite)."""
+    dim = draw(st.integers(1, 2))
+    degree = draw(st.integers(0, 3))
+    rows = len(monomials_up_to(dim, degree))
+    n = draw(st.integers(1, 20))
+    tol = draw(st.sampled_from(_GATE_TOLS) | st.floats(0.0, 1.0))
+    weights = np.array(draw(st.lists(
+        st.sampled_from([1.0, 0.5, 2.0**-20, 3.0, 1e-300, 1e300])
+        | st.floats(1e-30, 1e30), min_size=n, max_size=n)))
+    # Half the cases keep to finite rows and exact or edge targets, so that
+    # every row can pass and the bound decides the whole table.
+    wild = draw(st.booleans())
+    kinds = ["mixed", "scaled", "cancel", "subnormal"]
+    wheres = ["exact", "edge"]
+    if wild:
+        kinds += ["overflow", "inf"]
+        wheres += ["free", "nan", "inf"]
+    table = np.empty((rows, n))
+    targets = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "mixed":
+            row = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        elif kind == "scaled":
+            scale = draw(st.sampled_from(_GATE_SCALES))
+            row = [scale * draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+        elif kind == "cancel":
+            big = draw(st.sampled_from([1.0, 1e16, 1e150, 1e300]))
+            row = [big * (-1.0) ** j for j in range(n)]
+            row[-1] += draw(st.floats(-1.0, 1.0))
+        elif kind == "overflow":
+            row = [draw(st.sampled_from([1.7e308, -1.7e308, 1e308, 2.0]))
+                   for _ in range(n)]
+        elif kind == "inf":
+            row = [draw(st.sampled_from([math.inf, -math.inf, 1.0]))
+                   for _ in range(n)]
+        else:
+            row = [draw(st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e-310]))
+                   for _ in range(n)]
+        table[i] = row
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (table[i] * weights).tolist()
+        try:
+            exact = math.fsum(terms)
+        except (OverflowError, ValueError):
+            exact = draw(st.floats(-1e300, 1e300))
+        where = draw(st.sampled_from(wheres))
+        if where == "exact":
+            t = exact
+        elif where == "edge" and math.isfinite(exact) and math.isfinite(tol):
+            # |exact - t| / max(1, |t|) within 1e-16 * tol of tol.
+            step = tol * (1.0 + draw(st.integers(-2, 2)) * 1e-16)
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            if abs(exact) >= 1.0 and step < 1.0:
+                t = exact / (1.0 - sign * step)
+            else:
+                t = exact + sign * step
+            if not math.isfinite(t):
+                t = exact
+        elif where == "nan":
+            t = math.nan
+        elif where == "inf":
+            t = draw(st.sampled_from([math.inf, -math.inf]))
+        else:
+            t = draw(st.floats(-1e308, 1e308))
+        targets.append(t if i or math.isfinite(t) else 1.0)
+    values = dict(zip(monomials_up_to(dim, degree), targets))
+    return table, weights, MomentSequence(dim, degree, values), degree, tol
+
+
+class TestTableGateMatchesTheFsumGate:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_table_gate_cases())
+    def test_same_outcome_as_the_reference(self, case):
+        assert _gate_outcome(_require_table_reproduces, *case) == _gate_outcome(
+            _reference_table_gate, *case
+        )
+
+    @staticmethod
+    def _counting(monkeypatch) -> list:
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _residuals(*args)
+
+        monkeypatch.setattr(matrices, "_residuals", counted)
+        return calls
+
+    @staticmethod
+    def _one_row(row, weights, target, tol=0.0):
+        s = MomentSequence(1, 0, {(0,): target})
+        return np.array([row]), np.array(weights), s, 0, tol
+
+    def test_extracted_atoms_pass_on_the_bound_alone(self, monkeypatch):
+        mu = _dyadic_measure(2, False)
+        s = moments_of_atomic(mu, 6)
+        table = monomial_values(2, [pt for pt, _ in mu.atoms], 6)
+        weights = np.array([w for _, w in mu.atoms])
+        calls = self._counting(monkeypatch)
+        assert _require_table_reproduces(table, weights, s, 6, 1e-12, "m") is None
+        assert calls == []
+
+    def test_too_close_to_call_falls_back_and_passes(self, monkeypatch):
+        # 0.5 + 0.25 is exact, but the bound cannot know: at tol 0 it
+        # exceeds tol, and the fsum residual 0 decides.
+        case = self._one_row([0.5, 0.25], [1.0, 1.0], 0.75)
+        calls = self._counting(monkeypatch)
+        assert _gate_outcome(_require_table_reproduces, *case) == "pass"
+        assert len(calls) == 1
+
+    def test_too_close_to_call_falls_back_and_refuses(self, monkeypatch):
+        case = self._one_row([0.5, 0.25], [1.0, 1.0], 0.75 + 2.0**-52, tol=1e-16)
+        calls = self._counting(monkeypatch)
+        outcome = _gate_outcome(_require_table_reproduces, *case)
+        assert outcome == _gate_outcome(_reference_table_gate, *case)
+        assert outcome[:2] == (
+            "ValidationFailure",
+            "measure misses the input moments: worst relative residual "
+            "2.22045e-16 exceeds 1e-16",
+        )
+        assert outcome[3:] == ((0,), "1e-16")
+        assert len(calls) == 1
+
+    def test_an_exact_sum_beyond_double_range_raises_fsums_error(self):
+        case = self._one_row([1e308, 1e308], [1.0, 1.0], 1.0, tol=1.0)
+        with pytest.raises(OverflowError):
+            _require_table_reproduces(*case, "m")
+        # The sum overflows on the way, though the exact sum is 1e308.
+        case = self._one_row([1.7e308, 1.7e308, -1.7e308], [1.0] * 3, 1.7e308, tol=1.0)
+        with pytest.raises(OverflowError):
+            _require_table_reproduces(*case, "m")
+
+    def test_opposite_infinities_raise_fsums_error(self):
+        case = self._one_row([math.inf, -math.inf], [1.0, 1.0], 0.0, tol=math.inf)
+        with pytest.raises(ValueError):
+            _require_table_reproduces(*case, "m")
+
+    def test_a_nan_tolerance_refuses_as_the_reference_does(self):
+        case = self._one_row([0.5, 0.25], [1.0, 1.0], 0.75, tol=math.nan)
+        outcome = _gate_outcome(_require_table_reproduces, *case)
+        assert outcome == _gate_outcome(_reference_table_gate, *case)
+        assert outcome[0] == "ValidationFailure" and outcome[4] == "nan"
+
+
+class TestGateMissCarriesItsEntry:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_index_and_tolerance_of_the_worst_entry(self, dim):
+        mu = _dyadic_measure(dim, False)
+        values = dict(moments_of_atomic(mu, 4).values)
+        alpha = monomials_up_to(dim, 4)[-2]
+        values[alpha] *= 1.001
+        s = MomentSequence(dim, 4, values)
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, s, 4, 1e-8, "measure")
+        assert raised.value.index == alpha
+        assert raised.value.tolerance == 1e-8
+        assert raised.value.worst == max(reproduction_residuals(mu, s, 4))
+
+    def test_the_first_nan_names_the_entry(self):
+        mu = _dyadic_measure(2, False)
+        values = dict(moments_of_atomic(mu, 4).values)
+        basis = monomials_up_to(2, 4)
+        values[basis[3]] *= 2.0  # a finite miss before the NaNs
+        values[basis[5]] = values[basis[9]] = math.nan
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, MomentSequence(2, 4, values), 4, 1e-8, "measure")
+        assert math.isnan(raised.value.worst)
+        assert raised.value.index == basis[5]

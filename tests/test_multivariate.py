@@ -634,3 +634,76 @@ class TestOneProbe:
         degree = min(2 * level, s.max_degree)
         assert max([0.0, *reproduction_residuals(nu, s, degree)]) <= 1e-8
         assert all(w > 0.0 for _, w in nu.atoms)
+
+
+class TestRefusalsCarryTheirNumbers:
+    """Each refusal of the level scan carries the numbers that decided it;
+    its message is unchanged."""
+
+    def test_commutator_pair_norm_and_bound(self):
+        values = dict(moments_of_atomic(_three_atoms(), 4).values)
+        values[(2, 1)] += 1e-6
+        s = MomentSequence(2, 4, values)
+        with pytest.raises(CommutatorTooLarge) as raised:
+            multiplication_operators(s, 2, rank_tol=1e-6)
+        failure = raised.value
+        assert failure.pair == (0, 1)
+        assert failure.norm > failure.bound >= 1e-8
+        assert str(failure) == (
+            f"coordinate operators 0 and 1 do not commute: commutator norm "
+            f"{failure.norm:g} exceeds {failure.bound:g}"
+        )
+
+    def _coinciding(self):
+        points = [(1.0, 0.0), (0.0, 1.0)]
+        return moments_of_atomic(AtomicMeasure(2, [(p, 0.5) for p in points]), 4)
+
+    def test_rank_deficient_weights_carry_the_rank(self):
+        with mock.patch.object(multivariate, "_probe_direction", _fixed_direction):
+            with pytest.raises(IllConditionedWeights) as raised:
+                extract_atoms(self._coinciding(), 2)
+        assert (raised.value.rank, raised.value.min_weight) == (1, None)
+
+    def test_a_nonpositive_weight_carries_the_smallest(self):
+        fit = np.linalg.lstsq
+
+        def tilted(a, b, rcond=None):
+            weights, *rest = fit(a, b, rcond=rcond)
+            return (weights - [0.75, 0.0, 0.0], *rest)
+
+        s = moments_of_atomic(_three_atoms(), 4)
+        with mock.patch.object(multivariate.np.linalg, "lstsq", tilted):
+            with pytest.raises(IllConditionedWeights) as raised:
+                extract_atoms(s, 2)
+        assert raised.value.rank is None
+        assert raised.value.min_weight < 0.0
+        assert str(raised.value).startswith("weight fit produced nonpositive weights")
+
+    def test_not_flat_lists_each_levels_error(self):
+        with mock.patch.object(multivariate, "_probe_direction", _fixed_direction):
+            with pytest.raises(NotFlat) as raised:
+                extract_atoms_auto(self._coinciding())
+        ((level, error),) = raised.value.failures
+        assert level == 2 and isinstance(error, IllConditionedWeights)
+        assert error.rank == 1
+        assert str(raised.value) == (
+            f"no truncation level up to 2 admits a validated atomic extraction "
+            f"(level 2: {error})"
+        )
+
+    def test_a_scan_with_no_failing_level_lists_none(self):
+        # Rank 1 then 2 in one variable: no level is flat, so none fails a check.
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1.0})
+        with pytest.raises(NotFlat) as raised:
+            extract_atoms_auto(s)
+        assert raised.value.failures == []
+
+    def test_gate_miss_carries_its_entry_and_tolerance(self):
+        points = [(1.0, 3.0), (3.0, 1.0)]
+        s = moments_of_atomic(AtomicMeasure(2, [(p, 0.5) for p in points]), 4)
+        with mock.patch.object(multivariate, "_probe_direction", _fixed_direction):
+            with pytest.raises(ValidationFailure) as raised:
+                extract_atoms(s, 2)
+        assert raised.value.index == (2, 2)
+        assert raised.value.tolerance == 1e-8
+        assert raised.value.worst > 1e-8

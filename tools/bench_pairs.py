@@ -19,6 +19,13 @@ tenths of all pairs run (a tie counts for neither side, nor does a pair
 with a failed run), and the medians lie apart by more than the parent's
 quartile spread.
 
+Below that table the tool judges every metric "no worse" by its ``bound``
+in ``BENCHMARK.json`` (a share of the parent's median): ``worse`` when the
+change's median is worse than the parent's by more than the bound,
+``unresolved`` when it is not but the parent's quartile spread is wider
+than the bound, unless every run of the change beats every run of the
+parent, and ``ok`` otherwise.
+
 A run fails on a non-zero exit, output ``parse_run`` cannot read, or
 ``correct`` false.  Each failure is printed, and the exit status is then 1.
 Nothing is written: the benchmarks run in their own checkouts.
@@ -46,11 +53,11 @@ WIN_SHARE = 0.9
 SIDES = ("parent", "change")
 
 
-def end_to_end_metrics() -> dict[str, str]:
-    """``name -> "higher" | "lower"`` of every end-to-end metric of
-    ``BENCHMARK.json``, in its order."""
+def end_to_end_metrics() -> dict[str, tuple[str, float]]:
+    """``name -> ("higher" | "lower", bound)`` of every end-to-end metric
+    of ``BENCHMARK.json``, in its order."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -82,11 +89,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(
-    pairs: list[dict[str, dict | None]], metric: str, better: str
+    pairs: list[dict[str, dict | None]],
+    metric: str,
+    better: str,
+    bound: float | None = None,
 ) -> dict:
     """One metric over the pairs (``{"parent": run, "change": run}``, a
     failed run ``None``): each side's quartiles over its good runs, the
-    change's wins and ties, the parent's quartile spread and the rule."""
+    change's wins and ties, the parent's quartile spread, the rule and,
+    given a ``bound``, the "no worse" verdict."""
     sign = 1.0 if better == "higher" else -1.0
     values: dict[str, list[float]] = {side: [] for side in SIDES}
     wins = ties = 0
@@ -111,6 +122,17 @@ def compare(
         row["spread"] = q3 - q1
         gap = sign * (row["change"][1] - parent_median)
         row["holds"] = wins >= WIN_SHARE * len(pairs) and gap > row["spread"]
+        if bound is not None:
+            limit = bound * abs(parent_median)
+            if -gap > limit:
+                row["verdict"] = "worse"
+            elif row["spread"] > limit and not (
+                min(sign * v for v in values["change"])
+                > max(sign * v for v in values["parent"])
+            ):
+                row["verdict"] = "unresolved"
+            else:
+                row["verdict"] = "ok"
     return row
 
 
@@ -154,12 +176,16 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.pairs} pairs; medians [quartiles]")
     print(f"{'metric':<20} {'better':<6} {'parent':<32} {'change':<32} "
           f"{'wins':>4} {'ties':>4} {'spread':>10}  rule")
-    for metric, better in metrics.items():
-        row = compare(pairs, metric, better)
+    rows = [compare(pairs, metric, *spec) for metric, spec in metrics.items()]
+    for row in rows:
         spread = f"{row['spread']:.4g}" if "spread" in row else "-"
-        print(f"{metric:<20} {better:<6} {_quartile_text(row['parent']):<32} "
+        print(f"{row['metric']:<20} {row['better']:<6} "
+              f"{_quartile_text(row['parent']):<32} "
               f"{_quartile_text(row['change']):<32} {row['wins']:>4} "
               f"{row['ties']:>4} {spread:>10}  {'holds' if row['holds'] else 'no'}")
+    print("\nno worse than the parent, by each metric's bound in BENCHMARK.json")
+    for row, (_, bound) in zip(rows, metrics.values()):
+        print(f"  {row['metric']:<20} bound {bound:<5g} {row.get('verdict', '-')}")
     for failure in failures:
         print(f"failed: {failure}")
     return 1 if failures else 0
