@@ -886,7 +886,7 @@ def _table_gate_cases(draw):
     # every row can pass and the bound decides the whole table.
     wild = draw(st.booleans())
     kinds = ["mixed", "scaled", "cancel", "subnormal"]
-    wheres = ["exact", "edge"]
+    wheres = ["exact", "edge", "edge"]
     if wild:
         kinds += ["overflow", "inf"]
         wheres += ["free", "nan", "inf"]
@@ -996,6 +996,16 @@ class TestTableGateMatchesTheFsumGate:
         )
         assert outcome[3:] == ((0,), "1e-16")
         assert len(calls) == 1
+
+    def test_a_sum_in_numpy_order_alone_would_pass_a_miss(self):
+        # numpy adds 1 + 1e-16 + 1e-16 to 1.0, fsum to 1 + 2**-52; against
+        # 1 - 2**-50 only the second misses tol 1e-15, so the slack must
+        # send this row to the fsum residual.
+        case = self._one_row([1.0, 1e-16, 1e-16], [1.0] * 3, 1.0 - 2.0**-50, 1e-15)
+        assert np.sum(case[0]) == 1.0 and math.fsum(case[0][0]) == 1.0 + 2.0**-52
+        outcome = _gate_outcome(_require_table_reproduces, *case)
+        assert outcome == _gate_outcome(_reference_table_gate, *case)
+        assert outcome[0] == "ValidationFailure"
 
     def test_an_exact_sum_beyond_double_range_raises_fsums_error(self):
         case = self._one_row([1e308, 1e308], [1.0, 1.0], 1.0, tol=1.0)
