@@ -583,9 +583,7 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
     )
 
     try:
-        residuals = matrices.require_reproduced(
-            mu, s, s.max_degree, args.tol, "pulled-back measure"
-        )
+        residuals = matrices.require_reproduced(mu, s, args.tol, "pulled-back measure")
     except ValidationFailure as exc:
         stage(
             "verify",

@@ -278,14 +278,11 @@ def _not_psd(verdict: PsdVerdict, level: int, matrix: str) -> HypothesisFailure:
     """The :class:`HypothesisFailure` of the ``"plain"`` or ``"shifted"``
     marginal matrix at ``level``, carrying its verdict's numbers."""
     name = "index-shifted marginal" if matrix == "shifted" else "marginal"
-    failure = HypothesisFailure(
+    return HypothesisFailure(
         f"{name} moment matrix at level {level} is not positive "
-        f"semidefinite (min eigenvalue {verdict.min_eigenvalue:g})"
+        f"semidefinite (min eigenvalue {verdict.min_eigenvalue:g})",
+        min_eigenvalue=verdict.min_eigenvalue, level=level, matrix=matrix,
     )
-    failure.min_eigenvalue = verdict.min_eigenvalue
-    failure.level = level
-    failure.matrix = matrix
-    return failure
 
 
 def check_subsequence_bounds(

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 
 class MomentError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  Keywords set the
+    evidence attributes the class declares, e.g. ``NotPsd(message,
+    min_eigenvalue=lam, tolerance=tol)``; any other raises ``TypeError``."""
+
+    def __init__(self, *args: object, **evidence: object) -> None:
+        super().__init__(*args)
+        for name, value in evidence.items():
+            declared = (vars(c).get("__annotations__", ()) for c in type(self).__mro__)
+            if not any(name in names for names in declared):
+                raise TypeError(f"{type(self).__name__} has no evidence {name!r}")
+            setattr(self, name, value)
 
 
 class DimMismatch(MomentError):

@@ -460,33 +460,27 @@ def require_psd(
     verdict's ``min_eigenvalue`` and ``tolerance``, on failure."""
     verdict = psd_check(matrix, tol_rel)
     if not verdict.is_psd:
-        failure = NotPsd(
+        raise NotPsd(
             f"{label} is not positive semidefinite: min eigenvalue "
-            f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}"
+            f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}",
+            min_eigenvalue=verdict.min_eigenvalue, tolerance=verdict.tolerance_used,
         )
-        failure.min_eigenvalue = verdict.min_eigenvalue
-        failure.tolerance = verdict.tolerance_used
-        raise failure
     return verdict
 
 
 def require_reproduced(
-    measure: AtomicMeasure,
-    s: MomentSequence,
-    degree: int,
-    tol: float,
-    label: str,
+    measure: AtomicMeasure, s: MomentSequence, tol: float, label: str
 ) -> list[float]:
-    """The moment-reproduction check of every solve: the residuals through
-    ``degree``, :func:`reproduction_residuals` in floats through the finite
-    prefix (``s.finite_degree()``) and :func:`_residuals_above`, exact, above
-    it, or at every degree when doubles cannot hold the prefix (an atom's
-    power or an exact entry there leaves double range, where
+    """The moment-reproduction check of every solve: the residual of every
+    entry of ``s``, :func:`reproduction_residuals` in floats through the
+    finite prefix (``s.finite_degree()``) and :func:`_residuals_above`,
+    exact, above it, or at every degree when doubles cannot hold the prefix
+    (an atom's power or an exact entry there leaves double range, where
     :func:`reproduction_residuals` raises ``OverflowError``, or its ``fsum``
     a ``ValueError`` on terms that overflow to ``inf`` and ``-inf``).  Raises
     :class:`ValidationFailure` when the worst residual exceeds ``tol`` or is
     NaN; that miss carries the residual as the error's ``worst``."""
-    finite = min(degree, s.finite_degree())
+    degree, finite = s.max_degree, s.finite_degree()
     try:
         residuals = reproduction_residuals(measure, s, finite)
     except (OverflowError, ValueError):
@@ -574,13 +568,11 @@ def _require_within(
     first NaN's, if any) as ``index`` and ``tol`` as ``tolerance``."""
     worst = float(np.max(residuals, initial=0.0))
     if not worst <= tol:
-        miss = ValidationFailure(
+        raise ValidationFailure(
             f"{label} misses the input moments: worst relative residual "
-            f"{worst:g} exceeds {tol:g}"
+            f"{worst:g} exceeds {tol:g}",
+            worst=worst,
+            index=_monomial_table(s.dim, degree)[int(np.argmax(residuals))],
+            tolerance=tol,
         )
-        miss.worst = worst
-        if residuals:
-            miss.index = _monomial_table(s.dim, degree)[int(np.argmax(residuals))]
-        miss.tolerance = tol
-        raise miss
     return residuals

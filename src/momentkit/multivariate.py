@@ -177,12 +177,11 @@ def _operators(
     for i, j, comm_norm in zip(first, second, comm_norms):
         bound = tol * max(1.0, norms[i] * norms[j])
         if comm_norm > bound:
-            failure = CommutatorTooLarge(
+            raise CommutatorTooLarge(
                 f"coordinate operators {i} and {j} do not commute: "
-                f"commutator norm {comm_norm:g} exceeds {bound:g}"
+                f"commutator norm {comm_norm:g} exceeds {bound:g}",
+                pair=(i, j), norm=comm_norm, bound=bound,
             )
-            failure.pair, failure.norm, failure.bound = (i, j), comm_norm, bound
-            raise failure
     return ops, r
 
 
@@ -250,7 +249,8 @@ def _extract(
         worst = float(np.max(np.abs(s._float_table())))
         if not worst <= tol:
             raise ValidationFailure(
-                f"rank 0 but moments reach {worst:g}; data is inconsistent"
+                f"rank 0 but moments reach {worst:g}; data is inconsistent",
+                worst=worst, tolerance=tol,
             )
         return AtomicMeasure(s.dim, [])
 
@@ -269,27 +269,26 @@ def _extract(
     degree = 2 * level
     try:
         table = monomial_values(s.dim, points, degree)
-    except OverflowError as exc:
+    except OverflowError:
+        table = None  # refused below, unchained: its traceback holds the scan's frame
+    if table is None:
         raise ValidationFailure(
             f"an extracted point has a power beyond double range by degree "
             f"{degree}; it cannot reproduce the input moments"
-        ) from exc
+        )
 
     a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)
     if lstsq_rank < r:
-        failure = IllConditionedWeights(
+        raise IllConditionedWeights(
             f"weight system has rank {lstsq_rank} < {r}; atoms are not "
-            f"separated enough to assign weights"
+            f"separated enough to assign weights", rank=int(lstsq_rank),
         )
-        failure.rank = int(lstsq_rank)
-        raise failure
     if any(w <= 0.0 for w in weights):
-        failure = IllConditionedWeights(
-            f"weight fit produced nonpositive weights: {list(weights)}"
+        raise IllConditionedWeights(
+            f"weight fit produced nonpositive weights: {list(weights)}",
+            min_weight=float(min(weights)),
         )
-        failure.min_weight = float(min(weights))
-        raise failure
 
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
     _require_table_reproduces(table, weights, s, degree, tol, "extracted measure")
@@ -334,11 +333,11 @@ def extract_atoms_auto(
         except NotFlat:
             continue
         except (CommutatorTooLarge, IllConditionedWeights, ValidationFailure) as exc:
-            failures.append((level, exc))
+            # Without its traceback, which holds this frame and so this list.
+            failures.append((level, exc.with_traceback(None)))
     detail = "; ".join(f"level {level}: {exc}" for level, exc in failures)
-    refusal = NotFlat(
+    raise NotFlat(
         f"no truncation level up to {s.max_degree // 2} admits a validated "
-        f"atomic extraction{f' ({detail})' if detail else ''}"
+        f"atomic extraction{f' ({detail})' if detail else ''}",
+        failures=failures,
     )
-    refusal.failures = failures
-    raise refusal

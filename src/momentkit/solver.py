@@ -19,9 +19,9 @@ def solve(
 
     ``mode="1d"`` runs :func:`~momentkit.univariate.solve_1d`, ``"md"`` flat
     extraction at ``level`` or by scanning, and ``"auto"`` picks ``"1d"`` for
-    1-D data with no ``level``.  The solver reads the finite prefix
-    ``s.restrict(s.finite_degree())``; every entry of ``s`` is then compared
-    by :func:`~momentkit.matrices.require_reproduced` (a miss is
+    1-D data with no ``level``.  Each route reads the finite prefix
+    ``s.restrict(s.finite_degree())``, and every entry of ``s`` is compared
+    (:func:`~momentkit.matrices.require_reproduced`; a miss is
     :class:`ValidationFailure`).  When the prefix stops short of
     ``s.max_degree`` the detail gains ``solved_degree``."""
     finite_degree = s.finite_degree()
@@ -30,8 +30,8 @@ def solve(
         # A level is a flat-extraction level, so giving one selects it.
         mode = "1d" if s.dim == 1 and level is None else "md"
     if mode == "1d":
-        result = univariate.solve_1d(prefix, rank_tol, tol)
-        measure, label = result.measure, "recovered measure"
+        result = univariate.solve_1d(s, rank_tol, tol)
+        measure = result.measure
         detail = {
             "mode": "1d",
             "rank": result.rank,
@@ -45,9 +45,8 @@ def solve(
             measure = multivariate.extract_atoms(prefix, level, rank_tol, tol, seed)
         else:
             measure, level = multivariate.extract_atoms_auto(prefix, rank_tol, tol, seed)
-        label = "extracted measure"
+        require_reproduced(measure, s, tol, "extracted measure")
         detail = {"mode": "md", "level": level, "rank": len(measure)}
-    require_reproduced(measure, s, s.max_degree, tol, label)
     if finite_degree < s.max_degree:
         detail["solved_degree"] = finite_degree
     return measure, detail

@@ -5,6 +5,8 @@ moment matrix, read off the three-term recurrence coefficients of the
 orthogonal polynomials, assemble the symmetric tridiagonal (Jacobi) matrix,
 and diagonalize it.  Eigenvalues are the support points; the squared first
 components of the normalized eigenvectors, times the mass, are the weights.
+:func:`gauss_rule` returns that rule (``q`` atoms reproduce ``s_0 ..
+s_{2q-1}``), and :func:`solve_1d` only a rule that reproduces every entry.
 
 Two implementation details matter for robustness:
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +79,23 @@ class JacobiMatrix:
 
 
 @dataclass
-class Solve1DResult:
-    """Outcome of 1-D atomic recovery."""
+class GaussRule:
+    """The ``rank``-atom Gauss rule of 1-D moment data, from its Jacobi
+    matrix: it reproduces ``s_0 .. s_{2 rank - 1}``, and no more is claimed."""
 
     measure: AtomicMeasure
     jacobi: JacobiMatrix
     rank: int
     stieltjes_supported: bool
+
+
+@dataclass
+class Solve1DResult(GaussRule):
+    """A Gauss rule that reproduces every entry of the data, with each
+    entry's residual (:func:`~momentkit.matrices.require_reproduced`)."""
+
     max_residual: float
-    residuals: list[float] = field(default_factory=list)
+    residuals: list[float]
 
 
 def _growth_scale(values: list[float]) -> float:
@@ -128,31 +138,45 @@ def solve_1d(
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_PSD_TOL,
 ) -> Solve1DResult:
-    """Recover an atomic measure reproducing 1-D moment data.
+    """:func:`gauss_rule` of the finite prefix ``s.restrict(s.finite_degree())``,
+    returned only if :func:`~momentkit.matrices.require_reproduced` finds every
+    entry of ``s`` (``inf`` markers and exact entries beyond double range
+    included) reproduced within ``tol``, with one residual per entry; a miss
+    raises :class:`ValidationFailure`."""
+    rule = gauss_rule(s.restrict(s.finite_degree()), rank_tol, tol)
+    residuals = require_reproduced(rule.measure, s, tol, "recovered measure")
+    return Solve1DResult(**vars(rule), max_residual=max(residuals), residuals=residuals)
+
+
+def gauss_rule(
+    s: MomentSequence,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    tol: float = DEFAULT_PSD_TOL,
+) -> GaussRule:
+    """The Gauss rule of 1-D moment data, not compared with the data.
 
     Parameters
     ----------
     s : MomentSequence
         One-dimensional data of truncation degree ``D``, read as doubles, so
         ``inf`` markers and exact entries beyond double range need
-        :func:`momentkit.solve`; the level-``D // 2`` matrix must be PSD.
+        :func:`solve_1d`; the level-``D // 2`` matrix must be PSD.
     rank_tol : float
         Relative singular-value threshold for the rank decision.
     tol : float
-        Relative tolerance both for the positivity precondition and for the
-        final moment-reproduction validation.
+        Relative tolerance of the positivity precondition.
 
     Returns
     -------
-    Solve1DResult
+    GaussRule
         ``measure`` has ``rank`` atoms (the numerical rank of the moment
         matrix, capped at ``D // 2`` since a larger rule would need moments
-        beyond the data); it reproduces ``s_0 .. s_{2q-1}`` (``q`` atoms)
-        within ``tol`` relative.  ``stieltjes_supported`` is true iff all
-        nodes lie in ``[0, inf)`` up to :data:`NODE_TOL`; nodes negative by
-        less than that are clamped to zero with a
-        :class:`ClampedNodeWarning`, and nodes clamped onto the same point
-        become one atom carrying their summed weight.
+        beyond the data); a ``q``-atom rule reproduces ``s_0 .. s_{2q-1}``
+        up to rounding.  ``stieltjes_supported`` is true iff all nodes lie
+        in ``[0, inf)`` up to :data:`NODE_TOL`; nodes negative by less than
+        that are clamped to zero with a :class:`ClampedNodeWarning`, and
+        nodes clamped onto the same point become one atom carrying their
+        summed weight.
 
     Raises
     ------
@@ -160,27 +184,18 @@ def solve_1d(
         If the moment matrix fails the positivity precondition.
     RankCollapse
         If the rank decision is inconsistent with positive mass.
-    ValidationFailure
-        If the recovered measure misses a moment of degree <= ``2q - 1``
-        by more than ``tol`` relative; where a node's power leaves double
-        range, :func:`~momentkit.matrices.require_reproduced` compares
-        those moments exactly.
     """
     if s.dim != 1:
-        raise DimMismatch(f"solve_1d needs 1-dimensional data, got dim {s.dim}")
+        raise DimMismatch(f"the Gauss rule needs 1-dimensional data, got dim {s.dim}")
     level = s.max_degree // 2
     values = s._float_table().tolist()
     mass = values[0]
     if mass <= 0.0:
         if all(v == 0.0 for v in values):
-            return Solve1DResult(
-                AtomicMeasure(1, []), JacobiMatrix([], []), 0, True, 0.0, []
-            )
+            return GaussRule(AtomicMeasure(1, []), JacobiMatrix([], []), 0, True)
         raise RankCollapse(f"mass s_0 = {mass} cannot carry nonzero moments")
     if s.max_degree < 1:
-        raise DegreeOverflow(
-            "placing an atom needs at least the first-order moment"
-        )
+        raise DegreeOverflow("placing an atom needs at least the first-order moment")
 
     scale = _growth_scale(values)
     # r_k = s_k / (s_0 c^k), the moments of the normalized variable over c.
@@ -194,9 +209,7 @@ def solve_1d(
     require_psd(hankel, tol, label="moment matrix")
     rank = numerical_rank(hankel, rank_tol)
     if rank == 0:
-        raise RankCollapse(
-            "moment matrix has numerical rank 0 despite positive mass"
-        )
+        raise RankCollapse("moment matrix has numerical rank 0 despite positive mass")
     # A q-atom rule needs moments through order 2q-1, so q cannot exceed
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
@@ -216,17 +229,13 @@ def solve_1d(
             offdiag.append(rows[j][j] / rows[j - 1][j - 1])
         prev_ratio = ratio
 
-    jacobi_scaled = JacobiMatrix(diag, offdiag)
-    eigenvalues, eigenvectors = np.linalg.eigh(jacobi_scaled.to_dense())
+    eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
     nodes = [scale * float(x) for x in eigenvalues]
     weights = [mass * float(eigenvectors[0, k]) ** 2 for k in range(q)]
 
     supported = all(x >= -NODE_TOL for x in nodes)
-    clamped: list[float] = []
-    for i, x in enumerate(nodes):
-        if -NODE_TOL <= x < 0.0:
-            clamped.append(x)
-            nodes[i] = 0.0
+    clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]
+    nodes = [0.0 if -NODE_TOL <= x < 0.0 else x for x in nodes]
     if clamped:
         warnings.warn(
             f"clamped {len(clamped)} slightly negative node(s) to zero: "
@@ -239,11 +248,5 @@ def solve_1d(
     for x, w in zip(nodes, weights):
         merged[x] = merged.get(x, 0.0) + w
     measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
-
-    residuals = require_reproduced(measure, s, 2 * q - 1, tol, "recovered measure")
-
-    jacobi = JacobiMatrix(
-        [scale * a for a in jacobi_scaled.diag],
-        [scale * b for b in jacobi_scaled.offdiag],
-    )
-    return Solve1DResult(measure, jacobi, q, supported, max(residuals), residuals)
+    jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
+    return GaussRule(measure, jacobi, q, supported)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -186,3 +187,56 @@ def test_main_prints_a_verdict_per_metric(monkeypatch, capsys, tmp_path):
         f"  {'problems_per_s':<20} bound 0.25  worse",
         f"  {'latency_p50_ms':<20} bound 0.25  ok",
     ]
+
+
+def _tallied(rate: float, kinds: dict[str, dict[str, int]]) -> str:
+    """:func:`_stdout` with a ``#   <kind> {...}`` line per kind after the
+    outcomes line."""
+    lines = _stdout(rate).splitlines()
+    rows = [f"#   {kind:<22} {json.dumps(row)}" for kind, row in kinds.items()]
+    return "\n".join([*lines[:2], *rows, lines[2]]) + "\n"
+
+
+def test_main_prints_each_sides_tallies_per_kind(monkeypatch, capsys, tmp_path):
+    # The parent's runs make 8 and 4 passes over one pool: the same shares.
+    # The change's third run answers one "a" problem wrongly.
+    one_pass = {"a": {"solved": 3, "wrong": 1}, "b": {"refused": 2}}
+
+    def times(n: int, kinds=one_pass) -> dict:
+        return {k: {s: n * c for s, c in row.items()} for k, row in kinds.items()}
+
+    moved = {"a": {"solved": 2, "wrong": 2}, "b": {"refused": 2}}
+    outputs = {
+        "parent": iter(_tallied(r, times(8 if i % 2 else 4)) for i, r in enumerate(PARENT)),
+        "change": iter(
+            _tallied(r, times(4, moved if i == 2 else one_pass))
+            for i, r in enumerate(PARENT)
+        ),
+    }
+
+    def fake_run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, next(outputs[Path(cwd).name]), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "solve-1d",
+                             "--seed", "7", "--pairs", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    start = lines.index("outcome tallies per kind: share of its operations "
+                        "solved / refused / wrong / crash")
+    assert lines[start + 1:] == [
+        f"  parent {'a':<22} 0.75 / 0 / 0.25 / 0",
+        f"  parent {'b':<22} 0 / 1 / 0 / 0",
+        "  parent: the same in all 4 completed runs",
+        f"  change {'a':<22} 0.75 / 0 / 0.25 / 0",
+        f"  change {'b':<22} 0 / 1 / 0 / 0",
+        "  change: other shares in pair(s) 3 than in pair 1",
+    ]
+
+
+def test_kind_shares_are_exact_and_count_missing_statuses_as_zero():
+    run = bench_pairs.bench_record.parse_run(_tallied(1.0, {"k": {"wrong": 1, "solved": 2}}))
+    assert bench_pairs.kind_shares(run) == {
+        "k": (Fraction(2, 3), Fraction(0), Fraction(1, 3), Fraction(0))
+    }

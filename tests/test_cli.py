@@ -890,16 +890,17 @@ def node_overflow_file(tmp_path, capsys):
 def test_solve_1d_node_power_beyond_double_range_is_compared_exactly(
     tmp_path, capsys
 ):
-    # A recovered node's cube leaves double range at the validated degree 3,
-    # so the 1-D validation compares s_0 .. s_3 exactly, and the entries
-    # above the prefix in logs; the 2-atom rule reproduces all of them.
+    # A recovered node's cube leaves double range inside the prefix, so the
+    # 1-D validation compares s_0 .. s_4 exactly, and the entries above the
+    # prefix in logs; the 2-atom rule reproduces all of them.  max_residual
+    # covers every entry, the ones compared in logs included.
     moments = node_overflow_file(tmp_path, capsys)
     out = tmp_path / "o.atoms"
     code, report = run_json(capsys, "solve", str(moments), str(out))
     assert code == EXIT_OK
     assert report["solved_degree"] == 4
     assert report["rank"] == 2
-    assert report["max_residual"] <= 1e-15
+    assert report["max_residual"] <= 1e-12
     assert out.exists()
 
 

@@ -608,7 +608,7 @@ class TestOneProbe:
                     extract_atoms(s, 2)
         (measure,) = built
         with pytest.raises(ValidationFailure) as gated:
-            require_reproduced(measure, s, 4, 1e-8, "extracted measure")
+            require_reproduced(measure, s, 1e-8, "extracted measure")
         assert str(extracted.value) == str(gated.value)
         assert repr(extracted.value.worst) == repr(gated.value.worst)
         assert extracted.value.worst > 1e-8
@@ -697,6 +697,25 @@ class TestRefusalsCarryTheirNumbers:
         with pytest.raises(NotFlat) as raised:
             extract_atoms_auto(s)
         assert raised.value.failures == []
+
+    @pytest.mark.parametrize("entry", [5.0, math.nan])
+    def test_a_rank_zero_miss_carries_worst_and_tolerance(self, entry):
+        values = {alpha: 0.0 for alpha in _all_indices(2, 4)}
+        values[(0, 4)] = entry
+        with pytest.raises(ValidationFailure) as raised:
+            extract_atoms(MomentSequence(2, 4, values), 1, tol=1e-6)
+        np.testing.assert_equal(raised.value.worst, entry)
+        assert raised.value.tolerance == 1e-6
+        assert raised.value.index is None
+
+    def test_evidence_keywords_are_the_declared_ones(self):
+        error = NotFlat("message", failures=[])
+        assert (str(error), error.failures) == ("message", [])
+        with pytest.raises(TypeError, match="NotFlat has no evidence 'worst'"):
+            NotFlat("message", worst=1.0)
+        # An attribute of every exception is not evidence.
+        with pytest.raises(TypeError, match="MomentError has no evidence 'args'"):
+            MomentError("message", args=())
 
     def test_gate_miss_carries_its_entry_and_tolerance(self):
         points = [(1.0, 3.0), (3.0, 1.0)]

@@ -16,10 +16,13 @@ from momentkit import (
     MomentError,
     MomentSequence,
     ValidationFailure,
+    fileformats,
     fixtures,
+    gauss_rule,
     moments_of_atomic,
     multivariate,
     solve,
+    solve_1d,
     univariate,
 )
 from momentkit.matrices import require_reproduced
@@ -140,7 +143,7 @@ def _route_measure(s: MomentSequence) -> AtomicMeasure:
     beyond the degree it reads."""
     prefix = s.restrict(s.finite_degree())
     if s.dim == 1:
-        return univariate.solve_1d(prefix, tol=TOL).measure
+        return univariate.gauss_rule(prefix, tol=TOL).measure
     return multivariate.extract_atoms_auto(prefix, tol=TOL)[0]
 
 
@@ -179,9 +182,9 @@ def test_the_check_above_the_prefix_accepts_exactly_the_true_measure(case):
     s, perturbed, measure = case
     if perturbed:
         with pytest.raises(ValidationFailure):
-            require_reproduced(measure, s, s.max_degree, TOL, "true measure")
+            require_reproduced(measure, s, TOL, "true measure")
     else:
-        residuals = require_reproduced(measure, s, s.max_degree, TOL, "true measure")
+        residuals = require_reproduced(measure, s, TOL, "true measure")
         assert max(residuals, default=0.0) <= 1e-12
 
 
@@ -243,3 +246,83 @@ def test_pushed_curve_data_is_checked_above_its_level():
     with pytest.raises(ValidationFailure) as miss:
         solve(_moved(s, (0, 12), Fraction(1001, 1000)))
     assert miss.value.worst == pytest.approx(2.0**-12 * 1e-3, rel=1e-6)
+
+
+@st.composite
+def _one_d_data(draw):
+    """Moments of 1-20 distinct nodes ``j / 64`` in ``[0.5, 3]`` with
+    weights ``k / 4`` in ``[0.25, 2]``, float or exact, of a degree from 1 to
+    two beyond the ``2n - 1`` that ``n`` atoms need."""
+    nodes = draw(st.lists(st.integers(32, 192), min_size=1, max_size=20, unique=True))
+    weights = draw(st.lists(st.integers(1, 8), min_size=len(nodes), max_size=len(nodes)))
+    exact = draw(st.booleans())
+    atoms = [((Fraction(j, 64),), Fraction(k, 4)) for j, k in zip(nodes, weights)]
+    if not exact:
+        atoms = [((float(x),), float(w)) for (x,), w in atoms]
+    degree = draw(st.integers(1, 2 * len(nodes) + 2))
+    return moments_of_atomic(AtomicMeasure(1, atoms), degree, exact=exact)
+
+
+def _inf_marker_file(moved: bool) -> MomentSequence:
+    """A moment file of exact degree-7 data that holds ``log:`` markers from
+    degree 5 on: atoms 0.5138..., 1.7787... (weight 1) and 1e105 (weight
+    1e-119).  ``moved`` raises the degree-6 marker's log by 1e-6."""
+    mu = AtomicMeasure(
+        1, [((0.5138143288314894,), 1.0), ((1.7787886843719507,), 1.0), ((1e105,), 1e-119)]
+    )
+    text = fileformats.format_moment_file(moments_of_atomic(mu, 7, exact=True))
+    if moved:
+        marker = next(ln for ln in text.splitlines() if ln.startswith("6 log:"))
+        log6 = float(marker.split("log:")[1])
+        text = text.replace(marker, f"6 log:{log6 + 1e-6!r}")
+    s = fileformats.parse_moment_file(text)
+    assert s.finite_degree() == 4 and math.isinf(s.values[(7,)])
+    return s
+
+
+def _one_d_outcome(call) -> tuple:
+    """``repr`` of the atoms of the measure a call returns, or its error's
+    type, message and ``worst``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedNodeWarning)
+            result = call()
+    except MomentError as exc:
+        return type(exc), str(exc), repr(getattr(exc, "worst", None))
+    measure = result[0] if isinstance(result, tuple) else result.measure
+    return (repr(measure.atoms),)
+
+
+def _assert_one_contract(s: MomentSequence) -> tuple:
+    """``solve`` in 1-D and ``solve_1d`` give one outcome, which is
+    returned, and the Gauss rule of the finite prefix reproduces ``s_0 ..
+    s_{2q-1}``."""
+    outcome = _one_d_outcome(lambda: solve_1d(s))
+    assert _one_d_outcome(lambda: solve(s, mode="1d")) == outcome
+    prefix = s.restrict(s.finite_degree())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedNodeWarning)
+            rule = gauss_rule(prefix)
+    except MomentError as exc:
+        assert outcome[:2] == (type(exc), str(exc))
+        return outcome
+    if rule.rank:
+        require_reproduced(rule.measure, prefix.restrict(2 * rule.rank - 1), TOL, "rule")
+    return outcome
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_one_d_data())
+def test_solve_and_solve_1d_hold_one_contract(s):
+    outcome = _assert_one_contract(s)
+    event("solved" if len(outcome) == 1 else outcome[0].__name__)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["true", "moved"])
+def test_one_contract_on_a_file_with_inf_markers(moved):
+    outcome = _assert_one_contract(_inf_marker_file(moved))
+    if moved:
+        assert outcome[0] is ValidationFailure
+    else:
+        assert len(outcome) == 1

@@ -19,6 +19,7 @@ from momentkit import (
     NotPsd,
     RankCollapse,
     ValidationFailure,
+    gauss_rule,
     moments_factorial,
     moments_of_atomic,
     solve_1d,
@@ -41,35 +42,53 @@ class TestJacobiMatrix:
             JacobiMatrix([1.0, 2.0], [1.0, 1.0])
 
 
+def _refused_at(s: MomentSequence, index: tuple[int, ...]) -> None:
+    """``solve_1d`` refuses ``s`` with a :class:`ValidationFailure` whose
+    worst residual is the one of the entry at ``index``."""
+    with pytest.raises(ValidationFailure, match="misses the input moments") as raised:
+        solve_1d(s)
+    assert raised.value.index == index
+    assert raised.value.tolerance == 1e-8
+
+
 class TestSolveFactorial:
     """s_k = k! is the moment sequence of the unit-rate exponential law;
-    its degree-4 truncation admits the two-point rule with nodes 2 -+ sqrt(2)
-    and weights (2 +- sqrt(2)) / 4 (the sign pairing is reversed), derived
-    by solving the 2x2 recurrence by hand."""
+    its degree-4 truncation admits the two-point Gauss rule with nodes
+    2 -+ sqrt(2) and weights (2 +- sqrt(2)) / 4 (the sign pairing is
+    reversed), derived by solving the 2x2 recurrence by hand.  The rule
+    reproduces s_0 .. s_3 and misses s_4 = 24 (it gives 20), so
+    ``solve_1d`` refuses the data there."""
 
     def test_nodes_and_weights(self):
-        res = solve_1d(moments_factorial(4))
-        atoms = res.measure.sorted_atoms()
+        rule = gauss_rule(moments_factorial(4))
+        atoms = rule.measure.sorted_atoms()
         assert len(atoms) == 2
         assert atoms[0][0][0] == pytest.approx(2.0 - SQRT2, abs=1e-12)
         assert atoms[1][0][0] == pytest.approx(2.0 + SQRT2, abs=1e-12)
         assert atoms[0][1] == pytest.approx((2.0 + SQRT2) / 4.0, abs=1e-12)
         assert atoms[1][1] == pytest.approx((2.0 - SQRT2) / 4.0, abs=1e-12)
+        _refused_at(moments_factorial(4), (4,))
 
     def test_recurrence_coefficients(self):
         # The orthogonal polynomials for this data satisfy the recurrence
         # with centers 2k + 1 and couplings k: truncated at two terms the
         # tridiagonal matrix is [[1, 1], [1, 3]].
-        res = solve_1d(moments_factorial(4))
-        assert res.jacobi.diag == pytest.approx([1.0, 3.0], abs=1e-12)
-        assert res.jacobi.offdiag == pytest.approx([1.0], abs=1e-12)
+        rule = gauss_rule(moments_factorial(4))
+        assert rule.jacobi.diag == pytest.approx([1.0, 3.0], abs=1e-12)
+        assert rule.jacobi.offdiag == pytest.approx([1.0], abs=1e-12)
+        _refused_at(moments_factorial(4), (4,))
 
     def test_reproduction_and_support(self):
-        res = solve_1d(moments_factorial(4))
-        assert res.rank == 2
-        assert res.stieltjes_supported
-        assert res.max_residual <= 1e-12
-        assert len(res.residuals) == 4
+        s = moments_factorial(4)
+        rule = gauss_rule(s)
+        assert rule.rank == 2
+        assert rule.stieltjes_supported
+        residuals = require_reproduced(rule.measure, s.restrict(3), 1e-12, "rule")
+        assert len(residuals) == 4
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(rule.measure, s, 1e-8, "rule")
+        assert raised.value.worst == pytest.approx(4.0 / 24.0, rel=1e-12)
+        _refused_at(s, (4,))
 
 
 class TestSolveKnownMeasures:
@@ -92,11 +111,13 @@ class TestSolveKnownMeasures:
 
     def test_density_data_yields_gaussian_rule(self):
         # s_k = 1/(k+1) (uniform on [0,1]) has full-rank truncations; the
-        # recovered rule is the three-point Gaussian rule for that weight:
-        # nodes 1/2 -+ sqrt(3/5)/2 and 1/2, weights 5/18, 4/9, 5/18.
+        # Gauss rule is the three-point Gaussian rule for that weight:
+        # nodes 1/2 -+ sqrt(3/5)/2 and 1/2, weights 5/18, 4/9, 5/18.  It
+        # reproduces s_0 .. s_5 and misses s_6, so solve_1d refuses it.
         s = MomentSequence(1, 6, {(k,): 1.0 / (k + 1) for k in range(7)})
-        res = solve_1d(s)
-        atoms = res.measure.sorted_atoms()
+        _refused_at(s, (6,))
+        rule = gauss_rule(s)
+        atoms = rule.measure.sorted_atoms()
         offset = math.sqrt(3.0 / 5.0) / 2.0
         assert [x for (x,), _ in atoms] == pytest.approx(
             [0.5 - offset, 0.5, 0.5 + offset], abs=1e-12
@@ -195,8 +216,8 @@ class TestSolveEdgeCases:
     def test_node_power_beyond_double_range_is_compared_exactly(self):
         # A tiny atom at 1e105 leaves the exact moments finite as doubles
         # through degree 4 only.  The recovered node's cube is beyond double
-        # range at the validated degree 2q - 1 = 3, so the gate compares
-        # s_0 .. s_3 exactly, and the 2-atom rule reproduces them.
+        # range, so the gate compares every entry, s_0 .. s_4, exactly, and
+        # the 2-atom rule reproduces them.
         mu = AtomicMeasure(
             1,
             [
@@ -213,14 +234,15 @@ class TestSolveEdgeCases:
         assert w_near == pytest.approx(2.0, rel=1e-12)
         assert far[0] == pytest.approx(1e105, rel=1e-12)
         assert w_far == pytest.approx(1e-119, rel=1e-12)
-        assert len(res.residuals) == 4
+        # One residual per entry that the call validates.
+        assert len(res.residuals) == 5
         assert res.max_residual <= 1e-15
         # s_3 moved by 1e-6 relative: the exact comparison refuses the rule.
         values = dict(s.values)
         values[(3,)] *= Fraction(1000001, 1000000)
         with pytest.raises(ValidationFailure, match="misses the input moments"):
             require_reproduced(
-                res.measure, MomentSequence(1, 7, values), 3, 1e-8, "recovered measure"
+                res.measure, MomentSequence(1, 7, values), 1e-8, "recovered measure"
             )
 
     def test_rank_zero_with_positive_mass_is_a_rank_collapse(self):

@@ -26,6 +26,13 @@ change's median is worse than the parent's by more than the bound,
 than the bound, unless every run of the change beats every run of the
 parent, and ``ok`` otherwise.
 
+Last come each side's outcome tallies per kind of problem (``by_kind`` of
+``parse_run``'s ``outcomes``): the share of the kind's operations that was
+solved, refused, wrong and crashed, from the side's first completed run.
+A run's tallies sum over its passes, and their number depends on the
+host's speed, so runs are compared by these shares, exactly; the tool says
+which of the side's runs read different shares from its first.
+
 A run fails on a non-zero exit, output ``parse_run`` cannot read, or
 ``correct`` false.  Each failure is printed, and the exit status is then 1.
 Nothing is written: the benchmarks run in their own checkouts.
@@ -39,6 +46,7 @@ import json
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +59,7 @@ _SPEC.loader.exec_module(bench_record)
 #: Share of all pairs run the change must win for a gain.
 WIN_SHARE = 0.9
 SIDES = ("parent", "change")
+STATUSES = ("solved", "refused", "wrong", "crash")
 
 
 def end_to_end_metrics() -> dict[str, tuple[str, float]]:
@@ -136,6 +145,39 @@ def compare(
     return row
 
 
+def kind_shares(run: dict) -> dict[str, tuple[Fraction, ...]]:
+    """Each kind's tallies of a parsed run as exact shares of the kind's
+    operations, in :data:`STATUSES` order."""
+    shares = {}
+    for kind, row in run["outcomes"]["by_kind"].items():
+        total = sum(row.values())
+        shares[kind] = tuple(Fraction(row.get(status, 0), total) for status in STATUSES)
+    return shares
+
+
+def tally_lines(pairs: list[dict[str, dict | None]]) -> list[str]:
+    """Each side's per-kind shares from its first completed run, and which
+    of its runs read other shares."""
+    lines = [f"outcome tallies per kind: share of its operations "
+             f"{' / '.join(STATUSES)}"]
+    for side in SIDES:
+        runs = [(i + 1, kind_shares(p[side])) for i, p in enumerate(pairs) if p[side]]
+        if not runs:
+            lines.append(f"  {side}: no completed run")
+            continue
+        (first, shares), rest = runs[0], runs[1:]
+        for kind, row in shares.items():
+            lines.append(f"  {side:<6} {kind:<22} "
+                         + " / ".join(f"{float(x):.4g}" for x in row))
+        differ = [str(n) for n, other in rest if other != shares]
+        lines.append(
+            f"  {side}: other shares in pair(s) {', '.join(differ)} than in pair {first}"
+            if differ
+            else f"  {side}: the same in all {len(runs)} completed runs"
+        )
+    return lines
+
+
 def _quartile_text(q: tuple[float, float, float] | None) -> str:
     return "-" if q is None else f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
@@ -186,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     print("\nno worse than the parent, by each metric's bound in BENCHMARK.json")
     for row, (_, bound) in zip(rows, metrics.values()):
         print(f"  {row['metric']:<20} bound {bound:<5g} {row.get('verdict', '-')}")
+    print()
+    print("\n".join(tally_lines(pairs)))
     for failure in failures:
         print(f"failed: {failure}")
     return 1 if failures else 0
