@@ -36,6 +36,7 @@ them differently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .errors import (
     TrivialFunctional,
 )
 from .matrices import DEFAULT_PSD_TOL, PsdVerdict, assemble, psd_check
-from .polynomials import MomentSequence, Scalar, _exp, _log, _to_float
+from .polynomials import _LOG_MAX, MomentSequence, Scalar, _log, _to_float
 
 DIVERGENCE_CONSISTENT = "divergence-consistent"
 CONVERGENCE_CONSISTENT = "convergence-consistent"
@@ -127,7 +128,14 @@ def normalize(s: MomentSequence) -> MomentSequence:
             "mass s_0 = 0: a positive functional with zero mass is identically "
             "zero (zero measure)"
         )
-    values = {a: _divide(v, mass) for a, v in s.values.items()}
+    # An int mass divides as a Fraction, so an int entry stays exact; every
+    # other quotient is the one _divide takes.  Where one raises, every entry
+    # takes _divide's rule.
+    divisor = Fraction(mass) if isinstance(mass, int) else mass
+    try:
+        values = {a: v / divisor for a, v in s.values.items()}
+    except (OverflowError, ZeroDivisionError):
+        values = {a: _divide(v, mass) for a, v in s.values.items()}
     log_mass = _log(mass)
     logs = {a: lv - log_mass for a, lv in s.log_values.items()}
     return MomentSequence._assembled(s.dim, s.max_degree, values, logs)
@@ -156,16 +164,21 @@ def _require_normalized(s: MomentSequence) -> None:
         )
 
 
-def _term_from_log(log_moment: float, root_order: int) -> float:
-    """``exp(-log_moment / (2 * root_order))``, ``inf`` on overflow."""
-    return _exp(-log_moment / (2.0 * root_order))
-
-
 def _partial_sums(terms: list[float]) -> list[float]:
-    sums: list[float] = []
-    for i in range(len(terms)):
-        sums.append(math.fsum(terms[: i + 1]))
-    return sums
+    return [math.fsum(terms[:i]) for i in range(1, len(terms) + 1)]
+
+
+@functools.lru_cache(maxsize=256)
+def _fit_abscissae(
+    start: int, length: int
+) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
+    """The abscissae ``x_i = log(start + i)``, ``i < length``, of the
+    log-log fit of :func:`_classify`, each less their mean, their mean and
+    the ``fsum`` of their squared deviations."""
+    xs = tuple(math.log(start + i) for i in range(length))
+    x_mean = math.fsum(xs) / length
+    deviations = tuple(x - x_mean for x in xs)
+    return xs, deviations, x_mean, math.fsum(d**2 for d in deviations)
 
 
 def _classify(terms: list[float]) -> tuple[str, dict]:
@@ -190,12 +203,10 @@ def _classify(terms: list[float]) -> tuple[str, dict]:
     if median_ratio <= RATIO_LIMIT and max_ratio <= RATIO_CEILING:
         details["rule"] = "geometric-ratio"
         return CONVERGENCE_CONSISTENT, details
-    xs = [math.log(half + 1 + i) for i in range(len(tail))]
+    xs, deviations, x_mean, var = _fit_abscissae(half + 1, len(tail))
     ys = [math.log(t) for t in tail]
-    x_mean = math.fsum(xs) / len(xs)
     y_mean = math.fsum(ys) / len(ys)
-    var = math.fsum((x - x_mean) ** 2 for x in xs)
-    cov = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    cov = math.fsum(d * (y - y_mean) for d, y in zip(deviations, ys))
     slope = cov / var if var else 0.0
     intercept = y_mean - slope * x_mean
     residual = math.sqrt(
@@ -228,7 +239,11 @@ def _series_report(
             f"at {s.max_degree}"
         )
     logs = s._marginal_logs(axis, range(order, order * count + 1, order))
-    terms = [_term_from_log(lm, n * root) for n, lm in enumerate(logs, 1)]
+    # exp(-lm / (2 n root)), inf from _LOG_MAX on, as polynomials._exp gives it.
+    terms = [
+        math.inf if (x := -lm / (2.0 * (n * root))) >= _LOG_MAX else math.exp(x)
+        for n, lm in enumerate(logs, 1)
+    ]
     degenerate = -math.inf in logs
     sums = _partial_sums(terms)
     if not all(lm < math.inf for lm in logs):  # a +inf or NaN log
@@ -364,8 +379,12 @@ def check_subsequence_bounds(
             termwise_margin = max(termwise_margin, diff(g[base], g[idx]) / 2.0)
     termwise_ok = termwise_margin <= INEQUALITY_SLACK
 
-    # a(k) for k = 1 .. high, each computed once for both sums.
-    terms = [0.0] + [_term_from_log(g[k] * k, k) for k in range(1, high + 1)]
+    # a(k) = exp(-g_k k / (2 k)) for k = 1 .. high, each computed once for
+    # both sums, inf from _LOG_MAX on, as polynomials._exp gives it.
+    terms = [0.0] + [
+        math.inf if (x := -(g[k] * k) / (2.0 * k)) >= _LOG_MAX else math.exp(x)
+        for k in range(1, high + 1)
+    ]
     sum_lhs = math.fsum(terms[stride : count + 1])
     sum_rhs = stride * math.fsum(terms[stride : high + 1 : stride])
     if math.isinf(sum_lhs) and math.isinf(sum_rhs):

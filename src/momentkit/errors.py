@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 
 class MomentError(Exception):
     """Base class for all errors raised by this package.  Keywords set the
@@ -10,11 +12,19 @@ class MomentError(Exception):
 
     def __init__(self, *args: object, **evidence: object) -> None:
         super().__init__(*args)
+        declared = _evidence_names(type(self))
         for name, value in evidence.items():
-            declared = (vars(c).get("__annotations__", ()) for c in type(self).__mro__)
-            if not any(name in names for names in declared):
+            if name not in declared:
                 raise TypeError(f"{type(self).__name__} has no evidence {name!r}")
             setattr(self, name, value)
+
+
+@functools.cache
+def _evidence_names(cls: type) -> frozenset[str]:
+    """The evidence attributes ``cls`` and its bases declare (annotate)."""
+    return frozenset(
+        name for c in cls.__mro__ for name in vars(c).get("__annotations__", ())
+    )
 
 
 class DimMismatch(MomentError):

@@ -269,12 +269,12 @@ def _powers(column: Sequence[float], degree: int) -> np.ndarray:
     """``x ** e`` with one row per ``e = 0 .. degree`` and one column per
     float ``x`` of ``column``.
 
-    Every power is Python's ``float ** int`` (``np.power`` rounds some of
-    them differently), so a power beyond double range raises
-    ``OverflowError``.
+    Every power is Python's ``float ** int``, taken elementwise over an
+    object array (``np.power`` on floats rounds some of them differently),
+    so a power beyond double range raises ``OverflowError``.
     """
-    table = [[x**e for x in column] for e in range(degree + 1)]
-    return np.array(table, dtype=float).reshape(degree + 1, len(column))
+    exponents = np.arange(degree + 1)
+    return np.power.outer(np.array(column, dtype=object), exponents).astype(float).T
 
 
 def _exact_sums(
@@ -321,9 +321,9 @@ def monomial_values(
     """
     coords = [[float(x) for x in pt] for pt in points]
     exponents = _exponents(dim, degree)
-    values = np.ones((len(exponents), len(coords)))
+    values = _powers([c[0] for c in coords], degree)[exponents[:, 0]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(dim):
+        for j in range(1, dim):
             powers = _powers([c[j] for c in coords], degree)
             values = values * powers[exponents[:, j]]
     return values
@@ -338,14 +338,21 @@ def reproduction_residuals(
     ``|alpha| <= degree`` in graded-lex order, each sum taken with
     :func:`math.fsum` over the atoms.
     """
+    return _measure_residuals(measure, s, degree).tolist()
+
+
+def _measure_residuals(
+    measure: AtomicMeasure, s: MomentSequence, degree: int
+) -> np.ndarray:
+    """:func:`reproduction_residuals` as an array."""
     table = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
     return _residuals(table, np.array([float(w) for _, w in measure.atoms]), s, degree)
 
 
 def _residuals(
     table: np.ndarray, weights: np.ndarray, s: MomentSequence, degree: int
-) -> list[float]:
-    """:func:`reproduction_residuals` from the measure's
+) -> np.ndarray:
+    """:func:`reproduction_residuals`, as an array, from the measure's
     :func:`monomial_values` table through ``degree`` and its float
     weights."""
     targets = moment_vector(s, degree)
@@ -353,7 +360,7 @@ def _residuals(
         rows = (table * weights).tolist()
         sums = np.fromiter(map(math.fsum, rows), dtype=float, count=len(rows))
         # fmax, like max(1.0, t), ignores a NaN target.
-        return (np.abs(sums - targets) / np.fmax(1.0, np.abs(targets))).tolist()
+        return np.abs(sums - targets) / np.fmax(1.0, np.abs(targets))
 
 
 def _as_array(matrix: SymmetricMatrixWithBasis | np.ndarray) -> np.ndarray:
@@ -388,7 +395,8 @@ def psd_check(
     if scale == 0.0:
         return PsdVerdict(True, 0.0, tol_rel)
     m = m / scale
-    m = (m + m.T) / 2.0
+    m += m.T  # numpy reads m.T from a copy, as m + m.T does
+    m /= 2.0
     tolerance = tol_rel * max(1.0 / scale, float(np.abs(m).sum(axis=1).max()))
     try:
         min_eig = float(np.linalg.eigvalsh(m)[0])
@@ -482,11 +490,12 @@ def require_reproduced(
     NaN; that miss carries the residual as the error's ``worst``."""
     degree, finite = s.max_degree, s.finite_degree()
     try:
-        residuals = reproduction_residuals(measure, s, finite)
+        residuals = _measure_residuals(measure, s, finite)
     except (OverflowError, ValueError):
-        finite, residuals = -1, []  # every entry lies above degree -1
+        finite, residuals = -1, np.empty(0)  # every entry lies above degree -1
     if finite < degree:
-        residuals += _residuals_above(measure, s, finite, degree)
+        above = _residuals_above(measure, s, finite, degree)
+        residuals = np.concatenate((residuals, above))
     return _require_within(residuals, s, degree, tol, label)
 
 
@@ -560,12 +569,13 @@ def _require_table_reproduces(
 
 
 def _require_within(
-    residuals: list[float], s: MomentSequence, degree: int, tol: float, label: str
+    residuals: np.ndarray, s: MomentSequence, degree: int, tol: float, label: str
 ) -> list[float]:
     """:func:`require_reproduced`'s decision on the residuals of the entries
-    of ``s`` through ``degree``: ``np.max`` keeps a NaN, a miss.  The miss
-    carries the worst residual as ``worst``, the entry it belongs to (the
-    first NaN's, if any) as ``index`` and ``tol`` as ``tolerance``."""
+    of ``s`` through ``degree``, returned as a list: ``np.max`` keeps a NaN,
+    a miss.  The miss carries the worst residual as ``worst``, the entry it
+    belongs to (the first NaN's, if any) as ``index`` and ``tol`` as
+    ``tolerance``."""
     worst = float(np.max(residuals, initial=0.0))
     if not worst <= tol:
         raise ValidationFailure(
@@ -575,4 +585,4 @@ def _require_within(
             index=_monomial_table(s.dim, degree)[int(np.argmax(residuals))],
             tolerance=tol,
         )
-    return residuals
+    return residuals.tolist()

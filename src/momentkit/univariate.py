@@ -70,11 +70,9 @@ class JacobiMatrix:
     def to_dense(self) -> np.ndarray:
         n = self.size
         m = np.zeros((n, n), dtype=float)
-        for i, a in enumerate(self.diag):
-            m[i, i] = a
-        for i, b in enumerate(self.offdiag):
-            m[i, i + 1] = b
-            m[i + 1, i] = b
+        flat = m.reshape(-1)  # a view: m is C-contiguous
+        flat[:: n + 1] = self.diag
+        flat[1 :: n + 1] = flat[n :: n + 1] = self.offdiag
         return m
 
 
@@ -230,8 +228,9 @@ def gauss_rule(
         prev_ratio = ratio
 
     eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
-    nodes = [scale * float(x) for x in eigenvalues]
-    weights = [mass * float(eigenvectors[0, k]) ** 2 for k in range(q)]
+    nodes = [scale * x for x in eigenvalues.tolist()]
+    # q >= 1: the first pivot is r_0 = s_0 / s_0 = 1.
+    weights = [mass * v**2 for v in eigenvectors[0].tolist()]
 
     supported = all(x >= -NODE_TOL for x in nodes)
     clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]

@@ -48,6 +48,16 @@ class TestParseArgs:
         args = answer_digest.parse_args(["--workload", "all", "--seed", "1"])
         assert args.workloads == ORDER
 
+    def test_workloads_repeat_in_the_order_given(self):
+        args = answer_digest.parse_args(
+            ["--workload", "reduce-curve", "--seed", "1", "--workload", "solve-md"]
+        )
+        assert args.workloads == ("reduce-curve", "solve-md")
+        args = answer_digest.parse_args(
+            ["--workload", "solve-1d", "--workload", "all", "--seed", "1"]
+        )
+        assert args.workloads == ("solve-1d", *ORDER)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -78,6 +88,24 @@ def test_one_all_line_per_workload_and_seed(monkeypatch, capsys):
     empty = hashlib.sha256().hexdigest()
     assert capsys.readouterr().out.splitlines() == [
         f"all\t{name}\t{seed}\t0\t{empty}" for name, seed in expected
+    ]
+
+
+def test_every_workload_given_runs(monkeypatch, capsys):
+    built = []
+
+    def empty_pool(wl, seed, ctx, limit):
+        built.append((wl.name, seed))
+        return []
+
+    monkeypatch.setattr(answer_digest.run, "pin_blas_threads", lambda: None)
+    monkeypatch.setattr(answer_digest.run, "build_pool", empty_pool)
+    argv = ["--workload", "reduce-curve", "--workload", "solve-md", "--seed", "5"]
+    assert answer_digest.main(argv) == 0
+    assert built == [("reduce-curve", 5), ("solve-md", 5)]
+    assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()] == [
+        "reduce-curve",
+        "solve-md",
     ]
 
 

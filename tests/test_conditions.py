@@ -418,6 +418,55 @@ class TestNormalizeBesideAnExactMass:
         assert terms[1] == pytest.approx(1.316e-100, rel=1e-3)
 
 
+_MASSES = (
+    st.sampled_from([1, 3, 10**400, Fraction(13, 4), Fraction(10**400, 3)])
+    | st.sampled_from([Fraction(1, 10**400), 2.0, 0.1, 5e-324, 1e300])
+    | st.integers(1, 10**6)
+    | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).filter(bool)
+    | st.floats(min_value=5e-324, max_value=1e308)
+)
+_ENTRIES = (
+    st.integers(-(10**6), 10**6)
+    | st.sampled_from([0, 10**400, -(10**400), Fraction(10**400, 3), Fraction(1, 10**400)])
+    | st.fractions(max_denominator=10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+class TestNormalizeEqualsThePerEntryRule:
+    """``normalize`` divides all entries in one comprehension and falls back
+    to ``_divide`` entry by entry where a quotient raises; either way every
+    value is ``_divide``'s, type and bits."""
+
+    @staticmethod
+    def _per_entry(s):
+        return [repr(conditions._divide(v, s.mass)) for v in s.values.values()]
+
+    @settings(max_examples=400, deadline=None)
+    @given(mass=_MASSES, entries=st.lists(_ENTRIES, max_size=8))
+    def test_values_by_repr(self, mass, entries):
+        values = {(0,): mass, **{(n + 1,): v for n, v in enumerate(entries)}}
+        s = MomentSequence(1, len(entries), values)
+        got = normalize(s).values
+        assert list(got) == list(s.values)
+        assert [repr(v) for v in got.values()] == self._per_entry(s)
+
+    def test_int_mass_keeps_int_entries_exact(self):
+        s = MomentSequence(1, 3, {(0,): 6, (1,): 4, (2,): 0.5, (3,): Fraction(1, 3)})
+        got = normalize(s).values
+        assert [repr(v) for v in got.values()] == self._per_entry(s)
+        assert got == {(0,): 1, (1,): Fraction(2, 3), (2,): 0.5 / 6, (3,): Fraction(1, 18)}
+
+    def test_float_beside_an_exact_mass_beyond_double_range(self):
+        mass = Fraction(10**400, 3)
+        s = MomentSequence(
+            1, 3, {(0,): mass, (1,): mass, (2,): math.inf, (3,): 5e300}, {(2,): 2000.0}
+        )
+        got = normalize(s).values
+        assert [repr(v) for v in got.values()] == self._per_entry(s)
+        assert got[(3,)] == float(Fraction(5e300) / mass)
+
+
 class TestSignedMarginals:
     """Negative odd moments (atoms on both sides of 0) are read only where a
     diagnostic asks for them."""
@@ -475,6 +524,61 @@ def _reference_log_marginal(s, axis, order):
     return s.log_value(s._axis_index(axis, order))
 
 
+def _reference_term(log_moment, root_order):
+    return _exp(-log_moment / (2.0 * root_order))
+
+
+def _reference_partial_sums(terms):
+    sums = []
+    for i in range(len(terms)):
+        sums.append(math.fsum(terms[: i + 1]))
+    return sums
+
+
+def _reference_classify(terms):
+    """``conditions._classify`` with its fit abscissae taken afresh."""
+    half = len(terms) // 2
+    tail = terms[half:]
+    details = {"tail_start": half + 1}
+    if len(tail) < 2:
+        details["rule"] = "insufficient-tail"
+        return INCONCLUSIVE, details
+    if any(t == 0.0 for t in tail):
+        details["rule"] = "vanishing-terms"
+        return CONVERGENCE_CONSISTENT, details
+    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
+    ordered = sorted(ratios)
+    mid = len(ordered) // 2
+    median_ratio = (
+        ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    )
+    max_ratio = max(ratios)
+    details["median_ratio"] = median_ratio
+    details["max_ratio"] = max_ratio
+    if median_ratio <= conditions.RATIO_LIMIT and max_ratio <= conditions.RATIO_CEILING:
+        details["rule"] = "geometric-ratio"
+        return CONVERGENCE_CONSISTENT, details
+    xs = [math.log(half + 1 + i) for i in range(len(tail))]
+    ys = [math.log(t) for t in tail]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    var = math.fsum((x - x_mean) ** 2 for x in xs)
+    cov = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = cov / var if var else 0.0
+    intercept = y_mean - slope * x_mean
+    residual = math.sqrt(
+        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+        / len(xs)
+    )
+    details["decay_exponent"] = -slope
+    details["fit_residual"] = residual
+    if -slope <= conditions.SLOPE_LIMIT and residual <= conditions.RESIDUAL_LIMIT:
+        details["rule"] = "power-law"
+        return DIVERGENCE_CONSISTENT, details
+    details["rule"] = "unclassified-decay"
+    return INCONCLUSIVE, details
+
+
 def _reference_series(s, axis, count, order, root):
     conditions._require_normalized(s)
     if order < 1:
@@ -494,8 +598,8 @@ def _reference_series(s, axis, count, order, root):
             degenerate = True
         if lm == math.inf or math.isnan(lm):
             without_value = True
-        terms.append(conditions._term_from_log(lm, n * root))
-    sums = conditions._partial_sums(terms)
+        terms.append(_reference_term(lm, n * root))
+    sums = _reference_partial_sums(terms)
     if without_value:
         classification = conditions.INCONCLUSIVE
         details = {"rule": "entry-without-value"}
@@ -503,10 +607,47 @@ def _reference_series(s, axis, count, order, root):
         classification = DIVERGENCE_CONSISTENT
         details = {"rule": "degenerate-zero-moment"}
     else:
-        classification, details = conditions._classify(terms)
+        classification, details = _reference_classify(terms)
     return conditions.DiagnosticReport(
         terms, sums, classification, details, degenerate
     )
+
+
+@st.composite
+def _series_terms(draw):
+    """Free positive floats, or terms decaying like a power of ``n`` or
+    geometrically, with jitter, so that every rule of ``_classify`` is met."""
+    count = draw(st.integers(0, 130))
+    kind = draw(st.sampled_from(["free", "power", "geometric"]))
+    if kind == "free":
+        return draw(st.lists(st.floats(1e-300, 1e300), min_size=count, max_size=count))
+    rate = draw(st.floats(0.05, 3.0))
+    jitter = draw(st.lists(st.floats(0.9, 1.1), min_size=count, max_size=count))
+    if kind == "power":
+        return [j * (n + 1) ** -rate for n, j in enumerate(jitter)]
+    return [j * math.exp(-rate * n) for n, j in enumerate(jitter)]
+
+
+class TestClassifyEqualsTheUncachedReference:
+    @settings(max_examples=400, deadline=None)
+    @given(terms=_series_terms())
+    def test_same_verdict_and_details(self, terms):
+        reference = repr(_reference_classify(terms))
+        # the second call reads the fit abscissae from the cache
+        assert repr(conditions._classify(terms)) == reference
+        assert repr(conditions._classify(terms)) == reference
+
+    def test_every_rule_is_reached(self):
+        rules = set()
+        for terms in ([1.0], [1.0, 1.0, 0.0, 0.0], [0.5**n for n in range(40)],
+                      [1.0 / n for n in range(1, 41)], [1.0 + n % 2 for n in range(40)]):
+            verdict, details = conditions._classify(terms)
+            assert repr((verdict, details)) == repr(_reference_classify(terms))
+            rules.add(details["rule"])
+        assert rules == {
+            "insufficient-tail", "vanishing-terms", "geometric-ratio",
+            "power-law", "unclassified-decay",
+        }
 
 
 def _reference_bounds(s, axis, stride, count):
@@ -556,7 +697,7 @@ def _reference_bounds(s, axis, stride, count):
             termwise_margin = max(termwise_margin, diff(g[base], g[idx]) / 2.0)
 
     def term(k):
-        return conditions._term_from_log(g[k] * k, k)
+        return _reference_term(g[k] * k, k)
 
     sum_lhs = math.fsum(term(n) for n in range(stride, count + 1))
     sum_rhs = stride * math.fsum(

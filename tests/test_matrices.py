@@ -472,6 +472,56 @@ class TestEvaluationMatchesReference:
         assert residuals[1] == math.inf
 
 
+# The power kernel takes Python's ``float ** int`` elementwise over an object
+# array.  Its reference is the loop it replaced, one power at a time.
+
+
+def _reference_powers(column, degree: int) -> np.ndarray:
+    table = [[x**e for x in column] for e in range(degree + 1)]
+    return np.array(table, dtype=float).reshape(degree + 1, len(column))
+
+
+_POWER_BASES = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0])
+    | st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1.0000001])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-4.0, 4.0)
+)
+
+
+class TestPowerKernelMatchesTheLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        column=st.lists(_POWER_BASES, max_size=25),
+        degree=st.integers(0, 130),
+    )
+    def test_same_bits_or_the_same_overflow(self, column, degree):
+        try:
+            expected = _reference_powers(column, degree)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                matrices._powers(column, degree)
+            return
+        got = matrices._powers(column, degree)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_overflow_message_is_the_loops(self):
+        with pytest.raises(OverflowError) as loop:
+            _reference_powers([2.0, 1e200], 2)
+        with pytest.raises(OverflowError) as kernel:
+            matrices._powers([2.0, 1e200], 2)
+        assert str(kernel.value) == str(loop.value)
+
+    def test_gate_sized_table(self):
+        # Nodes of a solve-1d rule against degree-42 data, where np.power on
+        # floats may round some powers differently from the loop.
+        column = [0.5 + k * 0.103 for k in range(20)]
+        kernel = matrices._powers(column, 42)
+        assert kernel.tobytes() == _reference_powers(column, 42).tobytes()
+        assert kernel.flags.writeable
+
+
 _DYADIC_COORDINATES = [0.5, -1.25, 2.0, 0.75, -3.5]
 _DYADIC_WEIGHTS = [0.25, 1.5, 0.5]
 

@@ -41,6 +41,29 @@ class TestJacobiMatrix:
         with pytest.raises(ValueError):
             JacobiMatrix([1.0, 2.0], [1.0, 1.0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        diag=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=22),
+        data=st.data(),
+    )
+    def test_dense_equals_the_entry_loop(self, diag, data):
+        offdiag = data.draw(
+            st.lists(
+                st.floats(allow_nan=True, allow_infinity=True),
+                min_size=max(len(diag) - 1, 0),
+                max_size=max(len(diag) - 1, 0),
+            )
+        )
+        n = len(diag)
+        reference = np.zeros((n, n), dtype=float)
+        for i, a in enumerate(diag):
+            reference[i, i] = a
+        for i, b in enumerate(offdiag):
+            reference[i, i + 1] = b
+            reference[i + 1, i] = b
+        dense = JacobiMatrix(diag, offdiag).to_dense()
+        assert dense.shape == (n, n) and dense.tobytes() == reference.tobytes()
+
 
 def _refused_at(s: MomentSequence, index: tuple[int, ...]) -> None:
     """``solve_1d`` refuses ``s`` with a :class:`ValidationFailure` whose

@@ -5,10 +5,12 @@ Run from the repository root::
     PYTHONPATH=src python3 tools/answer_digest.py --workload solve-md --seed 70001
     PYTHONPATH=src python3 tools/answer_digest.py --workload all --seed 1 --seed 2
     PYTHONPATH=src python3 tools/answer_digest.py --workload all --seed 1 --pools
+    PYTHONPATH=src python3 tools/answer_digest.py --workload solve-md --workload solve-1d --seed 1
 
-``--seed`` may be given more than once, and ``--workload all`` runs every
-workload in ``benchmarks/run.py``'s order.  For each workload, and for each
-seed in the order given, the pool is built exactly as ``benchmarks/run.py``
+``--workload`` and ``--seed`` may each be given more than once, and
+``--workload all`` stands for every workload in ``benchmarks/run.py``'s
+order.  For each workload in the order given, and for each seed in the
+order given, the pool is built exactly as ``benchmarks/run.py``
 builds it.  Each problem's operation runs once, and one line per problem is
 printed: its index, its kind and the SHA-256 of ``repr(answer)``.  A line
 ``all <workload> <seed> <problems> <digest>`` then digests all of them.  For
@@ -153,11 +155,14 @@ def pool_inputs(wl, problem) -> tuple:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The options, with ``workloads`` the workloads to run in order and
-    ``seed`` the list of seeds."""
+    """The options, with ``workloads`` the workloads to run in order (each
+    ``all`` expanded) and ``seed`` the list of seeds."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=(*run.WORKLOADS_ORDER, "all")
+        "--workload",
+        required=True,
+        action="append",
+        choices=(*run.WORKLOADS_ORDER, "all"),
     )
     parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument(
@@ -166,8 +171,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="digest each problem's generated inputs; run no operation",
     )
     args = parser.parse_args(argv)
-    args.workloads = (
-        run.WORKLOADS_ORDER if args.workload == "all" else (args.workload,)
+    args.workloads = tuple(
+        name
+        for workload in args.workload
+        for name in (run.WORKLOADS_ORDER if workload == "all" else (workload,))
     )
     return args
 
