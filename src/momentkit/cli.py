@@ -14,7 +14,7 @@ bound, a tolerance out of range, a level or an image degree deeper than the
 data, ``solve --mode 1d`` with ``--level``, data too short to solve, a
 fixture spec whose moments overflow) or unwritable output, 3 definitive
 failure (positivity or generation), 4 inconclusive growth diagnostics, 5
-solver failure (no flat level / not positive semidefinite), 6 pull-back or
+solver failure (no flat level / moments not reproduced), 6 pull-back or
 final verification failure.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the

@@ -7,8 +7,8 @@ import functools
 
 class MomentError(Exception):
     """Base class for all errors raised by this package.  Keywords set the
-    evidence attributes the class declares, e.g. ``NotPsd(message,
-    min_eigenvalue=lam, tolerance=tol)``; any other raises ``TypeError``."""
+    evidence attributes the class declares, e.g. ``ValidationFailure(message,
+    worst=w, index=alpha, tolerance=tol)``; any other raises ``TypeError``."""
 
     def __init__(self, *args: object, **evidence: object) -> None:
         super().__init__(*args)
@@ -63,18 +63,6 @@ class EigenFailure(MomentError):
     """An eigenvalue or singular-value computation failed or hit non-finite data."""
 
 
-class NotPsd(MomentError):
-    """A matrix that must be positive semidefinite is not (beyond tolerance).
-
-    ``min_eigenvalue`` and ``tolerance`` are the verdict's smallest
-    eigenvalue and the tolerance it fell below; they are ``None`` when no
-    verdict was taken.
-    """
-
-    min_eigenvalue: float | None = None
-    tolerance: float | None = None
-
-
 class HypothesisFailure(MomentError):
     """A precondition of a diagnostic check does not hold for the data.
 
@@ -90,7 +78,16 @@ class HypothesisFailure(MomentError):
 
 
 class RankCollapse(MomentError):
-    """The numerical rank of the moment matrix is inconsistent with the data."""
+    """The numerical rank of the moment matrix is inconsistent with the data.
+
+    ``mass`` is an ``s_0`` that cannot carry the data, ``rank`` the rank
+    decided and ``eigenvalue`` a nonpositive one among a flat level's top
+    ``rank``; each is ``None`` when it played no part.
+    """
+
+    mass: float | None = None
+    rank: int | None = None
+    eigenvalue: float | None = None
 
 
 class NotFlat(MomentError):

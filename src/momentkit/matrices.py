@@ -33,7 +33,6 @@ from .errors import (
     DegreeOverflow,
     DimMismatch,
     EigenFailure,
-    NotPsd,
     ValidationFailure,
 )
 from .polynomials import (
@@ -457,23 +456,6 @@ def check_hypotheses(
     ]
     passed = moment_verdict.is_psd and all(v.is_psd for v in localizing_verdicts)
     return HypothesesReport(level, moment_verdict, localizing_verdicts, passed)
-
-
-def require_psd(
-    matrix: SymmetricMatrixWithBasis | np.ndarray,
-    tol_rel: float = DEFAULT_PSD_TOL,
-    label: str = "matrix",
-) -> PsdVerdict:
-    """Like :func:`psd_check` but raises :class:`NotPsd`, carrying the
-    verdict's ``min_eigenvalue`` and ``tolerance``, on failure."""
-    verdict = psd_check(matrix, tol_rel)
-    if not verdict.is_psd:
-        raise NotPsd(
-            f"{label} is not positive semidefinite: min eigenvalue "
-            f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}",
-            min_eigenvalue=verdict.min_eigenvalue, tolerance=verdict.tolerance_used,
-        )
-    return verdict
 
 
 def require_reproduced(

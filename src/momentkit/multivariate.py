@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     CommutatorTooLarge,
     DegreeOverflow,
+    EigenFailure,
     IllConditionedWeights,
     MomentError,
     NotFlat,
@@ -58,7 +59,6 @@ from .matrices import (
     moment_vector,
     monomial_values,
     numerical_rank,
-    require_psd,
 )
 from .polynomials import AtomicMeasure, MomentSequence
 
@@ -111,8 +111,10 @@ def multiplication_operators(
 
     Returns one symmetric ``r x r`` matrix per coordinate (``r`` the flat
     rank) whose joint spectrum carries the atom coordinates, along with
-    ``r``.  Raises :class:`NotFlat` when the rank has not stabilized,
-    :class:`NotPsd` when the moment matrix is not positive semidefinite, and
+    ``r``.  No positivity check is made.  Raises :class:`NotFlat` when the
+    rank has not stabilized, :class:`RankCollapse` when a top-``r``
+    eigenvalue of the level-``(level - 1)`` matrix is not positive
+    (:class:`EigenFailure` when LAPACK cannot compute them), and
     :class:`CommutatorTooLarge` when the operators fail to commute within
     ``tol`` (relative to their norms) — the signature of data that is not
     consistently atomic at this level.
@@ -149,18 +151,21 @@ def _operators(
             f"rank grows from {fr.previous_rank} to {fr.rank} between levels "
             f"{level - 1} and {level}"
         )
-    require_psd(fr.matrix, tol, label=f"moment matrix (level {level})")
     r = fr.rank
     if r == 0:
         return np.empty((0, 0, 0)), 0
 
-    eigenvalues, eigenvectors = np.linalg.eigh(fr.previous_matrix.entries)
+    try:  # LAPACK gives up on some matrices with entries near the double limit
+        eigenvalues, eigenvectors = np.linalg.eigh(fr.previous_matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigenvalue computation failed: {exc}") from None
     # top-r eigenpairs span the column space; whiten so the compression is a
     # congruence by an orthonormal-in-measure basis
     lam = eigenvalues[-r:]
     if float(lam[0]) <= 0.0:
         raise RankCollapse(
-            f"rank-{r} compression hit a nonpositive eigenvalue {lam[0]:g}"
+            f"rank-{r} compression hit a nonpositive eigenvalue {lam[0]:g}",
+            eigenvalue=float(lam[0]), rank=r,
         )
     u = eigenvectors[:, -r:]
     w = u / np.sqrt(lam)
@@ -212,8 +217,8 @@ def extract_atoms(
     level : int
         A level at which :func:`flat_rank` reports ``is_flat``.
     rank_tol, tol : float
-        Rank threshold and the shared tolerance for positivity, commutator,
-        and validation checks.
+        Rank threshold and the shared tolerance for the commutator and
+        validation checks (no positivity check is made).
     seed : int
         Seed for the one random linear combination of the operators whose
         eigenvectors diagonalize them; the result is deterministic given a
@@ -276,6 +281,9 @@ def _extract(
             f"an extracted point has a power beyond double range by degree "
             f"{degree}; it cannot reproduce the input moments"
         )
+    # Rows 1 .. dim are the coordinates, NaN where the operators overflowed.
+    if not np.isfinite(table[1 : 1 + s.dim]).all():
+        raise ValidationFailure("an extracted point is not finite")
 
     a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)

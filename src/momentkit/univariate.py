@@ -31,6 +31,7 @@ from .errors import (
     ClampedNodeWarning,
     DegreeOverflow,
     DimMismatch,
+    EigenFailure,
     RankCollapse,
 )
 from .matrices import (
@@ -38,7 +39,6 @@ from .matrices import (
     DEFAULT_RANK_TOL,
     assemble,
     numerical_rank,
-    require_psd,
     require_reproduced,
 )
 from .polynomials import AtomicMeasure, MomentSequence
@@ -141,28 +141,23 @@ def solve_1d(
     entry of ``s`` (``inf`` markers and exact entries beyond double range
     included) reproduced within ``tol``, with one residual per entry; a miss
     raises :class:`ValidationFailure`."""
-    rule = gauss_rule(s.restrict(s.finite_degree()), rank_tol, tol)
+    rule = gauss_rule(s.restrict(s.finite_degree()), rank_tol)
     residuals = require_reproduced(rule.measure, s, tol, "recovered measure")
     return Solve1DResult(**vars(rule), max_residual=max(residuals), residuals=residuals)
 
 
-def gauss_rule(
-    s: MomentSequence,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_PSD_TOL,
-) -> GaussRule:
-    """The Gauss rule of 1-D moment data, not compared with the data.
+def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRule:
+    """The Gauss rule of 1-D moment data, not compared with the data, nor
+    checked for positivity: :func:`solve_1d` refuses a rule that misses.
 
     Parameters
     ----------
     s : MomentSequence
         One-dimensional data of truncation degree ``D``, read as doubles, so
         ``inf`` markers and exact entries beyond double range need
-        :func:`solve_1d`; the level-``D // 2`` matrix must be PSD.
+        :func:`solve_1d`.
     rank_tol : float
         Relative singular-value threshold for the rank decision.
-    tol : float
-        Relative tolerance of the positivity precondition.
 
     Returns
     -------
@@ -178,10 +173,11 @@ def gauss_rule(
 
     Raises
     ------
-    NotPsd
-        If the moment matrix fails the positivity precondition.
     RankCollapse
-        If the rank decision is inconsistent with positive mass.
+        If the mass cannot carry the data, the rank decision is 0, or two
+        nodes coincide as atoms; ``mass`` or ``rank`` is set.
+    EigenFailure
+        If the scaled moments are not finite doubles.
     """
     if s.dim != 1:
         raise DimMismatch(f"the Gauss rule needs 1-dimensional data, got dim {s.dim}")
@@ -191,23 +187,24 @@ def gauss_rule(
     if mass <= 0.0:
         if all(v == 0.0 for v in values):
             return GaussRule(AtomicMeasure(1, []), JacobiMatrix([], []), 0, True)
-        raise RankCollapse(f"mass s_0 = {mass} cannot carry nonzero moments")
+        raise RankCollapse(f"mass s_0 = {mass} cannot carry nonzero moments", mass=mass)
     if s.max_degree < 1:
         raise DegreeOverflow("placing an atom needs at least the first-order moment")
 
     scale = _growth_scale(values)
     # r_k = s_k / (s_0 c^k), the moments of the normalized variable over c.
     # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
-    # even at level 0.
-    scaled = np.array(
-        [values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))],
-        dtype=float,
-    )
-    hankel = assemble(scaled, 1, level)
-    require_psd(hankel, tol, label="moment matrix")
-    rank = numerical_rank(hankel, rank_tol)
+    # even at level 0.  c^k overflows only where an entry outgrows later ones.
+    try:
+        scaled = np.array(
+            [values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))],
+            dtype=float,
+        )
+    except OverflowError:
+        raise EigenFailure(f"growth scale {scale:g} has a power beyond double range") from None
+    rank = numerical_rank(assemble(scaled, 1, level), rank_tol)
     if rank == 0:
-        raise RankCollapse("moment matrix has numerical rank 0 despite positive mass")
+        raise RankCollapse("moment matrix has numerical rank 0 despite positive mass", rank=0)
     # A q-atom rule needs moments through order 2q-1, so q cannot exceed
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
@@ -246,6 +243,9 @@ def gauss_rule(
     merged: dict[float, float] = {}
     for x, w in zip(nodes, weights):
         merged[x] = merged.get(x, 0.0) + w
-    measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
+    try:
+        measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
+    except ValueError as exc:  # two nodes within the atoms' tol_atom
+        raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
     jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
     return GaussRule(measure, jacobi, q, supported)

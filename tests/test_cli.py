@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from momentkit import fileformats, fixtures, matrices, multivariate, reduction, univariate
 from momentkit.cli import (
@@ -1813,3 +1813,73 @@ def test_text_report_writes_non_finite_floats_by_repr():
         "empty:",
         "none:",
     ]
+
+
+# ---------------------------------------------------------------------------
+# no traceback
+
+#: Moment-file value tokens: ordinary, zero, negative, huge and tiny floats
+#: and integers, and (but for the mass, which must be finite) ``log:``
+#: tokens of entries inside and outside double range.
+_FINITE_TOKENS = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.sampled_from(["0.0", "-0.0", "1e200", "-1e200", "1.7e308", "1e-200", "-5e-324"]),
+    st.integers(-1000, 1000).map(str),
+)
+_VALUE_TOKENS = _FINITE_TOKENS | st.floats(-800.0, 800.0).map(lambda lv: f"log:{lv!r}")
+
+#: s = (1, 1e200, 1): the growth scale 1e200 has a square beyond double
+#: range, which the 1-D rule refuses as :class:`EigenFailure`.
+_GROWTH_OVERFLOW = "momentfile v1 dim=1 degree=2\n0 1.0\n1 1e200\n2 1.0\n"
+
+
+@st.composite
+def _moment_files(draw):
+    """The dimension and text of a valid moment file of dim 1-2 and degree
+    1-7 with random tokens."""
+    dim, degree = draw(st.integers(1, 2)), draw(st.integers(1, 7))
+    lines = [f"momentfile v1 dim={dim} degree={degree}"]
+    for alpha in monomials_up_to(dim, degree):
+        token = draw(_VALUE_TOKENS if any(alpha) else _FINITE_TOKENS)
+        lines.append(" ".join([*map(str, alpha), token]))
+    return dim, "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_moment_files())
+@example(case=(1, _GROWTH_OVERFLOW))
+def test_no_command_ends_in_a_traceback(tmp_path, capsys, case):
+    dim, text = case
+    moments = tmp_path / "random.mom"
+    moments.write_text(text)
+    gens = tmp_path / f"identity{dim}.txt"
+    gens.write_text("".join(f"x{j + 1}\n" for j in range(dim)))
+    out = str(tmp_path / "out.msr")
+    for argv in (
+        ["check", str(moments)],
+        ["solve", str(moments), out],
+        ["pipeline", str(moments), str(gens), out],
+    ):
+        code = main([*argv, "--format", "json"])
+        capsys.readouterr()
+        assert code in (EXIT_OK, 2, 3, 4, 5, 6), argv
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_growth_scale_overflow_is_a_solver_failure(tmp_path, capsys, command):
+    moments = tmp_path / "overflow.mom"
+    moments.write_text(_GROWTH_OVERFLOW)
+    gens = tmp_path / "identity.txt"
+    gens.write_text("x1\n")
+    inputs = [str(moments), str(gens)] if command == "pipeline" else [str(moments)]
+    code, report = run_json(capsys, command, *inputs, str(tmp_path / "o.msr"))
+    assert code == EXIT_SOLVE
+    if command == "solve":
+        assert report["error"]["type"] == "EigenFailure"
+    else:
+        assert stage_named(report, "solve")["error_type"] == "EigenFailure"
+

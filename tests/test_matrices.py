@@ -29,11 +29,10 @@ from momentkit.matrices import (
     _residuals,
     monomial_values,
     reproduction_residuals,
-    require_psd,
     require_reproduced,
 )
 from momentkit.polynomials import _log, _to_float, add_indices, monomials_up_to
-from momentkit.errors import NotPsd, ValidationFailure
+from momentkit.errors import ValidationFailure
 
 
 class TestMomentMatrix:
@@ -176,24 +175,6 @@ class TestPsdCheck:
         assert negative.is_psd
         assert negative.min_eigenvalue < 0.0
         assert negative.tolerance_used == 1e-8
-
-    def test_require_psd_raises_with_context(self):
-        with pytest.raises(NotPsd):
-            require_psd(np.array([[-1.0]]), label="test matrix")
-
-    def test_not_psd_carries_the_verdict(self):
-        m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
-        verdict = psd_check(m, 1e-8)
-        with pytest.raises(NotPsd) as exc:
-            require_psd(m, 1e-8, label="m")
-        assert exc.value.min_eigenvalue == verdict.min_eigenvalue == pytest.approx(-1.0)
-        assert exc.value.tolerance == verdict.tolerance_used
-        assert str(exc.value) == (
-            f"m is not positive semidefinite: min eigenvalue "
-            f"{verdict.min_eigenvalue:g} below -{verdict.tolerance_used:g}"
-        )
-        assert NotPsd("no verdict").min_eigenvalue is None
-        assert NotPsd("no verdict").tolerance is None
 
 
 class TestNumericalRank:

@@ -15,6 +15,7 @@ from momentkit import (
     AtomicMeasure,
     CommutatorTooLarge,
     DegreeOverflow,
+    EigenFailure,
     IllConditionedWeights,
     MomentError,
     MomentSequence,
@@ -39,7 +40,6 @@ from momentkit.matrices import (
     monomial_values,
     moment_vector,
     reproduction_residuals,
-    require_psd,
     require_reproduced,
 )
 from momentkit.multivariate import FlatRankResult
@@ -145,8 +145,11 @@ class TestMultiplicationOperators:
         s = MomentSequence(1, 4, values)
         with pytest.raises(
             RankCollapse, match="rank-2 compression hit a nonpositive eigenvalue"
-        ):
+        ) as raised:
             multiplication_operators(s, 2, tol=1e-5)
+        assert raised.value.rank == 2
+        assert raised.value.eigenvalue == pytest.approx(-d, rel=1e-6)
+        assert raised.value.mass is None
 
     def test_operators_of_perturbed_data_do_not_commute(self):
         # Three atoms with s[(2, 1)] moved by 1e-6: the rank stays 3 at
@@ -225,6 +228,31 @@ class TestExtractAtoms:
         ):
             extract_atoms(s, 1)
         with pytest.raises(MomentError):
+            extract_atoms_auto(s)
+
+    def test_overflowed_operators_give_a_point_that_is_not_finite(self):
+        # Data that no measure represents, flat at level 2 with rank 2: no
+        # positivity check stops it, the compressed operators overflow to
+        # inf and NaN, and so does an extracted point.
+        values = [
+            0.0, 1.0, -1e200, 0.0, -539.0, -2.225073858507203e-309,
+            3.2282084482936525e280, 1.1, 136.0, 9.72601759459138,
+            108.0, 1e-200, 1e-12, 1e-200, -1000.0,
+        ]
+        s = MomentSequence(2, 4, dict(zip(_all_indices(2, 4), values)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationFailure, match="^an extracted point is not finite$"):
+                extract_atoms(s, 2)
+            with pytest.raises(NotFlat, match="level 2: an extracted point is not finite"):
+                extract_atoms_auto(s)
+
+    def test_eigh_that_does_not_converge_is_an_eigen_failure(self):
+        # An entry of 1.7e308 beside ones near 1e205: LAPACK's eigh of the
+        # level-2 matrix does not converge.
+        values = {a: 0.0 for a in _all_indices(2, 6)}
+        values.update({(0, 1): math.exp(473.375), (1, 1): 1.7e308, (0, 3): math.exp(262.0)})
+        s = MomentSequence(2, 6, values)
+        with pytest.raises(EigenFailure, match="eigenvalue computation failed"):
             extract_atoms_auto(s)
 
     def test_point_with_powers_beyond_double_range_fails_validation(self):
@@ -306,7 +334,6 @@ def _reference_operators(s: MomentSequence, level: int, tol: float = 1e-8):
             f"rank grows from {fr.previous_rank} to {fr.rank} between levels "
             f"{level - 1} and {level}"
         )
-    require_psd(fr.matrix, tol, label=f"moment matrix (level {level})")
     r = fr.rank
     if r == 0:
         return [], 0

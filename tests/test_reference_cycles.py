@@ -19,8 +19,9 @@ from momentkit import (
     CommutatorTooLarge,
     IllConditionedWeights,
     MomentSequence,
+    EigenFailure,
     NotFlat,
-    NotPsd,
+    RankCollapse,
     ValidationFailure,
     extract_atoms,
     extract_atoms_auto,
@@ -31,7 +32,7 @@ from momentkit import (
     multivariate,
     solve_1d,
 )
-from momentkit.matrices import require_psd
+from momentkit.polynomials import monomials_up_to
 
 
 def _coinciding() -> MomentSequence:
@@ -52,9 +53,26 @@ def _not_commuting() -> MomentSequence:
     return MomentSequence(2, 4, values)
 
 
+def _eigh_fails() -> MomentSequence:
+    # LAPACK's eigh of the level-2 matrix does not converge.
+    values = {a: 0.0 for a in monomials_up_to(2, 6)}
+    values.update({(0, 1): math.exp(473.375), (1, 1): 1.7e308, (0, 3): math.exp(262.0)})
+    return MomentSequence(2, 6, values)
+
+
 REFUSALS = {
     "1-D gate miss": (lambda: solve_1d(moments_factorial(4)), ValidationFailure),
-    "require_psd": (lambda: require_psd(np.diag([1.0, -1.0])), NotPsd),
+    # Raised outside the gate, by the rule's own mass check.
+    "zero mass": (
+        lambda: solve_1d(MomentSequence(1, 2, {(0,): 0.0, (1,): 1.0, (2,): 1.0})),
+        RankCollapse,
+    ),
+    # Raised from the handler of an OverflowError, and of a LinAlgError.
+    "growth overflow": (
+        lambda: solve_1d(MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): 1.0})),
+        EigenFailure,
+    ),
+    "eigh failure": (lambda: extract_atoms_auto(_eigh_fails()), EigenFailure),
     "level scan": (lambda: extract_atoms_auto(_coinciding()), NotFlat),
     # Its deep levels refuse points whose powers leave double range.
     "level scan, overflow": (lambda: extract_atoms_auto(moments_lognormal(37)), NotFlat),

@@ -14,9 +14,9 @@ from momentkit import (
     ClampedNodeWarning,
     DegreeOverflow,
     DimMismatch,
+    EigenFailure,
     JacobiMatrix,
     MomentSequence,
-    NotPsd,
     RankCollapse,
     ValidationFailure,
     gauss_rule,
@@ -203,12 +203,40 @@ class TestSolveEdgeCases:
 
     def test_zero_mass_with_content_rejected(self):
         s = MomentSequence(1, 2, {(0,): 0.0, (1,): 1.0, (2,): 1.0})
-        with pytest.raises(RankCollapse):
+        with pytest.raises(RankCollapse) as raised:
             solve_1d(s)
+        assert raised.value.mass == 0.0
+        assert raised.value.rank is None and raised.value.eigenvalue is None
+
+    def test_negative_mass_is_a_rank_collapse_with_the_mass(self):
+        s = MomentSequence(1, 2, {(0,): -2.0, (1,): 1.0, (2,): 1.0})
+        with pytest.raises(RankCollapse, match="mass s_0 = -2.0") as raised:
+            gauss_rule(s)
+        assert raised.value.mass == -2.0
 
     def test_indefinite_data_rejected(self):
+        # No positivity check: the rule is refused by the gate, at s_2.
         s = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
-        with pytest.raises(NotPsd):
+        with pytest.raises(ValidationFailure) as raised:
+            solve_1d(s)
+        assert raised.value.worst == 1.0
+        assert raised.value.index == (2,)
+
+    def test_nodes_that_coincide_as_atoms_are_a_rank_collapse(self):
+        # Non-PSD data whose rank-2 rule has a node clamped to 0.0 and one at
+        # 1.7e-99: no measure holds both as atoms.
+        values = [1e200, -2.2550504929190947, 299.0, -0.0, 1e-10, -18.0, 2.0632481054106616e275]
+        s = MomentSequence(1, 6, {(k,): v for k, v in enumerate(values)})
+        with pytest.warns(ClampedNodeWarning):
+            with pytest.raises(RankCollapse, match="rank-2 rule: atoms") as raised:
+                solve_1d(s)
+        assert raised.value.rank == 2
+
+    def test_growth_scale_power_beyond_double_range_is_an_eigen_failure(self):
+        # c = s_1 / s_0 = 1e200, so c^2 overflows: s_1 outgrows s_2 as no
+        # measure's moments do.
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): 1.0})
+        with pytest.raises(EigenFailure, match="growth scale 1e\\+200"):
             solve_1d(s)
 
     def test_slightly_negative_node_clamped(self):
@@ -271,8 +299,11 @@ class TestSolveEdgeCases:
     def test_rank_zero_with_positive_mass_is_a_rank_collapse(self):
         # No singular value exceeds rank_tol = 1 times the largest.
         s = moments_of_atomic(AtomicMeasure(1, [((1.0,), 1.0), ((2.0,), 1.0)]), 4)
-        with pytest.raises(RankCollapse, match="numerical rank 0 despite positive mass"):
+        with pytest.raises(
+            RankCollapse, match="numerical rank 0 despite positive mass"
+        ) as raised:
             solve_1d(s, rank_tol=1.0)
+        assert raised.value.rank == 0 and raised.value.mass is None
 
     def test_nan_residual_is_a_validation_failure(self):
         # The inf entry makes the growth scale inf, the node NaN and the
