@@ -78,12 +78,10 @@ class HypothesisFailure(MomentError):
 
 
 class RankCollapse(MomentError):
-    """The numerical rank of the moment matrix is inconsistent with the data.
-
-    ``mass`` is an ``s_0`` that cannot carry the data, ``rank`` the rank
-    decided and ``eigenvalue`` a nonpositive one among a flat level's top
-    ``rank``; each is ``None`` when it played no part.
-    """
+    """The numerical rank of the moment matrix is inconsistent with the data:
+    ``mass`` an ``s_0`` that cannot carry it, ``rank`` the rank decided and
+    ``eigenvalue`` a nonpositive one among a flat level's top ``rank``, each
+    ``None`` when it played no part."""
 
     mass: float | None = None
     rank: int | None = None

@@ -10,7 +10,8 @@ set where ``f >= 0``) forces them to be positive semidefinite.
 
 Whether a measure reproduces the data is decided by one rule, that of
 :func:`require_reproduced`: the residual ``|m - t| / max(1, |t|)`` of each
-entry, with ``m`` the ``math.fsum`` of the atoms' terms, against ``tol``.
+entry, ``m`` the ``math.fsum`` of the atoms' terms, against ``tol``, and below
+a mass of 1 also ``|m - t| / max(|s_0|, |t|)``.
 :func:`require_reproduced` returns those residuals, and ``solve_1d`` and
 ``pipeline`` report them, so it takes every row's ``fsum``.  Flat
 extraction only needs the verdict: its gate bounds every row's residual in
@@ -532,11 +533,11 @@ def _require_table_reproduces(
     exact sum lies between ``sums - slack`` and ``sums + slack`` with
     ``slack = 4 * eps * n * sum |t|``; rounding is monotone, so the larger
     residual of the two endpoints is at least the ``fsum`` residual of
-    :func:`_residuals`.  When that bound is within ``tol`` for every row
-    the data is reproduced.  Otherwise (a row too close to call, a NaN, an
-    ``inf``, an endpoint that overflows, or a NaN ``tol``) the ``fsum``
-    residuals decide, so every verdict, message and ``fsum`` error is that
-    of :func:`_residuals` and :func:`_require_within`.
+    :func:`_residuals`.  When that bound (over ``max(u, |t|)``, as decided)
+    is within ``tol`` for every row the data is reproduced.  Otherwise (a row
+    too close to call, a NaN, an ``inf``, an endpoint that overflows, or a
+    NaN ``tol``) the ``fsum`` residuals decide, so every verdict, message and
+    ``fsum`` error is that of :func:`_residuals` and :func:`_require_within`.
     """
     targets = moment_vector(s, degree)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -545,7 +546,7 @@ def _require_table_reproduces(
         slack = (4.0 * _EPS * terms.shape[1]) * np.abs(terms).sum(axis=1)
         bound = np.maximum(
             np.abs((sums + slack) - targets), np.abs((sums - slack) - targets)
-        ) / np.fmax(1.0, np.abs(targets))
+        ) / np.fmax(_residual_floor(s), np.abs(targets))
     if not bound.max() <= tol:
         _require_within(_residuals(table, weights, s, degree), s, degree, tol, label)
 
@@ -555,16 +556,27 @@ def _require_within(
 ) -> list[float]:
     """:func:`require_reproduced`'s decision on the residuals of the entries
     of ``s`` through ``degree``, returned as a list: ``np.max`` keeps a NaN,
-    a miss.  The miss carries the worst residual as ``worst``, the entry it
-    belongs to (the first NaN's, if any) as ``index`` and ``tol`` as
-    ``tolerance``."""
-    worst = float(np.max(residuals, initial=0.0))
+    a miss, decided over ``max(u, |t|)`` (:func:`_residual_floor`).  The
+    miss carries the worst such residual as ``worst``, the entry it belongs
+    to (the first NaN's, if any) as ``index`` and ``tol`` as ``tolerance``."""
+    decided = residuals  # where |t| < 1 a residual is |m - t| itself
+    if (floor := _residual_floor(s)) < 1.0:
+        with np.errstate(over="ignore"):
+            decided = residuals / np.clip(np.abs(s._float_table()[: len(residuals)]), floor, 1.0)
+    worst = float(np.max(decided, initial=0.0))
     if not worst <= tol:
         raise ValidationFailure(
             f"{label} misses the input moments: worst relative residual "
             f"{worst:g} exceeds {tol:g}",
             worst=worst,
-            index=_monomial_table(s.dim, degree)[int(np.argmax(residuals))],
+            index=_monomial_table(s.dim, degree)[int(np.argmax(decided))],
             tolerance=tol,
         )
     return residuals.tolist()
+
+
+def _residual_floor(s: MomentSequence) -> float:
+    """``u`` of the gate's ``max(u, |t|)``: the mass ``|s_0|`` strictly
+    between 0 and 1, else 1, so that the stricter of the caller's units and
+    the mass's decides, and ``(1e-9, 0, -1e-9)`` misses by 1, not 1e-9."""
+    return min(1.0, abs(float(s._float_table()[0]))) or 1.0

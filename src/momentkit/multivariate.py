@@ -86,11 +86,15 @@ def flat_rank(
     ``is_flat`` (equal ranks) is the extraction precondition: it certifies
     that enlarging the basis from degree ``level - 1`` to ``level`` adds no
     new directions, so the data is atomic with ``rank`` atoms.  The matrix at
-    ``level - 1`` is the leading block of the one at ``level``.
+    ``level - 1`` is the leading block of the one at ``level``.  An exact
+    entry there beyond double range (a mass, say) raises :class:`EigenFailure`.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    matrix = moment_matrix(s, level)
+    try:
+        matrix = moment_matrix(s, level)
+    except OverflowError:
+        raise EigenFailure(f"exact entry beyond double range at level {level}") from None
     previous = matrix._leading(math.comb(s.dim + level - 1, s.dim))
     return FlatRankResult(
         level,
@@ -111,10 +115,10 @@ def multiplication_operators(
 
     Returns one symmetric ``r x r`` matrix per coordinate (``r`` the flat
     rank) whose joint spectrum carries the atom coordinates, along with
-    ``r``.  No positivity check is made.  Raises :class:`NotFlat` when the
-    rank has not stabilized, :class:`RankCollapse` when a top-``r``
-    eigenvalue of the level-``(level - 1)`` matrix is not positive
-    (:class:`EigenFailure` when LAPACK cannot compute them), and
+    ``r``, with no positivity check.  Raises :class:`NotFlat` when the rank
+    has not stabilized, :class:`RankCollapse` (:class:`EigenFailure`) when a
+    top-``r`` eigenvalue of the level-``(level - 1)`` matrix is not positive
+    (cannot be computed), and
     :class:`CommutatorTooLarge` when the operators fail to commute within
     ``tol`` (relative to their norms) — the signature of data that is not
     consistently atomic at this level.
@@ -171,14 +175,16 @@ def _operators(
     w = u / np.sqrt(lam)
 
     # Stacked products run the same gemm on every slice as one product per
-    # axis or pair would, so each operator and commutator keeps its bits.
-    ops = w.T @ _shift_matrix(s.dim, fr, np.arange(s.dim)) @ w
-    ops = (ops + ops.transpose(0, 2, 1)) / 2.0
-    norms = np.abs(ops).sum(axis=2).max(axis=1).tolist()
+    # axis or pair would, so each operator and commutator keeps its bits;
+    # an overflow to inf or NaN gives a point that _extract refuses.
     pairs = list(itertools.combinations(range(s.dim), 2))  # row-major
     first, second = [i for i, _ in pairs], [j for _, j in pairs]
-    comms = ops[first] @ ops[second] - ops[second] @ ops[first]
-    comm_norms = np.abs(comms).sum(axis=2).max(axis=1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = w.T @ _shift_matrix(s.dim, fr, np.arange(s.dim)) @ w
+        ops = (ops + ops.transpose(0, 2, 1)) / 2.0
+        norms = np.abs(ops).sum(axis=2).max(axis=1).tolist()
+        comms = ops[first] @ ops[second] - ops[second] @ ops[first]
+        comm_norms = np.abs(comms).sum(axis=2).max(axis=1).tolist()
     for i, j, comm_norm in zip(first, second, comm_norms):
         bound = tol * max(1.0, norms[i] * norms[j])
         if comm_norm > bound:
@@ -262,10 +268,11 @@ def _extract(
     # One seeded probe: a draw that does not separate the atoms is refused
     # below by the weight fit or the moment check.
     coeffs = _probe_direction(s.dim, seed)
-    _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
-    # Rayleigh quotients: v @ operators holds v @ op for every axis, and a
-    # dot with v finishes each, as v @ op @ v does, bit for bit.
-    points = [tuple(float(row @ v) for row in v @ operators) for v in vectors.T]
+    with np.errstate(over="ignore", invalid="ignore"):  # on operators that overflowed
+        _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
+        # Rayleigh quotients: v @ operators holds v @ op for every axis, and
+        # a dot with v finishes each, as v @ op @ v does, bit for bit.
+        points = [tuple(float(row @ v) for row in v @ operators) for v in vectors.T]
 
     # A flat pair at ``level`` certifies the moments through degree 2*level.
     # One table of powers through that degree serves both the weight fit,
@@ -274,16 +281,16 @@ def _extract(
     degree = 2 * level
     try:
         table = monomial_values(s.dim, points, degree)
-    except OverflowError:
-        table = None  # refused below, unchained: its traceback holds the scan's frame
-    if table is None:
+    except OverflowError:  # refused below, unchained: its traceback holds the scan's frame
+        coordinates = np.array([math.inf])
+    else:
+        coordinates = table[1 : 1 + s.dim]  # inf or NaN where the operators overflowed
+    if not np.isfinite(coordinates).all():
         raise ValidationFailure(
             f"an extracted point has a power beyond double range by degree "
-            f"{degree}; it cannot reproduce the input moments"
+            f"{degree}; it cannot reproduce the input moments",
+            worst=float(coordinates[~np.isfinite(coordinates)][0]), tolerance=tol,
         )
-    # Rows 1 .. dim are the coordinates, NaN where the operators overflowed.
-    if not np.isfinite(table[1 : 1 + s.dim]).all():
-        raise ValidationFailure("an extracted point is not finite")
 
     a = table[: math.comb(s.dim + level, s.dim)]
     weights, _, lstsq_rank, _ = np.linalg.lstsq(a, moment_vector(s, level), rcond=None)

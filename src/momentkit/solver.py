@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
 from . import multivariate, univariate
-from .errors import EigenFailure
 from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced
 from .polynomials import AtomicMeasure, MomentSequence
 
@@ -25,13 +22,10 @@ def solve(
     1-D data with no ``level``.  Each route reads the finite prefix
     ``s.restrict(s.finite_degree())``, and every entry of ``s`` is compared
     (:func:`~momentkit.matrices.require_reproduced`; a miss is
-    :class:`ValidationFailure`, a mass beyond double range :class:`EigenFailure`).
-    When the prefix stops short of ``s.max_degree`` the detail gains
-    ``solved_degree``."""
+    :class:`ValidationFailure`).  When the prefix stops short of
+    ``s.max_degree`` the detail gains ``solved_degree``."""
     finite_degree = s.finite_degree()
     prefix = s.restrict(finite_degree)
-    if math.isinf(prefix._float_table()[0]):  # finite_degree() skips the mass
-        raise EigenFailure("the mass s_0 is beyond double range; no route can read it")
     if mode == "auto":
         # A level is a flat-extraction level, so giving one selects it.
         mode = "1d" if s.dim == 1 and level is None else "md"

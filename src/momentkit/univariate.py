@@ -196,10 +196,7 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
     # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
     # even at level 0.  c^k overflows only where an entry outgrows later ones.
     try:
-        scaled = np.array(
-            [values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))],
-            dtype=float,
-        )
+        scaled = np.array([values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))])
     except OverflowError:
         raise EigenFailure(f"growth scale {scale:g} has a power beyond double range") from None
     rank = numerical_rank(assemble(scaled, 1, level), rank_tol)

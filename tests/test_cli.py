@@ -1883,3 +1883,12 @@ def test_growth_scale_overflow_is_a_solver_failure(tmp_path, capsys, command):
     else:
         assert stage_named(report, "solve")["error_type"] == "EigenFailure"
 
+
+def test_tiny_data_with_a_negative_second_moment_is_a_solver_failure(tmp_path, capsys):
+    # (1, 0, -1) scaled by 1e-9: the one-atom rule misses s_2 by 1e-9 in
+    # the caller's units and by 1 with the mass divided out.
+    moments = tmp_path / "tiny.mom"
+    moments.write_text("momentfile v1 dim=1 degree=2\n0 1e-9\n1 0.0\n2 -1e-9\n")
+    code, report = run_json(capsys, "solve", str(moments), str(tmp_path / "o.msr"))
+    assert code == EXIT_SOLVE
+    assert report["error"]["type"] == "ValidationFailure"

@@ -1020,10 +1020,12 @@ class TestTableGateMatchesTheFsumGate:
         calls = self._counting(monkeypatch)
         outcome = _gate_outcome(_require_table_reproduces, *case)
         assert outcome == _gate_outcome(_reference_table_gate, *case)
+        # 2**-52 over the mass 0.75 + 2**-52: below a mass of 1 the gate
+        # decides with the mass divided out.
         assert outcome[:2] == (
             "ValidationFailure",
             "measure misses the input moments: worst relative residual "
-            "2.22045e-16 exceeds 1e-16",
+            "2.96059e-16 exceeds 1e-16",
         )
         assert outcome[3:] == ((0,), "1e-16")
         assert len(calls) == 1
@@ -1083,3 +1085,67 @@ class TestGateMissCarriesItsEntry:
             require_reproduced(mu, MomentSequence(2, 4, values), 1e-8, "measure")
         assert math.isnan(raised.value.worst)
         assert raised.value.index == basis[5]
+
+
+def _scaled(mu: AtomicMeasure, s: MomentSequence, factor: float):
+    """``mu`` and ``s`` with every weight and entry times ``factor``."""
+    nu = AtomicMeasure(mu.dim, [(pt, w * factor) for pt, w in mu.atoms])
+    values = {alpha: v * factor for alpha, v in s.values.items()}
+    return nu, MomentSequence(s.dim, s.max_degree, values)
+
+
+def _verdict(mu: AtomicMeasure, s: MomentSequence, tol: float):
+    """:func:`require_reproduced`'s and the table gate's outcomes, a miss by
+    its message, ``worst`` (by ``repr``) and ``index``."""
+    table = monomial_values(s.dim, [pt for pt, _ in mu.atoms], s.max_degree)
+    weights = np.array([w for _, w in mu.atoms])
+    outcomes = []
+    for gate in (
+        lambda: require_reproduced(mu, s, tol, "measure"),
+        lambda: _require_table_reproduces(table, weights, s, s.max_degree, tol, "measure"),
+    ):
+        try:
+            gate()
+            outcomes.append("pass")
+        except ValidationFailure as exc:
+            outcomes.append((str(exc), repr(exc.worst), exc.index))
+    return outcomes
+
+
+class TestGateReadsTheMass:
+    """Below a mass of 1 the gate divides out the mass as well, and the
+    stricter comparison decides."""
+
+    @pytest.mark.parametrize("mass", [4.0, 0.5])
+    def test_returned_residuals_stay_in_the_callers_units(self, mass):
+        # s_2 misses by 2e-9: 4e-9 with a mass of 0.5 divided out, within tol.
+        mu = AtomicMeasure(1, [((0.0,), mass)])
+        s = MomentSequence(1, 2, {(0,): mass, (1,): 0.0, (2,): -2e-9})
+        assert require_reproduced(mu, s, 1e-8, "measure") == [0.0, 0.0, 2e-9]
+        with pytest.raises(ValidationFailure) as raised:
+            require_reproduced(mu, s, 1e-9, "measure")
+        assert raised.value.worst == 2e-9 / min(mass, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        atoms=st.lists(
+            st.tuples(st.integers(-16, 16), st.integers(-16, 16), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda a: a[0],
+        ),
+        degree=st.integers(1, 6),
+        moved=st.tuples(st.integers(0, 27), st.sampled_from([0.0, 1e-12, 1e-9, -1e-6, 1e-3])),
+        k=st.integers(1, 60),
+    )
+    def test_verdict_is_the_same_at_every_mass_up_to_one(self, dim, atoms, degree, moved, k):
+        # Dyadic atoms in [-4, 4]^dim with weights of 1/16 to 1/4, so the
+        # mass is at most 1, and one entry moved; a power-of-two factor
+        # scales every weight and entry exactly.
+        mu = AtomicMeasure(dim, [((x / 4, y / 4)[:dim], w / 16) for x, y, w in atoms])
+        values = dict(moments_of_atomic(mu, degree).values)
+        alpha = monomials_up_to(dim, degree)[moved[0] % len(values)]
+        values[alpha] *= 1.0 + moved[1]
+        s = MomentSequence(dim, degree, values)
+        assert _verdict(mu, s, 1e-8) == _verdict(*_scaled(mu, s, 2.0**-k), 1e-8)

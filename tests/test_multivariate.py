@@ -240,11 +240,12 @@ class TestExtractAtoms:
             108.0, 1e-200, 1e-12, 1e-200, -1000.0,
         ]
         s = MomentSequence(2, 4, dict(zip(_all_indices(2, 4), values)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationFailure, match="^an extracted point is not finite$"):
-                extract_atoms(s, 2)
-            with pytest.raises(NotFlat, match="level 2: an extracted point is not finite"):
-                extract_atoms_auto(s)
+        with pytest.raises(ValidationFailure, match="beyond double range by degree 4") as raised:
+            extract_atoms(s, 2)
+        assert not math.isfinite(raised.value.worst)
+        assert raised.value.tolerance == 1e-8
+        with pytest.raises(NotFlat, match="level 2: an extracted point has a power"):
+            extract_atoms_auto(s)
 
     def test_eigh_that_does_not_converge_is_an_eigen_failure(self):
         # An entry of 1.7e308 beside ones near 1e205: LAPACK's eigh of the
@@ -260,8 +261,9 @@ class TestExtractAtoms:
         # past double range within the degrees the weight fit and the moment
         # check read, so the validation refuses them.
         s = moments_lognormal(37)
-        with pytest.raises(ValidationFailure, match="beyond double range by degree 30"):
+        with pytest.raises(ValidationFailure, match="beyond double range by degree 30") as raised:
             extract_atoms(s, 15)
+        assert raised.value.worst == math.inf and raised.value.tolerance == 1e-8
         with pytest.raises(NotFlat, match="level 18: an extracted point has a power"):
             extract_atoms_auto(s)
 
@@ -395,7 +397,14 @@ def _reference_extract(s: MomentSequence, level: int, tol: float = 1e-8):
         )
     measure = AtomicMeasure(s.dim, list(zip(points, (float(w) for w in weights))))
     degree = min(2 * level, s.max_degree)
-    worst = max([0.0, *reproduction_residuals(measure, s, degree)])
+    # Below a mass of 1 the gate decides over max(|s_0|, |t|) where |t| < 1,
+    # and there the residual |m - t| / max(1, |t|) is |m - t| itself.
+    floor = min(1.0, abs(float(s.values[(0,) * s.dim]))) or 1.0
+    targets = moment_vector(s, degree)
+    worst = max([0.0, *(
+        r if abs(t) >= 1.0 else r / max(floor, abs(t))
+        for r, t in zip(reproduction_residuals(measure, s, degree), targets)
+    )])
     if worst > tol:
         raise ValidationFailure(
             f"extracted measure misses the input moments: worst relative "

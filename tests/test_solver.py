@@ -16,6 +16,7 @@ from momentkit import (
     EigenFailure,
     MomentError,
     MomentSequence,
+    NotFlat,
     RankCollapse,
     ValidationFailure,
     fileformats,
@@ -333,11 +334,41 @@ def test_one_contract_on_a_file_with_inf_markers(moved):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_exact_mass_beyond_double_range_is_an_eigen_failure(dim):
     # finite_degree() does not vouch for the mass, and both routes read it
-    # as a double.
+    # as a double; flat extraction refuses it however it is entered.
     values = {alpha: 1.0 for alpha in monomials_up_to(dim, 4)}
     values[(0,) * dim] = 10**320
+    s = MomentSequence(dim, 4, values)
     with pytest.raises(EigenFailure):
-        solve(MomentSequence(dim, 4, values))
+        solve(s)
+    for route in (
+        lambda: solve(s, mode="md"),
+        lambda: multivariate.extract_atoms(s, 2),
+        lambda: multivariate.extract_atoms_auto(s),
+    ):
+        with pytest.raises(EigenFailure, match="exact entry beyond double range"):
+            route()
+
+
+@pytest.mark.parametrize(
+    "values, refusals",
+    [
+        # s_2 < 0: the 1-D rule is one atom at 0, the md scan finds no flat level.
+        ((1e-9, 0.0, -1e-9), {"1d": ((2,), ValidationFailure), "md": (None, NotFlat)}),
+        # PSD, but s_2 = 0 leaves only an atom at 0, and s_4 != 0.
+        ((1e-9, 0.0, 0.0, 0.0, 1e-9), {m: ((4,), ValidationFailure) for m in ("1d", "md")}),
+        ((1e-9, 0.0, 0.0, 0.0, -1e-9), {m: ((4,), ValidationFailure) for m in ("1d", "md")}),
+    ],
+)
+@pytest.mark.parametrize("mode", ["1d", "md"])
+def test_tiny_data_that_no_measure_has_is_refused(values, refusals, mode):
+    # The answers miss by 1e-9, within tol in the caller's units; the gate
+    # divides out the mass below 1, where they miss by 1.
+    s = MomentSequence(1, len(values) - 1, {(k,): v for k, v in enumerate(values)})
+    index, error = refusals[mode]
+    with pytest.raises(error) as raised:
+        solve(s, mode=mode)
+    if index is not None:
+        assert raised.value.worst == 1.0 and raised.value.index == index
 
 
 @st.composite
