@@ -32,7 +32,7 @@ from momentkit.matrices import (
     require_reproduced,
 )
 from momentkit.polynomials import _log, _to_float, add_indices, monomials_up_to
-from momentkit.errors import ValidationFailure
+from momentkit.errors import DegreeOverflow, DimMismatch, ValidationFailure
 
 
 class TestMomentMatrix:
@@ -216,6 +216,108 @@ class TestCheckHypotheses:
         report = check_hypotheses(s, [], level=1)
         assert not report.passed
         assert not report.moment_verdict.is_psd
+
+
+# check_hypotheses against one psd_check per matrix, in build order: each
+# verdict is its matrix's own, and the first matrix, in that order, that
+# cannot be built or checked decides the error.
+
+
+def _one_check_per_matrix(s: MomentSequence, generators, level: int, tol_rel: float):
+    moment = psd_check(moment_matrix(s, level), tol_rel)
+    local = [psd_check(localizing_matrix(s, f, level), tol_rel) for f in generators]
+    return repr(moment), [repr(v) for v in local]
+
+
+def _line(values) -> MomentSequence:
+    return MomentSequence(1, len(values) - 1, {(k,): v for k, v in enumerate(values)})
+
+
+_X = Polynomial.variable(1, 0)
+_BUILD_ERRORS = {
+    "degree": (Polynomial(1, {(3,): Fraction(1)}), DegreeOverflow),
+    "dim": (Polynomial.variable(2, 0), DimMismatch),
+}
+_MARKERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+class TestCheckHypothesesIsOneCheckPerMatrix:
+    @pytest.mark.parametrize("marker", _MARKERS.values(), ids=_MARKERS)
+    @pytest.mark.parametrize("later", _BUILD_ERRORS.values(), ids=_BUILD_ERRORS)
+    def test_non_finite_moment_matrix_raises_before_a_later_build_error(
+        self, marker, later
+    ):
+        s = _line([1.0, marker, 2.0, 6.0, 24.0])
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            check_hypotheses(s, [Polynomial.zero(1), _X, later[0]], level=1)
+
+    def test_non_finite_moment_matrix_raises_before_an_overflowing_entry(self):
+        # The x-localizing matrix would convert the exact 10**400.
+        s = _line([1, math.nan, 2, 10**400])
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            check_hypotheses(s, [_X], level=1)
+        with pytest.raises(OverflowError):
+            check_hypotheses(_line([1, 1, 2, 10**400]), [_X], level=1)
+
+    @pytest.mark.parametrize("marker", _MARKERS.values(), ids=_MARKERS)
+    @pytest.mark.parametrize("later", _BUILD_ERRORS.values(), ids=_BUILD_ERRORS)
+    def test_non_finite_localizing_matrix_raises_before_the_next_build_error(
+        self, marker, later
+    ):
+        # s_0 .. s_2 are finite; the x-localizing matrix reads s_3.
+        s = _line([1.0, 1.0, 2.0, marker, 24.0])
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            check_hypotheses(s, [Polynomial.zero(1), _X, later[0]], level=1)
+        # With every earlier matrix finite, the build error is raised.
+        with pytest.raises(later[1]):
+            check_hypotheses(s, [Polynomial.zero(1), later[0], _X], level=1)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "factorial",
+            "near-double-max",
+            "subnormal",
+            "zeros",
+            "random-float-2d",
+            "random-exact-2d",
+            "level-0",
+        ],
+    )
+    @pytest.mark.parametrize("tol_rel", [1e-8, 0.0, 1e-14])
+    def test_verdicts_are_each_matrixs_own_bit_for_bit(self, case, tol_rel):
+        tiny = Polynomial(1, {(1,): Fraction(1e-320)})  # subnormal entries
+        minus_one = Polynomial(1, {(0,): Fraction(1), (1,): Fraction(-1)})
+        s, generators, level = {
+            "factorial": (
+                moments_factorial(6), [Polynomial.zero(1), _X, minus_one, tiny], 2
+            ),
+            "near-double-max": (
+                moments_of_atomic(
+                    AtomicMeasure(1, [((1.0,), 1e308), ((0.5,), 7e307)]), 5
+                ),
+                [_X, minus_one, Polynomial.zero(1), tiny, -1 * _X],
+                2,
+            ),
+            "subnormal": (
+                _line([1e-310, -1e-311, 3e-310, 5e-324, 2e-310, 0.0, 1e-309]),
+                [tiny, _X, minus_one],
+                2,
+            ),
+            "zeros": (_line([0.0] * 7), [Polynomial.zero(1), _X, minus_one], 2),
+            "random-float-2d": (_random_data(2, 6, False, 7), _constraints(2), 2),
+            "random-exact-2d": (_random_data(2, 6, True, 11), _constraints(2), 2),
+            "level-0": (_random_data(2, 4, False, 3), _constraints(2), 0),
+        }[case]
+        report = check_hypotheses(s, generators, level, tol_rel)
+        moment, local = _one_check_per_matrix(s, generators, level, tol_rel)
+        assert report.level == level
+        assert repr(report.moment_verdict) == moment
+        assert [repr(v) for v in report.localizing_verdicts] == local
+        assert report.passed == (
+            report.moment_verdict.is_psd
+            and all(v.is_psd for v in report.localizing_verdicts)
+        )
 
 
 # Per-entry reference definitions: every entry is looked up and converted on
