@@ -60,7 +60,16 @@ class NotNormalized(MomentError):
 
 
 class EigenFailure(MomentError):
-    """An eigenvalue or singular-value computation failed or hit non-finite data."""
+    """An eigenvalue or singular-value computation failed or hit non-finite data.
+
+    ``scale`` is the growth scale of a 1-D Gauss rule when it, or one of its
+    powers, leaves double range, and ``level`` the level of a flat-rank
+    moment matrix with an exact entry beyond double range; each is ``None``
+    when it played no part.
+    """
+
+    scale: float | None = None
+    level: int | None = None
 
 
 class HypothesisFailure(MomentError):

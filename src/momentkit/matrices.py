@@ -265,9 +265,10 @@ def localizing_matrix(
     )
 
 
-def _powers(column: Sequence[float], degree: int) -> np.ndarray:
+def _powers(column: Sequence[float] | np.ndarray, degree: int) -> np.ndarray:
     """``x ** e`` with one row per ``e = 0 .. degree`` and one column per
-    float ``x`` of ``column``.
+    float ``x`` of ``column``; for a 2-D object array of floats, entry
+    ``[e, j, i]`` is its entry ``[i, j]`` to the power ``e``.
 
     Every power is Python's ``float ** int``, taken elementwise over an
     object array (``np.power`` on floats rounds some of them differently),
@@ -314,18 +315,18 @@ def monomial_values(
     monomial ``alpha`` of degree <= ``degree`` (graded-lex order) and one
     column per point.
 
-    The powers come from :func:`_powers`, so one beyond double range raises
-    ``OverflowError``; they are multiplied over ``j = 0 .. dim - 1`` in
-    order, as :func:`math.prod` does, and a product that overflows is
-    ``inf``.
+    The powers of every coordinate come from one :func:`_powers` table, so
+    one beyond double range raises ``OverflowError``; they are multiplied
+    over ``j = 0 .. dim - 1`` in order, as :func:`math.prod` does, and a
+    product that overflows is ``inf``.
     """
-    coords = [[float(x) for x in pt] for pt in points]
+    coords = np.array([float(x) for pt in points for x in pt], dtype=object)
+    powers = _powers(coords.reshape(len(points), dim), degree)
     exponents = _exponents(dim, degree)
-    values = _powers([c[0] for c in coords], degree)[exponents[:, 0]]
+    values = powers[exponents[:, 0], 0]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, dim):
-            powers = _powers([c[j] for c in coords], degree)
-            values = values * powers[exponents[:, j]]
+            values = values * powers[exponents[:, j], j]
     return values
 
 
@@ -385,27 +386,46 @@ def psd_check(
     A NaN or infinite entry raises :class:`EigenFailure`.  It is found from
     the scale itself, which is NaN or ``inf`` exactly when such an entry is
     present, so one pass over the matrix serves both.
+
+    The arithmetic is that of a stack of same-size matrices
+    (:func:`_psd_verdicts`, which :func:`check_hypotheses` calls once per
+    level), and a stack's verdicts are each matrix's own, bit for bit.
     """
-    m = _as_array(matrix)
-    if m.size == 0:
-        return PsdVerdict(True, 0.0, tol_rel)
-    scale = float(np.abs(m).max())
-    if not math.isfinite(scale):
+    return _psd_verdicts(_as_array(matrix)[None], tol_rel)[0]
+
+
+def _psd_verdicts(stack: np.ndarray, tol_rel: float) -> list[PsdVerdict]:
+    """:func:`psd_check` of every matrix of a stack of same-size matrices,
+    in one pass of array calls: the scale, symmetrization and row sums are
+    elementwise or reduce within one matrix, and the stacked ``eigvalsh``
+    runs LAPACK on each matrix alone, so each verdict has the bits of a
+    check of its matrix by itself.  A non-finite entry anywhere raises
+    :class:`EigenFailure`."""
+    if stack.size == 0:
+        return [PsdVerdict(True, 0.0, tol_rel) for _ in range(len(stack))]
+    scales = np.abs(stack).max(axis=(1, 2)).tolist()
+    if not all(map(math.isfinite, scales)):
         raise EigenFailure("matrix has non-finite entries")
-    if scale == 0.0:
-        return PsdVerdict(True, 0.0, tol_rel)
-    m = m / scale
-    m += m.T  # numpy reads m.T from a copy, as m + m.T does
+    # A zero matrix is divided by 1; its verdict is set below.
+    m = stack / np.array([scale or 1.0 for scale in scales])[:, None, None]
+    m += m.transpose(0, 2, 1)  # numpy reads the transpose from a copy, as m + m.T does
     m /= 2.0
-    tolerance = tol_rel * max(1.0 / scale, float(np.abs(m).sum(axis=1).max()))
+    row_sums = np.abs(m).sum(axis=2).max(axis=1).tolist()
     try:
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        min_eigs = np.linalg.eigvalsh(m)[:, 0].tolist()
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    # 1 / scale overflows when every entry is subnormal; ||M||_inf < 1 then,
-    # and the tolerance in matrix units is tol_rel itself.
-    used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
-    return PsdVerdict(min_eig >= -tolerance, min_eig * scale, used)
+    verdicts = []
+    for scale, row_sum, min_eig in zip(scales, row_sums, min_eigs):
+        if scale == 0.0:
+            verdicts.append(PsdVerdict(True, 0.0, tol_rel))
+            continue
+        tolerance = tol_rel * max(1.0 / scale, row_sum)
+        # 1 / scale overflows when every entry is subnormal; ||M||_inf < 1
+        # then, and the tolerance in matrix units is tol_rel itself.
+        used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
+        verdicts.append(PsdVerdict(min_eig >= -tolerance, min_eig * scale, used))
+    return verdicts
 
 
 def numerical_rank(
@@ -431,6 +451,12 @@ def check_hypotheses(
 ) -> HypothesesReport:
     """Check the moment matrix and every localizing matrix at one level.
 
+    The matrices are checked as one stack, and each verdict is the one
+    :func:`psd_check` gives its matrix alone.  The first matrix, in the
+    order moment matrix then generators, that cannot be built or checked
+    raises: one that cannot be built raises once the matrices before it
+    have passed the non-finite check.
+
     Parameters
     ----------
     s : MomentSequence
@@ -451,10 +477,14 @@ def check_hypotheses(
         the feasible set matches the data.  A pass certifies only the
         tested level.
     """
-    moment_verdict = psd_check(moment_matrix(s, level), tol_rel)
-    localizing_verdicts = [
-        psd_check(localizing_matrix(s, f, level), tol_rel) for f in generators
-    ]
+    stack = [moment_matrix(s, level).entries]
+    for f in generators:
+        try:
+            stack.append(localizing_matrix(s, f, level).entries)
+        except Exception:
+            _psd_verdicts(np.stack(stack), tol_rel)  # raises first on a non-finite one
+            raise
+    moment_verdict, *localizing_verdicts = _psd_verdicts(np.stack(stack), tol_rel)
     passed = moment_verdict.is_psd and all(v.is_psd for v in localizing_verdicts)
     return HypothesesReport(level, moment_verdict, localizing_verdicts, passed)
 

@@ -10,8 +10,11 @@ operators, one per coordinate, that commute for consistent data.  Their
 joint spectrum is the atoms, so the eigenvectors of one seeded random linear
 combination diagonalize them all whenever the combination separates the
 atoms, which a random direction does with probability one.  The joint
-eigenvalues are the atom coordinates; weights follow from a
-monomial-evaluation least-squares fit.  A draw that does not separate the
+eigenvalues are the atom coordinates, read as each operator's Rayleigh
+quotient at each eigenvector, in two broadcast products that make the gemv
+and dot calls of a loop over atoms and axes, bit for bit
+(:func:`_joint_points`); weights follow from a monomial-evaluation
+least-squares fit.  A draw that does not separate the
 atoms is not retried: coinciding points make the weight fit rank deficient
 (:class:`IllConditionedWeights`), and any other wrong points fail the moment
 check (:class:`ValidationFailure`).
@@ -94,7 +97,9 @@ def flat_rank(
     try:
         matrix = moment_matrix(s, level)
     except OverflowError:
-        raise EigenFailure(f"exact entry beyond double range at level {level}") from None
+        raise EigenFailure(
+            f"exact entry beyond double range at level {level}", level=level
+        ) from None
     previous = matrix._leading(math.comb(s.dim + level - 1, s.dim))
     return FlatRankResult(
         level,
@@ -207,6 +212,24 @@ def _probe_direction(dim: int, seed: int) -> np.ndarray:
     return coeffs
 
 
+def _joint_points(operators: np.ndarray, coeffs: np.ndarray) -> list[tuple[float, ...]]:
+    """One point per eigenvector ``v`` of ``sum_j coeffs[j] * operators[j]``:
+    the Rayleigh quotients ``v @ op @ v`` of the stacked operators, one per
+    axis.
+
+    Both products broadcast: the first is one gemv ``v @ op`` per (atom,
+    axis) and the second one dot of each such row with its ``v``, the calls
+    a loop over atoms and axes makes, so every point has that loop's bits.
+    Operators that overflowed give points that are not finite, with no
+    numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
+        vt = vectors.T
+        rows = vt[:, None, None, :] @ operators
+        return list(map(tuple, (rows @ vt[:, None, :, None])[:, :, 0, 0].tolist()))
+
+
 def extract_atoms(
     s: MomentSequence,
     level: int,
@@ -266,13 +289,10 @@ def _extract(
         return AtomicMeasure(s.dim, [])
 
     # One seeded probe: a draw that does not separate the atoms is refused
-    # below by the weight fit or the moment check.
-    coeffs = _probe_direction(s.dim, seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # on operators that overflowed
-        _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
-        # Rayleigh quotients: v @ operators holds v @ op for every axis, and
-        # a dot with v finishes each, as v @ op @ v does, bit for bit.
-        points = [tuple(float(row @ v) for row in v @ operators) for v in vectors.T]
+    # below by the weight fit or the moment check.  Each point is the
+    # Rayleigh quotients of one eigenvector, one per axis, from two
+    # broadcast products with the bits of one v @ op @ v per atom and axis.
+    points = _joint_points(operators, _probe_direction(s.dim, seed))
 
     # A flat pair at ``level`` certifies the moments through degree 2*level.
     # One table of powers through that degree serves both the weight fit,
@@ -343,10 +363,10 @@ def extract_atoms_auto(
             fr = FlatRankResult(
                 level, numerical_rank(matrix, rank_tol), fr.rank, matrix, fr.matrix
             )
+        if not fr.is_flat:
+            continue
         try:
             return _extract(s, fr, tol, seed), level
-        except NotFlat:
-            continue
         except (CommutatorTooLarge, IllConditionedWeights, ValidationFailure) as exc:
             # Without its traceback, which holds this frame and so this list.
             failures.append((level, exc.with_traceback(None)))

@@ -177,7 +177,8 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
         If the mass cannot carry the data, the rank decision is 0, or two
         nodes coincide as atoms; ``mass`` or ``rank`` is set.
     EigenFailure
-        If the scaled moments are not finite doubles.
+        If the growth scale is not finite, or the scaled moments are not
+        finite doubles; ``scale`` is set.
     """
     if s.dim != 1:
         raise DimMismatch(f"the Gauss rule needs 1-dimensional data, got dim {s.dim}")
@@ -192,13 +193,17 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
         raise DegreeOverflow("placing an atom needs at least the first-order moment")
 
     scale = _growth_scale(values)
+    if not math.isfinite(scale):  # a ratio |s_k / s_0| beyond double range
+        raise EigenFailure(f"growth scale {scale:g} is beyond double range", scale=scale)
     # r_k = s_k / (s_0 c^k), the moments of the normalized variable over c.
     # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
     # even at level 0.  c^k overflows only where an entry outgrows later ones.
     try:
         scaled = np.array([values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))])
     except OverflowError:
-        raise EigenFailure(f"growth scale {scale:g} has a power beyond double range") from None
+        raise EigenFailure(
+            f"growth scale {scale:g} has a power beyond double range", scale=scale
+        ) from None
     rank = numerical_rank(assemble(scaled, 1, level), rank_tol)
     if rank == 0:
         raise RankCollapse("moment matrix has numerical rank 0 despite positive mass", rank=0)

@@ -1884,6 +1884,25 @@ def test_growth_scale_overflow_is_a_solver_failure(tmp_path, capsys, command):
         assert stage_named(report, "solve")["error_type"] == "EigenFailure"
 
 
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_growth_scale_beyond_double_range_is_a_solver_failure(tmp_path, capsys, command):
+    # |s_4 / s_0| = 2e440: the growth scale itself is inf.
+    values = ["4.8e-241", "2.7e-141", "-0.36", "-819", "1e200", "837", "0"]
+    moments = tmp_path / "scale.mom"
+    moments.write_text(
+        "momentfile v1 dim=1 degree=6\n" + "".join(f"{k} {v}\n" for k, v in enumerate(values))
+    )
+    gens = tmp_path / "identity.txt"
+    gens.write_text("x1\n")
+    inputs = [str(moments), str(gens)] if command == "pipeline" else [str(moments)]
+    code, report = run_json(capsys, command, *inputs, str(tmp_path / "o.msr"))
+    assert code == EXIT_SOLVE
+    if command == "solve":
+        assert report["error"]["type"] == "EigenFailure"
+    else:
+        assert stage_named(report, "solve")["error_type"] == "EigenFailure"
+
+
 def test_tiny_data_with_a_negative_second_moment_is_a_solver_failure(tmp_path, capsys):
     # (1, 0, -1) scaled by 1e-9: the one-atom rule misses s_2 by 1e-9 in
     # the caller's units and by 1 with the mass divided out.

@@ -33,6 +33,7 @@ from momentkit.matrices import (
 )
 from momentkit.polynomials import _log, _to_float, add_indices, monomials_up_to
 from momentkit.errors import DegreeOverflow, DimMismatch, ValidationFailure
+from test_array_forms import _ref_psd_check
 
 
 class TestMomentMatrix:
@@ -320,6 +321,67 @@ class TestCheckHypothesesIsOneCheckPerMatrix:
         )
 
 
+# The PSD kernel on a stack: psd_check runs it on a stack of one matrix, and
+# check_hypotheses on the moment matrix with every localizing matrix.  Each
+# verdict must be the one its matrix gets on its own.
+
+_STACK_KINDS = ["zero", "near-double-max", "subnormal", "asymmetric", "gram", "indefinite"]
+
+
+def _stack_matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.standard_normal((n, n))
+    symmetric = (a + a.T) / 2.0
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "near-double-max":
+        return symmetric / np.abs(symmetric).max() * 1.7e308
+    if kind == "subnormal":
+        return symmetric * 1e-310
+    if kind == "asymmetric":  # an ndarray from outside, off by rounding
+        return symmetric + 1e-12 * a
+    if kind == "gram":
+        return a @ a.T
+    return symmetric * 10.0 ** int(rng.integers(-5, 6))
+
+
+class TestPsdStack:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        kinds=st.lists(st.sampled_from(_STACK_KINDS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        tol_rel=st.sampled_from([1e-8, 0.0, 1e-3]),
+    )
+    def test_verdicts_are_each_matrixs_own(self, n, kinds, seed, tol_rel):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_stack_matrix(kind, n, rng) for kind in kinds])
+        alone = [repr(psd_check(m.copy(), tol_rel)) for m in stack]
+        assert [repr(v) for v in matrices._psd_verdicts(stack, tol_rel)] == alone
+        assert alone == [repr(_ref_psd_check(m, tol_rel)) for m in stack]
+
+    def test_row_sums_past_numpys_pairwise_block(self):
+        # numpy sums a row of more than 128 entries in blocks.
+        rng = np.random.default_rng(5)
+        stack = np.stack([_stack_matrix(kind, 130, rng) for kind in _STACK_KINDS])
+        alone = [repr(psd_check(m.copy())) for m in stack]
+        assert [repr(v) for v in matrices._psd_verdicts(stack, 1e-8)] == alone
+        assert alone == [repr(_ref_psd_check(m)) for m in stack]
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("marker", _MARKERS.values(), ids=_MARKERS)
+    def test_a_non_finite_entry_anywhere_raises(self, at, marker):
+        stack = np.stack([np.eye(3), -np.eye(3), np.zeros((3, 3))])
+        stack[at, 1, 2] = marker
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            psd_check(stack[at])
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            matrices._psd_verdicts(stack, 1e-8)
+
+    def test_empty_matrices_are_psd(self):
+        verdicts = matrices._psd_verdicts(np.zeros((2, 0, 0)), 1e-6)
+        assert [repr(v) for v in verdicts] == [repr(psd_check(np.zeros((0, 0)), 1e-6))] * 2
+
+
 # Per-entry reference definitions: every entry is looked up and converted on
 # its own, and the localizing terms are added one at a time in graded-lex
 # order of gamma.  The cached assembly must agree bit for bit.
@@ -539,6 +601,14 @@ class TestEvaluationMatchesReference:
             _reference_monomial_values(1, [(1e200,)], 4)
         with pytest.raises(OverflowError):
             monomial_values(1, [(1e200,)], 4)
+
+    @pytest.mark.parametrize("point", [(2.0, 1e200, 1.0), (1e200, 2.0, 1.0), (1.0, 2.0, -1e200)])
+    def test_a_power_beyond_double_range_in_any_coordinate_raises(self, point):
+        with pytest.raises(OverflowError) as reference:
+            _reference_monomial_values(3, [(0.5, 0.25, 3.0), point], 4)
+        with pytest.raises(OverflowError) as table:
+            monomial_values(3, [(0.5, 0.25, 3.0), point], 4)
+        assert str(table.value) == str(reference.value)
 
     def test_overflowing_products_are_infinite_like_math_prod(self):
         # No single power overflows, but inf * 0 and a weight times a value

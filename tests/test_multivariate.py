@@ -672,6 +672,73 @@ class TestOneProbe:
         assert all(w > 0.0 for _, w in nu.atoms)
 
 
+# A flat level's points: the eigenvectors of the probe combination, and each
+# operator's Rayleigh quotient at each.  The reference is the loop the two
+# broadcast products replaced, one v @ op @ v per atom and axis.
+
+
+def _reference_joint_points(operators: np.ndarray, coeffs: np.ndarray) -> list[tuple]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, vectors = np.linalg.eigh(sum(c * op for c, op in zip(coeffs, operators)))
+        return [
+            tuple(float(vectors[:, k] @ op @ vectors[:, k]) for op in operators)
+            for k in range(vectors.shape[1])
+        ]
+
+
+class TestJointPointsMatchThePerAtomLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        rank=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.sampled_from([-300, -150, -8, 0, 3, 150, 307]),
+        poison=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+    )
+    def test_same_points_by_repr(self, dim, rank, seed, exponent, poison):
+        # Operators near 1e307 overflow in the products, as operators
+        # compressed from data far from PSD do; a poisoned entry is one an
+        # overflow in the compression left.
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):
+            a = rng.standard_normal((dim, rank, rank)) * 10.0**exponent
+            operators = (a + a.transpose(0, 2, 1)) / 2.0
+        if poison is not None:
+            axis, i, j = (int(rng.integers(n)) for n in (dim, rank, rank))
+            operators[axis, i, j] = operators[axis, j, i] = poison
+        coeffs = rng.standard_normal(dim)
+        coeffs /= math.sqrt(float(coeffs @ coeffs))
+        try:
+            expected = _reference_joint_points(operators, coeffs)
+        except np.linalg.LinAlgError:  # LAPACK gives up on an inf entry
+            with pytest.raises(np.linalg.LinAlgError):
+                multivariate._joint_points(operators, coeffs)
+            return
+        points = multivariate._joint_points(operators, coeffs)
+        assert repr(points) == repr(expected)
+        assert [len(p) for p in points] == [dim] * rank
+
+    @pytest.mark.parametrize("rank", [2, 3, 5, 25])
+    def test_products_that_overflow(self, rank):
+        # The probe sees only the first operator, whose eigenvector
+        # (1, ..., 1) / sqrt(rank) sums the others' entries to beyond double
+        # range: their quotients there are inf and -inf.
+        operators = np.stack(
+            [np.ones((rank, rank)), np.full((rank, rank), 1.7e308), np.full((rank, rank), -1e308)]
+        )
+        coeffs = np.array([1.0, 0.0, 0.0])
+        points = multivariate._joint_points(operators, coeffs)
+        assert repr(points) == repr(_reference_joint_points(operators, coeffs))
+        assert points[-1][1:] == (math.inf, -math.inf)
+
+    def test_operators_of_a_flat_level(self):
+        s = moments_of_atomic(_three_atoms(), 4)
+        operators, _ = multivariate._operators(s, flat_rank(s, 2), 1e-8)
+        coeffs = multivariate._probe_direction(2, 0)
+        points = multivariate._joint_points(operators, coeffs)
+        assert repr(points) == repr(_reference_joint_points(operators, coeffs))
+
+
 class TestRefusalsCarryTheirNumbers:
     """Each refusal of the level scan carries the numbers that decided it;
     its message is unchanged."""
@@ -743,6 +810,16 @@ class TestRefusalsCarryTheirNumbers:
         np.testing.assert_equal(raised.value.worst, entry)
         assert raised.value.tolerance == 1e-6
         assert raised.value.index is None
+
+    def test_exact_entry_beyond_double_range_carries_the_level(self):
+        values = {alpha: 1 for alpha in _all_indices(2, 4)}
+        values[(0, 4)] = 10**400
+        s = MomentSequence(2, 4, values)
+        flat_rank(s, 1)  # the level-1 matrix stops at degree 2
+        with pytest.raises(EigenFailure) as raised:
+            flat_rank(s, 2)
+        assert (raised.value.level, raised.value.scale) == (2, None)
+        assert str(raised.value) == "exact entry beyond double range at level 2"
 
     def test_evidence_keywords_are_the_declared_ones(self):
         error = NotFlat("message", failures=[])

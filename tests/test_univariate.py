@@ -22,6 +22,7 @@ from momentkit import (
     gauss_rule,
     moments_factorial,
     moments_of_atomic,
+    solve,
     solve_1d,
 )
 from momentkit import univariate
@@ -238,6 +239,26 @@ class TestSolveEdgeCases:
         s = MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): 1.0})
         with pytest.raises(EigenFailure, match="growth scale 1e\\+200"):
             solve_1d(s)
+
+    def test_growth_scale_beyond_double_range_is_an_eigen_failure(self):
+        # |s_4 / s_0| = 2e440 leaves double range, so the scale is inf; no
+        # arithmetic with it is done (it gave a RuntimeWarning, and with
+        # warnings ignored a NaN worst residual).
+        values = [4.8e-241, 2.7e-141, -0.36, -819.0, 1e200, 837.0, 0.0]
+        s = MomentSequence(1, 6, {(k,): v for k, v in enumerate(values)})
+        for route in (gauss_rule, solve_1d, solve):
+            with pytest.raises(
+                EigenFailure, match="^growth scale inf is beyond double range$"
+            ) as raised:
+                route(s)
+            assert (raised.value.scale, raised.value.level) == (math.inf, None)
+
+    def test_growth_scale_power_refusal_carries_the_scale(self):
+        s = MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): 1.0})
+        with pytest.raises(EigenFailure) as raised:
+            gauss_rule(s)
+        assert (raised.value.scale, raised.value.level) == (1e200, None)
+        assert str(raised.value) == "growth scale 1e+200 has a power beyond double range"
 
     def test_slightly_negative_node_clamped(self):
         mu = AtomicMeasure(1, [((-1.0e-8,), 1.0), ((2.0,), 1.0)])
