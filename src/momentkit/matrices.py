@@ -406,8 +406,10 @@ def _psd_verdicts(stack: np.ndarray, tol_rel: float) -> list[PsdVerdict]:
     scales = np.abs(stack).max(axis=(1, 2)).tolist()
     if not all(map(math.isfinite, scales)):
         raise EigenFailure("matrix has non-finite entries")
-    # A zero matrix is divided by 1; its verdict is set below.
-    m = stack / np.array([scale or 1.0 for scale in scales])[:, None, None]
+    # A zero matrix is divided by 1; its verdict is set below.  A lone
+    # matrix is divided by a float, numpy's faster path to the same quotients.
+    divisors = [scale or 1.0 for scale in scales]
+    m = stack / (divisors[0] if len(divisors) == 1 else np.array(divisors)[:, None, None])
     m += m.transpose(0, 2, 1)  # numpy reads the transpose from a copy, as m + m.T does
     m /= 2.0
     row_sums = np.abs(m).sum(axis=2).max(axis=1).tolist()

@@ -696,9 +696,8 @@ class TestJointPointsMatchThePerAtomLoop:
         poison=st.sampled_from([None, math.inf, -math.inf, math.nan]),
     )
     def test_same_points_by_repr(self, dim, rank, seed, exponent, poison):
-        # Operators near 1e307 overflow in the products, as operators
-        # compressed from data far from PSD do; a poisoned entry is one an
-        # overflow in the compression left.
+        # Entries up to 1e307, and poisoned ones (inf, -inf, NaN), as the
+        # compression of data far from PSD leaves them.
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore"):
             a = rng.standard_normal((dim, rank, rank)) * 10.0**exponent

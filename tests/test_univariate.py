@@ -241,9 +241,8 @@ class TestSolveEdgeCases:
             solve_1d(s)
 
     def test_growth_scale_beyond_double_range_is_an_eigen_failure(self):
-        # |s_4 / s_0| = 2e440 leaves double range, so the scale is inf; no
-        # arithmetic with it is done (it gave a RuntimeWarning, and with
-        # warnings ignored a NaN worst residual).
+        # |s_4 / s_0| = 2e440 leaves double range, so the scale is inf, and
+        # it is refused before any arithmetic with it.
         values = [4.8e-241, 2.7e-141, -0.36, -819.0, 1e200, 837.0, 0.0]
         s = MomentSequence(1, 6, {(k,): v for k, v in enumerate(values)})
         for route in (gauss_rule, solve_1d, solve):
