@@ -14,8 +14,8 @@ bound, a tolerance out of range, a level or an image degree deeper than the
 data, ``solve --mode 1d`` with ``--level``, data too short to solve, a
 fixture spec whose moments overflow) or unwritable output, 3 definitive
 failure (positivity or generation), 4 inconclusive growth diagnostics, 5
-solver failure (no flat level / moments not reproduced), 6 pull-back or
-final verification failure.
+solver failure (no flat level; for ``solve``, moments not reproduced), 6
+pull-back failure or, for ``pipeline``, input moments not reproduced.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
 exit code.  None of them prints; :func:`main` renders the report once, as
@@ -168,6 +168,14 @@ def _series_entry(series: Any, *args: Any) -> dict:
         return _diag_summary(series(*args))
     except NegativeMoment as exc:
         return {"classification": "negative-moment", "reason": str(exc)}
+
+
+def _with_warnings(call: Callable[..., Any], *args: Any) -> tuple[Any, list[str]]:
+    """``call(*args)``, and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +399,6 @@ def cmd_diagnose(args: argparse.Namespace) -> Outcome:
 # solve
 
 
-def _solve(
-    s: MomentSequence, args: argparse.Namespace, mode: str = "auto", level: int | None = None
-) -> tuple[AtomicMeasure, dict, list[str]]:
-    """:func:`momentkit.solve` with the command's options, and its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        measure, detail = solver.solve(s, mode, level, args.rank_tol, args.tol, args.seed)
-    return measure, detail, [str(w.message) for w in caught]
-
-
 def _solve_exit(exc: MomentError) -> int:
     # Data too short for the level or the solve is an input error, as in ``check``.
     return EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
@@ -418,7 +416,9 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
         # A refusal reports the degree the solver read, as a success does.
         report["solved_degree"] = finite_degree
     try:
-        measure, detail, caught = _solve(s, args, args.mode, args.level)
+        (measure, detail), caught = _with_warnings(
+            solver.solve, s, args.mode, args.level, args.rank_tol, args.tol, args.seed
+        )
     except MomentError as exc:
         return _fail_report(report, exc, _solve_exit(exc))
     report.update(detail)
@@ -548,8 +548,11 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
         entries=len(pushed.values),
     )
 
+    # Pushed data carries the pushforward's rounding: only verify judges.
     try:
-        nu, solve_detail, caught = _solve(pushed, args)
+        (nu, solve_detail), caught = _with_warnings(
+            solver.propose, pushed, "auto", None, args.rank_tol, args.tol, args.seed
+        )
     except MomentError as exc:
         stage(
             "solve", ok=False, error_type=type(exc).__name__, error=str(exc)
@@ -562,9 +565,9 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
     # witnesses are None, needs the Newton search.
     route = "witnesses" if gen.generated else "newton"
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mu = reduction.pull_back_atoms(nu, pres, gen.witnesses, args.tol)
+        mu, caught = _with_warnings(
+            reduction.pull_back_atoms, nu, pres, gen.witnesses, args.tol
+        )
     except MomentError as exc:
         stage(
             "pullback",
@@ -579,7 +582,7 @@ def cmd_pipeline(args: argparse.Namespace) -> Outcome:
         ok=True,
         route=route,
         atom_count=len(mu),
-        warnings=[str(w.message) for w in caught],
+        warnings=caught,
     )
 
     try:

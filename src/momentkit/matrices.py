@@ -12,8 +12,9 @@ Whether a measure reproduces the data is decided by one rule, that of
 :func:`require_reproduced`: the residual ``|m - t| / max(1, |t|)`` of each
 entry, ``m`` the ``math.fsum`` of the atoms' terms, against ``tol``, and below
 a mass of 1 also ``|m - t| / max(|s_0|, |t|)``.
-:func:`require_reproduced` returns those residuals, and ``solve_1d`` and
-``pipeline`` report them, so it takes every row's ``fsum``.  Flat
+:func:`require_reproduced` returns those residuals, and ``solve_1d``,
+``solve`` on 1-D data and ``pipeline``'s ``verify`` stage report them, so
+it takes every row's ``fsum``.  Flat
 extraction only needs the verdict: its gate bounds every row's residual in
 one array pass from a sum in any order and the rounding error that order
 can make, and takes the ``fsum`` residuals only when the bound cannot

@@ -94,12 +94,7 @@ def flat_rank(
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    try:
-        matrix = moment_matrix(s, level)
-    except OverflowError:
-        raise EigenFailure(
-            f"exact entry beyond double range at level {level}", level=level
-        ) from None
+    matrix = _moment_matrix(s, level)
     previous = matrix._leading(math.comb(s.dim + level - 1, s.dim))
     return FlatRankResult(
         level,
@@ -108,6 +103,17 @@ def flat_rank(
         matrix,
         previous,
     )
+
+
+def _moment_matrix(s: MomentSequence, level: int) -> SymmetricMatrixWithBasis:
+    """The moment matrix at ``level``, or :class:`EigenFailure` when an exact
+    entry there lies beyond double range."""
+    try:
+        return moment_matrix(s, level)
+    except OverflowError:
+        raise EigenFailure(
+            f"exact entry beyond double range at level {level}", level=level
+        ) from None
 
 
 def multiplication_operators(
@@ -342,9 +348,11 @@ def extract_atoms_auto(
     are not flat or where extraction fails its internal checks, and returns
     ``(measure, level)`` for the first success.  Raises
     :class:`DegreeOverflow` when the data stops below degree 2, where there
-    is no level to scan, and :class:`NotFlat` when no level admits a
-    validated extraction.  The data is read as doubles; :func:`momentkit.solve`
-    takes data with ``inf`` markers or exact entries beyond double range.
+    is no level to scan, :class:`EigenFailure` when a scanned level's
+    matrix holds an exact entry beyond double range, and :class:`NotFlat`
+    when no level admits a validated extraction.  The data is read as
+    doubles; :func:`momentkit.solve` takes data with ``inf`` markers or
+    exact entries beyond double range.
     """
     if s.max_degree < 2:
         raise DegreeOverflow(
@@ -359,7 +367,7 @@ def extract_atoms_auto(
         else:
             # The previous level's matrix and rank are this level's
             # previous ones.
-            matrix = moment_matrix(s, level)
+            matrix = _moment_matrix(s, level)
             fr = FlatRankResult(
                 level, numerical_rank(matrix, rank_tol), fr.rank, matrix, fr.matrix
             )

@@ -1,10 +1,52 @@
-"""One solve for any moment data, checked against every entry."""
+"""One dispatch for any moment data, and one solve checked against every entry."""
 
 from __future__ import annotations
 
 from . import multivariate, univariate
 from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced
 from .polynomials import AtomicMeasure, MomentSequence
+
+
+def propose(
+    s: MomentSequence,
+    mode: str = "auto",
+    level: int | None = None,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    tol: float = DEFAULT_PSD_TOL,
+    seed: int = 0,
+) -> tuple[AtomicMeasure, dict]:
+    """A candidate atomic measure for ``s``, and a dict detailing the route
+    taken; the measure is not compared with ``s``.
+
+    ``mode="1d"`` runs :func:`~momentkit.univariate.gauss_rule`, ``"md"``
+    flat extraction at ``level`` or by scanning, and ``"auto"`` picks
+    ``"1d"`` for 1-D data with no ``level``.  Each route reads the finite
+    prefix ``s.restrict(s.finite_degree())``; when it stops short of
+    ``s.max_degree`` the detail gains ``solved_degree``."""
+    finite_degree = s.finite_degree()
+    prefix = s.restrict(finite_degree)
+    if mode == "auto":
+        # A level is a flat-extraction level, so giving one selects it.
+        mode = "1d" if s.dim == 1 and level is None else "md"
+    if mode == "1d":
+        rule = univariate.gauss_rule(prefix, rank_tol)
+        measure = rule.measure
+        detail = {
+            "mode": "1d",
+            "rank": rule.rank,
+            "stieltjes_supported": rule.stieltjes_supported,
+            "jacobi_diag": rule.jacobi.diag,
+            "jacobi_offdiag": rule.jacobi.offdiag,
+        }
+    else:
+        if level is not None:
+            measure = multivariate.extract_atoms(prefix, level, rank_tol, tol, seed)
+        else:
+            measure, level = multivariate.extract_atoms_auto(prefix, rank_tol, tol, seed)
+        detail = {"mode": "md", "level": level, "rank": len(measure)}
+    if finite_degree < s.max_degree:
+        detail["solved_degree"] = finite_degree
+    return measure, detail
 
 
 def solve(
@@ -15,38 +57,14 @@ def solve(
     tol: float = DEFAULT_PSD_TOL,
     seed: int = 0,
 ) -> tuple[AtomicMeasure, dict]:
-    """An atomic measure for ``s``, and a dict detailing the route taken.
-
-    ``mode="1d"`` runs :func:`~momentkit.univariate.solve_1d`, ``"md"`` flat
-    extraction at ``level`` or by scanning, and ``"auto"`` picks ``"1d"`` for
-    1-D data with no ``level``.  Each route reads the finite prefix
-    ``s.restrict(s.finite_degree())``, and every entry of ``s`` is compared
-    (:func:`~momentkit.matrices.require_reproduced`; a miss is
-    :class:`ValidationFailure`).  When the prefix stops short of
-    ``s.max_degree`` the detail gains ``solved_degree``."""
-    finite_degree = s.finite_degree()
-    prefix = s.restrict(finite_degree)
-    if mode == "auto":
-        # A level is a flat-extraction level, so giving one selects it.
-        mode = "1d" if s.dim == 1 and level is None else "md"
-    if mode == "1d":
-        result = univariate.solve_1d(s, rank_tol, tol)
-        measure = result.measure
-        detail = {
-            "mode": "1d",
-            "rank": result.rank,
-            "stieltjes_supported": result.stieltjes_supported,
-            "max_residual": result.max_residual,
-            "jacobi_diag": result.jacobi.diag,
-            "jacobi_offdiag": result.jacobi.offdiag,
-        }
-    else:
-        if level is not None:
-            measure = multivariate.extract_atoms(prefix, level, rank_tol, tol, seed)
-        else:
-            measure, level = multivariate.extract_atoms_auto(prefix, rank_tol, tol, seed)
-        require_reproduced(measure, s, tol, "extracted measure")
-        detail = {"mode": "md", "level": level, "rank": len(measure)}
-    if finite_degree < s.max_degree:
-        detail["solved_degree"] = finite_degree
+    """:func:`propose`, returned only if :func:`~momentkit.matrices.require_reproduced`
+    finds every entry of ``s`` within ``tol`` (a miss is :class:`ValidationFailure`);
+    a 1-D detail gains the worst entry's residual as ``max_residual``."""
+    measure, detail = propose(s, mode, level, rank_tol, tol, seed)
+    one_d = detail["mode"] == "1d"
+    label = "recovered measure" if one_d else "extracted measure"
+    residuals = require_reproduced(measure, s, tol, label)
+    if one_d:
+        items = list(detail.items())
+        detail = dict(items[:3] + [("max_residual", max(residuals))] + items[3:])
     return measure, detail

@@ -249,5 +249,7 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
         measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
     except ValueError as exc:  # two nodes within the atoms' tol_atom
         raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
-    jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
+    # An entry may overflow to inf, which needs no numpy warning.
+    with np.errstate(over="ignore"):
+        jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
     return GaussRule(measure, jacobi, q, supported)

@@ -588,11 +588,16 @@ class TestScanMatchesTheTwoBuildReference:
 
         got, got_degree = last_degree_read(extract_atoms_auto)
         want, want_degree = last_degree_read(_reference_auto)
-        assert got == want
         if raising_level is None:
+            assert got == want
             assert got.endswith(", 3)")
         else:
-            assert got.startswith("OverflowError")
+            # The scan refuses, typed, where the reference raises a bare
+            # OverflowError.
+            assert want.startswith("OverflowError")
+            assert got == (
+                f"EigenFailure: exact entry beyond double range at level {raising_level}"
+            )
             assert got_degree == want_degree == 2 * raising_level
 
 
@@ -819,6 +824,19 @@ class TestRefusalsCarryTheirNumbers:
             flat_rank(s, 2)
         assert (raised.value.level, raised.value.scale) == (2, None)
         assert str(raised.value) == "exact entry beyond double range at level 2"
+
+    def test_the_scan_refuses_an_exact_entry_beyond_double_range_at_its_level(self):
+        # The level-2 matrix of delta(1, 1) + delta(1e100, 3) holds 1e400.
+        mu = AtomicMeasure(2, [((1, 1), 1), ((10**100, 3), 1)])
+        s = moments_of_atomic(mu, 4, exact=True)
+        for route in (
+            lambda: flat_rank(s, 2),
+            lambda: extract_atoms(s, 2),
+            lambda: extract_atoms_auto(s),
+        ):
+            with pytest.raises(EigenFailure) as raised:
+                route()
+            assert raised.value.level == 2
 
     def test_evidence_keywords_are_the_declared_ones(self):
         error = NotFlat("message", failures=[])

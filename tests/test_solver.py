@@ -24,6 +24,7 @@ from momentkit import (
     gauss_rule,
     moments_of_atomic,
     multivariate,
+    propose,
     solve,
     solve_1d,
     univariate,
@@ -329,6 +330,25 @@ def test_one_contract_on_a_file_with_inf_markers(moved):
         assert outcome[0] is ValidationFailure
     else:
         assert len(outcome) == 1
+
+
+def test_propose_returns_the_rule_that_solve_refuses():
+    # Lognormal data has no atomic measure: ``propose`` returns the Gauss
+    # rule of its finite prefix, and only ``solve`` compares it with the data.
+    s = fixtures.moments_lognormal(40)
+    measure, detail = propose(s)
+    prefix_rule = gauss_rule(s.restrict(s.finite_degree()))
+    assert repr(measure.atoms) == repr(prefix_rule.measure.atoms)
+    assert detail == {
+        "mode": "1d",
+        "rank": prefix_rule.rank,
+        "stieltjes_supported": True,
+        "jacobi_diag": prefix_rule.jacobi.diag,
+        "jacobi_offdiag": prefix_rule.jacobi.offdiag,
+        "solved_degree": s.finite_degree(),
+    }
+    with pytest.raises(ValidationFailure):
+        solve(s)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -252,6 +252,19 @@ class TestSolveEdgeCases:
                 route(s)
             assert (raised.value.scale, raised.value.level) == (math.inf, None)
 
+    def test_jacobi_entries_beyond_double_range_raise_no_numpy_warning(self):
+        # The scale is finite, but times a recurrence coefficient it leaves
+        # double range: the Jacobi entry is an np.float64 inf, and the rule
+        # is refused by the gate, with no RuntimeWarning on the way.
+        values = [1.765766286701659, 1e-200, 9.419652887847219e-141, -5.280040531254374e195, 1.0]
+        s = MomentSequence(1, 4, {(k,): v for k, v in enumerate(values)})
+        rule = gauss_rule(s)
+        assert math.inf in map(abs, rule.jacobi.diag + rule.jacobi.offdiag)
+        assert {type(x) for x in rule.jacobi.diag + rule.jacobi.offdiag} == {np.float64}
+        with pytest.raises(ValidationFailure) as raised:
+            solve(s)
+        assert (raised.value.worst, raised.value.index) == (1.0, (3,))
+
     def test_growth_scale_power_refusal_carries_the_scale(self):
         s = MomentSequence(1, 2, {(0,): 1.0, (1,): 1e200, (2,): 1.0})
         with pytest.raises(EigenFailure) as raised:
