@@ -16,13 +16,15 @@ def propose(
     seed: int = 0,
 ) -> tuple[AtomicMeasure, dict]:
     """A candidate atomic measure for ``s``, and a dict detailing the route
-    taken; the measure is not compared with ``s``.
+    taken; the measure is not compared with every entry of ``s``.
 
     ``mode="1d"`` runs :func:`~momentkit.univariate.gauss_rule`, ``"md"``
     flat extraction at ``level`` or by scanning, and ``"auto"`` picks
     ``"1d"`` for 1-D data with no ``level``.  Each route reads the finite
     prefix ``s.restrict(s.finite_degree())``; when it stops short of
-    ``s.max_degree`` the detail gains ``solved_degree``."""
+    ``s.max_degree`` the detail gains ``solved_degree``.  The 1-D rule is
+    compared with nothing; flat extraction at level ``L`` refuses atoms
+    that miss an entry of the prefix through degree ``2L``."""
     finite_degree = s.finite_degree()
     prefix = s.restrict(finite_degree)
     if mode == "auto":

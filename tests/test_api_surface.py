@@ -23,3 +23,20 @@ def test_traced_layers_resolve():
     for module, attr, _stats in spans.LAYERS:
         owner = importlib.import_module(f"momentkit.{module}")
         assert callable(operator.attrgetter(attr)(owner)), f"{module}.{attr}"
+
+
+MOVED = {
+    "univariate": ["gauss_rule", "GaussRule", "JacobiMatrix", "solve_1d", "Solve1DResult"],
+    "multivariate": ["extract_atoms", "extract_atoms_auto"],
+    "matrices": ["reproduction_residuals"],
+}
+
+
+def test_the_package_solves_through_one_dispatch_and_one_gate():
+    assert {"propose", "solve", "require_reproduced"} <= set(momentkit.__all__)
+    for module, names in MOVED.items():
+        owner = importlib.import_module(f"momentkit.{module}")
+        for name in names:
+            assert not hasattr(momentkit, name), name
+            assert name not in momentkit.__all__, name
+            assert hasattr(owner, name), f"{module}.{name}"

@@ -23,8 +23,6 @@ from momentkit import (
     Polynomial,
     RankCollapse,
     ValidationFailure,
-    extract_atoms,
-    extract_atoms_auto,
     flat_rank,
     localizing_matrix,
     matrices,
@@ -34,7 +32,6 @@ from momentkit import (
     multiplication_operators,
     multivariate,
     numerical_rank,
-    solve_1d,
 )
 from momentkit.matrices import (
     monomial_values,
@@ -42,7 +39,8 @@ from momentkit.matrices import (
     reproduction_residuals,
     require_reproduced,
 )
-from momentkit.multivariate import FlatRankResult
+from momentkit.multivariate import FlatRankResult, extract_atoms, extract_atoms_auto
+from momentkit.univariate import solve_1d
 from conftest import measure_errors, random_measure
 
 

@@ -225,7 +225,7 @@ class TestPullBack:
     def test_roundtrip_through_pipeline_stages(self):
         # Push exact on-curve data forward, then pull the image atoms back:
         # the original measure returns.
-        from momentkit import extract_atoms_auto
+        from momentkit.multivariate import extract_atoms_auto
 
         pres = _curve(2)
         inverse = power_curve_inverse(2)

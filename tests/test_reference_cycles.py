@@ -23,16 +23,15 @@ from momentkit import (
     NotFlat,
     RankCollapse,
     ValidationFailure,
-    extract_atoms,
-    extract_atoms_auto,
     moments_factorial,
     moments_lognormal,
     moments_of_atomic,
     multiplication_operators,
     multivariate,
-    solve_1d,
 )
+from momentkit.multivariate import extract_atoms, extract_atoms_auto
 from momentkit.polynomials import monomials_up_to
+from momentkit.univariate import solve_1d
 
 
 def _coinciding() -> MomentSequence:

@@ -21,17 +21,16 @@ from momentkit import (
     ValidationFailure,
     fileformats,
     fixtures,
-    gauss_rule,
     moments_of_atomic,
     multivariate,
     propose,
     solve,
-    solve_1d,
     univariate,
 )
 from momentkit.matrices import require_reproduced
 from momentkit.polynomials import _log, monomials_up_to
 from momentkit.reduction import pushforward_moments
+from momentkit.univariate import gauss_rule, solve_1d
 
 TOL = 1e-8
 

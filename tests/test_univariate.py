@@ -15,19 +15,22 @@ from momentkit import (
     DegreeOverflow,
     DimMismatch,
     EigenFailure,
-    JacobiMatrix,
     MomentSequence,
     RankCollapse,
     ValidationFailure,
-    gauss_rule,
     moments_factorial,
     moments_of_atomic,
     solve,
-    solve_1d,
 )
 from momentkit import univariate
 from momentkit.matrices import require_reproduced
-from momentkit.univariate import _growth_scale, _partial_cholesky_rows
+from momentkit.univariate import (
+    JacobiMatrix,
+    _growth_scale,
+    _partial_cholesky_rows,
+    gauss_rule,
+    solve_1d,
+)
 from conftest import measure_errors, random_measure
 
 SQRT2 = math.sqrt(2.0)
