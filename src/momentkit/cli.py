@@ -272,10 +272,6 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
     max_deg = max(
         (int(f.degree) for f in generators if not f.is_zero()), default=0
     )
-    if max_deg > s.max_degree:
-        return _fail_input(
-            f"constraint degree {max_deg} exceeds data degree {s.max_degree}"
-        )
     # Matrices need finite doubles; entries beyond the finite prefix still
     # feed the log-domain growth diagnostics below.
     finite_degree = s_norm.finite_degree()
@@ -398,16 +394,12 @@ def cmd_diagnose(args: argparse.Namespace) -> Outcome:
 # solve
 
 
-def _solve_exit(exc: MomentError) -> int:
-    # Data too short for the level or the solve is an input error, as in ``check``.
-    return EXIT_INPUT if isinstance(exc, DegreeOverflow) else EXIT_SOLVE
+def _solve_exit(exc: Exception) -> int:
+    # Data too short to solve, or a level with --mode 1d, is an input error.
+    return EXIT_INPUT if isinstance(exc, (DegreeOverflow, ValueError)) else EXIT_SOLVE
 
 
 def cmd_solve(args: argparse.Namespace) -> Outcome:
-    if args.mode == "1d" and args.level is not None:
-        return _fail_input(
-            "--level selects a flat-extraction level; --mode 1d takes none"
-        )
     s = fileformats.read_moment_file(args.moments)
     report: dict = {"moments": args.moments, "dim": s.dim, "degree": s.max_degree}
     finite_degree = s.finite_degree()
@@ -418,7 +410,7 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
         (measure, detail), caught = _with_warnings(
             solver.solve, s, args.mode, args.level, args.rank_tol, args.tol, args.seed
         )
-    except MomentError as exc:
+    except (MomentError, ValueError) as exc:
         return _fail_report(report, exc, _solve_exit(exc))
     report.update(detail)
     if caught:
@@ -669,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--rank-tol", type=_finite_float(0.0, 1.0), default=matrices.DEFAULT_RANK_TOL
         )
         p.add_argument("--tol", type=_finite_float(0.0), default=matrices.DEFAULT_PSD_TOL)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     def add_reduction_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=_int_at_least(1), help="generation-check degree budget")
@@ -725,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="recover an atomic measure")
     p.add_argument("moments", help="moment file")
     p.add_argument("out", help="output measure file")
-    p.add_argument("--mode", choices=["auto", "1d", "md"], default="auto")
+    p.add_argument("--mode", choices=solver.MODES, default="auto")
     p.add_argument(
         "--level", type=_int_at_least(1), help="flat extraction level (selects md mode)"
     )

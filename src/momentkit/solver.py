@@ -6,6 +6,8 @@ from . import multivariate, univariate
 from .matrices import DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, require_reproduced
 from .polynomials import AtomicMeasure, MomentSequence
 
+MODES = ("auto", "1d", "md")
+
 
 def propose(
     s: MomentSequence,
@@ -24,7 +26,12 @@ def propose(
     prefix ``s.restrict(s.finite_degree())``; when it stops short of
     ``s.max_degree`` the detail gains ``solved_degree``.  The 1-D rule is
     compared with nothing; flat extraction at level ``L`` refuses atoms
-    that miss an entry of the prefix through degree ``2L``."""
+    that miss an entry of the prefix through degree ``2L``.  A mode outside
+    :data:`MODES`, or a level with ``"1d"``, raises ``ValueError`` before reading ``s``."""
+    if mode not in MODES or (mode == "1d" and level is not None):
+        raise ValueError(
+            f"mode {mode!r}, level {level!r}: no solve route (modes {MODES}; '1d' takes no level)"
+        )
     finite_degree = s.finite_degree()
     prefix = s.restrict(finite_degree)
     if mode == "auto":

@@ -486,15 +486,22 @@ def test_check_negative_mass_fails(tmp_path, capsys):
     }
 
 
-def test_check_constraint_deeper_than_finite_prefix_exits_2(tmp_path, capsys):
-    # A point mass at e^300: s_3 = e^900 and s_4 = e^1200 are past double
-    # range, so matrices see degree 2 only, too shallow for x1^3.
-    path = tmp_path / "far.mom"
-    path.write_text(
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A point mass at e^300: s_3 = e^900 and s_4 = e^1200 are past double
+        # range, so matrices see degree 2 only, too shallow for x1^3.
         "momentfile v1 dim=1 degree=4\n"
         f"0 1.0\n1 {math.exp(300)!r}\n2 {math.exp(600)!r}\n"
-        "3 log:900.0\n4 log:1200.0\n"
-    )
+        "3 log:900.0\n4 log:1200.0\n",
+        # All-finite data of degree 2: its finite part is all of it.
+        "momentfile v1 dim=1 degree=2\n0 1.0\n1 2.0\n2 5.0\n",
+    ],
+    ids=["past-double-range", "all-finite"],
+)
+def test_check_constraint_deeper_than_finite_prefix_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "far.mom"
+    path.write_text(text)
     gens = tmp_path / "cube.txt"
     gens.write_text("x1^3\n")
     code, report = run_json(capsys, "check", str(path), str(gens))
@@ -837,8 +844,16 @@ def test_solve_mode_1d_with_level_exits_2(tmp_path, capsys):
     out = tmp_path / "o.atoms"
     code, report = run_json(capsys, "solve", moments, str(out), "--mode", "1d", "--level", "2")
     assert code == EXIT_INPUT
+    # The library's refusal, reported as every other solve refusal is.
     assert report == {
-        "error": "--level selects a flat-extraction level; --mode 1d takes none",
+        "moments": moments,
+        "dim": 1,
+        "degree": 6,
+        "error": {
+            "type": "ValueError",
+            "message": "mode '1d', level 2: no solve route "
+            "(modes ('auto', '1d', 'md'); '1d' takes no level)",
+        },
         "exit": EXIT_INPUT,
     }
     assert not out.exists()
@@ -1759,10 +1774,12 @@ def test_pipeline_options_reach_the_solver_and_pull_back(tmp_path, capsys, monke
         (["diagnose", "m.mom"], "--stride", 1),
         (["diagnose", "m.mom"], "--axis", 0),
         (["solve", "m.mom", "o.msr"], "--level", 1),
+        (["solve", "m.mom", "o.msr"], "--seed", 0),
         (["reduce", "m.mom", "g.txt", "p.mom"], "--budget", 1),
         (["reduce", "m.mom", "g.txt", "p.mom"], "--image-degree", 0),
         (["pipeline", "m.mom", "g.txt", "o.msr"], "--budget", 1),
         (["pipeline", "m.mom", "g.txt", "o.msr"], "--image-degree", 0),
+        (["pipeline", "m.mom", "g.txt", "o.msr"], "--seed", 0),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )

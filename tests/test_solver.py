@@ -13,6 +13,7 @@ from hypothesis import event, given, settings, strategies as st
 from momentkit import (
     AtomicMeasure,
     ClampedNodeWarning,
+    CommutatorTooLarge,
     EigenFailure,
     MomentError,
     MomentSequence,
@@ -348,6 +349,34 @@ def test_propose_returns_the_rule_that_solve_refuses():
     }
     with pytest.raises(ValidationFailure):
         solve(s)
+
+
+@pytest.mark.parametrize("call", [propose, solve])
+@pytest.mark.parametrize(
+    "mode, level", [("1D", None), ("bogus", None), (None, None), ("1d", 2)]
+)
+def test_a_mode_with_no_route_is_refused_before_the_data_is_read(call, mode, level):
+    # Every route refuses this data (md: NotFlat, 1d: ValidationFailure in
+    # solve), so a ValueError shows the mode is checked first.
+    with pytest.raises(ValueError, match=f"mode {mode!r}, level {level!r}: no solve route"):
+        call(fixtures.moments_factorial(4), mode, level)
+
+
+def test_the_commutator_gate_refuses_what_the_reproduction_gate_cannot_judge():
+    # Two atoms at coordinate scale 1/100 with s_(2,0) moved by 1e-5
+    # relative: the residual below |s_alpha| = 1 is absolute, so atoms that
+    # miss the moved entry would pass the reproduction gate; only level 2's
+    # commutators refuse the data.
+    mu = AtomicMeasure(2, [((0.00375, 0.0075), 0.25), ((0.01375, 0.0125), 1.0)])
+    s = moments_of_atomic(mu, 4)
+    _, detail = solve(s, mode="md")
+    assert (detail["level"], detail["rank"]) == (2, 2)
+    with pytest.raises(NotFlat) as refused:
+        solve(_moved(s, (2, 0), 1 + 1e-5), mode="md")
+    [(level, failure)] = refused.value.failures
+    assert level == 2 and isinstance(failure, CommutatorTooLarge)
+    assert failure.pair == (0, 1)
+    assert failure.norm > failure.bound == 1e-8
 
 
 @pytest.mark.parametrize("dim", [1, 2])
