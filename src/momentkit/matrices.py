@@ -388,29 +388,41 @@ def psd_check(
     the scale itself, which is NaN or ``inf`` exactly when such an entry is
     present, so one pass over the matrix serves both.
 
-    The arithmetic is that of a stack of same-size matrices
-    (:func:`_psd_verdicts`, which :func:`check_hypotheses` calls once per
-    level), and a stack's verdicts are each matrix's own, bit for bit.
+    The check runs on the one matrix, in 2-D arithmetic;
+    :func:`_psd_verdicts` gives each matrix of a stack this verdict, bit for
+    bit.
     """
-    return _psd_verdicts(_as_array(matrix)[None], tol_rel)[0]
+    m = _as_array(matrix)
+    scale = float(np.abs(m).max()) if m.size else 0.0
+    if not math.isfinite(scale):
+        raise EigenFailure("matrix has non-finite entries")
+    if scale == 0.0:
+        return _verdict(0.0, 0.0, 0.0, tol_rel)
+    m = m / scale
+    m += m.T  # numpy reads m.T from a copy, as m + m.T does
+    m /= 2.0
+    row_sum = float(np.abs(m).sum(axis=1).max())
+    try:
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
+        raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
+    return _verdict(scale, row_sum, min_eig, tol_rel)
 
 
 def _psd_verdicts(stack: np.ndarray, tol_rel: float) -> list[PsdVerdict]:
     """:func:`psd_check` of every matrix of a stack of same-size matrices,
-    in one pass of array calls: the scale, symmetrization and row sums are
-    elementwise or reduce within one matrix, and the stacked ``eigvalsh``
-    runs LAPACK on each matrix alone, so each verdict has the bits of a
-    check of its matrix by itself.  A non-finite entry anywhere raises
-    :class:`EigenFailure`."""
+    in one pass of array calls, for :func:`check_hypotheses`, its caller:
+    the scale, symmetrization and row sums are elementwise or reduce within
+    one matrix, and the stacked ``eigvalsh`` runs LAPACK on each matrix
+    alone, so each verdict has the bits of a check of its matrix by itself.
+    A non-finite entry anywhere raises :class:`EigenFailure`."""
     if stack.size == 0:
-        return [PsdVerdict(True, 0.0, tol_rel) for _ in range(len(stack))]
+        return [_verdict(0.0, 0.0, 0.0, tol_rel) for _ in range(len(stack))]
     scales = np.abs(stack).max(axis=(1, 2)).tolist()
     if not all(map(math.isfinite, scales)):
         raise EigenFailure("matrix has non-finite entries")
-    # A zero matrix is divided by 1; its verdict is set below.  A lone
-    # matrix is divided by a float, numpy's faster path to the same quotients.
-    divisors = [scale or 1.0 for scale in scales]
-    m = stack / (divisors[0] if len(divisors) == 1 else np.array(divisors)[:, None, None])
+    # A zero matrix is divided by 1; its verdict is the zero-scale one.
+    m = stack / np.array([scale or 1.0 for scale in scales])[:, None, None]
     m += m.transpose(0, 2, 1)  # numpy reads the transpose from a copy, as m + m.T does
     m /= 2.0
     row_sums = np.abs(m).sum(axis=2).max(axis=1).tolist()
@@ -418,17 +430,20 @@ def _psd_verdicts(stack: np.ndarray, tol_rel: float) -> list[PsdVerdict]:
         min_eigs = np.linalg.eigvalsh(m)[:, 0].tolist()
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
-    verdicts = []
-    for scale, row_sum, min_eig in zip(scales, row_sums, min_eigs):
-        if scale == 0.0:
-            verdicts.append(PsdVerdict(True, 0.0, tol_rel))
-            continue
-        tolerance = tol_rel * max(1.0 / scale, row_sum)
-        # 1 / scale overflows when every entry is subnormal; ||M||_inf < 1
-        # then, and the tolerance in matrix units is tol_rel itself.
-        used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
-        verdicts.append(PsdVerdict(min_eig >= -tolerance, min_eig * scale, used))
-    return verdicts
+    return [_verdict(*args, tol_rel) for args in zip(scales, row_sums, min_eigs)]
+
+
+def _verdict(scale: float, row_sum: float, min_eig: float, tol_rel: float) -> PsdVerdict:
+    """The verdict on a matrix of largest absolute entry ``scale``, from the
+    largest absolute row sum and the least eigenvalue of its symmetric part
+    divided by ``scale``; a zero matrix (``scale == 0``) is PSD."""
+    if scale == 0.0:
+        return PsdVerdict(True, 0.0, tol_rel)
+    tolerance = tol_rel * max(1.0 / scale, row_sum)
+    # 1 / scale overflows when every entry is subnormal; ||M||_inf < 1
+    # then, and the tolerance in matrix units is tol_rel itself.
+    used = tol_rel if math.isinf(1.0 / scale) else tolerance * scale
+    return PsdVerdict(min_eig >= -tolerance, min_eig * scale, used)
 
 
 def numerical_rank(
@@ -438,7 +453,7 @@ def numerical_rank(
     m = _as_array(matrix)
     if m.size == 0:
         return 0
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise EigenFailure("matrix has non-finite entries")
     sigma = np.linalg.svd(m, compute_uv=False)
     if sigma[0] == 0.0:

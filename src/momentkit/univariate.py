@@ -211,45 +211,47 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
 
-    block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
-    rows = _partial_cholesky_rows(block, q)
-    # A pivot that fails at row k leaves the rank-k rule.
-    q = len(rows)
+    # Scaled moments near the ends of double range can overflow anywhere
+    # from the factor to the Jacobi scaling; the inf or NaN that results is
+    # refused downstream (by the caller's gate), so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
+        rows = _partial_cholesky_rows(block, q)
+        # A pivot that fails at row k leaves the rank-k rule.
+        q = len(rows)
 
-    diag: list[float] = []
-    offdiag: list[float] = []
-    prev_ratio = 0.0
-    for j in range(q):
-        ratio = rows[j][j + 1] / rows[j][j]
-        diag.append(ratio - prev_ratio)
-        if j > 0:
-            offdiag.append(rows[j][j] / rows[j - 1][j - 1])
-        prev_ratio = ratio
+        diag: list[float] = []
+        offdiag: list[float] = []
+        prev_ratio = 0.0
+        for j in range(q):
+            ratio = rows[j][j + 1] / rows[j][j]
+            diag.append(ratio - prev_ratio)
+            if j > 0:
+                offdiag.append(rows[j][j] / rows[j - 1][j - 1])
+            prev_ratio = ratio
 
-    eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
-    nodes = [scale * x for x in eigenvalues.tolist()]
-    # q >= 1: the first pivot is r_0 = s_0 / s_0 = 1.
-    weights = [mass * v**2 for v in eigenvectors[0].tolist()]
+        eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
+        nodes = [scale * x for x in eigenvalues.tolist()]
+        # q >= 1: the first pivot is r_0 = s_0 / s_0 = 1.
+        weights = [mass * v**2 for v in eigenvectors[0].tolist()]
 
-    supported = all(x >= -NODE_TOL for x in nodes)
-    clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]
-    nodes = [0.0 if -NODE_TOL <= x < 0.0 else x for x in nodes]
-    if clamped:
-        warnings.warn(
-            f"clamped {len(clamped)} slightly negative node(s) to zero: "
-            f"{clamped}",
-            ClampedNodeWarning,
-        )
+        supported = all(x >= -NODE_TOL for x in nodes)
+        clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]
+        nodes = [0.0 if -NODE_TOL <= x < 0.0 else x for x in nodes]
+        if clamped:
+            warnings.warn(
+                f"clamped {len(clamped)} slightly negative node(s) to zero: "
+                f"{clamped}",
+                ClampedNodeWarning,
+            )
 
-    # The clamp can move several nodes onto 0.0; they become one atom.
-    merged: dict[float, float] = {}
-    for x, w in zip(nodes, weights):
-        merged[x] = merged.get(x, 0.0) + w
-    try:
-        measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
-    except ValueError as exc:  # two nodes within the atoms' tol_atom
-        raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
-    # An entry may overflow to inf, which needs no numpy warning.
-    with np.errstate(over="ignore"):
+        # The clamp can move several nodes onto 0.0; they become one atom.
+        merged: dict[float, float] = {}
+        for x, w in zip(nodes, weights):
+            merged[x] = merged.get(x, 0.0) + w
+        try:
+            measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
+        except ValueError as exc:  # two nodes within the atoms' tol_atom
+            raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
         jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
     return GaussRule(measure, jacobi, q, supported)

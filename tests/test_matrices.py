@@ -191,6 +191,13 @@ class TestNumericalRank:
     def test_full_rank(self):
         assert numerical_rank(np.diag([3.0, 2.0, 1.0])) == 3
 
+    @pytest.mark.parametrize("marker", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_raises(self, marker):
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = marker
+        with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
+            numerical_rank(m)
+
 
 class TestCheckHypotheses:
     def test_factorial_with_coordinate_constraint(self):
@@ -286,7 +293,9 @@ class TestCheckHypothesesIsOneCheckPerMatrix:
         ],
     )
     @pytest.mark.parametrize("tol_rel", [1e-8, 0.0, 1e-14])
-    def test_verdicts_are_each_matrixs_own_bit_for_bit(self, case, tol_rel):
+    # With no generators the stack holds the moment matrix alone.
+    @pytest.mark.parametrize("alone", [False, True], ids=["generators", "moment-alone"])
+    def test_verdicts_are_each_matrixs_own_bit_for_bit(self, case, tol_rel, alone):
         tiny = Polynomial(1, {(1,): Fraction(1e-320)})  # subnormal entries
         minus_one = Polynomial(1, {(0,): Fraction(1), (1,): Fraction(-1)})
         s, generators, level = {
@@ -310,6 +319,8 @@ class TestCheckHypothesesIsOneCheckPerMatrix:
             "random-exact-2d": (_random_data(2, 6, True, 11), _constraints(2), 2),
             "level-0": (_random_data(2, 4, False, 3), _constraints(2), 0),
         }[case]
+        if alone:
+            generators = []
         report = check_hypotheses(s, generators, level, tol_rel)
         moment, local = _one_check_per_matrix(s, generators, level, tol_rel)
         assert report.level == level
@@ -321,9 +332,9 @@ class TestCheckHypothesesIsOneCheckPerMatrix:
         )
 
 
-# The PSD kernel on a stack: psd_check runs it on a stack of one matrix, and
-# check_hypotheses on the moment matrix with every localizing matrix.  Each
-# verdict must be the one its matrix gets on its own.
+# The PSD kernel on a stack: check_hypotheses runs it on the moment matrix
+# with every localizing matrix.  Each verdict must be the one psd_check, a
+# separate 2-D kernel, gives its matrix on its own.
 
 _STACK_KINDS = ["zero", "near-double-max", "subnormal", "asymmetric", "gram", "indefinite"]
 

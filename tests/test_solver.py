@@ -8,7 +8,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from momentkit import (
     AtomicMeasure,
@@ -458,3 +458,53 @@ def test_moved_data_is_answered_within_tol_or_refused_with_numbers(s):
     event(f"dim {s.dim}: accepted")
     require_reproduced(measure, s, TOL, "returned measure")
 
+
+# Scaled moments near both ends of double range: the Gauss recurrence's
+# ratio overflows, and at degree 6 the partial factor too.
+_OVERFLOWING_1D = [
+    (1.0, 0.0, 1e-250, 1e100, 0.0, 0.0),
+    (1.0, 0.0, 1e-250, 1e100, 0.0, 0.0, 0.0),
+]
+
+
+def _line(values) -> MomentSequence:
+    return MomentSequence(1, len(values) - 1, {(k,): v for k, v in enumerate(values)})
+
+
+@pytest.mark.parametrize("values", _OVERFLOWING_1D, ids=["degree-5", "degree-6"])
+def test_an_overflowing_gauss_rule_is_refused_without_a_warning(values):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationFailure):
+            solve(_line(values))
+    assert [str(w.message) for w in caught] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailure):
+            solve(_line(values))
+
+
+_WILD_ENTRY = st.just(0.0) | st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-320, 308),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(_WILD_ENTRY, min_size=2, max_size=13),
+    mode=st.sampled_from(["auto", "md"]),
+)
+@example(values=list(_OVERFLOWING_1D[0]), mode="auto")
+@example(values=list(_OVERFLOWING_1D[1]), mode="auto")
+def test_wild_1d_data_is_answered_or_refused_without_numpy_warnings(values, mode):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            solve(_line(values), mode=mode)
+        except MomentError as exc:
+            event(f"{mode}: {type(exc).__name__}")
+    assert [
+        str(w.message) for w in caught if not issubclass(w.category, ClampedNodeWarning)
+    ] == []
