@@ -32,6 +32,7 @@ from momentkit.matrices import require_reproduced
 from momentkit.polynomials import _log, monomials_up_to
 from momentkit.reduction import pushforward_moments
 from momentkit.univariate import gauss_rule, solve_1d
+from test_matrices import _line
 
 TOL = 1e-8
 
@@ -465,10 +466,6 @@ _OVERFLOWING_1D = [
     (1.0, 0.0, 1e-250, 1e100, 0.0, 0.0),
     (1.0, 0.0, 1e-250, 1e100, 0.0, 0.0, 0.0),
 ]
-
-
-def _line(values) -> MomentSequence:
-    return MomentSequence(1, len(values) - 1, {(k,): v for k, v in enumerate(values)})
 
 
 @pytest.mark.parametrize("values", _OVERFLOWING_1D, ids=["degree-5", "degree-6"])
