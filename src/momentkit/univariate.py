@@ -106,29 +106,36 @@ def _growth_scale(values: list[float]) -> float:
     return scale
 
 
-def _partial_cholesky_rows(h: np.ndarray, rows: int) -> list[np.ndarray]:
+def _partial_cholesky_rows(h: list[list[float]], rows: int) -> list[list[float]]:
     """Leading rows, at most ``rows`` of them, of the upper Cholesky factor
-    of ``h``.
+    of ``h`` (a list of float rows), each a list of ``len(h[i])`` floats.
 
     Only the leading pivots are formed, so a matrix of exact rank ``rows``
     factors cleanly.  Factoring stops before the first pivot that is not
-    positive and finite.  Row ``i`` reads only ``h[i, :]`` and the rows
+    positive and finite.  Row ``i`` reads only ``h[i][i:]`` and the rows
     before it, so the rows returned are exactly those of the factor of the
     leading block of that size.
+
+    Python floats, not numpy rows: a Gauss rule's block has at most about 22
+    rows at the default ``rank_tol``, where numpy's fixed cost per call
+    outweighs its arithmetic (numpy rows are faster from about 20 rows on).
     """
-    n = h.shape[1]
-    r = np.zeros((rows, n), dtype=float)
+    r: list[list[float]] = []
     for i in range(rows):
-        # h[i, :] less row i's inner products with every column, summed over
-        # the earlier rows in order from 0.0: a reduction over the outer axis
-        # adds whole rows one after another, with no pairwise regrouping.
-        rest = h[i] - np.add.reduce(r[:i, i, None] * r[:i], axis=0, initial=0.0)
-        pivot = rest[i]
+        # h[i][j] less row i's inner product with column j, for j >= i: the
+        # products of the earlier rows added in order, starting from 0.0.
+        rest = []
+        for j in range(i, len(h[i])):
+            acc = 0.0
+            for prev in r:
+                acc += prev[i] * prev[j]
+            rest.append(h[i][j] - acc)
+        pivot = rest[0]
         if pivot <= 0.0 or not math.isfinite(pivot):
-            return list(r[:i])
-        r[i, i] = root = math.sqrt(pivot)
-        r[i, i + 1 :] = rest[i + 1 :] / root
-    return list(r)
+            break
+        root = math.sqrt(pivot)
+        r.append([0.0] * i + [root] + [x / root for x in rest[1:]])
+    return r
 
 
 def solve_1d(
@@ -199,59 +206,51 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
     # The rank-q factorization below reads r_0 .. r_{2q-1}, and q reaches 1
     # even at level 0.  c^k overflows only where an entry outgrows later ones.
     try:
-        scaled = np.array([values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))])
+        moments = [values[k] / (mass * scale**k) for k in range(max(2 * level + 1, 2))]
     except OverflowError:
         raise EigenFailure(
             f"growth scale {scale:g} has a power beyond double range", scale=scale
         ) from None
-    rank = numerical_rank(assemble(scaled, 1, level), rank_tol)
+    rank = numerical_rank(assemble(moments, 1, level), rank_tol)
     if rank == 0:
         raise RankCollapse("moment matrix has numerical rank 0 despite positive mass", rank=0)
     # A q-atom rule needs moments through order 2q-1, so q cannot exceed
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
 
-    # Scaled moments near the ends of double range can overflow anywhere
-    # from the factor to the Jacobi scaling; the inf or NaN that results is
-    # refused downstream (by the caller's gate), so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
-        rows = _partial_cholesky_rows(block, q)
-        # A pivot that fails at row k leaves the rank-k rule.
-        q = len(rows)
+    # Overflow from here to the Jacobi scaling is quiet in Python floats; the
+    # inf or NaN that results is refused downstream (by the caller's gate).
+    rows = _partial_cholesky_rows([moments[i : i + q + 1] for i in range(q)], q)
+    # A pivot that fails at row k leaves the rank-k rule.
+    q = len(rows)
 
-        diag: list[float] = []
-        offdiag: list[float] = []
-        prev_ratio = 0.0
-        for j in range(q):
-            ratio = rows[j][j + 1] / rows[j][j]
-            diag.append(ratio - prev_ratio)
-            if j > 0:
-                offdiag.append(rows[j][j] / rows[j - 1][j - 1])
-            prev_ratio = ratio
+    ratios = [row[j + 1] / row[j] for j, row in enumerate(rows)]
+    diag = [a - b for a, b in zip(ratios, [0.0] + ratios)]
+    offdiag = [rows[j][j] / rows[j - 1][j - 1] for j in range(1, q)]
 
-        eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
-        nodes = [scale * x for x in eigenvalues.tolist()]
-        # q >= 1: the first pivot is r_0 = s_0 / s_0 = 1.
-        weights = [mass * v**2 for v in eigenvectors[0].tolist()]
+    eigenvalues, eigenvectors = np.linalg.eigh(JacobiMatrix(diag, offdiag).to_dense())
+    nodes = [scale * x for x in eigenvalues.tolist()]
+    # q >= 1: the first pivot is r_0 = s_0 / s_0 = 1.
+    weights = [mass * v**2 for v in eigenvectors[0].tolist()]
 
-        supported = all(x >= -NODE_TOL for x in nodes)
-        clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]
-        nodes = [0.0 if -NODE_TOL <= x < 0.0 else x for x in nodes]
-        if clamped:
-            warnings.warn(
-                f"clamped {len(clamped)} slightly negative node(s) to zero: "
-                f"{clamped}",
-                ClampedNodeWarning,
-            )
+    supported = all(x >= -NODE_TOL for x in nodes)
+    clamped = [x for x in nodes if -NODE_TOL <= x < 0.0]
+    nodes = [0.0 if -NODE_TOL <= x < 0.0 else x for x in nodes]
+    if clamped:
+        warnings.warn(
+            f"clamped {len(clamped)} slightly negative node(s) to zero: "
+            f"{clamped}",
+            ClampedNodeWarning,
+        )
 
-        # The clamp can move several nodes onto 0.0; they become one atom.
-        merged: dict[float, float] = {}
-        for x, w in zip(nodes, weights):
-            merged[x] = merged.get(x, 0.0) + w
-        try:
-            measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
-        except ValueError as exc:  # two nodes within the atoms' tol_atom
-            raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
-        jacobi = JacobiMatrix([scale * a for a in diag], [scale * b for b in offdiag])
+    # The clamp can move several nodes onto 0.0; they become one atom.
+    merged: dict[float, float] = {}
+    for x, w in zip(nodes, weights):
+        merged[x] = merged.get(x, 0.0) + w
+    try:
+        measure = AtomicMeasure(1, [((x,), w) for x, w in merged.items() if w > 0.0])
+    except ValueError as exc:  # two nodes within the atoms' tol_atom
+        raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
+    # np.float64 entries: the rule's Jacobi matrix is reported by their repr.
+    jacobi = JacobiMatrix(*([np.float64(scale * x) for x in v] for v in (diag, offdiag)))
     return GaussRule(measure, jacobi, q, supported)

@@ -152,8 +152,15 @@ def _route_measure(s: MomentSequence) -> AtomicMeasure:
     return multivariate.extract_atoms_auto(prefix, tol=TOL)[0]
 
 
+# 1/2 at 0 and 1/4 at 0.5 and 1: from float moments through degree 7 the
+# Gauss rule's node at 0 comes out at -2.5e-17 and is clamped.
+_CLAMPED = AtomicMeasure(1, [((0.0,), 0.5), ((0.5,), 0.25), ((1.0,), 0.25)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_data())
+@example(case=(moments_of_atomic(_CLAMPED, 7), False, _CLAMPED))
+@pytest.mark.filterwarnings("ignore::momentkit.ClampedNodeWarning")
 def test_solve_reproduces_every_entry_above_the_prefix_or_raises(case):
     s, perturbed, _ = case
     finite = s.finite_degree()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -358,17 +360,18 @@ class TestSolveEdgeCases:
 
 def _reference_cholesky_rows(h, rows):
     """The factorization before it stopped at a failed pivot: it returned
-    the index of that pivot instead of the rows."""
+    the index of that pivot instead of the rows.  Products are added one by
+    one from 0.0: ``sum`` compensates from Python 3.12 on."""
     n = h.shape[1]
     r = []
     for i in range(rows):
         row = np.zeros(n, dtype=float)
-        pivot = h[i, i] - sum(prev[i] * prev[i] for prev in r)
+        pivot = h[i, i] - reduce(add, (prev[i] * prev[i] for prev in r), 0.0)
         if pivot <= 0.0 or not math.isfinite(pivot):
             return i
         row[i] = math.sqrt(pivot)
         for j in range(i + 1, n):
-            row[j] = (h[i, j] - sum(prev[i] * prev[j] for prev in r)) / row[i]
+            row[j] = (h[i, j] - reduce(add, (prev[i] * prev[j] for prev in r), 0.0)) / row[i]
         r.append(row)
     return r
 
@@ -418,7 +421,7 @@ class TestPartialCholesky:
         q = len(nodes) + extra
         scaled = _scaled_hankel_data(moments_of_atomic(mu, 2 * q, exact=exact))
         block = scaled[np.add.outer(np.arange(q), np.arange(q + 1))]
-        rows = _partial_cholesky_rows(block, q)
+        rows = _partial_cholesky_rows(block.tolist(), q)
         expected = _reference_rank_rows(scaled, q)
         assert len(rows) == len(expected)
         for got, want in zip(rows, expected):
@@ -426,13 +429,12 @@ class TestPartialCholesky:
 
     def test_stops_at_the_first_failed_pivot(self):
         # A point mass at one: every entry is 1, so the second pivot is 0.
-        h = np.ones((3, 4))
-        rows = _partial_cholesky_rows(h, 3)
+        rows = _partial_cholesky_rows([[1.0] * 4] * 3, 3)
         assert len(rows) == 1
         np.testing.assert_array_equal(rows[0], [1.0, 1.0, 1.0, 1.0])
 
     def test_no_positive_pivot_gives_no_rows(self):
-        assert _partial_cholesky_rows(np.zeros((2, 3)), 2) == []
+        assert _partial_cholesky_rows([[0.0] * 3] * 2, 2) == []
 
     def test_solve_survives_an_overstated_rank(self, monkeypatch):
         # With the rank overstated by two, the factorization stops at the
