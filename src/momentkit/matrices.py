@@ -27,6 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -338,7 +339,10 @@ def reproduction_residuals(
 
     Returns ``|sum_i w_i x_i^alpha - s_alpha| / max(1, |s_alpha|)`` for every
     ``|alpha| <= degree`` in graded-lex order, each sum taken with
-    :func:`math.fsum` over the atoms.
+    :func:`math.fsum` over the atoms.  On 1-D data the powers, products and
+    residuals are taken per node in Python floats; in more dimensions the
+    products come from the :func:`monomial_values` table.  Both give the
+    same bits.
     """
     return _measure_residuals(measure, s, degree).tolist()
 
@@ -346,9 +350,26 @@ def reproduction_residuals(
 def _measure_residuals(
     measure: AtomicMeasure, s: MomentSequence, degree: int
 ) -> np.ndarray:
-    """:func:`reproduction_residuals` as an array."""
-    table = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
-    return _residuals(table, np.array([float(w) for _, w in measure.atoms]), s, degree)
+    """:func:`reproduction_residuals` as an array.
+
+    On 1-D data it is taken per node in Python floats: the powers, products,
+    ``fsum`` and formula that :func:`_residuals` takes on the
+    :func:`monomial_values` table, so the same bits, and the same errors in
+    the same order (a coordinate, a power, a weight beyond double range,
+    then :func:`moment_vector`'s, then ``fsum``'s)."""
+    if s.dim != 1:
+        table = monomial_values(s.dim, [pt for pt, _ in measure.atoms], degree)
+        return _residuals(table, np.array([float(w) for _, w in measure.atoms]), s, degree)
+    xs = [float(x) for (x,), _ in measure.atoms]
+    top = max(degree, 0)  # degree -1 takes no power, and x**0 is 1.0
+    for x in xs:
+        x**top  # the largest power is the first to leave double range
+    ws = [float(w) for _, w in measure.atoms]
+    targets = moment_vector(s, degree).tolist()
+    ks = range(len(targets))
+    terms = [[x**k * w for k in ks] for x, w in zip(xs, ws)]  # one column per node
+    sums = map(math.fsum, zip(*terms)) if terms else repeat(0.0)  # fsum([]) with no atom
+    return np.array([abs(m - t) / max(1.0, abs(t)) for m, t in zip(sums, targets)])
 
 
 def _residuals(
@@ -449,13 +470,21 @@ def _verdict(scale: float, row_sum: float, min_eig: float, tol_rel: float) -> Ps
 def numerical_rank(
     matrix: SymmetricMatrixWithBasis | np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+    """Number of singular values above ``tol`` times the largest one.
+
+    A matrix whose largest singular value overflows to ``inf`` is ranked
+    again scaled by a power of two, below its largest absolute entry, which
+    moves no bit of a normal entry.  A NaN or infinite entry raises
+    :class:`EigenFailure`."""
     m = _as_array(matrix)
     if m.size == 0:
         return 0
     if not np.isfinite(m).all():
         raise EigenFailure("matrix has non-finite entries")
     sigma = np.linalg.svd(m, compute_uv=False)
+    if not math.isfinite(sigma[0]):
+        m = np.ldexp(m, -math.frexp(float(np.abs(m).max()))[1])
+        sigma = np.linalg.svd(m, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))

@@ -191,6 +191,26 @@ class TestNumericalRank:
     def test_full_rank(self):
         assert numerical_rank(np.diag([3.0, 2.0, 1.0])) == 3
 
+    def test_largest_singular_value_beyond_double_range(self):
+        # sigma_1 = 2.55e308 overflows; the matrix scaled by 2**-1024 is ranked.
+        assert numerical_rank(np.array([[1.7e308, 8.5e307], [8.5e307, 1.7e308]])) == 2
+
+    def test_subnormal_matrix(self):
+        assert numerical_rank(np.diag([5e-324, 5e-324])) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.integers(-8, 8), min_size=1, max_size=25),
+        n=st.integers(1, 5),
+        k=st.integers(-1000, 1020) | st.integers(1014, 1020),
+    )
+    def test_scaling_by_a_power_of_two_keeps_the_rank(self, entries, n, k):
+        # Small integers keep every nonzero singular value far above 1e-10
+        # of the largest; 2**k keeps every entry normal and finite, while
+        # sigma_1 overflows for the largest k.
+        m = np.resize(np.array(entries, dtype=float), (n, n))
+        assert numerical_rank(np.ldexp(m, k)) == numerical_rank(m)
+
     @pytest.mark.parametrize("marker", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entry_raises(self, marker):
         m = np.eye(3)
@@ -634,6 +654,102 @@ class TestEvaluationMatchesReference:
         residuals = reproduction_residuals(mu, s, 1)
         assert residuals == _reference_residuals(mu, s, 1)
         assert residuals[1] == math.inf
+
+
+# On 1-D data the residuals are taken per node in Python floats.  Their
+# reference is the table path every other dimension takes: the
+# ``monomial_values`` table, the float weights, then ``_residuals``.
+
+_ONE_D_NODES = (
+    st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300, -1e300, 1e-300, -1e-300])
+    | st.sampled_from([Fraction(1, 3), Fraction(-7, 5), Fraction(2**1023)])
+    | st.floats(-1e3, 1e3)
+    | st.fractions(-100, 100, max_denominator=1000)
+)
+_ONE_D_WEIGHTS = (
+    st.sampled_from([1.0, 0.5, 2.0**100, 1e-300, 1e300, Fraction(1, 3), Fraction(2**100)])
+    | st.floats(1e-6, 1e6)
+)
+_ONE_D_TARGETS = (
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, -1e300, Fraction(1, 3)])
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.floats(-1e6, 1e6)
+)
+
+
+@st.composite
+def _one_d_residual_cases(draw):
+    """A 1-D measure of 0-8 atoms (``AtomicMeasure`` refuses a node beyond
+    double range, so none is drawn): 0-5 drawn ones, in a third of the draws
+    a pair at ``±2**1000`` (a float or a ``Fraction``) whose weighted terms
+    may give ``inf - inf``, and in an eighth one of weight beyond double
+    range.  1-D data through a degree of 0-6 (a finite mass), in an eighth
+    with an exact entry beyond double range, and a degree from -1 to one
+    above the data's."""
+    atoms = draw(st.lists(st.tuples(_ONE_D_NODES, _ONE_D_WEIGHTS), max_size=5))
+    if draw(st.integers(0, 2)) == 0:
+        far = draw(st.sampled_from([2.0**1000, Fraction(2**1000)]))
+        w = draw(st.sampled_from([2.0**100, 1.0, 2.0**-100, Fraction(2**100)]))
+        atoms += [(far, w), (-far, w)]
+    if draw(st.integers(0, 7)) == 0:
+        atoms.insert(draw(st.integers(0, len(atoms))), (3.0, Fraction(10**400)))
+    try:
+        mu = AtomicMeasure(1, [((x,), w) for x, w in atoms], tol_atom=0.0)
+    except ValueError:  # coinciding atoms
+        assume(False)
+    max_degree = draw(st.integers(0, 6))
+    mass = draw(_ONE_D_TARGETS.filter(lambda v: not isinstance(v, float) or math.isfinite(v)))
+    values = [mass, *draw(st.lists(_ONE_D_TARGETS, min_size=max_degree, max_size=max_degree))]
+    if draw(st.integers(0, 7)) == 0:
+        values[draw(st.integers(0, max_degree))] = draw(st.sampled_from([1, -1])) * Fraction(10**400)
+    s = MomentSequence(1, max_degree, {(k,): v for k, v in enumerate(values)})
+    return mu, s, draw(st.integers(-1, max_degree + 1))
+
+
+def _residual_outcome(residuals, mu: AtomicMeasure, s: MomentSequence, degree: int):
+    """The bytes of ``residuals(mu, s, degree)``, or the error's type and
+    message."""
+    try:
+        got = residuals(mu, s, degree)
+    except (OverflowError, ValueError, DegreeOverflow) as exc:
+        return (type(exc), str(exc))
+    assert got.dtype == np.float64 and got.shape == (degree + 1,)
+    return got.tobytes()
+
+
+def _table_residuals(mu: AtomicMeasure, s: MomentSequence, degree: int) -> np.ndarray:
+    table = monomial_values(1, [pt for pt, _ in mu.atoms], degree)
+    return _residuals(table, np.array([float(w) for _, w in mu.atoms]), s, degree)
+
+
+class TestOneDimensionalResidualsMatchTheTable:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_one_d_residual_cases())
+    def test_same_bytes_or_the_same_error(self, case):
+        mu, s, degree = case
+        assert _residual_outcome(matrices._measure_residuals, mu, s, degree) == (
+            _residual_outcome(_table_residuals, mu, s, degree)
+        )
+
+    @pytest.mark.parametrize(
+        "atoms, values, degree, error",
+        [
+            # a power, then a weight beyond double range
+            ([(1e200, Fraction(10**400))], [1.0, 2.0, 3.0], 2, OverflowError),
+            ([(2.0, Fraction(10**400))], [1.0, 2.0], 5, OverflowError),
+            ([(2.0, 1.0)], [1.0, 2.0], 2, DegreeOverflow),
+            ([(2.0, 1.0)], [1.0, Fraction(10**400)], 1, OverflowError),
+            ([(2.0**1000, 2.0**100), (-(2.0**1000), 2.0**100)], [1.0, 0.0], 1, ValueError),
+            ([(2.0**1000, 2.0**23), (2.0**999, 2.0**24)], [1.0, 0.0], 1, OverflowError),
+        ],
+        ids=["power", "weight", "degree", "entry", "inf-inf", "fsum-overflow"],
+    )
+    def test_each_error_is_the_tables(self, atoms, values, degree, error):
+        mu = AtomicMeasure(1, [((x,), w) for x, w in atoms])
+        s = MomentSequence(1, len(values) - 1, {(k,): v for k, v in enumerate(values)})
+        outcome = _residual_outcome(matrices._measure_residuals, mu, s, degree)
+        assert outcome == _residual_outcome(_table_residuals, mu, s, degree)
+        assert outcome[0] is error
 
 
 # The power kernel takes Python's ``float ** int`` elementwise over an object
