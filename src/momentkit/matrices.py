@@ -339,10 +339,9 @@ def reproduction_residuals(
 
     Returns ``|sum_i w_i x_i^alpha - s_alpha| / max(1, |s_alpha|)`` for every
     ``|alpha| <= degree`` in graded-lex order, each sum taken with
-    :func:`math.fsum` over the atoms.  On 1-D data the powers, products and
-    residuals are taken per node in Python floats; in more dimensions the
-    products come from the :func:`monomial_values` table.  Both give the
-    same bits.
+    :func:`math.fsum` over the atoms.  On 1-D data they are taken per node
+    in Python floats, in more dimensions from the :func:`monomial_values`
+    table, with the same bits.
     """
     return _measure_residuals(measure, s, degree).tolist()
 
@@ -473,9 +472,9 @@ def numerical_rank(
     """Number of singular values above ``tol`` times the largest one.
 
     A matrix whose largest singular value overflows to ``inf`` is ranked
-    again scaled by a power of two, below its largest absolute entry, which
-    moves no bit of a normal entry.  A NaN or infinite entry raises
-    :class:`EigenFailure`."""
+    again after scaling by the power of two that brings its largest
+    absolute entry into ``[1/2, 1)``, which moves no bit of a normal entry.
+    A NaN or infinite entry raises :class:`EigenFailure`."""
     m = _as_array(matrix)
     if m.size == 0:
         return 0

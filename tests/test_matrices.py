@@ -734,7 +734,8 @@ class TestOneDimensionalResidualsMatchTheTable:
     @pytest.mark.parametrize(
         "atoms, values, degree, error",
         [
-            # a power, then a weight beyond double range
+            # Each error in the table path's order; a case that holds two
+            # ("power", "weight") must raise the earlier one's message.
             ([(1e200, Fraction(10**400))], [1.0, 2.0, 3.0], 2, OverflowError),
             ([(2.0, Fraction(10**400))], [1.0, 2.0], 5, OverflowError),
             ([(2.0, 1.0)], [1.0, 2.0], 2, DegreeOverflow),
