@@ -14,7 +14,8 @@ bound, a tolerance out of range, a level or an image degree deeper than the
 data, ``solve --mode 1d`` with ``--level``, data too short to solve, a
 fixture spec whose moments overflow) or unwritable output, 3 definitive
 failure (positivity or generation), 4 inconclusive growth diagnostics, 5
-solver failure (no flat level; for ``solve``, moments not reproduced), 6
+solver failure (no flat level, an undecided 1-D rank cut; for ``solve``,
+moments not reproduced), 6
 pull-back failure or, for ``pipeline``, input moments not reproduced.
 
 Each ``cmd_*`` function returns ``(report, code)``: a dict report and the
@@ -121,9 +122,28 @@ def _fail_input(message: str) -> Outcome:
 
 
 def _fail_report(report: dict, exc: Exception, code: int) -> Outcome:
-    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    report["error"] = _error_entry(exc)
     report["exit"] = code
     return report, code
+
+
+def _error_entry(exc: Exception) -> dict:
+    """An error's type and message, and a :class:`MomentError`'s declared
+    evidence that is set, as ``evidence``; an error held in the evidence
+    (a level scan's failures) is rendered the same way."""
+    entry: dict = {"type": type(exc).__name__, "message": str(exc)}
+    evidence = exc.evidence if isinstance(exc, MomentError) else {}
+    if evidence:
+        entry["evidence"] = {name: _evidence_value(v) for name, v in evidence.items()}
+    return entry
+
+
+def _evidence_value(value: Any) -> Any:
+    if isinstance(value, Exception):
+        return _error_entry(value)
+    if isinstance(value, (list, tuple)):
+        return [_evidence_value(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

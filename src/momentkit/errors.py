@@ -18,13 +18,22 @@ class MomentError(Exception):
                 raise TypeError(f"{type(self).__name__} has no evidence {name!r}")
             setattr(self, name, value)
 
+    @property
+    def evidence(self) -> dict[str, object]:
+        """The declared evidence attributes that are set (not ``None``), in
+        the order the class declares them."""
+        values = {name: getattr(self, name) for name in _evidence_names(type(self))}
+        return {name: value for name, value in values.items() if value is not None}
+
 
 @functools.cache
-def _evidence_names(cls: type) -> frozenset[str]:
-    """The evidence attributes ``cls`` and its bases declare (annotate)."""
-    return frozenset(
-        name for c in cls.__mro__ for name in vars(c).get("__annotations__", ())
+def _evidence_names(cls: type) -> tuple[str, ...]:
+    """The evidence attributes ``cls`` and its bases declare (annotate),
+    bases first, each in declaration order."""
+    names = (
+        name for c in reversed(cls.__mro__) for name in vars(c).get("__annotations__", ())
     )
+    return tuple(dict.fromkeys(names))
 
 
 class DimMismatch(MomentError):
@@ -95,6 +104,24 @@ class RankCollapse(MomentError):
     mass: float | None = None
     rank: int | None = None
     eigenvalue: float | None = None
+
+
+class AmbiguousRank(MomentError):
+    """The rank cut of a 1-D Hankel is not decided in doubles: the largest
+    singular value dropped lies above the rounding floor, yet within
+    ``rank_tol`` of the largest, so the data may have more atoms than the
+    cut keeps.
+
+    ``rank`` is the rank decided, ``sigma_q`` and ``sigma_next`` the
+    singular values on both sides of the cut, each over the largest, and
+    ``floor`` the largest such tail read as rounding
+    (:data:`~momentkit.matrices.RANK_FLOOR`).
+    """
+
+    rank: int | None = None
+    sigma_q: float | None = None
+    sigma_next: float | None = None
+    floor: float | None = None
 
 
 class NotFlat(MomentError):

@@ -24,7 +24,9 @@ def propose(
     flat extraction at ``level`` or by scanning, and ``"auto"`` picks
     ``"1d"`` for 1-D data with no ``level``.  Each route reads the finite
     prefix ``s.restrict(s.finite_degree())``; when it stops short of
-    ``s.max_degree`` the detail gains ``solved_degree``.  The 1-D rule is
+    ``s.max_degree`` the detail gains ``solved_degree``.  The 1-D detail
+    carries the rank cut (``sigma_q`` and ``sigma_next``, each over the
+    largest singular value of the scaled Hankel).  The 1-D rule is
     compared with nothing; flat extraction at level ``L`` refuses atoms
     that miss an entry of the prefix through degree ``2L``.  A mode outside
     :data:`MODES`, or a level with ``"1d"``, raises ``ValueError`` before reading ``s``."""
@@ -46,6 +48,8 @@ def propose(
             "stieltjes_supported": rule.stieltjes_supported,
             "jacobi_diag": rule.jacobi.diag,
             "jacobi_offdiag": rule.jacobi.offdiag,
+            "sigma_q": rule.decision.sigma_q,
+            "sigma_next": rule.decision.sigma_next,
         }
     else:
         if level is not None:

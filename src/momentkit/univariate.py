@@ -13,7 +13,11 @@ Two implementation details matter for robustness:
 * the numerical rank ``r`` of the Hankel matrix decides how many recurrence
   rows exist, and the Cholesky factorization is run *partially* — only the
   first ``r`` rows are formed — so exactly-atomic data never touches the
-  singular trailing block;
+  singular trailing block.  The rank decision has three outcomes: a
+  singular value above ``rank_tol`` times the largest is signal and kept, one
+  at most :data:`~momentkit.matrices.RANK_FLOOR` times the largest is
+  rounding and dropped, and one in between leaves the cut undecided in
+  doubles, so no rule is formed (:class:`AmbiguousRank`);
 * the variable is rescaled by a power of the moment growth before factoring
   (and the result mapped back), which keeps the factorization
   well-conditioned when moments span many orders of magnitude.
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AmbiguousRank,
     ClampedNodeWarning,
     DegreeOverflow,
     DimMismatch,
@@ -37,8 +42,9 @@ from .errors import (
 from .matrices import (
     DEFAULT_PSD_TOL,
     DEFAULT_RANK_TOL,
+    RankDecision,
     assemble,
-    numerical_rank,
+    rank_decision,
     require_reproduced,
 )
 from .polynomials import AtomicMeasure, MomentSequence
@@ -79,12 +85,15 @@ class JacobiMatrix:
 @dataclass
 class GaussRule:
     """The ``rank``-atom Gauss rule of 1-D moment data, from its Jacobi
-    matrix: it reproduces ``s_0 .. s_{2 rank - 1}``, and no more is claimed."""
+    matrix: it reproduces ``s_0 .. s_{2 rank - 1}``, and no more is claimed.
+    ``decision`` is the rank decision on the scaled Hankel that set the
+    number of rows factored."""
 
     measure: AtomicMeasure
     jacobi: JacobiMatrix
     rank: int
     stieltjes_supported: bool
+    decision: RankDecision
 
 
 @dataclass
@@ -147,7 +156,8 @@ def solve_1d(
     returned only if :func:`~momentkit.matrices.require_reproduced` finds every
     entry of ``s`` (``inf`` markers and exact entries beyond double range
     included) reproduced within ``tol``, with one residual per entry; a miss
-    raises :class:`ValidationFailure`."""
+    raises :class:`ValidationFailure`, and :func:`gauss_rule`'s refusals
+    (:class:`AmbiguousRank` among them) pass through."""
     rule = gauss_rule(s.restrict(s.finite_degree()), rank_tol)
     residuals = require_reproduced(rule.measure, s, tol, "recovered measure")
     return Solve1DResult(**vars(rule), max_residual=max(residuals), residuals=residuals)
@@ -183,6 +193,11 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
     RankCollapse
         If the mass cannot carry the data, the rank decision is 0, or two
         nodes coincide as atoms; ``mass`` or ``rank`` is set.
+    AmbiguousRank
+        If the rank decision is not 0 and the largest singular value it
+        drops lies above :data:`~momentkit.matrices.RANK_FLOOR` times the
+        largest, before any rule is formed; ``rank``, ``sigma_q``,
+        ``sigma_next`` and ``floor`` are set.
     EigenFailure
         If the growth scale is not finite, or the scaled moments are not
         finite doubles; ``scale`` is set.
@@ -194,7 +209,9 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
     mass = values[0]
     if mass <= 0.0:
         if all(v == 0.0 for v in values):
-            return GaussRule(AtomicMeasure(1, []), JacobiMatrix([], []), 0, True)
+            return GaussRule(
+                AtomicMeasure(1, []), JacobiMatrix([], []), 0, True, RankDecision(0, 0.0, 0.0)
+            )
         raise RankCollapse(f"mass s_0 = {mass} cannot carry nonzero moments", mass=mass)
     if s.max_degree < 1:
         raise DegreeOverflow("placing an atom needs at least the first-order moment")
@@ -211,9 +228,17 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
         raise EigenFailure(
             f"growth scale {scale:g} has a power beyond double range", scale=scale
         ) from None
-    rank = numerical_rank(assemble(moments, 1, level), rank_tol)
+    decision = rank_decision(assemble(moments, 1, level), rank_tol)
+    rank = decision.rank
     if rank == 0:
         raise RankCollapse("moment matrix has numerical rank 0 despite positive mass", rank=0)
+    if decision.sigma_next > decision.floor:
+        raise AmbiguousRank(
+            f"rank-{rank} cut is not decided in doubles: the largest singular value "
+            f"dropped is {decision.sigma_next:.3g} of the largest, above the rounding "
+            f"floor {decision.floor:.3g}",
+            **vars(decision),
+        )
     # A q-atom rule needs moments through order 2q-1, so q cannot exceed
     # level even when the matrix has full rank (density-like data).
     q = min(rank, level) if level > 0 else 1
@@ -253,4 +278,4 @@ def gauss_rule(s: MomentSequence, rank_tol: float = DEFAULT_RANK_TOL) -> GaussRu
         raise RankCollapse(f"rank-{q} rule: {exc}", rank=q) from None
     # np.float64 entries: the rule's Jacobi matrix is reported by their repr.
     jacobi = JacobiMatrix(*([np.float64(scale * x) for x in v] for v in (diag, offdiag)))
-    return GaussRule(measure, jacobi, q, supported)
+    return GaussRule(measure, jacobi, q, supported, decision)

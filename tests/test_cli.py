@@ -747,8 +747,8 @@ def test_solve_reports_a_clamped_node(tmp_path, capsys):
     assert code == EXIT_OK
     assert list(report) == [
         "moments", "dim", "degree", "mode", "rank", "stieltjes_supported",
-        "max_residual", "jacobi_diag", "jacobi_offdiag", "warnings",
-        "measure", "out",
+        "max_residual", "jacobi_diag", "jacobi_offdiag", "sigma_q", "sigma_next",
+        "warnings", "measure", "out",
     ]
     (warning,) = report["warnings"]
     assert warning.startswith("clamped 1 slightly negative node(s) to zero")
@@ -789,6 +789,43 @@ def test_solve_non_flat_data_is_solver_failure(tmp_path, capsys):
     assert code == EXIT_SOLVE
     assert report["error"]["type"] == "NotFlat"
     assert not (tmp_path / "no.msr").exists()
+
+
+def test_solve_reports_a_refusals_evidence(tmp_path, capsys):
+    # Two atoms at coordinate scale 1/100 with s_(2,0) moved by 1e-5
+    # relative: the md scan's one failing level is a commutator refusal,
+    # and the report renders it with its own evidence.
+    mu = AtomicMeasure(2, [((0.00375, 0.0075), 0.25), ((0.01375, 0.0125), 1.0)])
+    s = fixtures.moments_of_atomic(mu, 4)
+    values = dict(s.values)
+    values[(2, 0)] *= 1 + 1e-5
+    path = tmp_path / "moved.mom"
+    fileformats.write_moment_file(path, MomentSequence(2, 4, values))
+    argv = ["solve", str(path), str(tmp_path / "o.atoms"), "--mode", "md"]
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_SOLVE
+    assert report["error"]["type"] == "NotFlat"
+    [[level, failure]] = report["error"]["evidence"]["failures"]
+    assert level == 2
+    assert list(failure) == ["type", "message", "evidence"]
+    assert failure["type"] == "CommutatorTooLarge"
+    assert failure["message"].startswith("coordinate operators 0 and 1 do not commute")
+    evidence = failure["evidence"]
+    assert (evidence["pair"], evidence["bound"]) == ([0, 1], 1e-8)
+    assert evidence["norm"] > 1e-8
+    # The text report carries the same numbers.
+    assert main([*argv, "--format", "text"]) == EXIT_SOLVE
+    text = capsys.readouterr().out
+    assert "  evidence:\n    failures:\n" in text
+    assert f"norm: {evidence['norm']}" in text
+
+
+def test_a_refusal_without_evidence_reports_none(tmp_path, capsys):
+    path = tmp_path / "short.mom"
+    fileformats.write_moment_file(path, MomentSequence(1, 0, {(0,): 1.0}))
+    code, report = run_json(capsys, "solve", str(path), str(tmp_path / "o.atoms"))
+    assert code == EXIT_INPUT
+    assert list(report["error"]) == ["type", "message"]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1507,10 +1544,17 @@ def test_solve_and_pipeline_refuse_a_marker_the_prefix_misses(tmp_path, capsys):
 def test_solve_and_pipeline_refuse_lognormal_data(tmp_path, capsys):
     moments = tmp_path / "logn.mom"
     fileformats.write_moment_file(moments, fixtures.moments_lognormal(40))
-    (code, report), (p_code, p_report), _ = _solve_both_ways(tmp_path, capsys, moments)
-    assert (code, p_code) == (EXIT_SOLVE, EXIT_PULLBACK)
-    assert report["error"]["type"] == "ValidationFailure"
-    assert stage_named(p_report, "verify")["ok"] is False
+    (code, report), (p_code, p_report), p_solve = _solve_both_ways(tmp_path, capsys, moments)
+    # The prefix's rank cut is not decided in doubles, so both refuse before
+    # a rule is formed: ``pipeline`` in its solve stage, with no verify stage.
+    assert (code, p_code) == (EXIT_SOLVE, EXIT_SOLVE)
+    assert report["error"]["type"] == "AmbiguousRank"
+    assert p_solve["ok"] is False and p_solve["error_type"] == "AmbiguousRank"
+    assert p_solve["error"] == report["error"]["message"]
+    evidence = report["error"]["evidence"]
+    assert list(evidence) == ["rank", "sigma_q", "sigma_next", "floor"]
+    assert evidence["floor"] < evidence["sigma_next"] <= 1e-10 < evidence["sigma_q"]
+    assert [entry["stage"] for entry in p_report["stages"]][-1] == "solve"
 
 
 def test_solve_and_pipeline_accept_a_point_beyond_double_range(tmp_path, capsys):
@@ -1557,6 +1601,8 @@ def test_solve_and_pipeline_agree_on_finite_data(tmp_path, capsys):
         "max_residual": result.max_residual,
         "jacobi_diag": result.jacobi.diag,
         "jacobi_offdiag": result.jacobi.offdiag,
+        "sigma_q": result.decision.sigma_q,
+        "sigma_next": result.decision.sigma_next,
     }
     assert report == {
         "moments": moments,

@@ -24,10 +24,13 @@ from momentkit import (
 )
 from momentkit import matrices
 from momentkit.matrices import (
+    RANK_FLOOR,
+    RankDecision,
     _require_table_reproduces,
     _require_within,
     _residuals,
     monomial_values,
+    rank_decision,
     reproduction_residuals,
     require_reproduced,
 )
@@ -217,6 +220,74 @@ class TestNumericalRank:
         m[1, 2] = m[2, 1] = marker
         with pytest.raises(EigenFailure, match="^matrix has non-finite entries$"):
             numerical_rank(m)
+
+
+class TestRankDecision:
+    def test_the_cut_of_a_rank_one_matrix(self):
+        decision = rank_decision(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert (decision.rank, decision.sigma_q) == (1, 1.0)
+        assert 0.0 <= decision.sigma_next <= RANK_FLOOR == decision.floor
+
+    def test_full_rank_drops_nothing(self):
+        assert rank_decision(np.diag([4.0, 2.0, 1.0])) == RankDecision(3, 0.25, 0.0, RANK_FLOOR)
+
+    def test_values_on_both_sides_of_the_cut(self):
+        decision = rank_decision(np.diag([4.0, 1.0, 1e-12]))
+        assert decision == RankDecision(2, 0.25, 0.25e-12)
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.zeros((0, 0))], ids=["zero", "empty"])
+    def test_nothing_to_rank(self, m):
+        assert rank_decision(m) == RankDecision(0, 0.0, 0.0)
+
+    def test_a_threshold_that_keeps_nothing(self):
+        assert rank_decision(np.diag([2.0, 1.0]), 1.0) == RankDecision(0, 0.0, 1.0)
+
+    def test_largest_singular_value_beyond_double_range(self):
+        # The decision reads the spectrum of the matrix scaled by 2**-1024.
+        m = np.array([[1.7e308, 8.5e307], [8.5e307, 1.7e308]])
+        assert rank_decision(m) == rank_decision(np.ldexp(m, -1024))
+        assert rank_decision(m).rank == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False) | st.integers(-3, 3).map(float),
+            min_size=1,
+            max_size=36,
+        ),
+        n=st.integers(1, 6),
+        k=st.integers(-60, 60) | st.integers(1005, 1013),
+        tol=st.sampled_from([0.0, 1e-14, 1e-10, 1e-3, 0.5]),
+    )
+    def test_numerical_rank_is_the_decisions_rank(self, entries, n, k, tol):
+        # Entries below 2**10 stay finite; the largest k make sigma_1
+        # overflow, and both then read the one scaled spectrum.
+        m = np.ldexp(np.resize(np.array(entries), (n, n)), k)
+        decision = rank_decision(m, tol)
+        assert numerical_rank(m, tol) == decision.rank
+        if decision.rank:
+            assert 0.0 <= decision.sigma_next <= decision.sigma_q <= 1.0
+        else:
+            assert decision.sigma_q == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.integers(-8, 8), min_size=1, max_size=25),
+        n=st.integers(1, 5),
+        k=st.integers(-1000, 1020) | st.integers(1014, 1020) | st.integers(-400, 400),
+    )
+    def test_scaling_by_a_power_of_two_keeps_the_decision(self, entries, n, k):
+        # As for the rank alone (above).  LAPACK rescales a matrix whose norm
+        # lies beyond about 2**+-459 by a factor that is not a power of two,
+        # which moves the last bits; inside that range the bits hold.
+        m = np.resize(np.array(entries, dtype=float), (n, n))
+        plain, scaled = rank_decision(m), rank_decision(np.ldexp(m, k))
+        assert scaled.rank == plain.rank
+        if abs(k) <= 400:
+            assert scaled == plain
+        else:
+            assert scaled.sigma_q == pytest.approx(plain.sigma_q, rel=0, abs=16 * matrices._EPS)
+            assert scaled.sigma_next == pytest.approx(plain.sigma_next, rel=0, abs=16 * matrices._EPS)
 
 
 class TestCheckHypotheses:

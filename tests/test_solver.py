@@ -4,6 +4,7 @@ given, by an exact reference, or the call raises a typed error."""
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -341,22 +342,56 @@ def test_one_contract_on_a_file_with_inf_markers(moved):
 
 
 def test_propose_returns_the_rule_that_solve_refuses():
-    # Lognormal data has no atomic measure: ``propose`` returns the Gauss
-    # rule of its finite prefix, and only ``solve`` compares it with the data.
-    s = fixtures.moments_lognormal(40)
+    # n! through degree 4 has a full-rank Hankel, so its rank cut is clean
+    # (nothing is dropped), and no measure on two atoms has these moments:
+    # ``propose`` returns the two-atom Gauss rule, and only ``solve``
+    # compares it with the data.
+    s = fixtures.moments_factorial(4)
     measure, detail = propose(s)
-    prefix_rule = gauss_rule(s.restrict(s.finite_degree()))
-    assert repr(measure.atoms) == repr(prefix_rule.measure.atoms)
+    rule = gauss_rule(s)
+    assert repr(measure.atoms) == repr(rule.measure.atoms)
     assert detail == {
         "mode": "1d",
-        "rank": prefix_rule.rank,
+        "rank": 2,
         "stieltjes_supported": True,
-        "jacobi_diag": prefix_rule.jacobi.diag,
-        "jacobi_offdiag": prefix_rule.jacobi.offdiag,
-        "solved_degree": s.finite_degree(),
+        "jacobi_diag": rule.jacobi.diag,
+        "jacobi_offdiag": rule.jacobi.offdiag,
+        "sigma_q": rule.decision.sigma_q,
+        "sigma_next": 0.0,
     }
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure) as raised:
         solve(s)
+    assert raised.value.index == (4,)
+
+
+def _dyadic_cases(seed: int, count: int):
+    """``count`` atomic measures on the line, each with 1 to 20 distinct
+    dyadic nodes j / 2**e in [0, 64] and weights j / 8, and a degree from
+    twice the atom count to three above it; half the data is exact."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 20)
+        nodes: set[Fraction] = set()
+        while len(nodes) < n:
+            nodes.add(Fraction(rng.randint(0, 64), 2 ** rng.randint(0, 5)))
+        mu = AtomicMeasure(1, [((x,), Fraction(rng.randint(1, 8), 8)) for x in sorted(nodes)])
+        yield n, moments_of_atomic(mu, 2 * n + rng.randint(0, 3), exact=rng.random() < 0.5)
+
+
+def test_dyadic_atomic_data_gets_every_atom_or_a_refusal():
+    # A rank cut that doubles cannot decide is refused (AmbiguousRank), so
+    # no rule with fewer atoms than the data has comes back.
+    solved = 0
+    for n, s in _dyadic_cases(20261022, 300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedNodeWarning)
+            try:
+                measure, _ = solve(s, mode="1d")
+            except MomentError:
+                continue
+        assert len(measure) == n, s
+        solved += 1
+    assert solved >= 50
 
 
 @pytest.mark.parametrize("call", [propose, solve])

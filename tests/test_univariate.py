@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentkit import (
+    AmbiguousRank,
     AtomicMeasure,
     ClampedNodeWarning,
     DegreeOverflow,
@@ -20,12 +22,14 @@ from momentkit import (
     MomentSequence,
     RankCollapse,
     ValidationFailure,
+    MomentError,
     moments_factorial,
+    moments_lognormal,
     moments_of_atomic,
     solve,
 )
 from momentkit import univariate
-from momentkit.matrices import require_reproduced
+from momentkit.matrices import RANK_FLOOR, assemble, rank_decision, require_reproduced
 from momentkit.univariate import (
     JacobiMatrix,
     _growth_scale,
@@ -358,6 +362,55 @@ class TestSolveEdgeCases:
         assert atoms[0][0][0] == pytest.approx(-1.0, abs=1e-10)
 
 
+class TestAmbiguousRank:
+    """A rank cut whose largest dropped singular value lies between the
+    rounding floor and ``rank_tol`` is refused before any rule is formed."""
+
+    def _prefix(self):
+        s = moments_lognormal(40)
+        return s.restrict(s.finite_degree())
+
+    def test_each_attribute_is_the_decisions(self):
+        s = self._prefix()
+        scaled = _scaled_hankel_data(s)
+        decision = rank_decision(assemble(scaled, 1, s.max_degree // 2))
+        with pytest.raises(AmbiguousRank) as raised:
+            gauss_rule(s)
+        exc = raised.value
+        assert isinstance(exc, MomentError)
+        assert exc.rank == decision.rank == 2
+        assert exc.sigma_q == decision.sigma_q
+        assert exc.sigma_next == decision.sigma_next
+        assert exc.floor == decision.floor == RANK_FLOOR
+        assert RANK_FLOOR < exc.sigma_next <= 1e-10 < exc.sigma_q <= 1.0
+        assert exc.evidence == {
+            "rank": 2,
+            "sigma_q": exc.sigma_q,
+            "sigma_next": exc.sigma_next,
+            "floor": RANK_FLOOR,
+        }
+        assert str(exc) == (
+            "rank-2 cut is not decided in doubles: the largest singular value "
+            f"dropped is {exc.sigma_next:.3g} of the largest, above the rounding "
+            f"floor {RANK_FLOOR:.3g}"
+        )
+
+    def test_refused_before_the_factorization(self, monkeypatch):
+        def no_rows(h, rows):
+            raise AssertionError("factored an undecided cut")
+
+        monkeypatch.setattr(univariate, "_partial_cholesky_rows", no_rows)
+        with pytest.raises(AmbiguousRank):
+            solve_1d(self._prefix())
+
+    def test_a_tail_within_the_floor_is_rounding(self):
+        # Three atoms: the cut at 3 drops only rounding, and the rule solves.
+        mu = AtomicMeasure(1, [((0.5,), 1.0), ((1.0,), 0.5), ((2.0,), 0.25)])
+        res = solve_1d(moments_of_atomic(mu, 10))
+        assert (res.rank, res.decision.rank) == (3, 3)
+        assert res.decision.sigma_next <= RANK_FLOOR < 1e-10 < res.decision.sigma_q
+
+
 def _reference_cholesky_rows(h, rows):
     """The factorization before it stopped at a failed pivot: it returned
     the index of that pivot instead of the rows.  Products are added one by
@@ -439,10 +492,13 @@ class TestPartialCholesky:
     def test_solve_survives_an_overstated_rank(self, monkeypatch):
         # With the rank overstated by two, the factorization stops at the
         # failed pivot and the rule has the true three atoms.
-        real_rank = univariate.numerical_rank
-        monkeypatch.setattr(
-            univariate, "numerical_rank", lambda m, tol: real_rank(m, tol) + 2
-        )
+        real_decision = univariate.rank_decision
+
+        def overstated(m, tol):
+            decision = real_decision(m, tol)
+            return dataclasses.replace(decision, rank=decision.rank + 2)
+
+        monkeypatch.setattr(univariate, "rank_decision", overstated)
         mu = AtomicMeasure(1, [((0.5,), 1.0), ((1.0,), 0.5), ((2.0,), 0.25)])
         for exact in (False, True):
             res = solve_1d(moments_of_atomic(mu, 10, exact=exact))
