@@ -19,10 +19,10 @@ from momentkit import (
     DegreeOverflow,
     DimMismatch,
     EigenFailure,
+    MomentError,
     MomentSequence,
     RankCollapse,
     ValidationFailure,
-    MomentError,
     moments_factorial,
     moments_lognormal,
     moments_of_atomic,
